@@ -17,19 +17,20 @@ throughout; products over feature rows would underflow otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .association import AssociationInput, run_association
 from .errors import DegenerateWeights
-from .geometry import EPS_GEO, Surface, WallSegment, mva_to_va, va_to_mva
+from .geometry import EPS_GEO, WallSegment, va_to_mva
 from .measurement import ClutterModel, MeasurementBatch, NoiseProfile, TWO_PI
-from .raytrace import PathClass, hop_obstructed, line_crossing
+from .raytrace import Environment, backward_trace
 
 _LOG_TINY = -745.0  # log of the smallest positive double
 _DENOM_FLOOR = 1e-12
+_TRACE_CHUNK = 1 << 16  # (pair row, particle) elements traced per call
 
 
 @dataclass
@@ -220,121 +221,11 @@ def draw_new_pmva(z_d: float, z_phi: float, sigma_d: float, sigma_phi: float,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ExtentContext:
-    """Reflector extents and blockage geometry used at inference time.
-
-    Estimated surfaces are infinite lines; when scenario walls are supplied,
-    each feature's line is clipped to the extent of the nearest true wall
-    (endpoints projected onto the estimated line).  Blockage is tested only
-    against declared blocker segments.
-    """
-
-    walls: tuple[WallSegment, ...] = ()
-    blockers: tuple[WallSegment, ...] = ()
-    clip_to_walls: bool = True
-
-    def wall_mvas(self) -> np.ndarray:
-        if not self.walls:
-            return np.zeros((0, 2))
-        return np.stack([Surface.from_segment(w.a, w.b).mva for w in self.walls])
-
-
 def _log_sum_exp(values: np.ndarray) -> float:
     m = np.max(values)
     if not np.isfinite(m):
         return -np.inf
     return float(m + np.log(np.sum(np.exp(values - m))))
-
-
-def _blocked(p, q, ctx: ExtentContext):
-    if not ctx.blockers:
-        return np.zeros(np.broadcast(np.asarray(p)[..., 0], np.asarray(q)[..., 0]).shape, dtype=bool)
-    segments = [(w.a, w.b, None) for w in ctx.blockers]
-    return hop_obstructed(p, q, segments)
-
-
-class _FeatureGeometry:
-    """Stacked per-particle surface lines of all features in one block.
-
-    Shapes: particles (S, I, 2); normals/tangents (S, I, 2); offsets, validity
-    and extent bounds (S, I).  Extents clip each estimated line to the
-    nearest scenario wall (endpoints projected onto the line); without walls
-    the reflector is infinite.
-    """
-
-    def __init__(self, features: Sequence[PmvaBelief], ctx: ExtentContext):
-        self.count = len(features)
-        if self.count == 0:
-            return
-        p = np.stack([f.particles for f in features])      # (S, I, 2)
-        self.particles = p
-        self.existence = np.array([f.existence for f in features])
-        norm = np.hypot(p[..., 0], p[..., 1])
-        self.ok = norm > EPS_GEO                           # (S, I)
-        safe = np.where(self.ok, norm, 1.0)
-        self.normal = p / safe[..., None]
-        self.offset = 0.5 * norm
-        self.tangent = np.stack([-self.normal[..., 1], self.normal[..., 0]], axis=-1)
-        wall_mvas = ctx.wall_mvas()
-        if wall_mvas.size:
-            self.ext_lo = np.empty_like(self.offset)
-            self.ext_hi = np.empty_like(self.offset)
-            means = p.mean(axis=1)                          # (S, 2)
-            for s in range(self.count):
-                d = np.hypot(wall_mvas[:, 0] - means[s, 0], wall_mvas[:, 1] - means[s, 1])
-                wall = ctx.walls[int(np.argmin(d))]
-                ta = self.tangent[s] @ wall.a
-                tb = self.tangent[s] @ wall.b
-                self.ext_lo[s] = np.minimum(ta, tb) - EPS_GEO
-                self.ext_hi[s] = np.maximum(ta, tb) + EPS_GEO
-        else:
-            self.ext_lo = None
-            self.ext_hi = None
-
-    def extent_ok(self, hit, tangent, lo, hi):
-        if lo is None:
-            return np.ones(hit.shape[:-1], dtype=bool)
-        tau = np.sum(hit * tangent, axis=-1)
-        return (tau >= lo) & (tau <= hi)
-
-
-def _single_block(agent_xy, pa, geo: _FeatureGeometry, ctx):
-    """VA positions (S, I, 2) and availability (S, I) of single-bounce rows."""
-    va = mva_to_va(geo.particles, pa, strict=False)
-    va = np.where(geo.ok[..., None], va, 0.0)
-    crossed, w = line_crossing(agent_xy[None], va, geo.normal, geo.offset)
-    avail = geo.ok & crossed
-    avail &= geo.extent_ok(w, geo.tangent, geo.ext_lo, geo.ext_hi)
-    avail &= ~_blocked(agent_xy[None], w, ctx)
-    avail &= ~_blocked(w, pa, ctx)
-    return va, avail
-
-
-def _double_block(agent_xy, pa, va_single, geo: _FeatureGeometry, ctx, first, second):
-    """VA positions and availability of the active ordered pairs, gathered.
-
-    ``first`` / ``second`` index the agent-side and anchor-side surfaces of
-    each active pair row; all outputs have leading shape (n_pairs, I).
-    """
-    va1 = va_single[second]                                 # anchor-side images
-    va2 = mva_to_va(geo.particles[first], va1, strict=False)
-    ok = geo.ok[first] & geo.ok[second]
-    va2 = np.where(ok[..., None], va2, 0.0)
-    crossed1, w1 = line_crossing(agent_xy[None], va2, geo.normal[first], geo.offset[first])
-    avail = ok & crossed1
-    lo1 = geo.ext_lo[first] if geo.ext_lo is not None else None
-    hi1 = geo.ext_hi[first] if geo.ext_hi is not None else None
-    avail &= geo.extent_ok(w1, geo.tangent[first], lo1, hi1)
-    crossed2, w2 = line_crossing(w1, va1, geo.normal[second], geo.offset[second])
-    avail &= crossed2
-    lo2 = geo.ext_lo[second] if geo.ext_lo is not None else None
-    hi2 = geo.ext_hi[second] if geo.ext_hi is not None else None
-    avail &= geo.extent_ok(w2, geo.tangent[second], lo2, hi2)
-    avail &= ~_blocked(agent_xy[None], w1, ctx)
-    avail &= ~_blocked(w1, w2, ctx)
-    avail &= ~_blocked(w2, pa, ctx)
-    return va2, avail
 
 
 def _block_likelihood(agent_xy, headings, va, avail, z, sigma_d, sigma_phi,
@@ -375,7 +266,7 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray,
                legacy: list[PmvaBelief], new_from_prev: list[PmvaBelief],
                batch: MeasurementBatch, pa, params: HyperParams,
                profile: NoiseProfile, clutter: ClutterModel,
-               rng: np.random.Generator, ctx: ExtentContext,
+               rng: np.random.Generator, ctx: Environment,
                next_id: list[int]) -> tuple[np.ndarray, list[PmvaBelief], list[PmvaBelief]]:
     """One anchor's update block.
 
@@ -385,7 +276,8 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray,
     rows per feature pair), runs data association, and applies the agent,
     legacy-feature, and new-feature updates with per-feature resampling and
     pruning.  Returns the updated agent log-weights and the surviving
-    legacy and new feature lists.
+    legacy and new feature lists.  ``ctx`` holds the scenario's true walls
+    (reflector extents) and blockers (obstructions).
     """
     pa = np.asarray(pa, dtype=float)
     legacy = list(legacy) + list(new_from_prev)
@@ -414,17 +306,19 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray,
         next_id[0] += 1
 
     # availability and likelihood per block
-    geo = _FeatureGeometry(legacy, ctx)
-    los_avail = ~_blocked(agent_xy, pa, ctx)
-    if not params.visibility_check:
-        los_avail = np.ones(n_part, dtype=bool)
-    lik_los = _block_likelihood(agent_xy, agent.headings, pa, los_avail,
+    def trace(bounces, extents):
+        # the map holds surface lines, not wall segments: only blockers obstruct
+        return backward_trace(agent_xy, pa, bounces, extents, ctx.blocker_segments,
+                              check=params.visibility_check)
+
+    va_los, los_avail = trace((), ())
+    lik_los = _block_likelihood(agent_xy, agent.headings, va_los, los_avail,
                                 z, sig_d["los"], sig_phi["los"])
     if s_count:
-        pe = geo.existence
-        va_s, avail_s = _single_block(agent_xy, pa, geo, ctx)
-        if not params.visibility_check:
-            avail_s = geo.ok
+        clouds = np.stack([f.particles for f in legacy])      # (S, I, 2)
+        pe = np.array([f.existence for f in legacy])
+        ext_lo, ext_hi = ctx.nearest_extents(clouds)
+        va_s, avail_s = trace((clouds,), ((ext_lo, ext_hi),))
         lik_s = _block_likelihood(agent_xy[None], agent.headings[None], va_s, avail_s,
                                   z, sig_d["single"], sig_phi["single"])
     if use_doubles:
@@ -434,9 +328,14 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray,
         pair_first, pair_second = np.nonzero(pair_mask)
         use_doubles = pair_first.size > 0
     if use_doubles:
-        va_d, avail_d = _double_block(agent_xy, pa, va_s, geo, ctx, pair_first, pair_second)
-        if not params.visibility_check:
-            avail_d = geo.ok[pair_first] & geo.ok[pair_second]
+        # traced in row chunks so the tracer's temporaries stay small
+        va_d = np.empty((pair_first.size, n_part, 2))
+        avail_d = np.empty((pair_first.size, n_part), dtype=bool)
+        chunk = max(1, _TRACE_CHUNK // n_part)
+        for r in range(0, pair_first.size, chunk):
+            rows = (pair_first[r:r + chunk], pair_second[r:r + chunk])
+            va_d[r:r + chunk], avail_d[r:r + chunk] = trace(
+                [clouds[i] for i in rows], [(ext_lo[i], ext_hi[i]) for i in rows])
         lik_d = _block_likelihood(agent_xy[None], agent.headings[None],
                                   va_d, avail_d, z, sig_d["double"], sig_phi["double"],
                                   out_dtype=np.float32)
@@ -614,8 +513,7 @@ class SlamFilter:
         self.rng = rng
         self.agent = initial_agent_belief(start_pos, params, rng)
         self.features: list[PmvaBelief] = []
-        self.ctx = ExtentContext(walls=tuple(extent_walls), blockers=tuple(blockers),
-                                 clip_to_walls=bool(extent_walls))
+        self.ctx = Environment(walls=extent_walls, blockers=blockers)
         self._next_id = [0]
 
     def step(self, batches: Sequence[MeasurementBatch]) -> StepEstimate:

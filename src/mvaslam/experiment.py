@@ -14,7 +14,7 @@ import io
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -22,9 +22,8 @@ import numpy as np
 
 from .engine import SlamFilter
 from .errors import DegenerateWeights
-from .measurement import generate_batch
+from .measurement import enumerate_paths, generate_batch
 from .metrics import OspaParams, ospa, va_ospa
-from .raytrace import PathClass, path_available
 from .scenario import ScenarioConfig
 
 CONVERGENCE_RADIUS = 5.0  # meters; also the default OSPA cutoff
@@ -57,23 +56,12 @@ def available_path_keys(config: ScenarioConfig) -> list[list[tuple]]:
     """Per anchor: true path keys available somewhere along the trajectory."""
     surfaces = config.surfaces
     env = config.environment
-    n_surf = len(surfaces)
-    keys_per_pa: list[list[tuple]] = []
-    for pa in config.pas:
-        keys = set()
-        candidates = [PathClass(s=s) for s in range(n_surf)]
-        if config.double_bounce:
-            candidates += [PathClass(s=s, s2=t)
-                           for s in range(n_surf) for t in range(n_surf) if t != s]
-        for pos in config.waypoints:
-            for path in candidates:
-                key = (path.s, path.s) if path.kind == "single" else (path.s, path.s2)
-                if key in keys:
-                    continue
-                if path_available(pos, pa, path, surfaces, env):
-                    keys.add(key)
-        keys_per_pa.append(sorted(keys))
-    return keys_per_pa
+    candidates = enumerate_paths(len(surfaces), include_double=config.double_bounce)[1:]  # no LOS
+    pas = np.array(config.pas)[:, None]                     # (J, 1, 2)
+    _, available = env.trace_paths(config.waypoints, pas, candidates, surfaces)
+    return [sorted({(path.s, path.s if path.s2 is None else path.s2)
+                    for path, seen in zip(candidates, row) if seen})
+            for row in available.any(axis=1)]
 
 
 def simulate_run(config: ScenarioConfig, run_index: int, base_seed: int,

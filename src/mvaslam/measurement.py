@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import OutOfSupport
 from .geometry import Surface, double_bounce_va, mva_to_va, path_distance_angle, wrap_angle
-from .raytrace import Environment, PathClass, path_available
+from .raytrace import Environment, PathClass
 
 TWO_PI = 2.0 * math.pi
 
@@ -164,16 +164,15 @@ def generate_batch(agent_pos, heading, pa, surfaces: Sequence[Surface], env: Env
     per-measurement noise levels (range-dependent variances).
     """
     agent_pos = np.asarray(agent_pos, dtype=float)
-    pa = np.asarray(pa, dtype=float)
+    paths = enumerate_paths(len(surfaces), include_double=include_double)
+    va, available = env.trace_paths(agent_pos, pa, paths, surfaces)
+    found = np.flatnonzero(available)
+    dist, angle = path_distance_angle(agent_pos, heading, va[found])
     rows = []
-    for path in enumerate_paths(len(surfaces), include_double=include_double):
-        if not path_available(agent_pos, pa, path, surfaces, env):
-            continue
+    for k, d, phi in zip(found, dist, angle):
+        path = paths[k]
         if rng.random() >= p_detect[path.kind]:
             continue
-        mva_s = surfaces[path.s].mva if path.s is not None else None
-        mva_s2 = surfaces[path.s2].mva if path.s2 is not None else None
-        d, phi = predicted_measurement(agent_pos, heading, path, pa, mva_s, mva_s2)
         if sigma_hook is not None:
             sigma_d, sigma_phi = sigma_hook(path, float(d))
         else:

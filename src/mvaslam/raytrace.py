@@ -7,14 +7,17 @@ extent, and every hop segment must be free of obstructions.  Availability
 feeds the per-path detection probabilities: an unavailable path cannot
 produce a measurement.
 
-All core tests are written against arrays so the SLAM engine can evaluate
-thousands of per-particle paths in one call; the scalar ``path_available``
-contract wraps the same primitives.
+One array tracer, :func:`backward_trace`, serves every caller.  The SLAM
+filter traces per-particle feature clouds; the measurement generator and
+the availability keys trace the true surfaces through
+:meth:`Environment.trace_paths`.  Each caller supplies the reflector
+extents and the obstacle set, the one modelling difference between them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -47,6 +50,11 @@ class PathClass:
             return "los"
         return "single" if self.s2 is None else "double"
 
+    @property
+    def bounces(self) -> tuple[int, ...]:
+        """Surface indices of the bounces, the one nearest the agent first."""
+        return tuple(s for s in (self.s, self.s2) if s is not None)
+
 
 LOS = PathClass()
 
@@ -61,7 +69,14 @@ def double_bounce(s: int, s2: int) -> PathClass:
 
 @dataclass(frozen=True)
 class Environment:
-    """Static geometry: reflector walls plus opaque, non-reflecting blockers."""
+    """Static geometry: reflector walls plus opaque, non-reflecting blockers.
+
+    The only geometry container of the package.  The wall endpoints and
+    MVAs and both obstacle sets are computed once, on first use:
+    ``segments`` (walls and blockers, as the generator sees them) and
+    ``blocker_segments`` (blockers only, as the filter sees them), each a
+    tuple of ``(a, b, surface_index)`` triples.
+    """
 
     walls: tuple[WallSegment, ...] = ()
     blockers: tuple[WallSegment, ...] = ()
@@ -69,6 +84,24 @@ class Environment:
     def __init__(self, walls: Sequence[WallSegment] = (), blockers: Sequence[WallSegment] = ()):
         object.__setattr__(self, "walls", tuple(walls))
         object.__setattr__(self, "blockers", tuple(blockers))
+
+    @cached_property
+    def wall_ends(self) -> np.ndarray:
+        """Wall endpoints, (W, 2, 2)."""
+        return np.array([[w.a, w.b] for w in self.walls], dtype=float).reshape(-1, 2, 2)
+
+    @cached_property
+    def wall_mvas(self) -> np.ndarray:
+        """MVAs of the wall lines, (W, 2)."""
+        return np.array([Surface.from_segment(a, b).mva for a, b in self.wall_ends]).reshape(-1, 2)
+
+    @cached_property
+    def blocker_segments(self) -> tuple:
+        return tuple((w.a, w.b, None) for w in self.blockers)
+
+    @cached_property
+    def segments(self) -> tuple:
+        return tuple((w.a, w.b, w.surface_index) for w in self.walls) + self.blocker_segments
 
     def validate(self, surfaces: Sequence[Surface]) -> None:
         """Check that every reflector segment lies on its surface's line."""
@@ -103,51 +136,82 @@ class Environment:
             return None
         return min(params), max(params)
 
+    def nearest_extents(self, clouds):
+        """Per-particle extents of estimated surfaces clipped to the nearest wall.
 
-def segment_intersection(a1, a2, b1, b2, eps: float = 1e-12):
-    """Intersection point of two closed segments, or None.
+        ``clouds`` (S, I, 2) holds the MVA particles of S estimated surfaces.
+        Each surface takes the wall whose MVA lies nearest its mean MVA, and
+        the wall's endpoints are projected onto every particle's line.
+        Returns ``(lo, hi)`` of shape (S, I); without walls the reflectors are
+        unbounded and both have shape (S, 1).
+        """
+        if not self.walls:
+            unbounded = np.full((clouds.shape[0], 1), np.inf)
+            return -unbounded, unbounded
+        means = clouds.mean(axis=1)
+        d = np.hypot(self.wall_mvas[:, 0] - means[:, None, 0],
+                     self.wall_mvas[:, 1] - means[:, None, 1])
+        ends = self.wall_ends[np.argmin(d, axis=1)]             # (S, 2, 2)
+        normal = _surface_frame(clouds)[1]
+        ta = _along(ends[:, None, 0], normal)
+        tb = _along(ends[:, None, 1], normal)
+        return np.minimum(ta, tb), np.maximum(ta, tb)
 
-    Collinear overlap is reported as the overlap point nearest ``a1``.
+    def trace_paths(self, agent, pa, paths: Sequence[PathClass], surfaces: Sequence[Surface]):
+        """Trace every path in ``paths`` against the true geometry.
+
+        Each bounce is clipped to its own walls' extent, and every wall and
+        blocker obstructs, except that the hop arriving at a bounce ignores
+        that surface's own walls.  ``agent`` and ``pa`` are (..., 2) and
+        broadcast together.  Returns the VAs (..., P, 2) and the availability
+        (..., P), one column per path.
+        """
+        agent = np.asarray(agent, dtype=float)[..., None, :]
+        pa = np.asarray(pa, dtype=float)[..., None, :]
+        mvas = np.array([s.mva for s in surfaces]).reshape(-1, 2)
+        extents = [self.reflector_extent(s, surfaces) for s in range(len(surfaces))]
+        lo, hi = np.array([(-np.inf, np.inf) if e is None else e for e in extents]).reshape(-1, 2).T
+        rows = np.broadcast_shapes(agent.shape, pa.shape)[:-2]
+        va = np.empty(rows + (len(paths), 2))
+        available = np.empty(rows + (len(paths),), dtype=bool)
+        bounces = [path.bounces for path in paths]
+        for n_bounces in range(3):                          # LOS, single, double
+            cols = [k for k, b in enumerate(bounces) if len(b) == n_bounces]
+            if not cols:
+                continue
+            idx = np.array([bounces[k] for k in cols], dtype=int).reshape(len(cols), -1).T
+            va[..., cols, :], available[..., cols] = backward_trace(
+                agent, pa, [mvas[i] for i in idx], [(lo[i], hi[i]) for i in idx],
+                self.segments, exclude=idx)
+        return va, available
+
+
+# ---------------------------------------------------------------------------
+# Array primitives.  Points are (..., 2); line normals (..., 2) with offsets
+# (...,) describe n . x = c.  Everything broadcasts.
+# ---------------------------------------------------------------------------
+
+
+def _dot(a, b):
+    """Row-wise dot product of 2-vectors."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+
+
+def _along(x, normal):
+    """Coordinate of points ``x`` along the tangent (-n_y, n_x) of a line."""
+    return x[..., 1] * normal[..., 0] - x[..., 0] * normal[..., 1]
+
+
+def _surface_frame(mva):
+    """Validity, unit normal and line offset of surface MVA(s).
+
+    A surface is valid when its MVA is farther than ``EPS_GEO`` from the
+    origin; invalid rows carry finite but meaningless frames.
     """
-    a1 = np.asarray(a1, dtype=float)
-    a2 = np.asarray(a2, dtype=float)
-    b1 = np.asarray(b1, dtype=float)
-    b2 = np.asarray(b2, dtype=float)
-    r = a2 - a1
-    s = b2 - b1
-    denom = r[0] * s[1] - r[1] * s[0]
-    qp = b1 - a1
-    qp_cross_r = qp[0] * r[1] - qp[1] * r[0]
-    scale = max(np.hypot(*r) * np.hypot(*s), 1.0)
-    if abs(denom) <= eps * scale:
-        if abs(qp_cross_r) > eps * scale:
-            return None  # parallel, not collinear
-        rr = float(r @ r)
-        t0 = float(qp @ r) / rr
-        t1 = float((b2 - a1) @ r) / rr
-        lo, hi = min(t0, t1), max(t0, t1)
-        if hi < 0.0 or lo > 1.0:
-            return None
-        return a1 + min(max(lo, 0.0), 1.0) * r
-    t = (qp[0] * s[1] - qp[1] * s[0]) / denom
-    u = qp_cross_r / denom
-    if -eps <= t <= 1.0 + eps and -eps <= u <= 1.0 + eps:
-        return a1 + t * r
-    return None
-
-
-def detection_probability(path: PathClass, available, base: float):
-    """Detection probability of a path: ``base`` when available, else 0."""
-    if not 0.0 <= base <= 1.0:
-        raise ValueError("base detection probability must lie in [0, 1]")
-    return np.where(np.asarray(available, dtype=bool), base, 0.0)[()]
-
-
-# ---------------------------------------------------------------------------
-# Array primitives shared by the scalar contract and the SLAM engine.
-# Points are (..., 2); line normals (..., 2) with offsets (...,) describe
-# n . x = c.  Everything broadcasts.
-# ---------------------------------------------------------------------------
+    mva = np.asarray(mva, dtype=float)
+    norm = np.hypot(mva[..., 0], mva[..., 1])
+    ok = norm > EPS_GEO
+    return ok, mva / np.where(ok, norm, 1.0)[..., None], 0.5 * norm
 
 
 def line_crossing(p, q, normal, offset):
@@ -157,13 +221,15 @@ def line_crossing(p, q, normal, offset):
     (touching counts), ``hit`` is the crossing point (unspecified when not
     ``ok``).
     """
-    sd_p = np.sum(np.asarray(p) * normal, axis=-1) - offset
-    sd_q = np.sum(np.asarray(q) * normal, axis=-1) - offset
+    p = np.asarray(p)
+    q = np.asarray(q)
+    sd_p = _dot(p, normal) - offset
+    sd_q = _dot(q, normal) - offset
     denom = sd_p - sd_q
     safe = np.abs(denom) > 1e-300
     t = np.where(safe, sd_p / np.where(safe, denom, 1.0), 0.0)
     ok = (sd_p * sd_q <= 0.0) & safe
-    hit = np.asarray(p) + t[..., None] * (np.asarray(q) - np.asarray(p))
+    hit = p + t[..., None] * (q - p)
     return ok, hit
 
 
@@ -185,31 +251,33 @@ def segment_blocks(p, q, a, b, eps: float = EPS_GEO):
     cross_aq = ab[..., 0] * (q[..., 1] - a[..., 1]) - ab[..., 1] * (q[..., 0] - a[..., 0])
     cross_pa = pq[..., 0] * (a[..., 1] - p[..., 1]) - pq[..., 1] * (a[..., 0] - p[..., 0])
     cross_pb = pq[..., 0] * (b[..., 1] - p[..., 1]) - pq[..., 1] * (b[..., 0] - p[..., 0])
-
+    crossing = (cross_ap * cross_aq <= 0.0) & (cross_pa * cross_pb <= 0.0)
     hop_len = np.hypot(pq[..., 0], pq[..., 1])
+    seg_len = np.hypot(ab[..., 0], ab[..., 1])
+    scale = np.maximum(seg_len * hop_len, 1e-300)
+    collinear = (np.abs(cross_ap) <= eps * scale) & (np.abs(cross_aq) <= eps * scale)
+    if not (crossing.any() or collinear.any()):
+        return crossing                       # apart everywhere: nothing blocks
+
     denom_t = cross_ap - cross_aq
     safe_t = np.abs(denom_t) > 1e-300
     t = np.where(safe_t, cross_ap / np.where(safe_t, denom_t, 1.0), -1.0)
     margin = np.where(hop_len > 0, eps / np.maximum(hop_len, 1e-300), 0.0)
     interior = (t > margin) & (t < 1.0 - margin)
 
-    seg_len = np.hypot(ab[..., 0], ab[..., 1])
     denom_u = cross_pa - cross_pb
     safe_u = np.abs(denom_u) > 1e-300
     u = np.where(safe_u, cross_pa / np.where(safe_u, denom_u, 1.0), -1.0)
     margin_u = eps / np.maximum(seg_len, 1e-300)
     within = (u >= -margin_u) & (u <= 1.0 + margin_u)
 
-    crossing = (cross_ap * cross_aq <= 0.0) & (cross_pa * cross_pb <= 0.0)
     blocked = crossing & safe_t & safe_u & interior & within
 
     # collinear overlap: hop slides along the segment
-    scale = np.maximum(seg_len * hop_len, 1e-300)
-    collinear = (np.abs(cross_ap) <= eps * scale) & (np.abs(cross_aq) <= eps * scale)
-    if np.any(collinear):
-        rr = np.maximum(np.sum(pq * pq, axis=-1), 1e-300)
-        t0 = np.sum((a - p) * pq, axis=-1) / rr
-        t1 = np.sum((b - p) * pq, axis=-1) / rr
+    if collinear.any():
+        rr = np.maximum(_dot(pq, pq), 1e-300)
+        t0 = _dot(a - p, pq) / rr
+        t1 = _dot(b - p, pq) / rr
         lo = np.minimum(t0, t1)
         hi = np.maximum(t0, t1)
         overlap = (hi > margin) & (lo < 1.0 - margin)
@@ -220,75 +288,65 @@ def segment_blocks(p, q, a, b, eps: float = EPS_GEO):
 def hop_obstructed(p, q, segments, exclude_index=None, eps: float = EPS_GEO):
     """True where any wall/blocker segment obstructs hop [p, q].
 
-    ``segments`` is a sequence of (a, b, surface_index) triples; entries whose
-    surface index equals ``exclude_index`` are skipped (a reflector never
-    blocks the hop it reflects).
+    ``segments`` is a sequence of (a, b, surface_index) triples.  A segment
+    does not count for the hops whose ``exclude_index`` (a scalar, or an
+    array broadcasting against the hops) equals its surface index: a
+    reflector never blocks the hop it reflects.  Without a counted segment
+    the result is a scalar False.
     """
-    blocked = np.zeros(np.broadcast(np.asarray(p)[..., 0], np.asarray(q)[..., 0]).shape, dtype=bool)
+    blocked = np.False_
     for a, b, surface_index in segments:
-        if exclude_index is not None and surface_index == exclude_index:
+        if exclude_index is None or surface_index is None:
+            blocked = blocked | segment_blocks(p, q, a, b, eps=eps)
             continue
-        blocked |= segment_blocks(p, q, a, b, eps=eps)
+        counts = np.asarray(exclude_index) != surface_index
+        if counts.any():
+            blocked = blocked | (segment_blocks(p, q, a, b, eps=eps) & counts)
     return blocked
 
 
-def _extent_ok(hit, tangent, extent, eps):
-    if extent is None:
-        return np.ones(np.asarray(hit).shape[:-1], dtype=bool)
-    tau = np.sum(np.asarray(hit) * tangent, axis=-1)
-    lo, hi = extent
-    return (tau >= lo - eps) & (tau <= hi + eps)
+def backward_trace(agent, pa, bounces=(), extents=(), obstacles=(), exclude=None,
+                   check: bool = True, eps: float = EPS_GEO):
+    """Backward-trace paths from the agent to the anchor ``pa``.
 
+    ``bounces`` lists the reflecting surfaces as MVA arrays, the bounce
+    nearest the agent first: empty for LOS, one surface for a single bounce,
+    two for a double bounce.  ``extents`` holds each bounce's reflector
+    extent ``(lo, hi)`` in the tangent coordinate of its surface (infinite
+    bounds for an unbounded reflector).  ``obstacles`` are ``(a, b,
+    surface_index)`` segments; ``exclude[k]``, when given, names the surface
+    whose segments the hop arriving at bounce ``k`` ignores.  Agent points,
+    surfaces and extents broadcast over leading axes (the path rows).
 
-def path_available(agent, pa, path: PathClass, surfaces: Sequence[Surface], env: Environment,
-                   eps: float = EPS_GEO) -> bool:
-    """Backward-trace one path and report whether it is available.
-
-    LOS: the agent-anchor segment must be unobstructed.  Single bounce: the
-    segment from the agent to the VA must cross surface ``s`` inside its
-    reflector extent at ``w``; hops agent-``w`` and ``w``-anchor must be
-    unobstructed.  Double bounce adds the second reflection analogously.
-    Degenerate VA constructions simply yield False.
+    The image method mirrors the anchor across the bounces from the anchor
+    side; the trace then walks from the agent toward each image, requiring
+    every bounce point to lie on its surface inside the extent and every hop
+    to be unobstructed.  Returns ``(va, available)``: the path's virtual
+    anchor (zero where a bounce surface is degenerate) and its availability.
+    With ``check=False`` nothing is traced and ``available`` only reports
+    non-degenerate surfaces.
     """
     agent = np.asarray(agent, dtype=float)
     pa = np.asarray(pa, dtype=float)
-    segments = [(w.a, w.b, w.surface_index) for w in env.walls]
-    segments += [(w.a, w.b, None) for w in env.blockers]
-
-    if path.kind == "los":
-        return not bool(hop_obstructed(agent, pa, segments, eps=eps))
-
-    surf_s = surfaces[path.s]
-    if path.kind == "single":
-        va = mva_to_va(surf_s.mva, pa, strict=False)
-        if not np.all(np.isfinite(va)):
-            return False
-        ok, w = line_crossing(agent, va, surf_s.unit_normal, float(surf_s.unit_normal @ surf_s.line_point))
-        if not bool(ok):
-            return False
-        if not bool(_extent_ok(w, surf_s.tangent, env.reflector_extent(path.s, surfaces), eps)):
-            return False
-        if bool(hop_obstructed(agent, w, segments, exclude_index=path.s, eps=eps)):
-            return False
-        return not bool(hop_obstructed(w, pa, segments, eps=eps))
-
-    surf_s2 = surfaces[path.s2]
-    va1 = mva_to_va(surf_s2.mva, pa, strict=False)
-    va2 = mva_to_va(surf_s.mva, va1, strict=False) if np.all(np.isfinite(va1)) else np.full(2, np.nan)
-    if not (np.all(np.isfinite(va1)) and np.all(np.isfinite(va2))):
-        return False
-    ok1, w1 = line_crossing(agent, va2, surf_s.unit_normal, float(surf_s.unit_normal @ surf_s.line_point))
-    if not bool(ok1):
-        return False
-    if not bool(_extent_ok(w1, surf_s.tangent, env.reflector_extent(path.s, surfaces), eps)):
-        return False
-    ok2, w2 = line_crossing(w1, va1, surf_s2.unit_normal, float(surf_s2.unit_normal @ surf_s2.line_point))
-    if not bool(ok2):
-        return False
-    if not bool(_extent_ok(w2, surf_s2.tangent, env.reflector_extent(path.s2, surfaces), eps)):
-        return False
-    if bool(hop_obstructed(agent, w1, segments, exclude_index=path.s, eps=eps)):
-        return False
-    if bool(hop_obstructed(w1, w2, segments, exclude_index=path.s2, eps=eps)):
-        return False
-    return not bool(hop_obstructed(w2, pa, segments, eps=eps))
+    images = [pa]
+    for mva in reversed(bounces):
+        images.insert(0, mva_to_va(mva, images[0], strict=False))
+    valid = np.ones(agent.shape[:-1], dtype=bool)
+    available = valid
+    p = agent
+    for k, mva in enumerate(bounces):
+        ok, normal, offset = _surface_frame(mva)
+        valid = valid & ok
+        if not check:
+            continue
+        crossed, hit = line_crossing(p, images[k], normal, offset)
+        tau = _along(hit, normal)
+        lo, hi = extents[k]
+        skip = None if exclude is None else exclude[k]
+        available = (available & crossed & (tau >= lo - eps) & (tau <= hi + eps)
+                     & ~hop_obstructed(p, hit, obstacles, skip, eps=eps))
+        p = hit
+    va = np.where(valid[..., None], images[0], 0.0)
+    if not check:
+        return va, valid
+    return va, valid & available & ~hop_obstructed(p, pa, obstacles, eps=eps)

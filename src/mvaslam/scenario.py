@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields, replace
 from importlib import resources
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 

@@ -3,13 +3,11 @@ import pytest
 
 from mvaslam.engine import (
     AgentBelief,
-    ExtentContext,
     HyperParams,
     PmvaBelief,
     SlamFilter,
     draw_new_pmva,
     finalize_step,
-    initial_agent_belief,
     ncv_matrices,
     predict_agent,
     predict_legacy,
@@ -140,11 +138,11 @@ def test_systematic_resample_preserves_mass():
 
 def one_wall_ctx():
     walls = [WallSegment([5.0, -10.0], [5.0, 10.0], 0)]
-    return walls, ExtentContext(walls=tuple(walls), blockers=(), clip_to_walls=True)
+    return walls, Environment(walls=walls)
 
 
 def run_block(agent, feats, batch, params, pa=(1.0, 0.5), ctx=None, rng=None):
-    ctx = ctx or ExtentContext(walls=(), blockers=(), clip_to_walls=False)
+    ctx = ctx or Environment()
     rng = rng or np.random.default_rng(0)
     logw = np.zeros(agent.n_particles)
     return process_pa(agent, logw, feats, [], batch, np.asarray(pa), params,
@@ -211,7 +209,7 @@ def test_process_pa_bookkeeping_stacking():
     assert len(legacy1) == 1 and len(new1) == 3
     logw, legacy2, new2 = process_pa(agent, logw, legacy1, new1, empty_batch(),
                                      np.array([4.0, -1.0]), params, PROFILE, CLUTTER,
-                                     rng, ExtentContext(), [200])
+                                     rng, Environment(), [200])
     assert len(legacy2) == 4  # S2 = S1 + M1
     assert len(new2) == 0
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mvaslam.geometry import Surface, double_bounce_va, mva_to_va
+from mvaslam.geometry import Surface
 from mvaslam.metrics import OspaParams, dedupe_points, ospa, va_ospa, va_set
 
 from oracles import brute_force_assignment_cost

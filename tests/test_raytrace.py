@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 from mvaslam.geometry import Surface, WallSegment
+from mvaslam.measurement import enumerate_paths
 from mvaslam.raytrace import (
     LOS,
     Environment,
     PathClass,
-    detection_probability,
+    backward_trace,
     double_bounce,
-    path_available,
-    segment_intersection,
     single_bounce,
 )
+from mvaslam.scenario import bundled_scenario
 
 from oracles import AMBIGUOUS, oracle_path_available
 
@@ -38,49 +38,21 @@ def nonrect_room():
     return surfaces, Environment(walls=walls)
 
 
-def all_paths(n_surfaces):
-    paths = [LOS]
-    paths += [single_bounce(s) for s in range(n_surfaces)]
-    paths += [double_bounce(s, t) for s in range(n_surfaces)
-              for t in range(n_surfaces) if t != s]
-    return paths
-
-
-def test_segment_intersection_perpendicular():
-    hit = segment_intersection([0, 0], [2, 0], [1, -1], [1, 1])
-    assert np.allclose(hit, [1.0, 0.0])
-
-
-def test_segment_intersection_disjoint_collinear():
-    assert segment_intersection([0, 0], [1, 0], [2, 0], [3, 0]) is None
-
-
-def test_segment_intersection_symmetric_cross():
-    hit = segment_intersection([0, 0], [1, 1], [0, 1], [1, 0])
-    assert np.allclose(hit, [0.5, 0.5])
-
-
-def test_segment_intersection_collinear_overlap_nearest():
-    hit = segment_intersection([0, 0], [4, 0], [3, 0], [6, 0])
-    assert np.allclose(hit, [3.0, 0.0])
-    hit = segment_intersection([0, 0], [4, 0], [-1, 0], [6, 0])
-    assert np.allclose(hit, [0.0, 0.0])
-
-
-def test_segment_intersection_parallel_none():
-    assert segment_intersection([0, 0], [1, 0], [0, 1], [1, 1]) is None
+def available(agent, pa, path, surfaces, env):
+    """Availability of one path at one agent position, traced as the generator does."""
+    return bool(env.trace_paths(agent, pa, [path], surfaces)[1][0])
 
 
 def test_los_open_room():
     surfaces, env = rect_room()
-    assert path_available([-2.0, 1.0], [3.0, -2.0], LOS, surfaces, env)
+    assert available([-2.0, 1.0], [3.0, -2.0], LOS, surfaces, env)
 
 
 def test_los_blocked_by_obstacle():
     surfaces, env = rect_room()
     env2 = Environment(walls=env.walls,
                        blockers=[WallSegment([0.0, -3.0], [1.0, 2.0])])
-    assert not path_available([-2.0, 1.0], [3.0, -2.0], LOS, surfaces, env2)
+    assert not available([-2.0, 1.0], [3.0, -2.0], LOS, surfaces, env2)
 
 
 def test_los_symmetry():
@@ -91,8 +63,8 @@ def test_los_symmetry():
     for _ in range(100):
         a = rng.uniform([-4.5, -3.0], [4.5, 3.0])
         b = rng.uniform([-4.5, -3.0], [4.5, 3.0])
-        assert (path_available(a, b, LOS, surfaces, env2)
-                == path_available(b, a, LOS, surfaces, env2))
+        assert (available(a, b, LOS, surfaces, env2)
+                == available(b, a, LOS, surfaces, env2))
 
 
 def test_blocker_removal_monotonicity():
@@ -100,12 +72,13 @@ def test_blocker_removal_monotonicity():
     blocker = WallSegment([0.0, -3.0], [0.5, 2.0])
     env_b = Environment(walls=env.walls, blockers=[blocker])
     rng = np.random.default_rng(6)
+    paths = enumerate_paths(4)
     for _ in range(200):
         agent = rng.uniform([-4.5, -3.0], [4.5, 3.0])
         pa = rng.uniform([-4.5, -3.0], [4.5, 3.0])
-        for path in all_paths(4):
-            if path_available(agent, pa, path, surfaces, env_b):
-                assert path_available(agent, pa, path, surfaces, env)
+        with_blocker = env_b.trace_paths(agent, pa, paths, surfaces)[1]
+        without = env.trace_paths(agent, pa, paths, surfaces)[1]
+        assert np.all(without[with_blocker])
 
 
 def test_perpendicular_double_bounce_exactly_one_order():
@@ -124,7 +97,7 @@ def test_perpendicular_double_bounce_exactly_one_order():
                    for s, t in ((0, 1), (1, 0))]
         if AMBIGUOUS in against:
             continue
-        got = [path_available(agent, pa, double_bounce(s, t), surfaces, env)
+        got = [available(agent, pa, double_bounce(s, t), surfaces, env)
                for s, t in ((0, 1), (1, 0))]
         assert got == against
         assert sum(got) <= 1
@@ -139,28 +112,22 @@ def test_oracle_equivalence(room):
     hi = np.max([[w.a, w.b] for w in env.walls], axis=(0, 1))
     rng = np.random.default_rng(1234)
     pas = [rng.uniform(lo + 0.5, hi - 0.5) for _ in range(2)]
-    paths = all_paths(len(surfaces))
-    checked = skipped = 0
+    paths = enumerate_paths(len(surfaces))
+    agents, anchors = [], []
     for _ in range(1000):
-        agent = rng.uniform(lo + 0.2, hi - 0.2)
-        pa = pas[int(rng.integers(2))]
-        for path in paths:
+        agents.append(rng.uniform(lo + 0.2, hi - 0.2))
+        anchors.append(pas[int(rng.integers(2))])
+    got = env.trace_paths(np.array(agents), np.array(anchors), paths, surfaces)[1]
+    checked = skipped = 0
+    for agent, pa, row in zip(agents, anchors, got):
+        for path, avail in zip(paths, row):
             expected = oracle_path_available(agent, pa, path, surfaces, env)
             if expected is AMBIGUOUS:
                 skipped += 1
                 continue
-            assert path_available(agent, pa, path, surfaces, env) == expected, \
-                f"disagreement at agent={agent}, pa={pa}, path={path}"
+            assert avail == expected, f"disagreement at agent={agent}, pa={pa}, path={path}"
             checked += 1
     assert checked > 10 * skipped
-
-
-def test_detection_probability():
-    assert detection_probability(LOS, True, 0.95) == pytest.approx(0.95)
-    assert detection_probability(single_bounce(1), False, 0.95) == 0.0
-    assert detection_probability(double_bounce(0, 1), True, 0.7) == pytest.approx(0.7)
-    with pytest.raises(ValueError):
-        detection_probability(LOS, True, 1.5)
 
 
 def test_path_class_validation():
@@ -186,3 +153,26 @@ def test_reflector_extent():
     lo, hi = env.reflector_extent(0, surfaces)
     assert hi - lo == pytest.approx(7.0)
     assert Environment().reflector_extent(0, surfaces) is None
+
+
+@pytest.mark.parametrize("name", ["exp1_rect_room", "exp3_olos", "nonrect"])
+def test_filter_and_generator_agree_on_bundled_scenarios(name):
+    # The filter traces feature clouds clipped to the nearest wall with only
+    # the blockers obstructing; the generator traces the true surfaces with
+    # their own walls' extents and every wall and blocker obstructing.  At
+    # true-MVA clouds along the bundled trajectories both must agree.
+    config = bundled_scenario(name)
+    surfaces = config.surfaces
+    env = config.environment
+    points = config.waypoints
+    paths = enumerate_paths(len(surfaces))
+    # one "particle" per waypoint, every particle at the true MVA
+    clouds = np.repeat(np.stack([s.mva for s in surfaces])[:, None], len(points), axis=1)
+    lo, hi = env.nearest_extents(clouds)
+    for pa in config.pas:
+        generator = env.trace_paths(points, pa, paths, surfaces)[1]
+        for k, path in enumerate(paths):
+            idx = path.bounces
+            _, filt = backward_trace(points, pa, [clouds[i] for i in idx],
+                                     [(lo[i], hi[i]) for i in idx], env.blocker_segments)
+            assert np.array_equal(filt, generator[:, k]), f"{name}: {path} at pa={pa}"

@@ -1,14 +1,13 @@
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mvaslam.cli import main
 from mvaslam.errors import ScenarioError
-from mvaslam.experiment import run_experiment, splitmix64, write_outputs
+from mvaslam.experiment import run_experiment, splitmix64
 from mvaslam.scenario import (
     bundled_scenario,
     elliptical_waypoints,
