@@ -28,9 +28,10 @@ from .geometry import EPS_GEO, WallSegment, va_to_mva
 from .measurement import ClutterModel, MeasurementBatch, NoiseProfile, TWO_PI
 from .raytrace import Environment, backward_trace
 
-_LOG_TINY = -745.0  # log of the smallest positive double
 _DENOM_FLOOR = 1e-12
-_TRACE_CHUNK = 1 << 16  # (pair row, particle) elements traced per call
+_TRACE_CHUNK = 1 << 16  # (row, particle) elements traced per call
+# pair rows outnumber the others about S-fold; their likelihood is float32
+_LIK_DTYPE = {"los": np.float64, "single": np.float64, "double": np.float32}
 
 
 @dataclass
@@ -55,18 +56,23 @@ class HyperParams:
     assoc_tol: float = 1e-6
     use_double_bounce: bool = True
     visibility_check: bool = True
-    use_batch_sigmas: bool = False
     eps_velocity: float = 1e-3
     # pair rows whose joint existence falls below this floor carry negligible
     # probability mass and are skipped for speed (0 disables the floor)
     pair_existence_floor: float = 3e-4
 
     def __post_init__(self):
-        for name in ("p_survival", "p_detect_los", "p_detect_single", "p_detect_double",
-                     "p_confirm", "p_prune"):
+        for name in ("p_survival", "p_confirm", "p_prune"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name}={value} outside [0, 1]")
+        for kind in ("los", "single", "double"):
+            value = self.p_detect(kind)
+            if not 0.0 <= value < 1.0:
+                raise ValueError(
+                    f"p_detect_{kind}={value} outside [0, 1): a path detected with certainty "
+                    "leaves no missed-detection evidence, so its evidence row vanishes "
+                    "wherever the path is available")
         if self.p_prune >= self.p_confirm:
             raise ValueError("pruning threshold must lie below the confirmation threshold")
         if min(self.sigma_regularization, self.sigma_accel, self.dt) <= 0:
@@ -232,19 +238,18 @@ def _block_likelihood(agent_xy, headings, va, avail, z, sigma_d, sigma_phi,
                       out_dtype=np.float64):
     """Availability-masked likelihood (..., I, M) of a block of rows.
 
-    The double-bounce block requests float32 output; the distance and angle
-    grids are cast up front so no full-size float64 temporary is formed.
+    ``sigma_d`` / ``sigma_phi`` are the noise levels of the block's path
+    kind.  The double-bounce block requests float32 output; the distance and
+    angle grids are cast up front so no full-size float64 temporary is formed.
     """
     diff = agent_xy - va
     d = np.hypot(diff[..., 0], diff[..., 1])
     phi = np.arctan2(diff[..., 1], diff[..., 0]) - headings
     valid = (d > EPS_GEO) & avail
-    if out_dtype != np.float64:
-        d = d.astype(out_dtype)
-        phi = phi.astype(out_dtype)
-        z = z.astype(out_dtype)
-        sigma_d = sigma_d.astype(out_dtype)
-        sigma_phi = sigma_phi.astype(out_dtype)
+    d = d.astype(out_dtype, copy=False)
+    phi = phi.astype(out_dtype, copy=False)
+    z = z.astype(out_dtype, copy=False)
+    sigma_d, sigma_phi = out_dtype(sigma_d), out_dtype(sigma_phi)
     dphi = z[:, 1] - phi[..., None]
     # inputs lie in (-3 pi, 3 pi): two conditional shifts wrap to [-pi, pi]
     two_pi = out_dtype(2.0 * np.pi)
@@ -260,6 +265,24 @@ def _block_likelihood(agent_xy, headings, va, avail, z, sigma_d, sigma_phi,
     lik /= (TWO_PI * sigma_d * sigma_phi)
     lik *= valid[..., None]
     return lik
+
+
+@dataclass
+class _RowBlock:
+    """Evidence-table rows of one path kind.
+
+    ``members`` (R, k) lists the legacy features each row bounces off, the
+    one nearest the agent first: (1, 0) for LOS, (S, 1) for single bounces
+    and (P, 2) for active ordered pairs.  A row exists when all its members
+    do, so ``exist`` is the product of their existences (1 for LOS).
+    """
+
+    kind: str
+    members: np.ndarray
+    rows: slice          # position in the evidence table
+    exist: np.ndarray    # (R,)
+    avail: np.ndarray    # (R, I)
+    lik: np.ndarray      # (R, I, M)
 
 
 def process_pa(agent: AgentBelief, log_weights: np.ndarray,
@@ -286,59 +309,51 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray,
     agent_xy = agent.particles[:, :2]
     n_part = agent.n_particles
     z = batch.z.reshape(n_meas, 2)
-    use_doubles = params.use_double_bounce and s_count > 1
+    pe = np.array([f.existence for f in legacy])
 
     denom = np.maximum(params.mu_clutter * clutter.density, _DENOM_FLOOR) * np.ones(max(n_meas, 1))
-    if params.use_batch_sigmas and n_meas:
-        sig_d = {k: batch.sigma_d for k in ("los", "single", "double")}
-        sig_phi = {k: batch.sigma_phi for k in ("los", "single", "double")}
-    else:
-        sig_d = {k: np.full(n_meas, getattr(profile, k).sigma_d) for k in ("los", "single", "double")}
-        sig_phi = {k: np.full(n_meas, getattr(profile, k).sigma_phi) for k in ("los", "single", "double")}
 
     # new-feature proposals, one per measurement
     proposals = []
     for m in range(n_meas):
         proposals.append(draw_new_pmva(
-            float(z[m, 0]), float(z[m, 1]),
-            float(sig_d["single"][m]), float(sig_phi["single"][m]),
+            float(z[m, 0]), float(z[m, 1]), profile.single.sigma_d, profile.single.sigma_phi,
             agent, pa, params, rng, feature_id=next_id[0]))
         next_id[0] += 1
 
-    # availability and likelihood per block
-    def trace(bounces, extents):
-        # the map holds surface lines, not wall segments: only blockers obstruct
-        return backward_trace(agent_xy, pa, bounces, extents, ctx.blocker_segments,
-                              check=params.visibility_check)
-
-    va_los, los_avail = trace((), ())
-    lik_los = _block_likelihood(agent_xy, agent.headings, va_los, los_avail,
-                                z, sig_d["los"], sig_phi["los"])
+    # row blocks in evidence-table order: LOS, singles, active ordered pairs
+    kinds = [("los", np.zeros((1, 0), dtype=int))]
     if s_count:
-        clouds = np.stack([f.particles for f in legacy])      # (S, I, 2)
-        pe = np.array([f.existence for f in legacy])
-        ext_lo, ext_hi = ctx.nearest_extents(clouds)
-        va_s, avail_s = trace((clouds,), ((ext_lo, ext_hi),))
-        lik_s = _block_likelihood(agent_xy[None], agent.headings[None], va_s, avail_s,
-                                  z, sig_d["single"], sig_phi["single"])
-    if use_doubles:
+        kinds.append(("single", np.arange(s_count)[:, None]))
+    if params.use_double_bounce and s_count > 1:
         pair_mask = ~np.eye(s_count, dtype=bool)
         if params.pair_existence_floor > 0:
             pair_mask &= pe[:, None] * pe[None, :] >= params.pair_existence_floor
-        pair_first, pair_second = np.nonzero(pair_mask)
-        use_doubles = pair_first.size > 0
-    if use_doubles:
-        # traced in row chunks so the tracer's temporaries stay small
-        va_d = np.empty((pair_first.size, n_part, 2))
-        avail_d = np.empty((pair_first.size, n_part), dtype=bool)
-        chunk = max(1, _TRACE_CHUNK // n_part)
-        for r in range(0, pair_first.size, chunk):
-            rows = (pair_first[r:r + chunk], pair_second[r:r + chunk])
-            va_d[r:r + chunk], avail_d[r:r + chunk] = trace(
-                [clouds[i] for i in rows], [(ext_lo[i], ext_hi[i]) for i in rows])
-        lik_d = _block_likelihood(agent_xy[None], agent.headings[None],
-                                  va_d, avail_d, z, sig_d["double"], sig_phi["double"],
-                                  out_dtype=np.float32)
+        if pair_mask.any():
+            kinds.append(("double", np.argwhere(pair_mask)))
+
+    # availability and likelihood per block, traced in row chunks so the
+    # tracer's temporaries stay small
+    clouds = np.array([f.particles for f in legacy]).reshape(s_count, n_part, 2)
+    ext_lo, ext_hi = ctx.nearest_extents(clouds)
+    chunk = max(1, _TRACE_CHUNK // n_part)
+    blocks: list[_RowBlock] = []
+    n_rows = 0
+    for kind, members in kinds:
+        va = np.empty((len(members), n_part, 2))
+        avail = np.empty((len(members), n_part), dtype=bool)
+        for r in range(0, len(members), chunk):
+            idx = members[r:r + chunk].T
+            # the map holds surface lines, not wall segments: only blockers obstruct
+            va[r:r + chunk], avail[r:r + chunk] = backward_trace(
+                agent_xy, pa, [clouds[i] for i in idx], [(ext_lo[i], ext_hi[i]) for i in idx],
+                ctx.blocker_segments, check=params.visibility_check)
+        noise = getattr(profile, kind)
+        lik = _block_likelihood(agent_xy, agent.headings, va, avail, z,
+                                noise.sigma_d, noise.sigma_phi, _LIK_DTYPE[kind])
+        blocks.append(_RowBlock(kind, members, slice(n_rows, n_rows + len(members)),
+                                np.prod(pe[members], axis=1), avail, lik))
+        n_rows += len(members)
 
     # birth-density values of the proposal clouds
     (xlo, xhi), (ylo, yhi) = params.birth_region
@@ -348,24 +363,14 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray,
         inside = (p[:, 0] >= xlo) & (p[:, 0] <= xhi) & (p[:, 1] >= ylo) & (p[:, 1] <= yhi)
         f_birth[m] = inside / params.birth_area
 
-    # evidence tables: row order is LOS, singles, active ordered double pairs
-    n_rows = 1 + s_count + (pair_first.size if use_doubles else 0)
+    # evidence tables
     beta = np.empty((n_rows, n_meas + 1))
-    p_dl, p_ds, p_dd = params.p_detect_los, params.p_detect_single, params.p_detect_double
-    beta[0, 0] = float(np.mean(1.0 - los_avail * p_dl))
-    if n_meas:
-        beta[0, 1:] = p_dl * lik_los.sum(axis=0) / n_part / denom
-    if s_count:
-        beta[1:1 + s_count, 0] = pe * np.mean(1.0 - avail_s * p_ds, axis=1) + (1.0 - pe)
+    for b in blocks:
+        p_d = params.p_detect(b.kind)
+        beta[b.rows, 0] = b.exist * np.mean(1.0 - b.avail * p_d, axis=1) + (1.0 - b.exist)
         if n_meas:
-            beta[1:1 + s_count, 1:] = (pe[:, None] * p_ds
-                                       * lik_s.sum(axis=1) / n_part / denom[None, :])
-    if use_doubles:
-        pe_pair = pe[pair_first] * pe[pair_second]
-        beta[1 + s_count:, 0] = pe_pair * np.mean(1.0 - avail_d * p_dd, axis=1) + (1.0 - pe_pair)
-        if n_meas:
-            sums_d = lik_d.sum(axis=1, dtype=np.float64)
-            beta[1 + s_count:, 1:] = pe_pair[:, None] * p_dd * sums_d / n_part / denom[None, :]
+            beta[b.rows, 1:] = (b.exist[:, None] * p_d * b.lik.sum(axis=1, dtype=np.float64)
+                                / n_part / denom[None, :])
     xi = np.ones((n_meas, n_rows + 1))
     if n_meas:
         xi[:, 0] = 1.0 + params.mu_new * f_birth.mean(axis=1) / denom
@@ -374,75 +379,57 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray,
     eta = assoc.eta
     sigma_msg = assoc.sigma_out
 
-    # per-row responses: eta-weighted likelihood mixtures, one per particle
-    if n_meas:
-        resp_los = p_dl * lik_los @ (eta[0, 1:] / denom) + eta[0, 0] * (1.0 - los_avail * p_dl)
-    else:
-        resp_los = eta[0, 0] * (1.0 - los_avail * p_dl)
-    if s_count:
-        eta_s = eta[1:1 + s_count]
-        resp_s = eta_s[:, 0, None] * (1.0 - avail_s * p_ds)
-        if n_meas:
-            resp_s = resp_s + p_ds * np.einsum("sim,sm->si", lik_s, eta_s[:, 1:] / denom[None, :])
-    if use_doubles:
-        eta_d = eta[1 + s_count:]
-        resp_d = eta_d[:, 0, None] * (1.0 - avail_d * p_dd)
-        if n_meas:
-            eta_dm = (eta_d[:, 1:] / denom[None, :]).astype(np.float32)
-            resp_d = resp_d + p_dd * np.einsum("rim,rm->ri", lik_d, eta_dm)
-
-    # agent update: product of all row messages (log domain)
+    # per-row responses (eta-weighted likelihood mixtures, one per particle).
+    # The agent update multiplies every row's message, which mixes the
+    # response with the row's nonexistence.  A legacy feature's updated
+    # particle weight multiplies the messages of every row it is a member
+    # of; the message to a member uses the other members' existence, and
+    # the existence ratio uses the same product for the nonexistence mass.
+    log_g1 = np.zeros((s_count, n_part))
+    log_g0 = np.zeros(s_count)
+    features = np.arange(s_count)[:, None]
     with np.errstate(divide="ignore"):
-        log_weights = log_weights + np.log(np.maximum(resp_los, 0.0))
-        if s_count:
-            gam_s = pe[:, None] * resp_s + eta_s[:, 0, None] * (1.0 - pe[:, None])
-            log_weights = log_weights + np.log(np.maximum(gam_s, 0.0)).sum(axis=0)
-        if use_doubles:
-            gam_d = pe_pair[:, None] * resp_d + eta_d[:, 0, None] * (1.0 - pe_pair[:, None])
-            log_weights = log_weights + np.log(np.maximum(gam_d, 0.0)).sum(axis=0)
+        for b in blocks:
+            p_d = params.p_detect(b.kind)
+            eta_b = eta[b.rows]
+            eta0 = eta_b[:, :1]
+            resp = eta0 * (1.0 - b.avail * p_d)
+            if n_meas:
+                eta_m = (eta_b[:, 1:] / denom[None, :]).astype(b.lik.dtype)
+                resp = resp + p_d * np.einsum("rim,rm->ri", b.lik, eta_m)
+            exist = b.exist[:, None]
+            log_weights = log_weights + np.log(
+                np.maximum(exist * resp + eta0 * (1.0 - exist), 0.0)).sum(axis=0)
+            log_eta0 = np.log(np.maximum(eta_b[:, 0], 1e-300))
+            for j in range(b.members.shape[1]):
+                # one-hot selectors turn the per-feature sums into matrix products
+                sel = (b.members[:, j] == features).astype(float)
+                others = np.prod(np.delete(pe[b.members], j, axis=1), axis=1)[:, None]
+                log_g1 = log_g1 + sel @ np.log(
+                    np.maximum(others * resp + eta0 * (1.0 - others), 0.0))
+                log_g0 = log_g0 + sel @ log_eta0
     if not np.any(np.isfinite(log_weights)):
         raise DegenerateWeights("agent particle weights underflowed during a PA block")
 
-    # legacy update: per feature, the updated particle weight is the product
-    # of the single-bounce message and every double-bounce message the
-    # feature participates in; the existence ratio uses the same product
-    # for the nonexistence mass
+    # legacy update: per-feature existence and resampling
     updated_legacy: list[PmvaBelief] = []
-    if s_count:
-        with np.errstate(divide="ignore"):
-            log_g1 = np.log(np.maximum(resp_s, 0.0))                        # (S, I)
-            log_g0 = np.log(np.maximum(eta_s[:, 0], 1e-300))                # (S,)
-            if use_doubles:
-                # message from row (s, t) to its first feature s uses the
-                # second feature's existence, and vice versa; one-hot
-                # selectors turn the per-row sums into matrix products
-                pe_f = pe[pair_first][:, None]
-                pe_t = pe[pair_second][:, None]
-                eta_d0 = eta_d[:, 0][:, None]
-                log_first = np.log(np.maximum(pe_t * resp_d + eta_d0 * (1.0 - pe_t), 0.0))
-                log_second = np.log(np.maximum(pe_f * resp_d + eta_d0 * (1.0 - pe_f), 0.0))
-                sel_first = (pair_first == np.arange(s_count)[:, None]).astype(float)
-                sel_second = (pair_second == np.arange(s_count)[:, None]).astype(float)
-                log_g1 = log_g1 + sel_first @ log_first + sel_second @ log_second
-                log_eta0 = np.log(np.maximum(eta_d[:, 0], 1e-300))
-                log_g0 = log_g0 + sel_first @ log_eta0 + sel_second @ log_eta0
-        for s, feat in enumerate(legacy):
-            lse = _log_sum_exp(log_g1[s])
-            if np.isfinite(lse):
-                log_mass1 = (math.log(feat.existence) if feat.existence > 0 else -np.inf) \
-                    + lse - math.log(n_part)
-                log_mass0 = (math.log1p(-feat.existence) if feat.existence < 1 else -np.inf) \
-                    + log_g0[s]
-                top = max(log_mass1, log_mass0)
-                existence = (math.exp(log_mass1 - top)
-                             / (math.exp(log_mass1 - top) + math.exp(log_mass0 - top)))
-                w = np.exp(log_g1[s] - lse)
-                idx = systematic_resample(w / w.sum(), rng)
-                particles = feat.particles[idx]
-            else:
-                existence = 0.0
-                particles = feat.particles
-            updated_legacy.append(PmvaBelief(particles=particles, existence=existence, id=feat.id))
+    for s, feat in enumerate(legacy):
+        lse = _log_sum_exp(log_g1[s])
+        if np.isfinite(lse):
+            log_mass1 = (math.log(feat.existence) if feat.existence > 0 else -np.inf) \
+                + lse - math.log(n_part)
+            log_mass0 = (math.log1p(-feat.existence) if feat.existence < 1 else -np.inf) \
+                + log_g0[s]
+            top = max(log_mass1, log_mass0)
+            existence = (math.exp(log_mass1 - top)
+                         / (math.exp(log_mass1 - top) + math.exp(log_mass0 - top)))
+            w = np.exp(log_g1[s] - lse)
+            idx = systematic_resample(w / w.sum(), rng)
+            particles = feat.particles[idx]
+        else:
+            existence = 0.0
+            particles = feat.particles
+        updated_legacy.append(PmvaBelief(particles=particles, existence=existence, id=feat.id))
 
     # new-feature update: existence from the unclaimed-measurement message
     updated_new: list[PmvaBelief] = []

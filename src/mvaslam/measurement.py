@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -118,23 +118,12 @@ def likelihood(z: Measurement, agent_pos, heading, path: PathClass, pa,
 
 @dataclass
 class MeasurementBatch:
-    """Measurements of one anchor at one time step, in randomized order.
-
-    ``sigma_d`` / ``sigma_phi`` carry per-entry noise levels (the class
-    constants unless a range-dependent hook supplied them), so downstream
-    consumers never need to know which path produced which entry.
-    """
+    """Measurements of one anchor at one time step, in randomized order."""
 
     z: np.ndarray          # (M, 2): columns z_d, z_phi
-    sigma_d: np.ndarray    # (M,)
-    sigma_phi: np.ndarray  # (M,)
 
     def __len__(self) -> int:
         return self.z.shape[0]
-
-    @property
-    def measurements(self) -> list[Measurement]:
-        return [Measurement(float(zd), float(zp)) for zd, zp in self.z]
 
 
 def enumerate_paths(n_surfaces: int, include_double: bool = True) -> list[PathClass]:
@@ -147,21 +136,16 @@ def enumerate_paths(n_surfaces: int, include_double: bool = True) -> list[PathCl
     return paths
 
 
-SigmaHook = Callable[[PathClass, float], tuple[float, float]]
-
-
 def generate_batch(agent_pos, heading, pa, surfaces: Sequence[Surface], env: Environment,
                    p_detect, profile: NoiseProfile, clutter: ClutterModel,
-                   rng: np.random.Generator, include_double: bool = True,
-                   sigma_hook: Optional[SigmaHook] = None) -> MeasurementBatch:
+                   rng: np.random.Generator, include_double: bool = True) -> MeasurementBatch:
     """Generate one anchor's measurement batch at one agent state.
 
     Every candidate path that the ray tracer reports available is detected
     with its class's probability and measured with Gaussian noise; Poisson
     clutter is appended; the batch order is randomly permuted.  ``p_detect``
     maps a path kind ("los" / "single" / "double") to its base detection
-    probability.  ``sigma_hook(path, true_distance)`` optionally supplies
-    per-measurement noise levels (range-dependent variances).
+    probability; noise levels come from the path class's entry in ``profile``.
     """
     agent_pos = np.asarray(agent_pos, dtype=float)
     paths = enumerate_paths(len(surfaces), include_double=include_double)
@@ -173,22 +157,16 @@ def generate_batch(agent_pos, heading, pa, surfaces: Sequence[Surface], env: Env
         path = paths[k]
         if rng.random() >= p_detect[path.kind]:
             continue
-        if sigma_hook is not None:
-            sigma_d, sigma_phi = sigma_hook(path, float(d))
-        else:
-            noise = profile.for_path(path)
-            sigma_d, sigma_phi = noise.sigma_d, noise.sigma_phi
-        z_d = float(d + sigma_d * rng.standard_normal())
-        z_phi = float(wrap_angle(phi + sigma_phi * rng.standard_normal()))
-        rows.append((z_d, z_phi, sigma_d, sigma_phi))
+        noise = profile.for_path(path)
+        z_d = float(d + noise.sigma_d * rng.standard_normal())
+        z_phi = float(wrap_angle(phi + noise.sigma_phi * rng.standard_normal()))
+        rows.append((z_d, z_phi))
 
     n_clutter = rng.poisson(clutter.mu_fp)
-    clutter_noise = profile.los
     for _ in range(n_clutter):
         z_d = float(clutter.d_max * rng.random())
         z_phi = float(TWO_PI * rng.random() - math.pi)
-        rows.append((z_d, z_phi, clutter_noise.sigma_d, clutter_noise.sigma_phi))
+        rows.append((z_d, z_phi))
 
     order = rng.permutation(len(rows))
-    data = np.array([rows[i] for i in order], dtype=float).reshape(len(rows), 4)
-    return MeasurementBatch(z=data[:, :2], sigma_d=data[:, 2], sigma_phi=data[:, 3])
+    return MeasurementBatch(z=np.array([rows[i] for i in order], dtype=float).reshape(len(rows), 2))

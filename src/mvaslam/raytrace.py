@@ -59,14 +59,6 @@ class PathClass:
 LOS = PathClass()
 
 
-def single_bounce(s: int) -> PathClass:
-    return PathClass(s=s)
-
-
-def double_bounce(s: int, s2: int) -> PathClass:
-    return PathClass(s=s, s2=s2)
-
-
 @dataclass(frozen=True)
 class Environment:
     """Static geometry: reflector walls plus opaque, non-reflecting blockers.

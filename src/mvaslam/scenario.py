@@ -136,21 +136,6 @@ def _ncv_waypoints(spec: dict, dt: float) -> np.ndarray:
     return np.stack(out)
 
 
-def elliptical_waypoints(center, rx: float, ry: float, n_steps: int,
-                         v_max: float = 0.2, v_ramp: float = 0.015,
-                         theta0: float = -math.pi / 2, dt: float = 1.0) -> np.ndarray:
-    """Elliptical loop traversed with a speed ramp; returns (n_steps+1, 2)."""
-    center = np.asarray(center, dtype=float)
-    pts = []
-    theta = theta0
-    for n in range(n_steps + 1):
-        pts.append(center + [rx * math.cos(theta), ry * math.sin(theta)])
-        speed = min(v_max, v_ramp * (n + 1))
-        radius = math.hypot(rx * math.sin(theta), ry * math.cos(theta))
-        theta += speed * dt / max(radius, 1e-9)
-    return np.asarray(pts)
-
-
 def parse_scenario(text: str) -> ScenarioConfig:
     """Parse and validate a JSON scenario document."""
     try:

@@ -5,6 +5,7 @@ from mvaslam.engine import (
     AgentBelief,
     HyperParams,
     PmvaBelief,
+    _block_likelihood,
     SlamFilter,
     draw_new_pmva,
     finalize_step,
@@ -15,9 +16,17 @@ from mvaslam.engine import (
     systematic_resample,
 )
 from mvaslam.errors import DegenerateWeights
-from mvaslam.geometry import Surface, WallSegment, mva_to_va, va_to_mva
-from mvaslam.measurement import ClutterModel, MeasurementBatch, NoiseProfile, PathNoise, generate_batch
-from mvaslam.raytrace import Environment
+from mvaslam.geometry import Surface, WallSegment, mva_to_va, path_distance_angle, va_to_mva, wrap_angle
+from mvaslam.measurement import (
+    ClutterModel,
+    Measurement,
+    MeasurementBatch,
+    NoiseProfile,
+    PathNoise,
+    generate_batch,
+    likelihood,
+)
+from mvaslam.raytrace import Environment, PathClass
 
 PROFILE = NoiseProfile(los=PathNoise(0.05, np.deg2rad(10.0)),
                        single=PathNoise(0.10, np.deg2rad(15.0)),
@@ -34,19 +43,24 @@ def point_belief(pos, vel, n, heading=None):
 
 
 def empty_batch():
-    return MeasurementBatch(z=np.zeros((0, 2)), sigma_d=np.zeros(0), sigma_phi=np.zeros(0))
+    return MeasurementBatch(z=np.zeros((0, 2)))
 
 
-def batch_of(rows, sigma_d=0.1, sigma_phi=0.2):
-    z = np.asarray(rows, dtype=float).reshape(-1, 2)
-    return MeasurementBatch(z=z, sigma_d=np.full(len(z), sigma_d),
-                            sigma_phi=np.full(len(z), sigma_phi))
+def batch_of(rows):
+    return MeasurementBatch(z=np.asarray(rows, dtype=float).reshape(-1, 2))
 
 
 def test_ncv_matrices_shape_and_values():
     a, b = ncv_matrices(0.5)
     assert np.allclose(a @ [1.0, 2.0, 3.0, 4.0], [2.5, 4.0, 3.0, 4.0])
     assert np.allclose(b[:, 0], [0.125, 0.0, 0.5, 0.0])
+
+
+@pytest.mark.parametrize("kind", ["los", "single", "double"])
+def test_hyperparams_reject_certain_detection(kind):
+    with pytest.raises(ValueError, match=f"p_detect_{kind}"):
+        HyperParams(**{f"p_detect_{kind}": 1.0})
+    HyperParams(**{f"p_detect_{kind}": 0.0})
 
 
 def test_predict_agent_noiseless_kinematics():
@@ -147,6 +161,47 @@ def run_block(agent, feats, batch, params, pa=(1.0, 0.5), ctx=None, rng=None):
     logw = np.zeros(agent.n_particles)
     return process_pa(agent, logw, feats, [], batch, np.asarray(pa), params,
                       PROFILE, CLUTTER, rng, ctx, [100])
+
+
+def test_block_likelihood_matches_scalar_reference():
+    rng = np.random.default_rng(21)
+    n_rows, n_part, n_meas = 3, 40, 8
+    sigma_d, sigma_phi = 0.5, 0.5
+    agent_xy = rng.uniform(-5.0, 5.0, (n_part, 2))
+    headings = rng.uniform(-np.pi, np.pi, n_part)
+    va = rng.uniform(-8.0, 8.0, (n_rows, n_part, 2))
+    avail = rng.random((n_rows, n_part)) < 0.8
+    z = np.empty((n_meas, 2))
+    # measurements near the prediction of one (row, particle) each
+    for m in range(n_meas - 2):
+        r, i = m % n_rows, m
+        avail[r, i] = True
+        d, phi = path_distance_angle(agent_xy[i], headings[i], va[r, i])
+        z[m] = d + 0.3 * rng.standard_normal(), wrap_angle(phi + 0.3 * rng.standard_normal())
+    # two predictions just inside +-pi, measured just across it
+    for m, phi, z_phi in ((n_meas - 2, np.pi - 0.05, -np.pi + 0.1),
+                          (n_meas - 1, -np.pi + 0.05, np.pi - 0.1)):
+        i = m
+        headings[i] = 0.0
+        va[0, i] = agent_xy[i] - 3.0 * np.array([np.cos(phi), np.sin(phi)])
+        avail[0, i] = True
+        z[m] = 3.0, z_phi
+    ref = np.zeros((n_rows, n_part, n_meas))
+    for r, i, m in zip(*np.nonzero(avail[..., None] & np.ones(n_meas, dtype=bool))):
+        ref[r, i, m] = likelihood(Measurement(*z[m]), agent_xy[i], headings[i], PathClass(),
+                                  va[r, i], sigma_d=sigma_d, sigma_phi=sigma_phi)
+    assert ref[0, n_meas - 2, n_meas - 2] > 0.1 and ref[0, n_meas - 1, n_meas - 1] > 0.1
+
+    lik64 = _block_likelihood(agent_xy, headings, va, avail, z, sigma_d, sigma_phi)
+    assert lik64.dtype == np.float64 and lik64.shape == ref.shape
+    # atol only covers values below the normal range, where the two factorizations round apart
+    np.testing.assert_allclose(lik64, ref, rtol=1e-12, atol=1e-300)
+    lik32 = _block_likelihood(agent_xy, headings, va, avail, z, sigma_d, sigma_phi,
+                              out_dtype=np.float32)
+    assert lik32.dtype == np.float32
+    assert np.max(np.abs(lik32 - ref)) <= 1e-5 * ref.max()
+    for lik in (lik64, lik32):
+        assert np.all(lik[~avail] == 0.0)
 
 
 def test_process_pa_no_measurements_no_info():

@@ -179,30 +179,3 @@ def test_generation_likelihood_consistency():
     expected = -1.0 - np.log(2 * np.pi * noise.sigma_d * noise.sigma_phi)
     assert np.mean(logs) == pytest.approx(expected, rel=0.02)
 
-
-def test_batch_carries_per_entry_sigmas():
-    surfaces, env = one_wall_setup()
-    rng = np.random.default_rng(5)
-    batch = generate_batch([-2.0, 1.0], 0.0, [1.0, -1.0], surfaces, env,
-                           {"los": 1.0, "single": 1.0, "double": 1.0},
-                           PROFILE, ClutterModel(mu_fp=0.0, d_max=30.0), rng)
-    assert len(batch) == 2
-    assert set(batch.sigma_d) == {PROFILE.los.sigma_d, PROFILE.single.sigma_d}
-
-
-def test_sigma_hook_scales_with_range():
-    surfaces, env = one_wall_setup()
-    rng = np.random.default_rng(5)
-    d_ref = 1.0
-
-    def hook(path, true_distance):
-        base = PROFILE.for_path(path)
-        scale = true_distance / d_ref
-        return base.sigma_d * scale, base.sigma_phi * scale
-
-    batch = generate_batch([-2.0, 1.0], 0.0, [1.0, -1.0], surfaces, env,
-                           {"los": 1.0, "single": 1.0, "double": 1.0},
-                           PROFILE, ClutterModel(mu_fp=0.0, d_max=30.0), rng,
-                           sigma_hook=hook)
-    d_los, _ = path_distance_angle([-2.0, 1.0], 0.0, [1.0, -1.0])
-    assert np.any(np.isclose(batch.sigma_d, PROFILE.los.sigma_d * d_los / d_ref))

@@ -8,8 +8,6 @@ from mvaslam.raytrace import (
     Environment,
     PathClass,
     backward_trace,
-    double_bounce,
-    single_bounce,
 )
 from mvaslam.scenario import bundled_scenario
 
@@ -93,11 +91,11 @@ def test_perpendicular_double_bounce_exactly_one_order():
     checked = 0
     for _ in range(1000):
         agent = rng.uniform([-2.5, -5.5], [4.5, 3.5])
-        against = [oracle_path_available(agent, pa, double_bounce(s, t), surfaces, env)
+        against = [oracle_path_available(agent, pa, PathClass(s=s, s2=t), surfaces, env)
                    for s, t in ((0, 1), (1, 0))]
         if AMBIGUOUS in against:
             continue
-        got = [available(agent, pa, double_bounce(s, t), surfaces, env)
+        got = [available(agent, pa, PathClass(s=s, s2=t), surfaces, env)
                for s, t in ((0, 1), (1, 0))]
         assert got == against
         assert sum(got) <= 1
@@ -135,8 +133,8 @@ def test_path_class_validation():
         PathClass(s=1, s2=1)
     with pytest.raises(ValueError):
         PathClass(s=None, s2=3)
-    assert single_bounce(2).kind == "single"
-    assert double_bounce(0, 1).kind == "double"
+    assert PathClass(s=2).kind == "single"
+    assert PathClass(s=0, s2=1).kind == "double"
     assert LOS.kind == "los"
 
 

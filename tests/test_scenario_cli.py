@@ -10,7 +10,6 @@ from mvaslam.errors import ScenarioError
 from mvaslam.experiment import run_experiment, splitmix64
 from mvaslam.scenario import (
     bundled_scenario,
-    elliptical_waypoints,
     parse_scenario,
     serialize_scenario,
 )
@@ -111,13 +110,6 @@ def test_bundled_scenarios_parse():
         bundled_scenario("missing")
 
 
-def test_elliptical_waypoints_speed_profile():
-    pts = elliptical_waypoints([0, 0], 3.0, 2.0, 50, v_max=0.2, v_ramp=0.02)
-    speeds = np.hypot(*np.diff(pts, axis=0).T)
-    assert speeds.max() < 0.21
-    assert speeds[0] < 0.05
-
-
 def test_splitmix_seeds_stable_under_extension():
     seeds_5 = [splitmix64(42, i) for i in range(5)]
     seeds_8 = [splitmix64(42, i) for i in range(8)]
@@ -155,6 +147,19 @@ def test_cli_missing_scenario_file(tmp_path, capsys):
                  "--out-dir", str(tmp_path)])
     assert code == 1
     assert "not found" in capsys.readouterr().err
+
+
+def test_cli_certain_detection_is_a_scenario_error(tmp_path, capsys):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["params"] = {"p_detect": 1.0, "n_particles": 50}
+    path = tmp_path / "certain.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["--scenario", str(path), "--runs", "1", "--out-dir", str(tmp_path / "e")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("mvaslam: error:") and "p_detect_los" in err
+    assert "Traceback" not in err
 
 
 def test_cli_outputs_deterministic(tmp_path, capsys):
