@@ -15,7 +15,6 @@ from .errors import (
     DegenerateWeights,
     MvaSlamError,
     NonFinite,
-    OutOfSupport,
     ScenarioError,
 )
 from .geometry import (
@@ -37,7 +36,6 @@ __all__ = [
     "DegenerateWeights",
     "MvaSlamError",
     "NonFinite",
-    "OutOfSupport",
     "ScenarioError",
     "EPS_GEO",
     "Surface",

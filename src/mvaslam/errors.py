@@ -17,10 +17,6 @@ class CoincidentPoints(MvaSlamError):
     """Two points expected to be distinct coincide."""
 
 
-class OutOfSupport(MvaSlamError):
-    """Value lies outside the support of a density."""
-
-
 class NonFinite(MvaSlamError):
     """A computation produced NaN or infinite values."""
 

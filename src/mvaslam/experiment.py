@@ -21,9 +21,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .engine import SlamFilter
-from .errors import DegenerateWeights
+from .errors import DegenerateWeights, NonFinite
 from .measurement import enumerate_paths, generate_batch
-from .metrics import OspaParams, ospa, va_ospa
+from .metrics import OspaParams, ospa, va_ospa, va_set
+from .raytrace import PathClass
 from .scenario import ScenarioConfig
 
 CONVERGENCE_RADIUS = 5.0  # meters; also the default OSPA cutoff
@@ -52,31 +53,34 @@ class RunRecord:
     wall_time: float
 
 
-def available_path_keys(config: ScenarioConfig) -> list[list[tuple]]:
-    """Per anchor: true path keys available somewhere along the trajectory."""
-    surfaces = config.surfaces
+def available_path_keys(config: ScenarioConfig) -> list[list[PathClass]]:
+    """Per anchor: the true bounce paths available somewhere along the trajectory."""
     env = config.environment
-    candidates = enumerate_paths(len(surfaces), include_double=config.double_bounce)[1:]  # no LOS
+    candidates = enumerate_paths(len(env.walls), include_double=config.double_bounce)[1:]  # no LOS
     pas = np.array(config.pas)[:, None]                     # (J, 1, 2)
-    _, available = env.trace_paths(config.waypoints, pas, candidates, surfaces)
-    return [sorted({(path.s, path.s if path.s2 is None else path.s2)
-                    for path, seen in zip(candidates, row) if seen})
+    _, available = env.trace_paths(config.waypoints, pas, candidates)
+    return [[path for path, seen in zip(candidates, row) if seen]
             for row in available.any(axis=1)]
 
 
 def simulate_run(config: ScenarioConfig, run_index: int, base_seed: int,
                  ospa_params: OspaParams = OspaParams(),
-                 availability: Optional[Sequence[Sequence[tuple]]] = None) -> RunRecord:
-    """Generate measurements and filter one full trajectory."""
+                 availability: Optional[Sequence[Sequence[PathClass]]] = None) -> RunRecord:
+    """Generate measurements and filter one full trajectory.
+
+    A run whose weights degenerate or whose association turns non-finite
+    stops there and is recorded as diverged early.
+    """
     seed = splitmix64(base_seed, run_index)
     rng = np.random.default_rng(seed)
-    surfaces = config.surfaces
     env = config.environment
-    true_mvas = np.stack([s.mva for s in surfaces])
+    true_mvas = env.wall_mvas
     params = config.params
     p_detect = config.p_detect()
     if availability is None:
         availability = available_path_keys(config)
+    truth_vas = [va_set(true_mvas, pa, config.double_bounce, paths)
+                 for pa, paths in zip(config.pas, availability)]
 
     filt = SlamFilter(config.pas, params, config.profile, config.clutter,
                       rng=rng, start_pos=config.waypoints[0],
@@ -92,8 +96,8 @@ def simulate_run(config: ScenarioConfig, run_index: int, base_seed: int,
     err[0] = float(np.hypot(*(prior_mean[:2] - config.waypoints[0])))
     mospa_mva[0] = ospa(np.zeros((0, 2)), true_mvas, ospa_params)
     for j, pa in enumerate(config.pas):
-        mospa_va[j, 0] = va_ospa(np.zeros((0, 2)), surfaces, pa, availability[j],
-                                 ospa_params, include_double=config.double_bounce)
+        mospa_va[j, 0] = va_ospa(np.zeros((0, 2)), truth_vas[j], pa, ospa_params,
+                                 include_double=config.double_bounce)
 
     velocities = config.velocities()
     diverged_early = False
@@ -102,20 +106,19 @@ def simulate_run(config: ScenarioConfig, run_index: int, base_seed: int,
         pos = config.waypoints[n]
         vel = velocities[n - 1]
         heading = float(np.arctan2(vel[1], vel[0]))
-        batches = [generate_batch(pos, heading, pa, surfaces, env, p_detect,
+        batches = [generate_batch(pos, heading, pa, env, p_detect,
                                   config.profile, config.clutter, rng,
                                   include_double=config.double_bounce)
                    for pa in config.pas]
         try:
             estimate = filt.step(batches)
-        except DegenerateWeights:
+        except (DegenerateWeights, NonFinite):
             diverged_early = True
             break
         err[n] = float(np.hypot(*(estimate.x_hat[:2] - pos)))
         mospa_mva[n] = ospa(estimate.mva_positions, true_mvas, ospa_params)
         for j, pa in enumerate(config.pas):
-            mospa_va[j, n] = va_ospa(estimate.mva_positions, surfaces, pa,
-                                     availability[j], ospa_params,
+            mospa_va[j, n] = va_ospa(estimate.mva_positions, truth_vas[j], pa, ospa_params,
                                      include_double=config.double_bounce)
         s_hat[n] = estimate.s_hat
     wall_time = time.perf_counter() - started

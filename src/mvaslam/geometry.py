@@ -65,12 +65,6 @@ class Surface:
         """A point on the surface line (the foot of the origin's mirror)."""
         return self.mva / 2.0
 
-    @property
-    def tangent(self) -> np.ndarray:
-        """Unit tangent of the surface line."""
-        u = self.unit_normal
-        return np.array([-u[1], u[0]])
-
     @classmethod
     def from_segment(cls, a, b) -> "Surface":
         """Surface whose line passes through segment endpoints ``a`` and ``b``."""
@@ -87,11 +81,10 @@ class Surface:
 
 @dataclass(frozen=True)
 class WallSegment:
-    """Finite wall segment; ``surface_index`` ties a reflector to its Surface."""
+    """Finite wall segment between endpoints ``a`` and ``b``."""
 
     a: np.ndarray
     b: np.ndarray
-    surface_index: int | None = None
 
     def __post_init__(self):
         a = _as_points(self.a).reshape(2)

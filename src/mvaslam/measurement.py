@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import OutOfSupport
-from .geometry import Surface, double_bounce_va, mva_to_va, path_distance_angle, wrap_angle
+from .geometry import double_bounce_va, mva_to_va, path_distance_angle, wrap_angle
 from .raytrace import Environment, PathClass
 
 TWO_PI = 2.0 * math.pi
@@ -74,13 +72,6 @@ class ClutterModel:
         return 1.0 / (self.d_max * TWO_PI)
 
 
-def fp_density(z: Measurement, clutter: ClutterModel) -> float:
-    """Clutter density at ``z``; raises OutOfSupport outside [0, d_max]."""
-    if not 0.0 <= z.z_d <= clutter.d_max:
-        raise OutOfSupport(f"distance {z.z_d} outside [0, {clutter.d_max}]")
-    return clutter.density
-
-
 def gaussian_pdf(x, mu, sigma):
     """Scalar/array Gaussian density."""
     x = np.asarray(x, dtype=float)
@@ -100,20 +91,16 @@ def predicted_measurement(agent_pos, heading, path: PathClass, pa,
 
 
 def likelihood(z: Measurement, agent_pos, heading, path: PathClass, pa,
-               mva_s=None, mva_s2=None, profile: NoiseProfile = None,
-               sigma_d: float | None = None, sigma_phi: float | None = None) -> float:
+               mva_s=None, mva_s2=None, *, profile: NoiseProfile) -> float:
     """Measurement likelihood of ``z`` under one path hypothesis.
 
-    Gaussian in distance and in the wrapped angle difference.  Noise levels
-    default to the path class's entry in ``profile``; per-measurement values
-    override when given.
+    Gaussian in distance and in the wrapped angle difference, with the noise
+    levels of the path class's entry in ``profile``.
     """
-    if sigma_d is None or sigma_phi is None:
-        noise = profile.for_path(path)
-        sigma_d = noise.sigma_d if sigma_d is None else sigma_d
-        sigma_phi = noise.sigma_phi if sigma_phi is None else sigma_phi
+    noise = profile.for_path(path)
     d, phi = predicted_measurement(agent_pos, heading, path, pa, mva_s, mva_s2)
-    return float(gaussian_pdf(z.z_d, d, sigma_d) * gaussian_pdf(wrap_angle(z.z_phi - phi), 0.0, sigma_phi))
+    return float(gaussian_pdf(z.z_d, d, noise.sigma_d)
+                 * gaussian_pdf(wrap_angle(z.z_phi - phi), 0.0, noise.sigma_phi))
 
 
 @dataclass
@@ -136,20 +123,21 @@ def enumerate_paths(n_surfaces: int, include_double: bool = True) -> list[PathCl
     return paths
 
 
-def generate_batch(agent_pos, heading, pa, surfaces: Sequence[Surface], env: Environment,
-                   p_detect, profile: NoiseProfile, clutter: ClutterModel,
+def generate_batch(agent_pos, heading, pa, env: Environment, p_detect,
+                   profile: NoiseProfile, clutter: ClutterModel,
                    rng: np.random.Generator, include_double: bool = True) -> MeasurementBatch:
     """Generate one anchor's measurement batch at one agent state.
 
-    Every candidate path that the ray tracer reports available is detected
-    with its class's probability and measured with Gaussian noise; Poisson
-    clutter is appended; the batch order is randomly permuted.  ``p_detect``
-    maps a path kind ("los" / "single" / "double") to its base detection
+    The true surfaces are the reflective walls of ``env``.  Every candidate
+    path that the ray tracer reports available is detected with its class's
+    probability and measured with Gaussian noise; Poisson clutter is
+    appended; the batch order is randomly permuted.  ``p_detect`` maps a
+    path kind ("los" / "single" / "double") to its base detection
     probability; noise levels come from the path class's entry in ``profile``.
     """
     agent_pos = np.asarray(agent_pos, dtype=float)
-    paths = enumerate_paths(len(surfaces), include_double=include_double)
-    va, available = env.trace_paths(agent_pos, pa, paths, surfaces)
+    paths = enumerate_paths(len(env.walls), include_double=include_double)
+    va, available = env.trace_paths(agent_pos, pa, paths)
     found = np.flatnonzero(available)
     dist, angle = path_distance_angle(agent_pos, heading, va[found])
     rows = []

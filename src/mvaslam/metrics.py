@@ -8,12 +8,13 @@ unmatched points each pay the full cutoff.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Collection
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import Surface, double_bounce_va, mva_to_va
+from .geometry import double_bounce_va, mva_to_va
+from .raytrace import PathClass
 
 
 @dataclass(frozen=True)
@@ -64,39 +65,37 @@ def dedupe_points(points, tol: float = 1e-6) -> np.ndarray:
     return np.array(kept).reshape(-1, 2)
 
 
-def va_set(mvas, pa, include_double: bool = True, keys: Sequence[tuple] | None = None):
+def va_set(mvas, pa, include_double: bool = True, paths: Collection[PathClass] | None = None):
     """VA positions generated by a set of MVAs for one anchor.
 
-    Returns deduplicated points (perpendicular surface pairs map both bounce
-    orders onto one VA).  ``keys`` optionally restricts which path keys
-    ``(s, s)`` / ``(s, s2)`` contribute.
+    Surface ``s`` is row ``s`` of ``mvas``.  Returns deduplicated points
+    (perpendicular surface pairs map both bounce orders onto one VA), in the
+    order single bounce at ``s``, then ``(s, s2)`` for every ``s2``.
+    ``paths`` optionally restricts which paths contribute.
     """
     mvas = _as_set(mvas)
     pa = np.asarray(pa, dtype=float)
     points = []
-    wanted = None if keys is None else set(keys)
+    wanted = None if paths is None else set(paths)
     for s, mva in enumerate(mvas):
-        if wanted is None or (s, s) in wanted:
+        if wanted is None or PathClass(s=s) in wanted:
             points.append(mva_to_va(mva, pa))
         if include_double:
             for s2, mva2 in enumerate(mvas):
                 if s2 == s:
                     continue
-                if wanted is None or (s, s2) in wanted:
+                if wanted is None or PathClass(s=s, s2=s2) in wanted:
                     points.append(double_bounce_va(mva, mva2, pa))
     return dedupe_points(points) if points else np.zeros((0, 2))
 
 
-def va_ospa(confirmed_mvas, truth_surfaces: Sequence[Surface], pa,
-            availability: Sequence[tuple] | None = None,
-            params: OspaParams = OspaParams(), include_double: bool = True) -> float:
-    """OSPA between the VA sets implied by estimated and true MVAs.
+def va_ospa(confirmed_mvas, truth_vas, pa, params: OspaParams = OspaParams(),
+            include_double: bool = True) -> float:
+    """OSPA between the VA set implied by estimated MVAs and the truth VAs.
 
-    ``availability`` lists the true path keys observed to be available
-    somewhere along the trajectory; unavailable paths are unobservable and
-    excluded from the truth set.  The anchor point itself is not scored.
+    ``truth_vas`` is the anchor's true VA set, as :func:`va_set` builds it
+    from the paths available somewhere along the trajectory (unavailable
+    paths are unobservable).  The anchor point itself is not scored.
     """
-    truth_mvas = np.stack([s.mva for s in truth_surfaces]) if truth_surfaces else np.zeros((0, 2))
-    truth = va_set(truth_mvas, pa, include_double=include_double, keys=availability)
     est = va_set(confirmed_mvas, pa, include_double=include_double)
-    return ospa(est, truth, params)
+    return ospa(est, truth_vas, params)

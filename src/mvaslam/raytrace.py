@@ -9,7 +9,7 @@ produce a measurement.
 
 One array tracer, :func:`backward_trace`, serves every caller.  The SLAM
 filter traces per-particle feature clouds; the measurement generator and
-the availability keys trace the true surfaces through
+the availability keys trace the true walls through
 :meth:`Environment.trace_paths`.  Each caller supplies the reflector
 extents and the obstacle set, the one modelling difference between them.
 """
@@ -22,7 +22,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateSurface
 from .geometry import EPS_GEO, Surface, WallSegment, mva_to_va
 
 
@@ -63,11 +62,12 @@ LOS = PathClass()
 class Environment:
     """Static geometry: reflector walls plus opaque, non-reflecting blockers.
 
-    The only geometry container of the package.  The wall endpoints and
-    MVAs and both obstacle sets are computed once, on first use:
+    The only geometry container of the package and the owner of the ground
+    truth: reflective wall ``k`` is true surface ``k``.  The wall endpoints,
+    MVAs and extents and both obstacle sets are computed once, on first use:
     ``segments`` (walls and blockers, as the generator sees them) and
     ``blocker_segments`` (blockers only, as the filter sees them), each a
-    tuple of ``(a, b, surface_index)`` triples.
+    tuple of ``(a, b, surface_index)`` triples, ``None`` for a blocker.
     """
 
     walls: tuple[WallSegment, ...] = ()
@@ -88,45 +88,23 @@ class Environment:
         return np.array([Surface.from_segment(a, b).mva for a, b in self.wall_ends]).reshape(-1, 2)
 
     @cached_property
+    def wall_extents(self) -> np.ndarray:
+        """Tangential range ``(lo, hi)`` of each wall on its own line, (W, 2)."""
+        extents = []
+        for wall, mva in zip(self.walls, self.wall_mvas):
+            normal = mva / np.linalg.norm(mva)
+            tangent = np.array([-normal[1], normal[0]])
+            ta, tb = float(tangent @ wall.a), float(tangent @ wall.b)
+            extents.append((min(ta, tb), max(ta, tb)))
+        return np.array(extents).reshape(-1, 2)
+
+    @cached_property
     def blocker_segments(self) -> tuple:
         return tuple((w.a, w.b, None) for w in self.blockers)
 
     @cached_property
     def segments(self) -> tuple:
-        return tuple((w.a, w.b, w.surface_index) for w in self.walls) + self.blocker_segments
-
-    def validate(self, surfaces: Sequence[Surface]) -> None:
-        """Check that every reflector segment lies on its surface's line."""
-        for wall in self.walls:
-            if wall.surface_index is None:
-                continue
-            if not 0 <= wall.surface_index < len(surfaces):
-                raise DegenerateSurface(
-                    f"wall references surface {wall.surface_index} of {len(surfaces)}"
-                )
-            surf = surfaces[wall.surface_index]
-            n = surf.unit_normal
-            c = float(n @ surf.line_point)
-            for endpoint in (wall.a, wall.b):
-                if abs(float(n @ endpoint) - c) >= EPS_GEO:
-                    raise DegenerateSurface(
-                        f"wall segment does not lie on surface {wall.surface_index} line"
-                    )
-
-    def reflector_extent(self, surface_index: int, surfaces: Sequence[Surface]):
-        """Tangential parameter range covered by the reflectors of a surface.
-
-        Returns ``(lo, hi)`` in the surface's own tangent coordinate, or
-        ``None`` when no wall is registered (infinite reflector).
-        """
-        tangent = surfaces[surface_index].tangent
-        params = []
-        for wall in self.walls:
-            if wall.surface_index == surface_index:
-                params.extend([float(tangent @ wall.a), float(tangent @ wall.b)])
-        if not params:
-            return None
-        return min(params), max(params)
+        return tuple((w.a, w.b, k) for k, w in enumerate(self.walls)) + self.blocker_segments
 
     def nearest_extents(self, clouds):
         """Per-particle extents of estimated surfaces clipped to the nearest wall.
@@ -149,20 +127,18 @@ class Environment:
         tb = _along(ends[:, None, 1], normal)
         return np.minimum(ta, tb), np.maximum(ta, tb)
 
-    def trace_paths(self, agent, pa, paths: Sequence[PathClass], surfaces: Sequence[Surface]):
+    def trace_paths(self, agent, pa, paths: Sequence[PathClass]):
         """Trace every path in ``paths`` against the true geometry.
 
-        Each bounce is clipped to its own walls' extent, and every wall and
-        blocker obstructs, except that the hop arriving at a bounce ignores
-        that surface's own walls.  ``agent`` and ``pa`` are (..., 2) and
-        broadcast together.  Returns the VAs (..., P, 2) and the availability
-        (..., P), one column per path.
+        Wall ``k`` is surface ``k``.  Each bounce is clipped to its wall's
+        extent, and every wall and blocker obstructs, except that the hop
+        arriving at a bounce ignores that bounce's own wall.  ``agent`` and
+        ``pa`` are (..., 2) and broadcast together.  Returns the VAs
+        (..., P, 2) and the availability (..., P), one column per path.
         """
         agent = np.asarray(agent, dtype=float)[..., None, :]
         pa = np.asarray(pa, dtype=float)[..., None, :]
-        mvas = np.array([s.mva for s in surfaces]).reshape(-1, 2)
-        extents = [self.reflector_extent(s, surfaces) for s in range(len(surfaces))]
-        lo, hi = np.array([(-np.inf, np.inf) if e is None else e for e in extents]).reshape(-1, 2).T
+        lo, hi = self.wall_extents.T
         rows = np.broadcast_shapes(agent.shape, pa.shape)[:-2]
         va = np.empty(rows + (len(paths), 2))
         available = np.empty(rows + (len(paths),), dtype=bool)
@@ -173,7 +149,7 @@ class Environment:
                 continue
             idx = np.array([bounces[k] for k in cols], dtype=int).reshape(len(cols), -1).T
             va[..., cols, :], available[..., cols] = backward_trace(
-                agent, pa, [mvas[i] for i in idx], [(lo[i], hi[i]) for i in idx],
+                agent, pa, [self.wall_mvas[i] for i in idx], [(lo[i], hi[i]) for i in idx],
                 self.segments, exclude=idx)
         return va, available
 

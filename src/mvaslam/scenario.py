@@ -35,7 +35,7 @@ class ScenarioConfig:
     """Validated scenario: geometry plus generation and filter parameters."""
 
     name: str
-    walls: list[WallSegment]          # reflective walls, surface_index assigned
+    walls: list[WallSegment]          # reflective walls: wall k is true surface k
     blockers: list[WallSegment]
     pas: list[np.ndarray]
     waypoints: np.ndarray             # (N, 2) positions at dt spacing
@@ -44,10 +44,6 @@ class ScenarioConfig:
     params: HyperParams
     double_bounce: bool = True        # full setup vs single-bounce-only setup
     raw: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def surfaces(self) -> list[Surface]:
-        return [Surface.from_segment(w.a, w.b) for w in self.walls]
 
     @property
     def environment(self) -> Environment:
@@ -84,16 +80,18 @@ def _get_pair(value, path: str) -> np.ndarray:
     return arr
 
 
-def _parse_segment(obj, path: str, surface_index=None) -> WallSegment:
+def _parse_segment(obj, path: str, reflective: bool = False) -> WallSegment:
     if not isinstance(obj, dict):
         _fail(path, "expected an object with 'a' and 'b'")
     for key in ("a", "b"):
         if key not in obj:
             _fail(f"{path}.{key}", "missing endpoint")
     try:
-        return WallSegment(a=_get_pair(obj["a"], f"{path}.a"),
-                           b=_get_pair(obj["b"], f"{path}.b"),
-                           surface_index=surface_index)
+        wall = WallSegment(a=_get_pair(obj["a"], f"{path}.a"),
+                           b=_get_pair(obj["b"], f"{path}.b"))
+        if reflective:
+            Surface.from_segment(wall.a, wall.b)   # a reflector's line must miss the origin
+        return wall
     except ScenarioError:
         raise
     except Exception as exc:
@@ -153,8 +151,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     blockers: list[WallSegment] = []
     for i, w in enumerate(doc["walls"]):
         reflective = bool(w.get("reflective", True)) if isinstance(w, dict) else True
-        seg = _parse_segment(w, f"walls[{i}]",
-                             surface_index=len(walls) if reflective else None)
+        seg = _parse_segment(w, f"walls[{i}]", reflective)
         (walls if reflective else blockers).append(seg)
     for i, w in enumerate(doc.get("blockers", [])):
         blockers.append(_parse_segment(w, f"blockers[{i}]"))
@@ -183,6 +180,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
                                           (float(region[1][0]), float(region[1][1])))
         except (TypeError, IndexError, ValueError):
             _fail("params.birth_region", "expected [[xlo, xhi], [ylo, yhi]]")
+    if "use_double_bounce" in params_doc:
+        _fail("params.use_double_bounce", "set the top-level 'double_bounce' flag instead")
     known = {f.name for f in fields(HyperParams)}
     for key in params_doc:
         if key not in known:
@@ -209,11 +208,9 @@ def parse_scenario(text: str) -> ScenarioConfig:
     else:
         _fail("trajectory", "expected 'waypoints' or 'ncv'")
 
-    config = ScenarioConfig(name=name, walls=walls, blockers=blockers, pas=pas,
-                            waypoints=waypoints, profile=profile, clutter=clutter,
-                            params=params, double_bounce=double_bounce, raw=doc)
-    config.environment.validate(config.surfaces)
-    return config
+    return ScenarioConfig(name=name, walls=walls, blockers=blockers, pas=pas,
+                          waypoints=waypoints, profile=profile, clutter=clutter,
+                          params=params, double_bounce=double_bounce, raw=doc)
 
 
 def _pair_list(p) -> list[float]:

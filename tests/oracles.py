@@ -20,9 +20,12 @@ def _mirror(p, normal, offset):
     return p + 2.0 * (offset - p @ normal) * normal
 
 
-def _line_of(surface):
-    n = surface.mva / np.linalg.norm(surface.mva)
-    return n, float(n @ surface.mva) / 2.0
+def _wall_frame(wall):
+    """Unit tangent, unit normal and line offset of a wall's line."""
+    d = wall.b - wall.a
+    tangent = d / np.hypot(*d)
+    normal = np.array([-tangent[1], tangent[0]])
+    return tangent, normal, float(normal @ wall.a)
 
 
 def _dense_crossing(p, q, normal, offset, n_samples):
@@ -95,16 +98,20 @@ def _dense_blocked(p, q, seg_a, seg_b, n_samples, endpoint_margin):
     return True
 
 
-def oracle_path_available(agent, pa, path, surfaces, env,
-                          n_samples=201, endpoint_margin=1e-3):
-    """Dense-sampling availability check; returns bool or AMBIGUOUS."""
+def oracle_path_available(agent, pa, path, env, n_samples=201, endpoint_margin=1e-3):
+    """Dense-sampling availability check; returns bool or AMBIGUOUS.
+
+    Wall ``s`` of ``env`` is surface ``s``; its line and extent are derived
+    here from the wall endpoints.
+    """
     agent = np.asarray(agent, dtype=float)
     pa = np.asarray(pa, dtype=float)
-    segments = [(w.a, w.b, w.surface_index) for w in env.walls]
+    segments = [(w.a, w.b, k) for k, w in enumerate(env.walls)]
     segments += [(w.a, w.b, None) for w in env.blockers]
 
     def reflect_hit(p, target, s):
-        normal, offset = _line_of(surfaces[s])
+        wall = env.walls[s]
+        tangent, normal, offset = _wall_frame(wall)
         sd_p = float(p @ normal - offset)
         sd_t = float(target @ normal - offset)
         if abs(sd_p) < endpoint_margin or abs(sd_t) < endpoint_margin:
@@ -112,16 +119,12 @@ def oracle_path_available(agent, pa, path, surfaces, env,
         hit = _dense_crossing(p, target, normal, offset, n_samples)
         if hit is None:
             return None
-        extent = env.reflector_extent(s, surfaces)
-        if extent is not None:
-            tangent = surfaces[s].tangent
-            tau = float(tangent @ hit)
-            lo, hi = extent
-            zone = _zone(tau, lo, hi, 1.0, endpoint_margin)
-            if zone is AMBIGUOUS:
-                return AMBIGUOUS
-            if zone == "out":
-                return None
+        ta, tb = float(tangent @ wall.a), float(tangent @ wall.b)
+        zone = _zone(float(tangent @ hit), min(ta, tb), max(ta, tb), 1.0, endpoint_margin)
+        if zone is AMBIGUOUS:
+            return AMBIGUOUS
+        if zone == "out":
+            return None
         return hit
 
     def hop_free(p, q, exclude):
@@ -139,7 +142,7 @@ def oracle_path_available(agent, pa, path, surfaces, env,
     if path.kind == "los":
         return hop_free(agent, pa, None)
 
-    n1, c1 = _line_of(surfaces[path.s])
+    _, n1, c1 = _wall_frame(env.walls[path.s])
     if path.kind == "single":
         va = _mirror(pa, n1, c1)
         hit = reflect_hit(agent, va, path.s)
@@ -154,7 +157,7 @@ def oracle_path_available(agent, pa, path, surfaces, env,
                 return False
         return True
 
-    n2, c2 = _line_of(surfaces[path.s2])
+    _, n2, c2 = _wall_frame(env.walls[path.s2])
     va1 = _mirror(pa, n2, c2)
     va2 = _mirror(va1, n1, c1)
     hit1 = reflect_hit(agent, va2, path.s)

@@ -16,7 +16,7 @@ from mvaslam.engine import (
     systematic_resample,
 )
 from mvaslam.errors import DegenerateWeights
-from mvaslam.geometry import Surface, WallSegment, mva_to_va, path_distance_angle, va_to_mva, wrap_angle
+from mvaslam.geometry import WallSegment, mva_to_va, path_distance_angle, va_to_mva, wrap_angle
 from mvaslam.measurement import (
     ClutterModel,
     Measurement,
@@ -127,11 +127,11 @@ def test_draw_new_pmva_inversion():
 
 
 def test_draw_new_pmva_concentrates_on_true_feature():
-    surface = Surface(mva=np.array([10.0, 0.0]))
+    mva = np.array([10.0, 0.0])
     pa = np.array([1.0, 0.5])
     agent = np.array([-2.0, 1.0])
     heading = 0.3
-    va = mva_to_va(surface.mva, pa)
+    va = mva_to_va(mva, pa)
     diff = agent - va
     z_d = float(np.hypot(*diff))
     z_phi = float(np.arctan2(diff[1], diff[0]) - heading)
@@ -139,7 +139,7 @@ def test_draw_new_pmva_concentrates_on_true_feature():
     belief = point_belief(agent, np.array([1.0, 0.0]), 256, heading=heading)
     prop = draw_new_pmva(z_d, z_phi, 1e-12, 1e-12, belief, pa, params,
                          np.random.default_rng(1))
-    assert np.hypot(*(prop.particles.mean(axis=0) - surface.mva)) < 1e-6
+    assert np.hypot(*(prop.particles.mean(axis=0) - mva)) < 1e-6
 
 
 def test_systematic_resample_preserves_mass():
@@ -151,8 +151,7 @@ def test_systematic_resample_preserves_mass():
 
 
 def one_wall_ctx():
-    walls = [WallSegment([5.0, -10.0], [5.0, 10.0], 0)]
-    return walls, Environment(walls=walls)
+    return Environment(walls=[WallSegment([5.0, -10.0], [5.0, 10.0])])
 
 
 def run_block(agent, feats, batch, params, pa=(1.0, 0.5), ctx=None, rng=None):
@@ -167,6 +166,8 @@ def test_block_likelihood_matches_scalar_reference():
     rng = np.random.default_rng(21)
     n_rows, n_part, n_meas = 3, 40, 8
     sigma_d, sigma_phi = 0.5, 0.5
+    noise = PathNoise(sigma_d, sigma_phi)
+    profile = NoiseProfile(los=noise, single=noise, double=noise)
     agent_xy = rng.uniform(-5.0, 5.0, (n_part, 2))
     headings = rng.uniform(-np.pi, np.pi, n_part)
     va = rng.uniform(-8.0, 8.0, (n_rows, n_part, 2))
@@ -189,7 +190,7 @@ def test_block_likelihood_matches_scalar_reference():
     ref = np.zeros((n_rows, n_part, n_meas))
     for r, i, m in zip(*np.nonzero(avail[..., None] & np.ones(n_meas, dtype=bool))):
         ref[r, i, m] = likelihood(Measurement(*z[m]), agent_xy[i], headings[i], PathClass(),
-                                  va[r, i], sigma_d=sigma_d, sigma_phi=sigma_phi)
+                                  va[r, i], profile=profile)
     assert ref[0, n_meas - 2, n_meas - 2] > 0.1 and ref[0, n_meas - 1, n_meas - 1] > 0.1
 
     lik64 = _block_likelihood(agent_xy, headings, va, avail, z, sigma_d, sigma_phi)
@@ -229,9 +230,7 @@ def test_process_pa_missed_detection_decays_existence():
 
 def test_process_pa_weight_ordering_follows_likelihood():
     # noiseless detections, no clutter: particles nearest the truth win
-    walls, ctx = one_wall_ctx()
-    surfaces = [Surface.from_segment(walls[0].a, walls[0].b)]
-    env = Environment(walls=walls)
+    ctx = one_wall_ctx()
     params = HyperParams(n_particles=200, mu_clutter=1e-9)
     rng = np.random.default_rng(4)
     truth = np.array([-2.0, 1.0])
@@ -240,7 +239,7 @@ def test_process_pa_weight_ordering_follows_likelihood():
     offsets = np.linspace(0, 1.5, 200)
     agent.particles[:, 0] += offsets  # particle 0 is exact, the rest drift off
     pa = np.array([1.0, 0.5])
-    batch = generate_batch(truth, 0.0, pa, surfaces, env,
+    batch = generate_batch(truth, 0.0, pa, ctx,
                            {"los": 1.0, "single": 1.0, "double": 1.0},
                            NoiseProfile(los=PathNoise(1e-6, 1e-6),
                                         single=PathNoise(1e-6, 1e-6),
@@ -271,7 +270,7 @@ def test_process_pa_bookkeeping_stacking():
 
 def test_pure_prediction_reduction():
     # p_d = 0 for every class: the posterior equals the prediction
-    walls, ctx = one_wall_ctx()
+    ctx = one_wall_ctx()
     params = HyperParams(n_particles=100, p_detect_los=0.0, p_detect_single=0.0,
                          p_detect_double=0.0)
     rng = np.random.default_rng(6)
@@ -375,9 +374,8 @@ def test_max_features_cap_prefers_existence_then_age():
 
 
 def test_filter_determinism_same_seed():
-    walls = [WallSegment([5.0, -3.5], [5.0, 3.5], 0),
-             WallSegment([-5.0, 3.5], [5.0, 3.5], 1)]
-    surfaces = [Surface.from_segment(w.a, w.b) for w in walls]
+    walls = [WallSegment([5.0, -3.5], [5.0, 3.5]),
+             WallSegment([-5.0, 3.5], [5.0, 3.5])]
     env = Environment(walls=walls)
     params = HyperParams(n_particles=300)
 
@@ -387,8 +385,7 @@ def test_filter_determinism_same_seed():
                           start_pos=[-2.0, 1.0], extent_walls=walls)
         outs = []
         for n in range(5):
-            batch = generate_batch([-2.0 + 0.1 * n, 1.0], 0.0, [1.0, 0.5],
-                                   surfaces, env,
+            batch = generate_batch([-2.0 + 0.1 * n, 1.0], 0.0, [1.0, 0.5], env,
                                    {"los": 0.95, "single": 0.95, "double": 0.95},
                                    PROFILE, CLUTTER, rng)
             outs.append(filt.step([batch]).x_hat)

@@ -165,8 +165,8 @@ def test_path_distance_angle_coincident_raises():
 def test_wall_segment_validation():
     with pytest.raises(CoincidentPoints):
         WallSegment([1.0, 1.0], [1.0, 1.0])
-    seg = WallSegment([0.0, 0.0], [1.0, 0.0], surface_index=2)
-    assert seg.surface_index == 2
+    seg = WallSegment([0.0, 0.0], [1.0, 0.0])
+    assert np.array_equal(seg.b, [1.0, 0.0])
 
 
 def test_surface_from_segment_matches_mirror():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from mvaslam.geometry import Surface
+from mvaslam.geometry import double_bounce_va, mva_to_va
 from mvaslam.metrics import OspaParams, dedupe_points, ospa, va_ospa, va_set
+from mvaslam.raytrace import PathClass
 
 from oracles import brute_force_assignment_cost
 
@@ -71,38 +72,36 @@ def test_dedupe_points():
 
 
 def test_va_ospa_perfect_single_estimate():
-    surface = Surface(mva=np.array([10.0, 0.0]))
     pa = np.array([1.0, 2.0])
-    val = va_ospa(np.array([[10.0, 0.0]]), [surface], pa,
-                  availability=[(0, 0)], params=P51)
+    truth = va_set([[10.0, 0.0]], pa, paths=[PathClass(s=0)])
+    val = va_ospa(np.array([[10.0, 0.0]]), truth, pa, params=P51)
     assert val == pytest.approx(0.0, abs=1e-12)
 
 
 def test_va_ospa_all_missed():
-    surfaces = [Surface(mva=np.array(m)) for m in
-                ([10.0, 0.0], [-10.0, 0.0], [0.0, 7.0], [0.0, -7.0])]
-    keys = [(s, s) for s in range(4)]
-    val = va_ospa(np.zeros((0, 2)), surfaces, [1.0, 2.0], availability=keys, params=P51)
+    mvas = [[10.0, 0.0], [-10.0, 0.0], [0.0, 7.0], [0.0, -7.0]]
+    pa = [1.0, 2.0]
+    truth = va_set(mvas, pa, paths=[PathClass(s=s) for s in range(4)])
+    val = va_ospa(np.zeros((0, 2)), truth, pa, params=P51)
     assert val == pytest.approx(5.0)
 
 
 def test_va_ospa_hand_computed_room():
     # walls x = 5 and y = 4; anchor at (1, 2); hand-built VA sets
-    s_x = Surface(mva=np.array([10.0, 0.0]))
-    s_y = Surface(mva=np.array([0.0, 8.0]))
+    mvas = np.array([[10.0, 0.0], [0.0, 8.0]])
     pa = np.array([1.0, 2.0])
     va_xx = np.array([9.0, 2.0])         # mirror across x=5
     va_yy = np.array([1.0, 6.0])         # mirror across y=4
     va_dd = np.array([9.0, 6.0])         # both orders coincide (perpendicular)
-    keys = [(0, 0), (1, 1), (0, 1), (1, 0)]
-    truth_set = va_set(np.stack([s_x.mva, s_y.mva]), pa, keys=keys)
+    paths = [PathClass(s=0), PathClass(s=1), PathClass(s=0, s2=1), PathClass(s=1, s2=0)]
+    truth_set = va_set(mvas, pa, paths=paths)
     assert truth_set.shape == (3, 2)
     for expected in (va_xx, va_yy, va_dd):
         assert np.min(np.hypot(*(truth_set - expected).T)) < 1e-9
 
     # estimate with one wall displaced by 0.2 m
     est = np.array([[10.4, 0.0], [0.0, 8.0]])
-    got = va_ospa(est, [s_x, s_y], pa, availability=keys, params=P51)
+    got = va_ospa(est, truth_set, pa, params=P51)
     est_vas = va_set(est, pa)
     diff = est_vas[:, None, :] - truth_set[None, :, :]
     cost = np.minimum(np.hypot(diff[..., 0], diff[..., 1]), 5.0)
@@ -114,10 +113,19 @@ def test_va_set_availability_filter():
     mvas = np.array([[10.0, 0.0], [0.0, 8.0]])
     pa = np.array([1.0, 2.0])
     full = va_set(mvas, pa)
-    only_singles = va_set(mvas, pa, keys=[(0, 0), (1, 1)])
+    only_singles = va_set(mvas, pa, paths=[PathClass(s=0), PathClass(s=1)])
     assert full.shape[0] == 3  # 2 singles + 1 merged double
     assert only_singles.shape[0] == 2
     assert va_set(mvas, pa, include_double=False).shape[0] == 2
+
+
+def test_va_set_point_order():
+    # single bounce at s, then (s, s2) for every s2: dedupe keeps the first
+    mvas = np.array([[10.0, 0.0], [3.0, 8.0]])
+    pa = np.array([1.0, 2.0])
+    want = [mva_to_va(mvas[0], pa), double_bounce_va(mvas[0], mvas[1], pa),
+            mva_to_va(mvas[1], pa), double_bounce_va(mvas[1], mvas[0], pa)]
+    assert np.array_equal(va_set(mvas, pa), np.array(want))
 
 
 def test_ospa_params_validation():

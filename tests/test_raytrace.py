@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mvaslam.geometry import Surface, WallSegment
+from mvaslam.geometry import WallSegment
 from mvaslam.measurement import enumerate_paths
 from mvaslam.raytrace import (
     LOS,
@@ -15,58 +15,53 @@ from oracles import AMBIGUOUS, oracle_path_available
 
 
 def rect_room():
-    walls = [
-        WallSegment([5.0, -3.5], [5.0, 3.5], 0),
-        WallSegment([-5.0, -3.5], [-5.0, 3.5], 1),
-        WallSegment([-5.0, 3.5], [5.0, 3.5], 2),
-        WallSegment([-5.0, -3.5], [5.0, -3.5], 3),
-    ]
-    surfaces = [Surface.from_segment(w.a, w.b) for w in walls]
-    return surfaces, Environment(walls=walls)
+    return Environment(walls=[
+        WallSegment([5.0, -3.5], [5.0, 3.5]),
+        WallSegment([-5.0, -3.5], [-5.0, 3.5]),
+        WallSegment([-5.0, 3.5], [5.0, 3.5]),
+        WallSegment([-5.0, -3.5], [5.0, -3.5]),
+    ])
 
 
 def nonrect_room():
-    walls = [
-        WallSegment([-2.0, 2.5], [-2.0, 7.0], 0),
-        WallSegment([-2.0, 7.0], [5.5, 7.0], 1),
-        WallSegment([5.5, 1.0], [5.5, 7.0], 2),
-        WallSegment([0.5, 0.36], [5.5, 1.0], 3),
-    ]
-    surfaces = [Surface.from_segment(w.a, w.b) for w in walls]
-    return surfaces, Environment(walls=walls)
+    return Environment(walls=[
+        WallSegment([-2.0, 2.5], [-2.0, 7.0]),
+        WallSegment([-2.0, 7.0], [5.5, 7.0]),
+        WallSegment([5.5, 1.0], [5.5, 7.0]),
+        WallSegment([0.5, 0.36], [5.5, 1.0]),
+    ])
 
 
-def available(agent, pa, path, surfaces, env):
+def available(agent, pa, path, env):
     """Availability of one path at one agent position, traced as the generator does."""
-    return bool(env.trace_paths(agent, pa, [path], surfaces)[1][0])
+    return bool(env.trace_paths(agent, pa, [path])[1][0])
 
 
 def test_los_open_room():
-    surfaces, env = rect_room()
-    assert available([-2.0, 1.0], [3.0, -2.0], LOS, surfaces, env)
+    env = rect_room()
+    assert available([-2.0, 1.0], [3.0, -2.0], LOS, env)
 
 
 def test_los_blocked_by_obstacle():
-    surfaces, env = rect_room()
+    env = rect_room()
     env2 = Environment(walls=env.walls,
                        blockers=[WallSegment([0.0, -3.0], [1.0, 2.0])])
-    assert not available([-2.0, 1.0], [3.0, -2.0], LOS, surfaces, env2)
+    assert not available([-2.0, 1.0], [3.0, -2.0], LOS, env2)
 
 
 def test_los_symmetry():
-    surfaces, env = rect_room()
+    env = rect_room()
     env2 = Environment(walls=env.walls,
                        blockers=[WallSegment([0.0, -3.0], [1.0, 2.0])])
     rng = np.random.default_rng(5)
     for _ in range(100):
         a = rng.uniform([-4.5, -3.0], [4.5, 3.0])
         b = rng.uniform([-4.5, -3.0], [4.5, 3.0])
-        assert (available(a, b, LOS, surfaces, env2)
-                == available(b, a, LOS, surfaces, env2))
+        assert available(a, b, LOS, env2) == available(b, a, LOS, env2)
 
 
 def test_blocker_removal_monotonicity():
-    surfaces, env = rect_room()
+    env = rect_room()
     blocker = WallSegment([0.0, -3.0], [0.5, 2.0])
     env_b = Environment(walls=env.walls, blockers=[blocker])
     rng = np.random.default_rng(6)
@@ -74,28 +69,26 @@ def test_blocker_removal_monotonicity():
     for _ in range(200):
         agent = rng.uniform([-4.5, -3.0], [4.5, 3.0])
         pa = rng.uniform([-4.5, -3.0], [4.5, 3.0])
-        with_blocker = env_b.trace_paths(agent, pa, paths, surfaces)[1]
-        without = env.trace_paths(agent, pa, paths, surfaces)[1]
+        with_blocker = env_b.trace_paths(agent, pa, paths)[1]
+        without = env.trace_paths(agent, pa, paths)[1]
         assert np.all(without[with_blocker])
 
 
 def test_perpendicular_double_bounce_exactly_one_order():
     # perpendicular walls, one anchor: at any interior position exactly one
     # of the two bounce orders is traceable (both map to the same image)
-    walls = [WallSegment([5.0, -6.0], [5.0, 4.0], 0),
-             WallSegment([-3.0, 4.0], [5.0, 4.0], 1)]
-    surfaces = [Surface.from_segment(w.a, w.b) for w in walls]
-    env = Environment(walls=walls)
+    env = Environment(walls=[WallSegment([5.0, -6.0], [5.0, 4.0]),
+                             WallSegment([-3.0, 4.0], [5.0, 4.0])])
     pa = np.array([1.0, 2.0])
     rng = np.random.default_rng(9)
     checked = 0
     for _ in range(1000):
         agent = rng.uniform([-2.5, -5.5], [4.5, 3.5])
-        against = [oracle_path_available(agent, pa, PathClass(s=s, s2=t), surfaces, env)
+        against = [oracle_path_available(agent, pa, PathClass(s=s, s2=t), env)
                    for s, t in ((0, 1), (1, 0))]
         if AMBIGUOUS in against:
             continue
-        got = [available(agent, pa, PathClass(s=s, s2=t), surfaces, env)
+        got = [available(agent, pa, PathClass(s=s, s2=t), env)
                for s, t in ((0, 1), (1, 0))]
         assert got == against
         assert sum(got) <= 1
@@ -105,21 +98,21 @@ def test_perpendicular_double_bounce_exactly_one_order():
 
 @pytest.mark.parametrize("room", [rect_room, nonrect_room])
 def test_oracle_equivalence(room):
-    surfaces, env = room()
+    env = room()
     lo = np.min([[w.a, w.b] for w in env.walls], axis=(0, 1))
     hi = np.max([[w.a, w.b] for w in env.walls], axis=(0, 1))
     rng = np.random.default_rng(1234)
     pas = [rng.uniform(lo + 0.5, hi - 0.5) for _ in range(2)]
-    paths = enumerate_paths(len(surfaces))
+    paths = enumerate_paths(len(env.walls))
     agents, anchors = [], []
     for _ in range(1000):
         agents.append(rng.uniform(lo + 0.2, hi - 0.2))
         anchors.append(pas[int(rng.integers(2))])
-    got = env.trace_paths(np.array(agents), np.array(anchors), paths, surfaces)[1]
+    got = env.trace_paths(np.array(agents), np.array(anchors), paths)[1]
     checked = skipped = 0
     for agent, pa, row in zip(agents, anchors, got):
         for path, avail in zip(paths, row):
-            expected = oracle_path_available(agent, pa, path, surfaces, env)
+            expected = oracle_path_available(agent, pa, path, env)
             if expected is AMBIGUOUS:
                 skipped += 1
                 continue
@@ -138,37 +131,31 @@ def test_path_class_validation():
     assert LOS.kind == "los"
 
 
-def test_environment_validation():
-    surfaces, env = rect_room()
-    env.validate(surfaces)
-    bad = Environment(walls=[WallSegment([5.0, -3.5], [5.1, 3.5], 0)])
-    with pytest.raises(Exception):
-        bad.validate(surfaces)
-
-
-def test_reflector_extent():
-    surfaces, env = rect_room()
-    lo, hi = env.reflector_extent(0, surfaces)
-    assert hi - lo == pytest.approx(7.0)
-    assert Environment().reflector_extent(0, surfaces) is None
+def test_wall_extents():
+    # each wall's extent is its endpoints' coordinates along its own line
+    lo, hi = rect_room().wall_extents.T
+    assert np.allclose(hi - lo, [7.0, 7.0, 10.0, 10.0])
+    tilted = Environment(walls=[WallSegment([0.5, 0.36], [5.5, 1.0])])
+    lo, hi = tilted.wall_extents[0]
+    assert hi - lo == pytest.approx(np.hypot(5.0, 0.64))
+    assert Environment().wall_extents.shape == (0, 2)
 
 
 @pytest.mark.parametrize("name", ["exp1_rect_room", "exp3_olos", "nonrect"])
 def test_filter_and_generator_agree_on_bundled_scenarios(name):
     # The filter traces feature clouds clipped to the nearest wall with only
-    # the blockers obstructing; the generator traces the true surfaces with
-    # their own walls' extents and every wall and blocker obstructing.  At
+    # the blockers obstructing; the generator traces the true walls with
+    # their own extents and every wall and blocker obstructing.  At
     # true-MVA clouds along the bundled trajectories both must agree.
     config = bundled_scenario(name)
-    surfaces = config.surfaces
     env = config.environment
     points = config.waypoints
-    paths = enumerate_paths(len(surfaces))
+    paths = enumerate_paths(len(env.walls))
     # one "particle" per waypoint, every particle at the true MVA
-    clouds = np.repeat(np.stack([s.mva for s in surfaces])[:, None], len(points), axis=1)
+    clouds = np.repeat(env.wall_mvas[:, None], len(points), axis=1)
     lo, hi = env.nearest_extents(clouds)
     for pa in config.pas:
-        generator = env.trace_paths(points, pa, paths, surfaces)[1]
+        generator = env.trace_paths(points, pa, paths)[1]
         for k, path in enumerate(paths):
             idx = path.bounces
             _, filt = backward_trace(points, pa, [clouds[i] for i in idx],

@@ -5,11 +5,13 @@ import sys
 import numpy as np
 import pytest
 
+from mvaslam import engine
 from mvaslam.cli import main
-from mvaslam.errors import ScenarioError
+from mvaslam.errors import NonFinite, ScenarioError
 from mvaslam.experiment import run_experiment, splitmix64
 from mvaslam.scenario import (
     bundled_scenario,
+    load_scenario,
     parse_scenario,
     serialize_scenario,
 )
@@ -73,6 +75,28 @@ def test_parse_unknown_param_rejected():
         minimal_config(params={"frobnicate": 1})
 
 
+def test_params_double_bounce_flag_rejected():
+    # the setup flag lives at the top level only; a params copy would be overwritten
+    with pytest.raises(ScenarioError, match=r"params\.use_double_bounce.*'double_bounce'"):
+        minimal_config(params={"use_double_bounce": False})
+
+
+def test_reflective_wall_through_origin_names_the_wall(tmp_path, capsys):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["walls"].append({"a": [-1.0, -1.0], "b": [2.0, 2.0]})
+    with pytest.raises(ScenarioError, match=r"^walls\[2\]: .*origin"):
+        parse_scenario(json.dumps(doc))
+    path = tmp_path / "origin.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["--scenario", str(path), "--runs", "1", "--out-dir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("mvaslam: error: walls[2]: ")
+    # a blocker on the same line reflects nothing and is fine
+    doc["walls"][2]["reflective"] = False
+    assert len(parse_scenario(json.dumps(doc)).blockers) == 1
+
+
 def test_round_trip_identity():
     config = minimal_config(double_bounce=False,
                             params={"n_particles": 123, "sigma_accel": 0.02})
@@ -119,7 +143,6 @@ def test_splitmix_seeds_stable_under_extension():
 
 def test_run_experiment_determinism_and_threads(tmp_path):
     path = small_test_scenario(tmp_path)
-    from mvaslam.scenario import load_scenario
     config = load_scenario(path)
     res1 = run_experiment(config, runs=2, base_seed=9, threads=1)
     res2 = run_experiment(config, runs=2, base_seed=9, threads=2)
@@ -175,6 +198,43 @@ def test_cli_outputs_deterministic(tmp_path, capsys):
     summary = json.loads((tmp_path / "a" / "summary.json").read_text())
     assert summary["runs"] == 2
     assert (tmp_path / "a" / "timing.json").exists()
+
+
+def test_nonfinite_association_diverges_one_run(tmp_path, monkeypatch, capsys):
+    path = small_test_scenario(tmp_path)
+    args = ["--scenario", str(path), "--runs", "2", "--seed", "5"]
+    assert main(args + ["--out-dir", str(tmp_path / "clean")]) == 0
+
+    real = engine.run_association
+    calls = []
+
+    def overflow_at_step_3_of_run_0(*a, **kw):
+        calls.append(None)                    # one anchor: one call per step
+        if len(calls) == 3:
+            raise NonFinite("association messages overflowed")
+        return real(*a, **kw)
+
+    monkeypatch.setattr(engine, "run_association", overflow_at_step_3_of_run_0)
+    assert main(args + ["--out-dir", str(tmp_path / "broken")]) == 0
+    capsys.readouterr()
+    summary = json.loads((tmp_path / "broken" / "summary.json").read_text())
+    assert summary["runs"] == 2 and summary["diverged"] >= 1
+
+    def rows(out):
+        lines = (tmp_path / out / "results.csv").read_text().splitlines()[1:]
+        return [line for line in lines if line.split(",")[1] == "0"], \
+               [line for line in lines if line.split(",")[1] == "1"]
+
+    broken0, broken1 = rows("broken")
+    clean0, clean1 = rows("clean")
+    assert broken0[:3] == clean0[:3]          # prior and steps 1-2 before the failure
+    assert all(line.split(",")[2] == "" for line in broken0[3:])
+    assert broken1 == clean1
+
+    config = load_scenario(path)
+    calls.clear()
+    record = run_experiment(config, runs=1, base_seed=5).records[0]
+    assert record.diverged_early and not record.converged
 
 
 def test_cli_setup_and_ablation_flags(tmp_path):
