@@ -22,7 +22,6 @@ from .geometry import (
     Surface,
     WallSegment,
     double_bounce_va,
-    mirror_point,
     mva_to_va,
     path_distance_angle,
     va_to_mva,
@@ -41,7 +40,6 @@ __all__ = [
     "Surface",
     "WallSegment",
     "double_bounce_va",
-    "mirror_point",
     "mva_to_va",
     "path_distance_angle",
     "va_to_mva",

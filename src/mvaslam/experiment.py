@@ -16,7 +16,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -53,34 +53,47 @@ class RunRecord:
     wall_time: float
 
 
-def available_path_keys(config: ScenarioConfig) -> list[list[PathClass]]:
-    """Per anchor: the true bounce paths available somewhere along the trajectory."""
+class TruthTable(NamedTuple):
+    """The true geometry traced once: every candidate path, anchor and waypoint."""
+
+    paths: list[PathClass]     # (K,) candidate paths, LOS first
+    va: np.ndarray             # (J, N+1, K, 2) true virtual anchors
+    available: np.ndarray      # (J, N+1, K) availability
+
+
+def available_path_keys(config: ScenarioConfig) -> TruthTable:
+    """Trace the true paths of every anchor at every waypoint, in one call.
+
+    The truth is static and draws no random numbers, so an experiment
+    traces it once; each run's measurement generation only reads it.
+    """
     env = config.environment
-    candidates = enumerate_paths(len(env.walls), include_double=config.double_bounce)[1:]  # no LOS
+    paths = enumerate_paths(len(env.walls), include_double=config.double_bounce)
     pas = np.array(config.pas)[:, None]                     # (J, 1, 2)
-    _, available = env.trace_paths(config.waypoints, pas, candidates)
-    return [[path for path, seen in zip(candidates, row) if seen]
-            for row in available.any(axis=1)]
+    va, available = env.trace_paths(config.waypoints, pas, paths)
+    return TruthTable(paths, va, available)
 
 
 def simulate_run(config: ScenarioConfig, run_index: int, base_seed: int,
                  ospa_params: OspaParams = OspaParams(),
-                 availability: Optional[Sequence[Sequence[PathClass]]] = None) -> RunRecord:
+                 availability: Optional[TruthTable] = None) -> RunRecord:
     """Generate measurements and filter one full trajectory.
 
-    A run whose weights degenerate or whose association turns non-finite
-    stops there and is recorded as diverged early.
+    Measurements are drawn from ``availability``, the experiment's traced
+    truth (:func:`available_path_keys`), which is traced here when not
+    given.  A run whose weights degenerate or whose association turns
+    non-finite stops there and is recorded as diverged early.
     """
     seed = splitmix64(base_seed, run_index)
     rng = np.random.default_rng(seed)
-    env = config.environment
-    true_mvas = env.wall_mvas
+    true_mvas = config.environment.wall_mvas
     params = config.params
     p_detect = config.p_detect()
-    if availability is None:
-        availability = available_path_keys(config)
-    truth_vas = [va_set(true_mvas, pa, config.double_bounce, paths)
-                 for pa, paths in zip(config.pas, availability)]
+    truth = available_path_keys(config) if availability is None else availability
+    # each anchor's truth VA set: the bounce paths available somewhere along the trajectory
+    truth_vas = [va_set(true_mvas, pa, config.double_bounce,
+                        [path for path, seen in zip(truth.paths, row) if seen and path.bounces])
+                 for pa, row in zip(config.pas, truth.available.any(axis=1))]
 
     filt = SlamFilter(config.pas, params, config.profile, config.clutter,
                       rng=rng, start_pos=config.waypoints[0],
@@ -106,10 +119,10 @@ def simulate_run(config: ScenarioConfig, run_index: int, base_seed: int,
         pos = config.waypoints[n]
         vel = velocities[n - 1]
         heading = float(np.arctan2(vel[1], vel[0]))
-        batches = [generate_batch(pos, heading, pa, env, p_detect,
-                                  config.profile, config.clutter, rng,
-                                  include_double=config.double_bounce)
-                   for pa in config.pas]
+        batches = [generate_batch(pos, heading, truth.paths, truth.va[j, n],
+                                  truth.available[j, n], p_detect,
+                                  config.profile, config.clutter, rng)
+                   for j in range(n_pa)]
         try:
             estimate = filt.step(batches)
         except (DegenerateWeights, NonFinite):

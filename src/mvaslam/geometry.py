@@ -6,9 +6,8 @@ Conventions used throughout the package:
 * Points are length-2 float arrays (or array-likes); every operation
   broadcasts over leading axes, so ``(n, 2)`` stacks of points work directly.
 * A reflective surface is canonically stored as its MVA point: the mirror
-  image of the coordinate origin across the surface line.  The unit normal
-  ``u = mva / |mva|`` and the line point ``e = mva / 2`` are derived on
-  demand.
+  image of the coordinate origin across the surface line, whose unit normal
+  is ``mva / |mva|`` and which passes through ``mva / 2``.
 * Angles are wrapped to ``[-pi, pi)`` everywhere.
 """
 
@@ -55,16 +54,6 @@ class Surface:
             raise DegenerateSurface("surface line passes through the origin")
         object.__setattr__(self, "mva", mva)
 
-    @property
-    def unit_normal(self) -> np.ndarray:
-        """Unit normal of the surface line (pointing away from the origin)."""
-        return self.mva / np.linalg.norm(self.mva)
-
-    @property
-    def line_point(self) -> np.ndarray:
-        """A point on the surface line (the foot of the origin's mirror)."""
-        return self.mva / 2.0
-
     @classmethod
     def from_segment(cls, a, b) -> "Surface":
         """Surface whose line passes through segment endpoints ``a`` and ``b``."""
@@ -95,18 +84,6 @@ class WallSegment:
         object.__setattr__(self, "b", b)
 
 
-def mirror_point(p, surface: Surface):
-    """Mirror point(s) ``p`` across a reflective surface.
-
-    Uses the normal/line-point form: ``p + 2 (u.e - u.p) u``.  Involution:
-    mirroring twice returns the input.
-    """
-    p = _as_points(p)
-    u = surface.unit_normal
-    e = surface.line_point
-    return p + 2.0 * (np.dot(e, u) - p @ u)[..., None] * u
-
-
 def mva_to_va(mva, pa, strict: bool = True):
     """Map MVA point(s) to the VA of the anchor ``pa`` across that surface.
 
@@ -120,12 +97,12 @@ def mva_to_va(mva, pa, strict: bool = True):
     pa = _as_points(pa)
     nrm2 = np.sum(mva * mva, axis=-1)
     bad = nrm2 <= EPS_GEO * EPS_GEO
-    if strict and np.any(bad):
+    if strict and bad.any():
         raise DegenerateSurface("MVA norm below degeneracy threshold")
     denom = np.where(bad, 1.0, nrm2)
     scale = -(2.0 * np.sum(mva * pa, axis=-1) / denom - 1.0)
     va = scale[..., None] * mva + pa
-    if not strict and np.any(bad):
+    if not strict and bad.any():
         va = np.where(bad[..., None], np.nan, va)
     return va
 
@@ -151,13 +128,13 @@ def va_to_mva(va, pa, strict: bool = True):
     diff = pa - va
     d2 = np.sum(diff * diff, axis=-1)
     bad = d2 <= EPS_GEO * EPS_GEO
-    if strict and np.any(bad):
+    if strict and bad.any():
         raise DegeneratePair("VA coincides with the PA")
     denom = np.where(bad, 1.0, d2)
     pa2 = np.sum(np.broadcast_to(pa, diff.shape) ** 2, axis=-1)
     va2 = np.sum(va * va, axis=-1)
     mva = ((pa2 - va2) / denom)[..., None] * diff
-    if not strict and np.any(bad):
+    if not strict and bad.any():
         mva = np.where(bad[..., None], np.nan, mva)
     return mva
 
@@ -174,10 +151,10 @@ def path_distance_angle(agent_pos, heading, va, strict: bool = True):
     diff = agent_pos - va
     d = np.hypot(diff[..., 0], diff[..., 1])
     bad = d <= EPS_GEO
-    if strict and np.any(bad):
+    if strict and bad.any():
         raise CoincidentPoints("agent position coincides with the VA")
     phi = wrap_angle(np.arctan2(diff[..., 1], diff[..., 0]) - np.asarray(heading, dtype=float))
-    if not strict and np.any(bad):
+    if not strict and bad.any():
         d = np.where(bad, np.nan, d)
         phi = np.where(bad, np.nan, phi)
     return d, phi

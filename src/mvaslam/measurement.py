@@ -1,30 +1,25 @@
-"""Synthetic measurement generation and likelihood evaluation.
+"""Synthetic measurement generation: a pure random draw from traced truth.
 
 A measurement is a (distance, angle-of-arrival) pair produced by one
 propagation path plus Gaussian noise, or by clutter.  Each available path
 is detected with its class's detection probability; clutter counts are
-Poisson with uniform density over the measurement space.
+Poisson with uniform density over the measurement space.  Which paths are
+available, and their virtual anchors, come from the true geometry, traced
+once per experiment (:func:`mvaslam.experiment.available_path_keys`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .geometry import double_bounce_va, mva_to_va, path_distance_angle, wrap_angle
-from .raytrace import Environment, PathClass
+from .geometry import path_distance_angle, wrap_angle
+from .raytrace import PathClass
 
 TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class Measurement:
-    """One (distance, angle-of-arrival) pair."""
-
-    z_d: float
-    z_phi: float
 
 
 @dataclass(frozen=True)
@@ -72,37 +67,6 @@ class ClutterModel:
         return 1.0 / (self.d_max * TWO_PI)
 
 
-def gaussian_pdf(x, mu, sigma):
-    """Scalar/array Gaussian density."""
-    x = np.asarray(x, dtype=float)
-    return np.exp(-0.5 * ((x - mu) / sigma) ** 2) / (np.sqrt(TWO_PI) * sigma)
-
-
-def predicted_measurement(agent_pos, heading, path: PathClass, pa,
-                          mva_s=None, mva_s2=None, strict: bool = True):
-    """Noise-free (distance, angle) of one path at the given agent state."""
-    if path.kind == "los":
-        va = np.asarray(pa, dtype=float)
-    elif path.kind == "single":
-        va = mva_to_va(mva_s, pa, strict=strict)
-    else:
-        va = double_bounce_va(mva_s, mva_s2, pa, strict=strict)
-    return path_distance_angle(agent_pos, heading, va, strict=strict)
-
-
-def likelihood(z: Measurement, agent_pos, heading, path: PathClass, pa,
-               mva_s=None, mva_s2=None, *, profile: NoiseProfile) -> float:
-    """Measurement likelihood of ``z`` under one path hypothesis.
-
-    Gaussian in distance and in the wrapped angle difference, with the noise
-    levels of the path class's entry in ``profile``.
-    """
-    noise = profile.for_path(path)
-    d, phi = predicted_measurement(agent_pos, heading, path, pa, mva_s, mva_s2)
-    return float(gaussian_pdf(z.z_d, d, noise.sigma_d)
-                 * gaussian_pdf(wrap_angle(z.z_phi - phi), 0.0, noise.sigma_phi))
-
-
 @dataclass
 class MeasurementBatch:
     """Measurements of one anchor at one time step, in randomized order."""
@@ -123,21 +87,20 @@ def enumerate_paths(n_surfaces: int, include_double: bool = True) -> list[PathCl
     return paths
 
 
-def generate_batch(agent_pos, heading, pa, env: Environment, p_detect,
+def generate_batch(agent_pos, heading, paths: Sequence[PathClass], va, available, p_detect,
                    profile: NoiseProfile, clutter: ClutterModel,
-                   rng: np.random.Generator, include_double: bool = True) -> MeasurementBatch:
-    """Generate one anchor's measurement batch at one agent state.
+                   rng: np.random.Generator) -> MeasurementBatch:
+    """Draw one anchor's measurement batch from its traced truth at one agent state.
 
-    The true surfaces are the reflective walls of ``env``.  Every candidate
-    path that the ray tracer reports available is detected with its class's
-    probability and measured with Gaussian noise; Poisson clutter is
-    appended; the batch order is randomly permuted.  ``p_detect`` maps a
-    path kind ("los" / "single" / "double") to its base detection
-    probability; noise levels come from the path class's entry in ``profile``.
+    ``va`` (K, 2) and ``available`` (K,) are the true virtual anchors and
+    the availability of the candidate ``paths`` at ``agent_pos``, one
+    row of the truth the experiment traces once.  Nothing is traced here.
+    Every available path is detected with its class's probability and
+    measured with Gaussian noise; Poisson clutter is appended; the batch
+    order is randomly permuted.  ``p_detect`` maps a path kind ("los" /
+    "single" / "double") to its base detection probability; noise levels
+    come from the path class's entry in ``profile``.
     """
-    agent_pos = np.asarray(agent_pos, dtype=float)
-    paths = enumerate_paths(len(env.walls), include_double=include_double)
-    va, available = env.trace_paths(agent_pos, pa, paths)
     found = np.flatnonzero(available)
     dist, angle = path_distance_angle(agent_pos, heading, va[found])
     rows = []

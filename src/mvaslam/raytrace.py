@@ -8,10 +8,11 @@ feeds the per-path detection probabilities: an unavailable path cannot
 produce a measurement.
 
 One array tracer, :func:`backward_trace`, serves every caller.  The SLAM
-filter traces per-particle feature clouds; the measurement generator and
-the availability keys trace the true walls through
-:meth:`Environment.trace_paths`.  Each caller supplies the reflector
-extents and the obstacle set, the one modelling difference between them.
+filter traces per-particle feature clouds; the experiment traces the true
+walls once, at every waypoint, through :meth:`Environment.trace_paths`,
+and measurement generation draws from that table.  Each caller supplies
+the reflector extents and the obstacle set, the one modelling difference
+between them.
 """
 
 from __future__ import annotations
@@ -55,9 +56,6 @@ class PathClass:
         return tuple(s for s in (self.s, self.s2) if s is not None)
 
 
-LOS = PathClass()
-
-
 @dataclass(frozen=True)
 class Environment:
     """Static geometry: reflector walls plus opaque, non-reflecting blockers.
@@ -65,7 +63,7 @@ class Environment:
     The only geometry container of the package and the owner of the ground
     truth: reflective wall ``k`` is true surface ``k``.  The wall endpoints,
     MVAs and extents and both obstacle sets are computed once, on first use:
-    ``segments`` (walls and blockers, as the generator sees them) and
+    ``segments`` (walls and blockers, as the truth sees them) and
     ``blocker_segments`` (blockers only, as the filter sees them), each a
     tuple of ``(a, b, surface_index)`` triples, ``None`` for a blocker.
     """

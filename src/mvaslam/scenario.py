@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from typing import Any
 
@@ -43,7 +43,6 @@ class ScenarioConfig:
     clutter: ClutterModel
     params: HyperParams
     double_bounce: bool = True        # full setup vs single-bounce-only setup
-    raw: dict = field(default_factory=dict, repr=False)
 
     @property
     def environment(self) -> Environment:
@@ -66,6 +65,25 @@ class ScenarioConfig:
 
 def _fail(path: str, message: str):
     raise ScenarioError(f"{path}: {message}")
+
+
+_JSON_TYPES = {"an object": dict, "a list": list, "true or false": bool}
+
+
+def _expect(value, what: str, path: str):
+    """``value`` if it has the JSON type ``what``; a string "false" is not a boolean."""
+    if not isinstance(value, _JSON_TYPES[what]):
+        _fail(path, f"expected {what}, got {json.dumps(value)}")
+    return value
+
+
+def _number(value, path: str, integer: bool = False):
+    """A finite JSON number (``true`` / ``false`` are not numbers), as float or int."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value)
+            or (integer and not float(value).is_integer())):
+        _fail(path, f"expected {'an integer' if integer else 'a finite number'}, "
+                    f"got {json.dumps(value)}")
+    return int(value) if integer else float(value)
 
 
 def _get_pair(value, path: str) -> np.ndarray:
@@ -100,31 +118,40 @@ def _parse_segment(obj, path: str, reflective: bool = False) -> WallSegment:
 
 def _parse_noise(obj) -> NoiseProfile:
     merged = {k: dict(DEFAULT_NOISE[k]) for k in DEFAULT_NOISE}
-    for kind, entry in (obj or {}).items():
+    for kind, entry in _expect(obj, "an object", "noise").items():
         if kind not in merged:
             _fail(f"noise.{kind}", "unknown path class (use los/single/double)")
+        for key in _expect(entry, "an object", f"noise.{kind}"):
+            if key not in merged[kind]:
+                _fail(f"noise.{kind}.{key}", "unknown key (use sigma_d/sigma_phi_deg)")
         merged[kind].update(entry)
+
     def build(kind):
         e = merged[kind]
-        sigma_phi = math.radians(e["sigma_phi_deg"]) if "sigma_phi_deg" in e else e["sigma_phi"]
+        path = f"noise.{kind}"
+        sigma_phi = math.radians(_number(e["sigma_phi_deg"], f"{path}.sigma_phi_deg"))
         try:
-            return PathNoise(sigma_d=float(e["sigma_d"]), sigma_phi=float(sigma_phi))
+            return PathNoise(sigma_d=_number(e["sigma_d"], f"{path}.sigma_d"), sigma_phi=sigma_phi)
         except ValueError as exc:
-            _fail(f"noise.{kind}", str(exc))
+            _fail(path, str(exc))
     return NoiseProfile(los=build("los"), single=build("single"), double=build("double"))
 
 
-def _ncv_waypoints(spec: dict, dt: float) -> np.ndarray:
+def _ncv_waypoints(spec, dt: float) -> np.ndarray:
+    _expect(spec, "an object", "trajectory.ncv")
     for key in ("start", "velocity", "steps"):
         if key not in spec:
             _fail(f"trajectory.ncv.{key}", "missing")
     start = _get_pair(spec["start"], "trajectory.ncv.start")
     velocity = _get_pair(spec["velocity"], "trajectory.ncv.velocity")
-    steps = int(spec["steps"])
+    steps = _number(spec["steps"], "trajectory.ncv.steps", integer=True)
     if steps < 1:
         _fail("trajectory.ncv.steps", "must be >= 1")
-    sigma_w = float(spec.get("sigma_w", 0.0))
-    rng = np.random.default_rng(int(spec.get("seed", 0)))
+    sigma_w = _number(spec.get("sigma_w", 0.0), "trajectory.ncv.sigma_w")
+    seed = _number(spec.get("seed", 0), "trajectory.ncv.seed", integer=True)
+    if seed < 0:
+        _fail("trajectory.ncv.seed", "must be >= 0")
+    rng = np.random.default_rng(seed)
     a, b = ncv_matrices(dt)
     x = np.concatenate([start, velocity])
     out = [start.copy()]
@@ -149,28 +176,30 @@ def parse_scenario(text: str) -> ScenarioConfig:
         _fail("walls", "at least one wall segment is required")
     walls: list[WallSegment] = []
     blockers: list[WallSegment] = []
-    for i, w in enumerate(doc["walls"]):
-        reflective = bool(w.get("reflective", True)) if isinstance(w, dict) else True
+    for i, w in enumerate(_expect(doc["walls"], "a list", "walls")):
+        reflective = (_expect(w.get("reflective", True), "true or false", f"walls[{i}].reflective")
+                      if isinstance(w, dict) else True)
         seg = _parse_segment(w, f"walls[{i}]", reflective)
         (walls if reflective else blockers).append(seg)
-    for i, w in enumerate(doc.get("blockers", [])):
+    for i, w in enumerate(_expect(doc.get("blockers", []), "a list", "blockers")):
         blockers.append(_parse_segment(w, f"blockers[{i}]"))
     if not walls:
         _fail("walls", "at least one reflective wall is required")
 
     if "pas" not in doc or not doc["pas"]:
         _fail("pas", "at least one physical anchor position is required")
-    pas = [_get_pair(p, f"pas[{i}]") for i, p in enumerate(doc["pas"])]
+    pas = [_get_pair(p, f"pas[{i}]") for i, p in enumerate(_expect(doc["pas"], "a list", "pas"))]
 
-    profile = _parse_noise(doc.get("noise"))
-    clutter_doc = {**DEFAULT_CLUTTER, **doc.get("clutter", {})}
+    profile = _parse_noise(doc.get("noise", {}))
+    clutter_doc = {**DEFAULT_CLUTTER, **_expect(doc.get("clutter", {}), "an object", "clutter")}
     try:
-        clutter = ClutterModel(mu_fp=float(clutter_doc["mu_fp"]), d_max=float(clutter_doc["d_max"]))
+        clutter = ClutterModel(mu_fp=_number(clutter_doc["mu_fp"], "clutter.mu_fp"),
+                               d_max=_number(clutter_doc["d_max"], "clutter.d_max"))
     except ValueError as exc:
         _fail("clutter", str(exc))
 
-    params_doc = dict(doc.get("params", {}))
-    p_detect = params_doc.pop("p_detect", DEFAULT_P_DETECT)
+    params_doc = dict(_expect(doc.get("params", {}), "an object", "params"))
+    p_detect = _number(params_doc.pop("p_detect", DEFAULT_P_DETECT), "params.p_detect")
     for kind in ("los", "single", "double"):
         params_doc.setdefault(f"p_detect_{kind}", p_detect)
     if "birth_region" in params_doc:
@@ -178,20 +207,24 @@ def parse_scenario(text: str) -> ScenarioConfig:
         try:
             params_doc["birth_region"] = ((float(region[0][0]), float(region[0][1])),
                                           (float(region[1][0]), float(region[1][1])))
-        except (TypeError, IndexError, ValueError):
+        except (TypeError, IndexError, KeyError, ValueError):
             _fail("params.birth_region", "expected [[xlo, xhi], [ylo, yhi]]")
     if "use_double_bounce" in params_doc:
         _fail("params.use_double_bounce", "set the top-level 'double_bounce' flag instead")
-    known = {f.name for f in fields(HyperParams)}
+    types = {f.name: f.type for f in fields(HyperParams)}
     for key in params_doc:
-        if key not in known:
+        if key not in types:
             _fail(f"params.{key}", "unknown hyperparameter")
+        if types[key] == "bool":
+            params_doc[key] = _expect(params_doc[key], "true or false", f"params.{key}")
+        elif types[key] in ("int", "float"):
+            params_doc[key] = _number(params_doc[key], f"params.{key}", integer=types[key] == "int")
     try:
         params = HyperParams(**params_doc)
     except (TypeError, ValueError) as exc:
         _fail("params", str(exc))
 
-    double_bounce = bool(doc.get("double_bounce", True))
+    double_bounce = _expect(doc.get("double_bounce", True), "true or false", "double_bounce")
     params = replace(params, use_double_bounce=double_bounce)
 
     traj = doc.get("trajectory")
@@ -210,7 +243,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
     return ScenarioConfig(name=name, walls=walls, blockers=blockers, pas=pas,
                           waypoints=waypoints, profile=profile, clutter=clutter,
-                          params=params, double_bounce=double_bounce, raw=doc)
+                          params=params, double_bounce=double_bounce)
 
 
 def _pair_list(p) -> list[float]:

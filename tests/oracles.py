@@ -4,14 +4,21 @@ These deliberately avoid the production code paths: ray availability is
 decided by densely sampling hop segments and detecting sign changes of
 signed distances, association marginals come from enumerating all valid
 joint assignment events, and optimal assignment cost from trying every
-permutation.
+permutation.  Mirroring uses the normal / line-point form instead of the
+MVA algebra, and the measurement likelihood is evaluated one path and one
+measurement at a time, as a reference for the filter's vectorized blocks.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from mvaslam.geometry import double_bounce_va, mva_to_va, path_distance_angle, wrap_angle
+from mvaslam.raytrace import PathClass
 
 AMBIGUOUS = "ambiguous"
 
@@ -221,3 +228,61 @@ def brute_force_assignment_cost(cost: np.ndarray) -> float:
     for perm in itertools.permutations(range(n)):
         best = min(best, sum(cost[i, perm[i]] for i in range(n)))
     return float(best)
+
+
+LOS = PathClass()
+
+
+def unit_normal(surface):
+    """Unit normal of a surface line (pointing away from the origin)."""
+    return surface.mva / np.linalg.norm(surface.mva)
+
+
+def line_point(surface):
+    """A point on a surface line (the foot of the origin's mirror)."""
+    return surface.mva / 2.0
+
+
+def mirror_point(p, surface):
+    """Mirror point(s) ``p`` across a surface: ``p + 2 (u.e - u.p) u``."""
+    p = np.asarray(p, dtype=float)
+    u = unit_normal(surface)
+    e = line_point(surface)
+    return p + 2.0 * (np.dot(e, u) - p @ u)[..., None] * u
+
+
+@dataclass(frozen=True)
+class Measurement:
+    """One (distance, angle-of-arrival) pair."""
+
+    z_d: float
+    z_phi: float
+
+
+def gaussian_pdf(x, mu, sigma):
+    """Scalar/array Gaussian density."""
+    x = np.asarray(x, dtype=float)
+    return np.exp(-0.5 * ((x - mu) / sigma) ** 2) / (np.sqrt(2.0 * math.pi) * sigma)
+
+
+def predicted_measurement(agent_pos, heading, path, pa, mva_s=None, mva_s2=None):
+    """Noise-free (distance, angle) of one path at the given agent state."""
+    if path.kind == "los":
+        va = np.asarray(pa, dtype=float)
+    elif path.kind == "single":
+        va = mva_to_va(mva_s, pa)
+    else:
+        va = double_bounce_va(mva_s, mva_s2, pa)
+    return path_distance_angle(agent_pos, heading, va)
+
+
+def likelihood(z, agent_pos, heading, path, pa, mva_s=None, mva_s2=None, *, profile):
+    """Likelihood of measurement ``z`` under one path hypothesis.
+
+    Gaussian in distance and in the wrapped angle difference, with the noise
+    levels of the path class's entry in ``profile``.
+    """
+    noise = profile.for_path(path)
+    d, phi = predicted_measurement(agent_pos, heading, path, pa, mva_s, mva_s2)
+    return float(gaussian_pdf(z.z_d, d, noise.sigma_d)
+                 * gaussian_pdf(wrap_angle(z.z_phi - phi), 0.0, noise.sigma_phi))

@@ -19,14 +19,15 @@ from mvaslam.errors import DegenerateWeights
 from mvaslam.geometry import WallSegment, mva_to_va, path_distance_angle, va_to_mva, wrap_angle
 from mvaslam.measurement import (
     ClutterModel,
-    Measurement,
     MeasurementBatch,
     NoiseProfile,
     PathNoise,
+    enumerate_paths,
     generate_batch,
-    likelihood,
 )
 from mvaslam.raytrace import Environment, PathClass
+
+from oracles import Measurement, likelihood
 
 PROFILE = NoiseProfile(los=PathNoise(0.05, np.deg2rad(10.0)),
                        single=PathNoise(0.10, np.deg2rad(15.0)),
@@ -239,7 +240,8 @@ def test_process_pa_weight_ordering_follows_likelihood():
     offsets = np.linspace(0, 1.5, 200)
     agent.particles[:, 0] += offsets  # particle 0 is exact, the rest drift off
     pa = np.array([1.0, 0.5])
-    batch = generate_batch(truth, 0.0, pa, ctx,
+    paths = enumerate_paths(len(ctx.walls))
+    batch = generate_batch(truth, 0.0, paths, *ctx.trace_paths(truth, pa, paths),
                            {"los": 1.0, "single": 1.0, "double": 1.0},
                            NoiseProfile(los=PathNoise(1e-6, 1e-6),
                                         single=PathNoise(1e-6, 1e-6),
@@ -378,6 +380,9 @@ def test_filter_determinism_same_seed():
              WallSegment([-5.0, 3.5], [5.0, 3.5])]
     env = Environment(walls=walls)
     params = HyperParams(n_particles=300)
+    positions = np.array([[-2.0 + 0.1 * n, 1.0] for n in range(5)])
+    paths = enumerate_paths(len(walls))
+    va, available = env.trace_paths(positions, [1.0, 0.5], paths)
 
     def run_once():
         rng = np.random.default_rng(33)
@@ -385,7 +390,7 @@ def test_filter_determinism_same_seed():
                           start_pos=[-2.0, 1.0], extent_walls=walls)
         outs = []
         for n in range(5):
-            batch = generate_batch([-2.0 + 0.1 * n, 1.0], 0.0, [1.0, 0.5], env,
+            batch = generate_batch(positions[n], 0.0, paths, va[n], available[n],
                                    {"los": 0.95, "single": 0.95, "double": 0.95},
                                    PROFILE, CLUTTER, rng)
             outs.append(filt.step([batch]).x_hat)

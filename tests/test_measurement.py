@@ -4,15 +4,14 @@ import pytest
 from mvaslam.geometry import WallSegment, mva_to_va, path_distance_angle
 from mvaslam.measurement import (
     ClutterModel,
-    Measurement,
     NoiseProfile,
     PathNoise,
-    gaussian_pdf,
+    enumerate_paths,
     generate_batch,
-    likelihood,
-    predicted_measurement,
 )
 from mvaslam.raytrace import Environment, PathClass
+
+from oracles import Measurement, gaussian_pdf, likelihood, predicted_measurement
 
 TINY = PathNoise(sigma_d=1e-9, sigma_phi=1e-9)
 PROFILE = NoiseProfile(los=PathNoise(0.05, np.deg2rad(10.0)),
@@ -21,6 +20,13 @@ PROFILE = NoiseProfile(los=PathNoise(0.05, np.deg2rad(10.0)),
 P_DETECT = {"los": 0.95, "single": 0.95, "double": 0.95}
 ONE_WALL = Environment(walls=[WallSegment([5.0, -10.0], [5.0, 10.0])])
 WALL_MVA = ONE_WALL.wall_mvas[0]
+
+
+def traced(agent, pa, env):
+    """Candidate paths, true VAs and availability at one agent position, traced once."""
+    paths = enumerate_paths(len(env.walls))
+    va, available = env.trace_paths(agent, pa, paths)
+    return paths, va, available
 
 
 def test_noise_profile_validation():
@@ -40,7 +46,7 @@ def test_noiseless_limit_exact_values():
     pa = np.array([1.0, -1.0])
     tiny = NoiseProfile(los=TINY, single=TINY, double=TINY)
     rng = np.random.default_rng(0)
-    batch = generate_batch(agent, heading, pa, ONE_WALL,
+    batch = generate_batch(agent, heading, *traced(agent, pa, ONE_WALL),
                            {"los": 1.0, "single": 1.0, "double": 1.0},
                            tiny, ClutterModel(mu_fp=0.0, d_max=30.0), rng)
     assert len(batch) == 2
@@ -58,10 +64,11 @@ def test_clutter_count_mean():
     # no surfaces, no detections: batches contain clutter only
     rng = np.random.default_rng(42)
     clutter = ClutterModel(mu_fp=1.0, d_max=30.0)
+    truth = traced([0.0, 0.0], [3.0, 0.0], Environment())
     total = 0
     n_draws = 100_000
     for _ in range(n_draws):
-        batch = generate_batch([0.0, 0.0], 0.0, [3.0, 0.0], Environment(),
+        batch = generate_batch([0.0, 0.0], 0.0, *truth,
                                {"los": 0.0, "single": 0.0, "double": 0.0},
                                PROFILE, clutter, rng)
         total += len(batch)
@@ -73,8 +80,9 @@ def test_expected_total_count():
     pa = np.array([1.0, -1.0])
     clutter = ClutterModel(mu_fp=1.0, d_max=30.0)
     rng = np.random.default_rng(7)
+    truth = traced(agent, pa, ONE_WALL)
     n_draws = 100_000
-    total = sum(len(generate_batch(agent, 0.0, pa, ONE_WALL, P_DETECT,
+    total = sum(len(generate_batch(agent, 0.0, *truth, P_DETECT,
                                    PROFILE, clutter, rng))
                 for _ in range(n_draws))
     expected = 0.95 + 0.95 + 1.0  # LOS + one available single bounce + clutter
@@ -84,7 +92,7 @@ def test_expected_total_count():
 def test_clutter_support():
     rng = np.random.default_rng(3)
     clutter = ClutterModel(mu_fp=5.0, d_max=30.0)
-    batch = generate_batch([0.0, 0.0], 0.0, [3.0, 0.0], Environment(),
+    batch = generate_batch([0.0, 0.0], 0.0, *traced([0.0, 0.0], [3.0, 0.0], Environment()),
                            {"los": 0.0, "single": 0.0, "double": 0.0},
                            PROFILE, clutter, rng)
     assert np.all(batch.z[:, 0] >= 0.0) and np.all(batch.z[:, 0] <= 30.0)
@@ -151,9 +159,10 @@ def test_generation_likelihood_consistency():
     pa = np.array([1.0, -1.0])
     rng = np.random.default_rng(11)
     noise = PROFILE.los
+    truth = traced(agent, pa, Environment())
     logs = []
     for _ in range(10_000):
-        batch = generate_batch(agent, heading, pa, Environment(),
+        batch = generate_batch(agent, heading, *truth,
                                {"los": 1.0, "single": 0.0, "double": 0.0},
                                PROFILE, ClutterModel(mu_fp=0.0, d_max=30.0), rng)
         z = Measurement(float(batch.z[0, 0]), float(batch.z[0, 1]))

@@ -4,14 +4,13 @@ import pytest
 from mvaslam.geometry import WallSegment
 from mvaslam.measurement import enumerate_paths
 from mvaslam.raytrace import (
-    LOS,
     Environment,
     PathClass,
     backward_trace,
 )
 from mvaslam.scenario import bundled_scenario
 
-from oracles import AMBIGUOUS, oracle_path_available
+from oracles import AMBIGUOUS, LOS, oracle_path_available
 
 
 def rect_room():

@@ -9,6 +9,7 @@ from mvaslam import engine
 from mvaslam.cli import main
 from mvaslam.errors import NonFinite, ScenarioError
 from mvaslam.experiment import run_experiment, splitmix64
+from mvaslam.raytrace import Environment
 from mvaslam.scenario import (
     bundled_scenario,
     load_scenario,
@@ -97,6 +98,53 @@ def test_reflective_wall_through_origin_names_the_wall(tmp_path, capsys):
     assert len(parse_scenario(json.dumps(doc)).blockers) == 1
 
 
+def with_value(key, value):
+    """MINIMAL on an NCV trajectory, with the dotted ``key`` set to ``value``
+    (a number in the key indexes a list)."""
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["trajectory"] = {"ncv": {"start": [-2.0, 1.0], "velocity": [0.1, 0.0], "steps": 5}}
+    *parents, leaf = [int(k) if k.isdigit() else k for k in key.split(".")]
+    node = doc
+    for k in parents:
+        node = node.setdefault(k, {}) if isinstance(k, str) else node[k]
+    node[leaf] = value
+    return doc
+
+
+@pytest.mark.parametrize("key, value, message", [
+    # malformed values: a ScenarioError naming the key, not a bare Python error
+    ("trajectory.ncv.steps", "three", r"^trajectory\.ncv\.steps: expected an integer"),
+    ("trajectory.ncv.sigma_w", "three", r"^trajectory\.ncv\.sigma_w: expected a finite number"),
+    ("trajectory.ncv.seed", "three", r"^trajectory\.ncv\.seed: expected an integer"),
+    ("clutter", [1.0, 30.0], r"^clutter: expected an object"),
+    ("clutter.mu_fp", None, r"^clutter\.mu_fp: expected a finite number"),
+    ("clutter.mu_fp", float("nan"), r"^clutter\.mu_fp: expected a finite number, got NaN"),
+    ("noise.los.sigma_d", None, r"^noise\.los\.sigma_d: expected a finite number"),
+    ("noise.los", [0.05, 10.0], r"^noise\.los: expected an object"),
+    ("noise.los.sigma_phi", 0.1, r"^noise\.los\.sigma_phi: unknown key"),
+    ("params", [5000], r"^params: expected an object"),
+    ("blockers", 5, r"^blockers: expected a list"),
+    ("params.birth_region", {"x": [-15, 15]}, r"^params\.birth_region: expected \[\["),
+    # string booleans would read as true
+    ("walls.1.reflective", "false", r"^walls\[1\]\.reflective: expected true or false"),
+    ("double_bounce", "no", r"^double_bounce: expected true or false"),
+    ("params.visibility_check", "false", r"^params\.visibility_check: expected true or false"),
+])
+def test_parse_rejects_malformed_values(key, value, message):
+    assert parse_scenario(json.dumps(with_value("name", "valid"))).n_steps == 5
+    with pytest.raises(ScenarioError, match=message):
+        parse_scenario(json.dumps(with_value(key, value)))
+
+
+def test_cli_string_boolean_is_a_scenario_error(tmp_path, capsys):
+    path = tmp_path / "string_flag.json"
+    path.write_text(json.dumps(with_value("walls.1.reflective", "false")), encoding="utf-8")
+    assert main(["--scenario", str(path), "--runs", "1", "--out-dir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("mvaslam: error: walls[1].reflective: expected true or false")
+
+
 def test_round_trip_identity():
     config = minimal_config(double_bounce=False,
                             params={"n_particles": 123, "sigma_accel": 0.02})
@@ -150,6 +198,21 @@ def test_run_experiment_determinism_and_threads(tmp_path):
         assert np.array_equal(a.err_pos, b.err_pos)
         assert np.array_equal(a.mospa_mva, b.mospa_mva)
     assert res1.summary == res2.summary
+
+
+def test_truth_traced_once_per_experiment(tmp_path, monkeypatch):
+    # the true geometry is static: one trace serves every run and every step
+    calls = []
+    trace_paths = Environment.trace_paths
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return trace_paths(self, *args, **kwargs)
+
+    monkeypatch.setattr(Environment, "trace_paths", counted)
+    config = load_scenario(small_test_scenario(tmp_path, steps=4, particles=50))
+    run_experiment(config, runs=3, base_seed=2, threads=1)
+    assert len(calls) == 1
 
 
 def test_cli_unknown_flag_exits_2(tmp_path):
