@@ -10,7 +10,6 @@ availability is ray traced and folded into per-path detection probabilities.
 
 from .errors import (
     CoincidentPoints,
-    DegeneratePair,
     DegenerateSurface,
     DegenerateWeights,
     MvaSlamError,
@@ -21,7 +20,6 @@ from .geometry import (
     EPS_GEO,
     Surface,
     WallSegment,
-    double_bounce_va,
     mva_to_va,
     path_distance_angle,
     va_to_mva,
@@ -30,7 +28,6 @@ from .geometry import (
 
 __all__ = [
     "CoincidentPoints",
-    "DegeneratePair",
     "DegenerateSurface",
     "DegenerateWeights",
     "MvaSlamError",
@@ -39,7 +36,6 @@ __all__ = [
     "EPS_GEO",
     "Surface",
     "WallSegment",
-    "double_bounce_va",
     "mva_to_va",
     "path_distance_angle",
     "va_to_mva",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,6 +30,8 @@ from .raytrace import Environment, backward_trace
 
 _DENOM_FLOOR = 1e-12
 _TRACE_CHUNK = 1 << 16  # (row, particle) elements traced per call
+_PRIOR_POS_HALFWIDTH = 0.5  # m, half-width of the uniform prior box around the start
+_PRIOR_VEL_HALFWIDTH = 0.1  # m/s, half-width of the uniform prior velocity box
 # pair rows outnumber the others about S-fold; their likelihood is float32
 _LIK_DTYPE = {"los": np.float64, "single": np.float64, "double": np.float32}
 
@@ -147,11 +149,10 @@ def ncv_matrices(dt: float) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def systematic_resample(weights: np.ndarray, rng: np.random.Generator,
-                        n: Optional[int] = None) -> np.ndarray:
+def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Low-variance resampling: a single uniform offset strides the CDF."""
     weights = np.asarray(weights, dtype=float)
-    n = weights.size if n is None else n
+    n = weights.size
     positions = (rng.random() + np.arange(n)) / n
     cdf = np.cumsum(weights)
     cdf[-1] = 1.0
@@ -163,14 +164,13 @@ def _refresh_headings(velocities: np.ndarray, previous: np.ndarray, eps: float) 
     return np.where(speed > eps, np.arctan2(velocities[:, 1], velocities[:, 0]), previous)
 
 
-def initial_agent_belief(start_pos, params: HyperParams, rng: np.random.Generator,
-                         pos_halfwidth: float = 0.5, vel_halfwidth: float = 0.1) -> AgentBelief:
+def initial_agent_belief(start_pos, params: HyperParams, rng: np.random.Generator) -> AgentBelief:
     """Uniform prior box around the starting position with near-zero velocity."""
     n = params.n_particles
     start = np.asarray(start_pos, dtype=float)
     particles = np.empty((n, 4))
-    particles[:, :2] = start + pos_halfwidth * (2.0 * rng.random((n, 2)) - 1.0)
-    particles[:, 2:] = vel_halfwidth * (2.0 * rng.random((n, 2)) - 1.0)
+    particles[:, :2] = start + _PRIOR_POS_HALFWIDTH * (2.0 * rng.random((n, 2)) - 1.0)
+    particles[:, 2:] = _PRIOR_VEL_HALFWIDTH * (2.0 * rng.random((n, 2)) - 1.0)
     headings = _refresh_headings(particles[:, 2:], np.zeros(n), params.eps_velocity)
     return AgentBelief(particles=particles, weights=np.full(n, 1.0 / n), headings=headings)
 
@@ -212,7 +212,7 @@ def draw_new_pmva(z_d: float, z_phi: float, sigma_d: float, sigma_phi: float,
     zphi = z_phi + sigma_phi * rng.standard_normal(n)
     theta = zphi + agent.headings
     va = agent.particles[:, :2] - zd[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    mva = va_to_mva(va, pa, strict=False)
+    mva = va_to_mva(va, pa)
     bad = ~np.all(np.isfinite(mva), axis=1)
     if np.any(bad):
         (xlo, xhi), (ylo, yhi) = params.birth_region

@@ -9,10 +9,6 @@ class DegenerateSurface(MvaSlamError):
     """Surface line passes through (or too close to) the reference origin."""
 
 
-class DegeneratePair(MvaSlamError):
-    """Virtual anchor coincides with the physical anchor; no surface exists."""
-
-
 class CoincidentPoints(MvaSlamError):
     """Two points expected to be distinct coincide."""
 

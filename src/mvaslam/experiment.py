@@ -23,11 +23,12 @@ import numpy as np
 from .engine import SlamFilter
 from .errors import DegenerateWeights, NonFinite
 from .measurement import enumerate_paths, generate_batch
-from .metrics import OspaParams, ospa, va_ospa, va_set
+from .metrics import OspaParams, dedupe_points, ospa, va_ospa
 from .raytrace import PathClass
 from .scenario import ScenarioConfig
 
-CONVERGENCE_RADIUS = 5.0  # meters; also the default OSPA cutoff
+OSPA_PARAMS = OspaParams()
+CONVERGENCE_RADIUS = OSPA_PARAMS.cutoff  # meters
 
 
 def splitmix64(seed: int, index: int) -> int:
@@ -74,8 +75,18 @@ def available_path_keys(config: ScenarioConfig) -> TruthTable:
     return TruthTable(paths, va, available)
 
 
+def truth_va_sets(truth: TruthTable) -> list[np.ndarray]:
+    """Each anchor's true VA set: the VAs of the bounce paths available somewhere
+    along the trajectory, deduplicated in :func:`mvaslam.metrics.va_set`'s order
+    (single bounce at ``s``, then ``(s, s2)`` for every ``s2``)."""
+    order = sorted((k for k, path in enumerate(truth.paths) if path.bounces),
+                   key=lambda k: truth.paths[k].bounces)
+    seen = truth.available.any(axis=1)                      # (J, K)
+    return [dedupe_points(truth.va[j, 0, [k for k in order if seen[j, k]]])
+            for j in range(len(seen))]
+
+
 def simulate_run(config: ScenarioConfig, run_index: int, base_seed: int,
-                 ospa_params: OspaParams = OspaParams(),
                  availability: Optional[TruthTable] = None) -> RunRecord:
     """Generate measurements and filter one full trajectory.
 
@@ -90,10 +101,7 @@ def simulate_run(config: ScenarioConfig, run_index: int, base_seed: int,
     params = config.params
     p_detect = config.p_detect()
     truth = available_path_keys(config) if availability is None else availability
-    # each anchor's truth VA set: the bounce paths available somewhere along the trajectory
-    truth_vas = [va_set(true_mvas, pa, config.double_bounce,
-                        [path for path, seen in zip(truth.paths, row) if seen and path.bounces])
-                 for pa, row in zip(config.pas, truth.available.any(axis=1))]
+    truth_vas = truth_va_sets(truth)
 
     filt = SlamFilter(config.pas, params, config.profile, config.clutter,
                       rng=rng, start_pos=config.waypoints[0],
@@ -107,9 +115,9 @@ def simulate_run(config: ScenarioConfig, run_index: int, base_seed: int,
 
     prior_mean = filt.agent.mean()
     err[0] = float(np.hypot(*(prior_mean[:2] - config.waypoints[0])))
-    mospa_mva[0] = ospa(np.zeros((0, 2)), true_mvas, ospa_params)
+    mospa_mva[0] = ospa(np.zeros((0, 2)), true_mvas, OSPA_PARAMS)
     for j, pa in enumerate(config.pas):
-        mospa_va[j, 0] = va_ospa(np.zeros((0, 2)), truth_vas[j], pa, ospa_params,
+        mospa_va[j, 0] = va_ospa(np.zeros((0, 2)), truth_vas[j], pa, OSPA_PARAMS,
                                  include_double=config.double_bounce)
 
     velocities = config.velocities()
@@ -129,9 +137,9 @@ def simulate_run(config: ScenarioConfig, run_index: int, base_seed: int,
             diverged_early = True
             break
         err[n] = float(np.hypot(*(estimate.x_hat[:2] - pos)))
-        mospa_mva[n] = ospa(estimate.mva_positions, true_mvas, ospa_params)
+        mospa_mva[n] = ospa(estimate.mva_positions, true_mvas, OSPA_PARAMS)
         for j, pa in enumerate(config.pas):
-            mospa_va[j, n] = va_ospa(estimate.mva_positions, truth_vas[j], pa, ospa_params,
+            mospa_va[j, n] = va_ospa(estimate.mva_positions, truth_vas[j], pa, OSPA_PARAMS,
                                      include_double=config.double_bounce)
         s_hat[n] = estimate.s_hat
     wall_time = time.perf_counter() - started
@@ -194,7 +202,7 @@ def _aggregate(config: ScenarioConfig, records: list[RunRecord]) -> dict:
 
 
 def run_experiment(config: ScenarioConfig, runs: int, base_seed: int,
-                   threads: int = 1, ospa_params: OspaParams = OspaParams()) -> ExperimentResult:
+                   threads: int = 1) -> ExperimentResult:
     """Execute ``runs`` independent simulations and aggregate the results.
 
     Content is fully determined by (config, base_seed, runs); the thread
@@ -206,11 +214,11 @@ def run_experiment(config: ScenarioConfig, runs: int, base_seed: int,
     started = time.perf_counter()
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(simulate_run, config, i, base_seed, ospa_params, availability)
+            futures = [pool.submit(simulate_run, config, i, base_seed, availability)
                        for i in range(runs)]
             records = [f.result() for f in futures]
     else:
-        records = [simulate_run(config, i, base_seed, ospa_params, availability)
+        records = [simulate_run(config, i, base_seed, availability)
                    for i in range(runs)]
     records.sort(key=lambda r: r.run_index)
     elapsed = time.perf_counter() - started

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoincidentPoints, DegenerateSurface, DegeneratePair
+from .errors import CoincidentPoints, DegenerateSurface
 
 EPS_GEO = 1e-6
 """Degeneracy threshold in meters (far below any physical scale here)."""
@@ -84,77 +84,59 @@ class WallSegment:
         object.__setattr__(self, "b", b)
 
 
-def mva_to_va(mva, pa, strict: bool = True):
+def mva_to_va(mva, pa):
     """Map MVA point(s) to the VA of the anchor ``pa`` across that surface.
 
     Algebraic form ``-(2 <mva, pa> / |mva|^2 - 1) mva + pa``; equal to
-    mirroring ``pa`` across the surface the MVA encodes.
-
-    With ``strict=False`` degenerate rows (``|mva| <= EPS_GEO``) yield NaN
-    instead of raising, which callers can mask per-particle.
+    mirroring ``pa`` across the surface the MVA encodes.  Degenerate rows
+    (``|mva| <= EPS_GEO``) yield NaN, which callers mask per particle.
     """
     mva = _as_points(mva)
     pa = _as_points(pa)
     nrm2 = np.sum(mva * mva, axis=-1)
     bad = nrm2 <= EPS_GEO * EPS_GEO
-    if strict and bad.any():
-        raise DegenerateSurface("MVA norm below degeneracy threshold")
     denom = np.where(bad, 1.0, nrm2)
     scale = -(2.0 * np.sum(mva * pa, axis=-1) / denom - 1.0)
     va = scale[..., None] * mva + pa
-    if not strict and bad.any():
+    if bad.any():
         va = np.where(bad[..., None], np.nan, va)
     return va
 
 
-def double_bounce_va(mva_s, mva_s2, pa, strict: bool = True):
-    """VA of a two-reflection path: last bounce at ``mva_s``'s surface.
-
-    Composition of the single transform: the anchor is first mirrored across
-    the surface of ``mva_s2`` (the bounce nearest the anchor), then across
-    the surface of ``mva_s`` (the bounce nearest the agent).
-    """
-    return mva_to_va(mva_s, mva_to_va(mva_s2, pa, strict=strict), strict=strict)
-
-
-def va_to_mva(va, pa, strict: bool = True):
+def va_to_mva(va, pa):
     """Inverse transform: recover the MVA from a single-bounce VA and its PA.
 
     ``(|pa|^2 - |va|^2) / |pa - va|^2 * (pa - va)``.  Degenerate when the VA
-    coincides with the PA (any surface through their midpoint would do).
+    coincides with the PA (any surface through their midpoint would do):
+    such rows yield NaN.
     """
     va = _as_points(va)
     pa = _as_points(pa)
     diff = pa - va
     d2 = np.sum(diff * diff, axis=-1)
     bad = d2 <= EPS_GEO * EPS_GEO
-    if strict and bad.any():
-        raise DegeneratePair("VA coincides with the PA")
     denom = np.where(bad, 1.0, d2)
     pa2 = np.sum(np.broadcast_to(pa, diff.shape) ** 2, axis=-1)
     va2 = np.sum(va * va, axis=-1)
     mva = ((pa2 - va2) / denom)[..., None] * diff
-    if not strict and bad.any():
+    if bad.any():
         mva = np.where(bad[..., None], np.nan, mva)
     return mva
 
 
-def path_distance_angle(agent_pos, heading, va, strict: bool = True):
+def path_distance_angle(agent_pos, heading, va):
     """Distance and arrival angle of the path represented by a VA.
 
     Returns ``(d, phi)`` with ``d = |agent - va|`` and
     ``phi = wrap(atan2(agent - va) - heading)``: the angle of arrival is
     measured from the VA toward the agent, relative to the agent heading.
+    Raises :class:`CoincidentPoints` where the agent sits on the VA.
     """
     agent_pos = _as_points(agent_pos)
     va = _as_points(va)
     diff = agent_pos - va
     d = np.hypot(diff[..., 0], diff[..., 1])
-    bad = d <= EPS_GEO
-    if strict and bad.any():
+    if (d <= EPS_GEO).any():
         raise CoincidentPoints("agent position coincides with the VA")
     phi = wrap_angle(np.arctan2(diff[..., 1], diff[..., 0]) - np.asarray(heading, dtype=float))
-    if not strict and bad.any():
-        d = np.where(bad, np.nan, d)
-        phi = np.where(bad, np.nan, phi)
     return d, phi

@@ -8,13 +8,11 @@ unmatched points each pay the full cutoff.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import double_bounce_va, mva_to_va
-from .raytrace import PathClass
+from .geometry import EPS_GEO, mva_to_va
 
 
 @dataclass(frozen=True)
@@ -36,7 +34,7 @@ def _as_set(points) -> np.ndarray:
     return arr
 
 
-def ospa(est, truth, params: OspaParams = OspaParams()) -> float:
+def ospa(est, truth, params: OspaParams) -> float:
     """OSPA distance between two planar point sets (empty sets allowed)."""
     est = _as_set(est)
     truth = _as_set(truth)
@@ -55,47 +53,43 @@ def ospa(est, truth, params: OspaParams = OspaParams()) -> float:
     return float((total / n) ** (1.0 / p))
 
 
-def dedupe_points(points, tol: float = 1e-6) -> np.ndarray:
-    """Drop points that coincide with an earlier one (within tol)."""
+def dedupe_points(points) -> np.ndarray:
+    """Drop points that coincide with an earlier one (within ``EPS_GEO``)."""
     points = _as_set(points)
     kept: list[np.ndarray] = []
     for q in points:
-        if not any(np.hypot(*(q - k)) <= tol for k in kept):
+        if not any(np.hypot(*(q - k)) <= EPS_GEO for k in kept):
             kept.append(q)
     return np.array(kept).reshape(-1, 2)
 
 
-def va_set(mvas, pa, include_double: bool = True, paths: Collection[PathClass] | None = None):
+def va_set(mvas, pa, include_double: bool = True):
     """VA positions generated by a set of MVAs for one anchor.
 
     Surface ``s`` is row ``s`` of ``mvas``.  Returns deduplicated points
     (perpendicular surface pairs map both bounce orders onto one VA), in the
-    order single bounce at ``s``, then ``(s, s2)`` for every ``s2``.
-    ``paths`` optionally restricts which paths contribute.
+    order single bounce at ``s``, then ``(s, s2)`` for every ``s2``.  Points
+    of a degenerate MVA (within ``EPS_GEO`` of the origin) are dropped.
     """
     mvas = _as_set(mvas)
-    pa = np.asarray(pa, dtype=float)
-    points = []
-    wanted = None if paths is None else set(paths)
-    for s, mva in enumerate(mvas):
-        if wanted is None or PathClass(s=s) in wanted:
-            points.append(mva_to_va(mva, pa))
-        if include_double:
-            for s2, mva2 in enumerate(mvas):
-                if s2 == s:
-                    continue
-                if wanted is None or PathClass(s=s, s2=s2) in wanted:
-                    points.append(double_bounce_va(mva, mva2, pa))
-    return dedupe_points(points) if points else np.zeros((0, 2))
+    n = len(mvas)
+    singles = mva_to_va(mvas, pa)                              # (S, 2)
+    points = singles[:, None]
+    if include_double and n > 1:
+        doubles = mva_to_va(mvas[:, None], singles)            # [s, s2]: bounce at s2, then s
+        points = np.concatenate([points, doubles[~np.eye(n, dtype=bool)].reshape(n, n - 1, 2)],
+                                axis=1)
+    points = points.reshape(-1, 2)
+    return dedupe_points(points[np.isfinite(points).all(axis=1)])
 
 
-def va_ospa(confirmed_mvas, truth_vas, pa, params: OspaParams = OspaParams(),
+def va_ospa(confirmed_mvas, truth_vas, pa, params: OspaParams,
             include_double: bool = True) -> float:
     """OSPA between the VA set implied by estimated MVAs and the truth VAs.
 
-    ``truth_vas`` is the anchor's true VA set, as :func:`va_set` builds it
-    from the paths available somewhere along the trajectory (unavailable
-    paths are unobservable).  The anchor point itself is not scored.
+    ``truth_vas`` is the anchor's true VA set: the VAs of the paths available
+    somewhere along the trajectory (unavailable paths are unobservable).
+    The anchor point itself is not scored.
     """
     est = va_set(confirmed_mvas, pa, include_double=include_double)
     return ospa(est, truth_vas, params)

@@ -31,8 +31,8 @@ class PathClass:
     """One propagation path: LOS, single bounce at ``s``, or double bounce.
 
     For a double bounce ``(s, s2)``, ``s`` is the surface of the bounce
-    nearest the agent and ``s2`` the one nearest the anchor, matching the
-    virtual-anchor composition in :func:`mvaslam.geometry.double_bounce_va`.
+    nearest the agent and ``s2`` the one nearest the anchor: its VA mirrors
+    the anchor across ``s2`` first, then across ``s`` (:func:`backward_trace`).
     """
 
     s: Optional[int] = None
@@ -65,7 +65,7 @@ class Environment:
     MVAs and extents and both obstacle sets are computed once, on first use:
     ``segments`` (walls and blockers, as the truth sees them) and
     ``blocker_segments`` (blockers only, as the filter sees them), each a
-    tuple of ``(a, b, surface_index)`` triples, ``None`` for a blocker.
+    tuple of ``(a, b)`` endpoint pairs.
     """
 
     walls: tuple[WallSegment, ...] = ()
@@ -98,11 +98,11 @@ class Environment:
 
     @cached_property
     def blocker_segments(self) -> tuple:
-        return tuple((w.a, w.b, None) for w in self.blockers)
+        return tuple((w.a, w.b) for w in self.blockers)
 
     @cached_property
     def segments(self) -> tuple:
-        return tuple((w.a, w.b, k) for k, w in enumerate(self.walls)) + self.blocker_segments
+        return tuple((w.a, w.b) for w in self.walls) + self.blocker_segments
 
     def nearest_extents(self, clouds):
         """Per-particle extents of estimated surfaces clipped to the nearest wall.
@@ -129,8 +129,9 @@ class Environment:
         """Trace every path in ``paths`` against the true geometry.
 
         Wall ``k`` is surface ``k``.  Each bounce is clipped to its wall's
-        extent, and every wall and blocker obstructs, except that the hop
-        arriving at a bounce ignores that bounce's own wall.  ``agent`` and
+        extent, and every wall and blocker obstructs; a hop ends on the wall
+        of the bounce it arrives at, which the endpoint margin of
+        :func:`segment_blocks` keeps from blocking it.  ``agent`` and
         ``pa`` are (..., 2) and broadcast together.  Returns the VAs
         (..., P, 2) and the availability (..., P), one column per path.
         """
@@ -148,7 +149,7 @@ class Environment:
             idx = np.array([bounces[k] for k in cols], dtype=int).reshape(len(cols), -1).T
             va[..., cols, :], available[..., cols] = backward_trace(
                 agent, pa, [self.wall_mvas[i] for i in idx], [(lo[i], hi[i]) for i in idx],
-                self.segments, exclude=idx)
+                self.segments)
         return va, available
 
 
@@ -199,12 +200,13 @@ def line_crossing(p, q, normal, offset):
     return ok, hit
 
 
-def segment_blocks(p, q, a, b, eps: float = EPS_GEO):
+def segment_blocks(p, q, a, b):
     """True where segment [a, b] obstructs the open interior of hop [p, q].
 
-    Crossings within ``eps`` (in meters) of the hop endpoints do not count:
-    hop endpoints lie on reflectors by construction.  Grazing the blocking
-    segment's own endpoints does count (deterministic tie-break).
+    Crossings within ``EPS_GEO`` of the hop endpoints do not count: hop
+    endpoints lie on reflectors by construction, so a reflector never blocks
+    the hops that meet at it.  Grazing the blocking segment's own endpoints
+    does count (deterministic tie-break).
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -221,20 +223,20 @@ def segment_blocks(p, q, a, b, eps: float = EPS_GEO):
     hop_len = np.hypot(pq[..., 0], pq[..., 1])
     seg_len = np.hypot(ab[..., 0], ab[..., 1])
     scale = np.maximum(seg_len * hop_len, 1e-300)
-    collinear = (np.abs(cross_ap) <= eps * scale) & (np.abs(cross_aq) <= eps * scale)
+    collinear = (np.abs(cross_ap) <= EPS_GEO * scale) & (np.abs(cross_aq) <= EPS_GEO * scale)
     if not (crossing.any() or collinear.any()):
         return crossing                       # apart everywhere: nothing blocks
 
     denom_t = cross_ap - cross_aq
     safe_t = np.abs(denom_t) > 1e-300
     t = np.where(safe_t, cross_ap / np.where(safe_t, denom_t, 1.0), -1.0)
-    margin = np.where(hop_len > 0, eps / np.maximum(hop_len, 1e-300), 0.0)
+    margin = np.where(hop_len > 0, EPS_GEO / np.maximum(hop_len, 1e-300), 0.0)
     interior = (t > margin) & (t < 1.0 - margin)
 
     denom_u = cross_pa - cross_pb
     safe_u = np.abs(denom_u) > 1e-300
     u = np.where(safe_u, cross_pa / np.where(safe_u, denom_u, 1.0), -1.0)
-    margin_u = eps / np.maximum(seg_len, 1e-300)
+    margin_u = EPS_GEO / np.maximum(seg_len, 1e-300)
     within = (u >= -margin_u) & (u <= 1.0 + margin_u)
 
     blocked = crossing & safe_t & safe_u & interior & within
@@ -251,38 +253,28 @@ def segment_blocks(p, q, a, b, eps: float = EPS_GEO):
     return blocked
 
 
-def hop_obstructed(p, q, segments, exclude_index=None, eps: float = EPS_GEO):
+def hop_obstructed(p, q, segments):
     """True where any wall/blocker segment obstructs hop [p, q].
 
-    ``segments`` is a sequence of (a, b, surface_index) triples.  A segment
-    does not count for the hops whose ``exclude_index`` (a scalar, or an
-    array broadcasting against the hops) equals its surface index: a
-    reflector never blocks the hop it reflects.  Without a counted segment
-    the result is a scalar False.
+    ``segments`` is a sequence of ``(a, b)`` endpoint pairs.  Without
+    segments the result is a scalar False.
     """
     blocked = np.False_
-    for a, b, surface_index in segments:
-        if exclude_index is None or surface_index is None:
-            blocked = blocked | segment_blocks(p, q, a, b, eps=eps)
-            continue
-        counts = np.asarray(exclude_index) != surface_index
-        if counts.any():
-            blocked = blocked | (segment_blocks(p, q, a, b, eps=eps) & counts)
+    for a, b in segments:
+        blocked = blocked | segment_blocks(p, q, a, b)
     return blocked
 
 
-def backward_trace(agent, pa, bounces=(), extents=(), obstacles=(), exclude=None,
-                   check: bool = True, eps: float = EPS_GEO):
+def backward_trace(agent, pa, bounces=(), extents=(), obstacles=(), check: bool = True):
     """Backward-trace paths from the agent to the anchor ``pa``.
 
     ``bounces`` lists the reflecting surfaces as MVA arrays, the bounce
     nearest the agent first: empty for LOS, one surface for a single bounce,
     two for a double bounce.  ``extents`` holds each bounce's reflector
     extent ``(lo, hi)`` in the tangent coordinate of its surface (infinite
-    bounds for an unbounded reflector).  ``obstacles`` are ``(a, b,
-    surface_index)`` segments; ``exclude[k]``, when given, names the surface
-    whose segments the hop arriving at bounce ``k`` ignores.  Agent points,
-    surfaces and extents broadcast over leading axes (the path rows).
+    bounds for an unbounded reflector).  ``obstacles`` are ``(a, b)``
+    segments.  Agent points, surfaces and extents broadcast over leading
+    axes (the path rows).
 
     The image method mirrors the anchor across the bounces from the anchor
     side; the trace then walks from the agent toward each image, requiring
@@ -296,7 +288,7 @@ def backward_trace(agent, pa, bounces=(), extents=(), obstacles=(), exclude=None
     pa = np.asarray(pa, dtype=float)
     images = [pa]
     for mva in reversed(bounces):
-        images.insert(0, mva_to_va(mva, images[0], strict=False))
+        images.insert(0, mva_to_va(mva, images[0]))
     valid = np.ones(agent.shape[:-1], dtype=bool)
     available = valid
     p = agent
@@ -308,11 +300,10 @@ def backward_trace(agent, pa, bounces=(), extents=(), obstacles=(), exclude=None
         crossed, hit = line_crossing(p, images[k], normal, offset)
         tau = _along(hit, normal)
         lo, hi = extents[k]
-        skip = None if exclude is None else exclude[k]
-        available = (available & crossed & (tau >= lo - eps) & (tau <= hi + eps)
-                     & ~hop_obstructed(p, hit, obstacles, skip, eps=eps))
+        available = (available & crossed & (tau >= lo - EPS_GEO) & (tau <= hi + EPS_GEO)
+                     & ~hop_obstructed(p, hit, obstacles))
         p = hit
     va = np.where(valid[..., None], images[0], 0.0)
     if not check:
         return va, valid
-    return va, valid & available & ~hop_obstructed(p, pa, obstacles, eps=eps)
+    return va, valid & available & ~hop_obstructed(p, pa, obstacles)

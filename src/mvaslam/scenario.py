@@ -17,7 +17,7 @@ import numpy as np
 
 from .engine import HyperParams, ncv_matrices
 from .errors import ScenarioError
-from .geometry import Surface, WallSegment
+from .geometry import EPS_GEO, Surface, WallSegment
 from .measurement import ClutterModel, NoiseProfile, PathNoise
 from .raytrace import Environment
 
@@ -67,7 +67,7 @@ def _fail(path: str, message: str):
     raise ScenarioError(f"{path}: {message}")
 
 
-_JSON_TYPES = {"an object": dict, "a list": list, "true or false": bool}
+_JSON_TYPES = {"an object": dict, "a list": list, "a string": str, "true or false": bool}
 
 
 def _expect(value, what: str, path: str):
@@ -89,13 +89,7 @@ def _number(value, path: str, integer: bool = False):
 def _get_pair(value, path: str) -> np.ndarray:
     if (not isinstance(value, (list, tuple))) or len(value) != 2:
         _fail(path, "expected [x, y]")
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        _fail(path, "expected numeric [x, y]")
-    if not np.all(np.isfinite(arr)):
-        _fail(path, "coordinates must be finite")
-    return arr
+    return np.array([_number(v, f"{path}[{i}]") for i, v in enumerate(value)])
 
 
 def _parse_segment(obj, path: str, reflective: bool = False) -> WallSegment:
@@ -170,7 +164,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise ScenarioError("top level: expected an object")
 
-    name = doc.get("name", "scenario")
+    name = _expect(doc.get("name", "scenario"), "a string", "name")
 
     if "walls" not in doc or not doc["walls"]:
         _fail("walls", "at least one wall segment is required")
@@ -204,11 +198,11 @@ def parse_scenario(text: str) -> ScenarioConfig:
         params_doc.setdefault(f"p_detect_{kind}", p_detect)
     if "birth_region" in params_doc:
         region = params_doc["birth_region"]
-        try:
-            params_doc["birth_region"] = ((float(region[0][0]), float(region[0][1])),
-                                          (float(region[1][0]), float(region[1][1])))
-        except (TypeError, IndexError, KeyError, ValueError):
+        if not isinstance(region, list) or len(region) != 2:
             _fail("params.birth_region", "expected [[xlo, xhi], [ylo, yhi]]")
+        params_doc["birth_region"] = tuple(
+            tuple(_get_pair(bounds, f"params.birth_region[{i}]").tolist())
+            for i, bounds in enumerate(region))
     if "use_double_bounce" in params_doc:
         _fail("params.use_double_bounce", "set the top-level 'double_bounce' flag instead")
     types = {f.name: f.type for f in fields(HyperParams)}
@@ -240,6 +234,11 @@ def parse_scenario(text: str) -> ScenarioConfig:
         waypoints = _ncv_waypoints(traj["ncv"], params.dt)
     else:
         _fail("trajectory", "expected 'waypoints' or 'ncv'")
+    # an agent on an anchor has no arrival angle for that anchor's LOS path
+    on_anchor = np.argwhere(np.linalg.norm(waypoints[:, None] - np.array(pas), axis=-1) <= EPS_GEO)
+    if len(on_anchor):
+        i, j = on_anchor[0]
+        _fail("trajectory", f"waypoint {i} coincides with the anchor pas[{j}]")
 
     return ScenarioConfig(name=name, walls=walls, blockers=blockers, pas=pas,
                           waypoints=waypoints, profile=profile, clutter=clutter,

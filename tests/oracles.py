@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mvaslam.geometry import double_bounce_va, mva_to_va, path_distance_angle, wrap_angle
+from mvaslam.geometry import mva_to_va, path_distance_angle, wrap_angle
 from mvaslam.raytrace import PathClass
 
 AMBIGUOUS = "ambiguous"
@@ -241,6 +241,16 @@ def unit_normal(surface):
 def line_point(surface):
     """A point on a surface line (the foot of the origin's mirror)."""
     return surface.mva / 2.0
+
+
+def double_bounce_va(mva_s, mva_s2, pa):
+    """VA of a two-reflection path: last bounce at ``mva_s``'s surface.
+
+    Composition of the single transform: the anchor is first mirrored across
+    the surface of ``mva_s2`` (the bounce nearest the anchor), then across
+    the surface of ``mva_s`` (the bounce nearest the agent).
+    """
+    return mva_to_va(mva_s, mva_to_va(mva_s2, pa))
 
 
 def mirror_point(p, surface):

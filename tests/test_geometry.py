@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
 
-from mvaslam.errors import CoincidentPoints, DegeneratePair, DegenerateSurface
+from mvaslam.errors import CoincidentPoints, DegenerateSurface
 from mvaslam.geometry import (
     Surface,
     WallSegment,
-    double_bounce_va,
     mva_to_va,
     path_distance_angle,
     va_to_mva,
     wrap_angle,
 )
 
-from oracles import line_point, mirror_point, unit_normal
+from oracles import double_bounce_va, line_point, mirror_point, unit_normal
 
 WALL_X5 = Surface(mva=np.array([10.0, 0.0]))   # line x = 5
 WALL_Y4 = Surface(mva=np.array([0.0, 8.0]))    # line y = 4
@@ -105,16 +104,18 @@ def test_va_to_mva_round_trip_random():
         assert np.allclose(va_to_mva(va, pa), s.mva, atol=1e-9)
 
 
-def test_va_to_mva_degenerate_pair_raises():
-    with pytest.raises(DegeneratePair):
-        va_to_mva([1.0, 0.0], [1.0, 0.0])
+def test_va_to_mva_degenerate_pair_is_nan():
+    # a VA on its PA fixes no surface: that row is NaN, the others are exact
+    mva = va_to_mva([[1.0, 2.0], [9.0, 2.0]], [1.0, 2.0])
+    assert np.all(np.isnan(mva[0])) and np.allclose(mva[1], [10.0, 0.0])
+    assert np.all(np.isnan(va_to_mva([1.0, 0.0], [1.0, 0.0])))
 
 
 def test_degenerate_surface_through_origin():
     with pytest.raises(DegenerateSurface):
         Surface(mva=np.array([0.0, 0.0]))
-    with pytest.raises(DegenerateSurface):
-        mva_to_va([0.0, 1e-9], [1.0, 2.0])
+    va = mva_to_va([[0.0, 1e-9], [10.0, 0.0]], [1.0, 2.0])
+    assert np.all(np.isnan(va[0])) and np.allclose(va[1], [9.0, 2.0])
 
 
 def test_reflected_path_length_property():

@@ -55,6 +55,59 @@ def read_names(source: str) -> set[str]:
     return names
 
 
+def defaulted_parameters(source: str) -> list[tuple[str, str, int | None]]:
+    """``(callee, parameter, position)`` of every parameter with a default.
+
+    A call names a function or method by its own name and a constructor by its
+    class's name; a method's positions do not count ``self`` or ``cls``.  The
+    position is None for a keyword-only parameter.
+    """
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+                continue
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, cls)
+                continue
+            args = child.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in child.decorator_list)
+            bound = cls is not None and not static
+            callee = cls if bound and child.name == "__init__" else child.name
+            found.extend((callee, arg.arg, k - bound) for k, arg in enumerate(positional) if k >= first)
+            found.extend((callee, arg.arg, None) for arg, default
+                         in zip(args.kwonlyargs, args.kw_defaults) if default is not None)
+            visit(child, None)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def passed_arguments(source: str) -> dict[str, list[tuple[int, set[str], bool]]]:
+    """Per callee name, each call's positional count, keyword names and whether it splats."""
+    calls: dict[str, list] = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            splat = (any(isinstance(a, ast.Starred) for a in node.args)
+                     or any(k.arg is None for k in node.keywords))
+            calls.setdefault(name, []).append(
+                (len(node.args), {k.arg for k in node.keywords if k.arg}, splat))
+    return calls
+
+
+def unset_parameters(definitions: str, calls: dict[str, list]) -> list[str]:
+    """Defaulted parameters in ``definitions`` that no call in ``calls`` passes."""
+    return [f"{callee}({param}=)" for callee, param, position in defaulted_parameters(definitions)
+            if not any(splat or param in keywords or (position is not None and position < n_args)
+                       for n_args, keywords, splat in calls.get(callee, []))]
+
+
 def test_checker_flags_only_unused_names():
     source = ("from __future__ import annotations\n"
               "import os.path\n"
@@ -82,6 +135,32 @@ def test_reference_checker_sees_names_and_attributes():
               "    def _hidden(self):\n        pass\n")
     assert public_names(source) == ["used", "spare", "Box", "open", "shut"]
     assert read_names("spare = 1\nused(Box().open)\n") == {"used", "Box", "open"}
+
+
+def test_parameter_checker_sees_positions_keywords_and_splats():
+    source = ("def f(a, b=1, c=2, *, d=3):\n    pass\n"
+              "def g(x=0):\n    pass\n"
+              "def h(y=0):\n    pass\n"
+              "class Box:\n"
+              "    def __init__(self, size=1, lid=False):\n        pass\n"
+              "    def open(self, wide=False):\n        pass\n"
+              "    @staticmethod\n"
+              "    def make(kind=None):\n        pass\n")
+    calls = passed_arguments("f(1, 2, d=4)\ng(*xs)\nBox(3).open()\nBox.make('tin')\n")
+    assert unset_parameters(source, calls) == ["f(c=)", "h(y=)", "Box(lid=)", "open(wide=)"]
+    assert unset_parameters(source, passed_arguments("m.f(0, 0, 0)\nh(**kw)\n")) == [
+        "f(d=)", "g(x=)", "Box(size=)", "Box(lid=)", "open(wide=)", "make(kind=)"]
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    # a default that no caller overrides is a constant, not a parameter
+    calls: dict[str, list] = {}
+    for path in READERS:
+        for name, found in passed_arguments(path.read_text(encoding="utf-8")).items():
+            calls.setdefault(name, []).extend(found)
+    findings = [f"{path.relative_to(ROOT)} {finding}" for path in PACKAGE
+                for finding in unset_parameters(path.read_text(encoding="utf-8"), calls)]
+    assert not findings, "parameters no call sets:\n" + "\n".join(findings)
 
 
 def test_public_names_are_used_outside_tests():

@@ -1,11 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from mvaslam.geometry import double_bounce_va, mva_to_va
+from mvaslam.experiment import available_path_keys, truth_va_sets
+from mvaslam.geometry import mva_to_va
 from mvaslam.metrics import OspaParams, dedupe_points, ospa, va_ospa, va_set
 from mvaslam.raytrace import PathClass
+from mvaslam.scenario import bundled_scenario
 
-from oracles import brute_force_assignment_cost
+from oracles import brute_force_assignment_cost, double_bounce_va
 
 P51 = OspaParams(cutoff=5.0, order=1.0)
 
@@ -73,15 +77,15 @@ def test_dedupe_points():
 
 def test_va_ospa_perfect_single_estimate():
     pa = np.array([1.0, 2.0])
-    truth = va_set([[10.0, 0.0]], pa, paths=[PathClass(s=0)])
+    truth = np.array([[9.0, 2.0]])          # pa mirrored across x = 5
     val = va_ospa(np.array([[10.0, 0.0]]), truth, pa, params=P51)
     assert val == pytest.approx(0.0, abs=1e-12)
 
 
 def test_va_ospa_all_missed():
-    mvas = [[10.0, 0.0], [-10.0, 0.0], [0.0, 7.0], [0.0, -7.0]]
     pa = [1.0, 2.0]
-    truth = va_set(mvas, pa, paths=[PathClass(s=s) for s in range(4)])
+    # pa mirrored across x = 5, x = -5, y = 3.5 and y = -3.5
+    truth = np.array([[9.0, 2.0], [-11.0, 2.0], [1.0, 5.0], [1.0, -9.0]])
     val = va_ospa(np.zeros((0, 2)), truth, pa, params=P51)
     assert val == pytest.approx(5.0)
 
@@ -93,8 +97,7 @@ def test_va_ospa_hand_computed_room():
     va_xx = np.array([9.0, 2.0])         # mirror across x=5
     va_yy = np.array([1.0, 6.0])         # mirror across y=4
     va_dd = np.array([9.0, 6.0])         # both orders coincide (perpendicular)
-    paths = [PathClass(s=0), PathClass(s=1), PathClass(s=0, s2=1), PathClass(s=1, s2=0)]
-    truth_set = va_set(mvas, pa, paths=paths)
+    truth_set = np.array([va_xx, va_yy, va_dd])
     assert truth_set.shape == (3, 2)
     for expected in (va_xx, va_yy, va_dd):
         assert np.min(np.hypot(*(truth_set - expected).T)) < 1e-9
@@ -113,9 +116,7 @@ def test_va_set_availability_filter():
     mvas = np.array([[10.0, 0.0], [0.0, 8.0]])
     pa = np.array([1.0, 2.0])
     full = va_set(mvas, pa)
-    only_singles = va_set(mvas, pa, paths=[PathClass(s=0), PathClass(s=1)])
     assert full.shape[0] == 3  # 2 singles + 1 merged double
-    assert only_singles.shape[0] == 2
     assert va_set(mvas, pa, include_double=False).shape[0] == 2
 
 
@@ -126,6 +127,40 @@ def test_va_set_point_order():
     want = [mva_to_va(mvas[0], pa), double_bounce_va(mvas[0], mvas[1], pa),
             mva_to_va(mvas[1], pa), double_bounce_va(mvas[1], mvas[0], pa)]
     assert np.array_equal(va_set(mvas, pa), np.array(want))
+
+
+def test_va_ospa_ignores_degenerate_estimate():
+    # a confirmed MVA at the origin implies no VA: it scores as no estimate
+    mvas = np.array([[10.0, 0.0], [0.0, 8.0]])
+    pa = np.array([1.0, 2.0])
+    truth = va_set(mvas, pa)
+    assert va_set([[0.0, 0.0], [10.0, 0.0]], pa).shape == (1, 2)
+    assert va_ospa(np.array([[0.0, 0.0]]), truth, pa, P51) == va_ospa(np.zeros((0, 2)), truth, pa, P51)
+
+
+def reference_truth_vas(mvas, pa, seen):
+    """The true VAs of the paths in ``seen``, one surface at a time: single
+    bounce at ``s``, then ``(s, s2)`` for every ``s2``, deduplicated."""
+    points = []
+    for s, mva in enumerate(mvas):
+        if PathClass(s=s) in seen:
+            points.append(mva_to_va(mva, pa))
+        for s2, mva2 in enumerate(mvas):
+            if s2 != s and PathClass(s=s, s2=s2) in seen:
+                points.append(double_bounce_va(mva, mva2, pa))
+    return dedupe_points(points)
+
+
+@pytest.mark.parametrize("name", ["exp1_rect_room", "exp3_olos", "nonrect"])
+def test_truth_va_sets_match_va_set_of_seen_paths(name):
+    for double in (True, False):
+        config = replace(bundled_scenario(name), double_bounce=double)
+        truth = available_path_keys(config)
+        seen = truth.available.any(axis=1)
+        for j, got in enumerate(truth_va_sets(truth)):
+            paths = {path for path, s in zip(truth.paths, seen[j]) if s}
+            want = reference_truth_vas(config.environment.wall_mvas, config.pas[j], paths)
+            assert len(want) and np.array_equal(got, want), (name, double, j)
 
 
 def test_ospa_params_validation():

@@ -129,6 +129,19 @@ def with_value(key, value):
     ("walls.1.reflective", "false", r"^walls\[1\]\.reflective: expected true or false"),
     ("double_bounce", "no", r"^double_bounce: expected true or false"),
     ("params.visibility_check", "false", r"^params\.visibility_check: expected true or false"),
+    # coordinates, birth-region bounds and the name have their JSON types too
+    ("pas.0.0", "1.0", r"^pas\[0\]\[0\]: expected a finite number, got \"1.0\""),
+    ("walls.0.b.1", "3.5", r"^walls\[0\]\.b\[1\]: expected a finite number"),
+    ("trajectory.ncv.start", [True, False], r"^trajectory\.ncv\.start\[0\]: expected a finite number, got true"),
+    ("trajectory.waypoints", [[-2.0, 1.0], ["-1.9", 1.0]],
+     r"^trajectory\.waypoints\[1\]\[0\]: expected a finite number"),
+    ("params.birth_region", [["-inf", "inf"], [-15, 15]],
+     r"^params\.birth_region\[0\]\[0\]: expected a finite number"),
+    ("params.birth_region", [[-15, 15]], r"^params\.birth_region: expected \[\["),
+    ("name", 5, r"^name: expected a string, got 5"),
+    ("name", None, r"^name: expected a string, got null"),
+    # a waypoint on an anchor has no LOS arrival angle
+    ("pas.0", [-1.9, 1.0], r"^trajectory: waypoint 1 coincides with the anchor pas\[0\]"),
 ])
 def test_parse_rejects_malformed_values(key, value, message):
     assert parse_scenario(json.dumps(with_value("name", "valid"))).n_steps == 5
@@ -143,6 +156,16 @@ def test_cli_string_boolean_is_a_scenario_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("mvaslam: error: walls[1].reflective: expected true or false")
+
+
+def test_cli_waypoint_on_anchor_is_a_scenario_error(tmp_path, capsys):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["pas"].append(doc["trajectory"]["waypoints"][4])
+    path = tmp_path / "on_anchor.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["--scenario", str(path), "--runs", "1", "--out-dir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == "mvaslam: error: trajectory: waypoint 4 coincides with the anchor pas[1]\n"
 
 
 def test_round_trip_identity():
