@@ -24,9 +24,9 @@ import numpy as np
 
 from .association import AssociationInput, run_association
 from .errors import DegenerateWeights
-from .geometry import EPS_GEO, WallSegment, va_to_mva
+from .geometry import EPS_GEO, WallSegment, mva_to_va, va_to_mva
 from .measurement import ClutterModel, MeasurementBatch, NoiseProfile, TWO_PI
-from .raytrace import Environment, backward_trace
+from .raytrace import Environment, _surface_frame, trace_hops
 
 _DENOM_FLOOR = 1e-12
 _TRACE_CHUNK = 1 << 16  # (row, particle) elements traced per call
@@ -83,6 +83,15 @@ class HyperParams:
             raise ValueError("Poisson means must be non-negative")
         if self.n_particles < 1 or self.max_features < 1:
             raise ValueError("n_particles and max_features must be positive")
+        if self.assoc_max_iters < 1:
+            raise ValueError(f"assoc_max_iters={self.assoc_max_iters} must be at least 1: "
+                             "association without an iteration leaves no marginals")
+        for name in ("assoc_tol", "eps_velocity"):
+            value = getattr(self, name)
+            if not value >= 0.0:
+                raise ValueError(f"{name}={value} must be non-negative")
+        if not 0.0 <= self.pair_existence_floor <= 1.0:
+            raise ValueError(f"pair_existence_floor={self.pair_existence_floor} outside [0, 1]")
         (xlo, xhi), (ylo, yhi) = self.birth_region
         if not (xhi > xlo and yhi > ylo):
             raise ValueError("birth region must have positive area")
@@ -236,35 +245,42 @@ def _log_sum_exp(values: np.ndarray) -> float:
 
 def _block_likelihood(agent_xy, headings, va, avail, z, sigma_d, sigma_phi,
                       out_dtype=np.float64):
-    """Availability-masked likelihood (..., I, M) of a block of rows.
+    """Likelihood of a block of rows at its scoring entries only.
 
+    Returns ``(rows, parts, lik)``: the (row, particle) entries where the
+    path is available and the agent particle lies farther than ``EPS_GEO``
+    from its VA, in row-major order, and their likelihood (n, M).  Every
+    other entry of the block's (R, I, M) likelihood is zero by definition.
     ``sigma_d`` / ``sigma_phi`` are the noise levels of the block's path
     kind.  The double-bounce block requests float32 output; the distance and
-    angle grids are cast up front so no full-size float64 temporary is formed.
+    angle are cast up front so no full-size float64 temporary is formed.
     """
-    diff = agent_xy - va
-    d = np.hypot(diff[..., 0], diff[..., 1])
-    phi = np.arctan2(diff[..., 1], diff[..., 0]) - headings
-    valid = (d > EPS_GEO) & avail
+    rows, parts = np.nonzero(avail)
+    diff = agent_xy[parts] - va[rows, parts]
+    d = np.hypot(diff[:, 0], diff[:, 1])
+    keep = d > EPS_GEO
+    if not keep.all():
+        rows, parts, diff, d = rows[keep], parts[keep], diff[keep], d[keep]
+    phi = np.arctan2(diff[:, 1], diff[:, 0]) - headings[parts]
     d = d.astype(out_dtype, copy=False)
     phi = phi.astype(out_dtype, copy=False)
     z = z.astype(out_dtype, copy=False)
     sigma_d, sigma_phi = out_dtype(sigma_d), out_dtype(sigma_phi)
-    dphi = z[:, 1] - phi[..., None]
+    dphi = z[:, 1] - phi[:, None]
     # inputs lie in (-3 pi, 3 pi): two conditional shifts wrap to [-pi, pi]
     two_pi = out_dtype(2.0 * np.pi)
     dphi -= two_pi * (dphi > out_dtype(np.pi))
     dphi += two_pi * (dphi < out_dtype(-np.pi))
     dphi /= sigma_phi
-    dd = (z[:, 0] - d[..., None]) / sigma_d
-    # single fused exponential; the bivariate normalizer is factored out front
-    lik = dd * dd
-    lik += dphi * dphi
+    dd = z[:, 0] - d[:, None]
+    dd /= sigma_d
+    # single fused exponential, in place; the bivariate normalizer is factored out front
+    lik = np.square(dd, out=dd)
+    lik += np.square(dphi, out=dphi)
     lik *= out_dtype(-0.5)
     np.exp(lik, out=lik)
     lik /= (TWO_PI * sigma_d * sigma_phi)
-    lik *= valid[..., None]
-    return lik
+    return rows, parts, lik
 
 
 @dataclass
@@ -275,6 +291,9 @@ class _RowBlock:
     one nearest the agent first: (1, 0) for LOS, (S, 1) for single bounces
     and (P, 2) for active ordered pairs.  A row exists when all its members
     do, so ``exist`` is the product of their existences (1 for LOS).
+    The likelihood is kept at the scoring entries of :func:`_block_likelihood`
+    only: ``entries`` holds their (row, particle) indices and ``lik`` (n, M)
+    their values.
     """
 
     kind: str
@@ -282,7 +301,65 @@ class _RowBlock:
     rows: slice          # position in the evidence table
     exist: np.ndarray    # (R,)
     avail: np.ndarray    # (R, I)
-    lik: np.ndarray      # (R, I, M)
+    entries: tuple[np.ndarray, np.ndarray]  # (n,) row and (n,) particle indices
+    lik: np.ndarray      # (n, M)
+
+    def lik_sums(self) -> np.ndarray:
+        """Likelihood summed over the particles, (R, M) float64, in particle order."""
+        n_rows, n_meas = len(self.members), self.lik.shape[1]
+        sums = np.empty((n_rows, n_meas))
+        for m in range(n_meas):
+            sums[:, m] = np.bincount(self.entries[0], weights=self.lik[:, m], minlength=n_rows)
+        return sums
+
+    def response(self, eta: np.ndarray, denom: np.ndarray, p_d: float) -> np.ndarray:
+        """Per-particle response (R, I) of the rows to their messages ``eta`` (R, M+1).
+
+        The missed-detection term ``eta[:, 0] (1 - p_d)`` where the path is
+        available (``eta[:, 0]`` elsewhere) plus the likelihood mixture
+        ``p_d sum_m lik eta[:, m] / denom[m]`` at the scoring entries.
+        """
+        resp = eta[:, :1] * (1.0 - self.avail * p_d)
+        if self.lik.shape[1]:
+            eta_m = (eta[:, 1:] / denom[None, :]).astype(self.lik.dtype)
+            resp[self.entries] += p_d * np.einsum("em,em->e", self.lik, eta_m[self.entries[0]])
+        return resp
+
+
+class _FeatureTraces:
+    """Per-feature inputs of the row traces of one anchor block.
+
+    ``clouds`` (S, I, 2) holds the legacy features' MVA particles.  Each
+    feature's surface frame, single-bounce VA of the anchor and reflector
+    extent are computed once and shared by every row the feature is a
+    member of, so a pair row computes only its outer image.  The map holds
+    surface lines, not wall segments: only blockers obstruct.
+    """
+
+    def __init__(self, clouds: np.ndarray, pa: np.ndarray, ctx: Environment, check: bool):
+        self.clouds = clouds
+        self.pa = pa
+        self.frame = _surface_frame(clouds)
+        self.va1 = mva_to_va(clouds, pa)
+        self.extents = ctx.nearest_extents(clouds, self.frame[1])
+        self.obstacles = ctx.blocker_segments
+        self.check = check
+
+    def trace(self, agent_xy: np.ndarray, idx: np.ndarray):
+        """VAs and availability of the rows with members ``idx`` (k, R).
+
+        Bit for bit the result of :func:`backward_trace` on the surfaces
+        ``[clouds[i] for i in idx]``, shaped (R, I, 2) and (R, I) (one
+        broadcastable row for LOS).
+        """
+        images = [self.pa]
+        if len(idx):
+            images.insert(0, self.va1[idx[-1]])
+        for i in reversed(idx[:-1]):
+            images.insert(0, mva_to_va(self.clouds[i], images[0]))
+        return trace_hops(agent_xy, images, [tuple(a[i] for a in self.frame) for i in idx],
+                          [tuple(e[i] for e in self.extents) for i in idx], self.obstacles,
+                          self.check)
 
 
 def process_pa(agent: AgentBelief, log_weights: np.ndarray,
@@ -335,7 +412,7 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray,
     # availability and likelihood per block, traced in row chunks so the
     # tracer's temporaries stay small
     clouds = np.array([f.particles for f in legacy]).reshape(s_count, n_part, 2)
-    ext_lo, ext_hi = ctx.nearest_extents(clouds)
+    traces = _FeatureTraces(clouds, pa, ctx, params.visibility_check)
     chunk = max(1, _TRACE_CHUNK // n_part)
     blocks: list[_RowBlock] = []
     n_rows = 0
@@ -343,16 +420,12 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray,
         va = np.empty((len(members), n_part, 2))
         avail = np.empty((len(members), n_part), dtype=bool)
         for r in range(0, len(members), chunk):
-            idx = members[r:r + chunk].T
-            # the map holds surface lines, not wall segments: only blockers obstruct
-            va[r:r + chunk], avail[r:r + chunk] = backward_trace(
-                agent_xy, pa, [clouds[i] for i in idx], [(ext_lo[i], ext_hi[i]) for i in idx],
-                ctx.blocker_segments, check=params.visibility_check)
+            va[r:r + chunk], avail[r:r + chunk] = traces.trace(agent_xy, members[r:r + chunk].T)
         noise = getattr(profile, kind)
-        lik = _block_likelihood(agent_xy, agent.headings, va, avail, z,
-                                noise.sigma_d, noise.sigma_phi, _LIK_DTYPE[kind])
+        *entries, lik = _block_likelihood(agent_xy, agent.headings, va, avail, z,
+                                          noise.sigma_d, noise.sigma_phi, _LIK_DTYPE[kind])
         blocks.append(_RowBlock(kind, members, slice(n_rows, n_rows + len(members)),
-                                np.prod(pe[members], axis=1), avail, lik))
+                                np.prod(pe[members], axis=1), avail, tuple(entries), lik))
         n_rows += len(members)
 
     # birth-density values of the proposal clouds
@@ -369,7 +442,7 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray,
         p_d = params.p_detect(b.kind)
         beta[b.rows, 0] = b.exist * np.mean(1.0 - b.avail * p_d, axis=1) + (1.0 - b.exist)
         if n_meas:
-            beta[b.rows, 1:] = (b.exist[:, None] * p_d * b.lik.sum(axis=1, dtype=np.float64)
+            beta[b.rows, 1:] = (b.exist[:, None] * p_d * b.lik_sums()
                                 / n_part / denom[None, :])
     xi = np.ones((n_meas, n_rows + 1))
     if n_meas:
@@ -393,10 +466,7 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray,
             p_d = params.p_detect(b.kind)
             eta_b = eta[b.rows]
             eta0 = eta_b[:, :1]
-            resp = eta0 * (1.0 - b.avail * p_d)
-            if n_meas:
-                eta_m = (eta_b[:, 1:] / denom[None, :]).astype(b.lik.dtype)
-                resp = resp + p_d * np.einsum("rim,rm->ri", b.lik, eta_m)
+            resp = b.response(eta_b, denom, p_d)
             exist = b.exist[:, None]
             log_weights = log_weights + np.log(
                 np.maximum(exist * resp + eta0 * (1.0 - exist), 0.0)).sum(axis=0)

@@ -93,10 +93,10 @@ def mva_to_va(mva, pa):
     """
     mva = _as_points(mva)
     pa = _as_points(pa)
-    nrm2 = np.sum(mva * mva, axis=-1)
+    nrm2 = mva[..., 0] * mva[..., 0] + mva[..., 1] * mva[..., 1]
     bad = nrm2 <= EPS_GEO * EPS_GEO
     denom = np.where(bad, 1.0, nrm2)
-    scale = -(2.0 * np.sum(mva * pa, axis=-1) / denom - 1.0)
+    scale = -(2.0 * (mva[..., 0] * pa[..., 0] + mva[..., 1] * pa[..., 1]) / denom - 1.0)
     va = scale[..., None] * mva + pa
     if bad.any():
         va = np.where(bad[..., None], np.nan, va)
@@ -113,11 +113,11 @@ def va_to_mva(va, pa):
     va = _as_points(va)
     pa = _as_points(pa)
     diff = pa - va
-    d2 = np.sum(diff * diff, axis=-1)
+    d2 = diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1]
     bad = d2 <= EPS_GEO * EPS_GEO
     denom = np.where(bad, 1.0, d2)
-    pa2 = np.sum(np.broadcast_to(pa, diff.shape) ** 2, axis=-1)
-    va2 = np.sum(va * va, axis=-1)
+    pa2 = pa[..., 0] * pa[..., 0] + pa[..., 1] * pa[..., 1]
+    va2 = va[..., 0] * va[..., 0] + va[..., 1] * va[..., 1]
     mva = ((pa2 - va2) / denom)[..., None] * diff
     if bad.any():
         mva = np.where(bad[..., None], np.nan, mva)

@@ -54,13 +54,19 @@ def ospa(est, truth, params: OspaParams) -> float:
 
 
 def dedupe_points(points) -> np.ndarray:
-    """Drop points that coincide with an earlier one (within ``EPS_GEO``)."""
+    """Drop points that coincide (within ``EPS_GEO``) with an earlier kept point.
+
+    Order is kept.  Only a point near some earlier point can be dropped, and
+    whether it is depends on whether that neighbour was kept, so those points
+    are decided one at a time, in order.
+    """
     points = _as_set(points)
-    kept: list[np.ndarray] = []
-    for q in points:
-        if not any(np.hypot(*(q - k)) <= EPS_GEO for k in kept):
-            kept.append(q)
-    return np.array(kept).reshape(-1, 2)
+    diff = points[:, None] - points[None]
+    near = np.tril(np.hypot(diff[..., 0], diff[..., 1]) <= EPS_GEO, k=-1)   # [later, earlier]
+    keep = np.ones(len(points), dtype=bool)
+    for i in np.flatnonzero(near.any(axis=1)):
+        keep[i] = not (near[i] & keep).any()
+    return points[keep]
 
 
 def va_set(mvas, pa, include_double: bool = True):

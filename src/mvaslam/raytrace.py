@@ -7,12 +7,15 @@ extent, and every hop segment must be free of obstructions.  Availability
 feeds the per-path detection probabilities: an unavailable path cannot
 produce a measurement.
 
-One array tracer, :func:`backward_trace`, serves every caller.  The SLAM
-filter traces per-particle feature clouds; the experiment traces the true
-walls once, at every waypoint, through :meth:`Environment.trace_paths`,
-and measurement generation draws from that table.  Each caller supplies
-the reflector extents and the obstacle set, the one modelling difference
-between them.
+One array tracer serves every caller: :func:`backward_trace` builds a
+path's images and surface frames, and its hop loop, :func:`trace_hops`,
+walks them.  The experiment traces the true walls once, at every
+waypoint, through :meth:`Environment.trace_paths`, and measurement
+generation draws from that table.  The SLAM filter traces per-particle
+feature clouds: it computes every feature's frame and single-bounce image
+once per anchor and feeds them to :func:`trace_hops` row by row.  Each
+caller supplies the reflector extents and the obstacle set, the one
+modelling difference between them.
 """
 
 from __future__ import annotations
@@ -104,12 +107,14 @@ class Environment:
     def segments(self) -> tuple:
         return tuple((w.a, w.b) for w in self.walls) + self.blocker_segments
 
-    def nearest_extents(self, clouds):
+    def nearest_extents(self, clouds, normal):
         """Per-particle extents of estimated surfaces clipped to the nearest wall.
 
-        ``clouds`` (S, I, 2) holds the MVA particles of S estimated surfaces.
-        Each surface takes the wall whose MVA lies nearest its mean MVA, and
-        the wall's endpoints are projected onto every particle's line.
+        ``clouds`` (S, I, 2) holds the MVA particles of S estimated surfaces
+        and ``normal`` (S, I, 2) the unit normals of their lines (from
+        :func:`_surface_frame`).  Each surface takes the wall whose MVA lies
+        nearest its mean MVA, and the wall's endpoints are projected onto
+        every particle's line.
         Returns ``(lo, hi)`` of shape (S, I); without walls the reflectors are
         unbounded and both have shape (S, 1).
         """
@@ -120,7 +125,6 @@ class Environment:
         d = np.hypot(self.wall_mvas[:, 0] - means[:, None, 0],
                      self.wall_mvas[:, 1] - means[:, None, 1])
         ends = self.wall_ends[np.argmin(d, axis=1)]             # (S, 2, 2)
-        normal = _surface_frame(clouds)[1]
         ta = _along(ends[:, None, 0], normal)
         tb = _along(ends[:, None, 1], normal)
         return np.minimum(ta, tb), np.maximum(ta, tb)
@@ -149,7 +153,7 @@ class Environment:
             idx = np.array([bounces[k] for k in cols], dtype=int).reshape(len(cols), -1).T
             va[..., cols, :], available[..., cols] = backward_trace(
                 agent, pa, [self.wall_mvas[i] for i in idx], [(lo[i], hi[i]) for i in idx],
-                self.segments)
+                self.segments, check=True)
         return va, available
 
 
@@ -265,7 +269,7 @@ def hop_obstructed(p, q, segments):
     return blocked
 
 
-def backward_trace(agent, pa, bounces=(), extents=(), obstacles=(), check: bool = True):
+def backward_trace(agent, pa, bounces, extents, obstacles, check: bool):
     """Backward-trace paths from the agent to the anchor ``pa``.
 
     ``bounces`` lists the reflecting surfaces as MVA arrays, the bounce
@@ -277,23 +281,35 @@ def backward_trace(agent, pa, bounces=(), extents=(), obstacles=(), check: bool 
     axes (the path rows).
 
     The image method mirrors the anchor across the bounces from the anchor
-    side; the trace then walks from the agent toward each image, requiring
-    every bounce point to lie on its surface inside the extent and every hop
-    to be unobstructed.  Returns ``(va, available)``: the path's virtual
-    anchor (zero where a bounce surface is degenerate) and its availability.
-    With ``check=False`` nothing is traced and ``available`` only reports
-    non-degenerate surfaces.
+    side, and :func:`trace_hops` walks the hops.  Returns ``(va,
+    available)``: the path's virtual anchor (zero where a bounce surface is
+    degenerate) and its availability.  With ``check=False`` nothing is
+    traced and ``available`` only reports non-degenerate surfaces.
     """
-    agent = np.asarray(agent, dtype=float)
-    pa = np.asarray(pa, dtype=float)
-    images = [pa]
+    images = [np.asarray(pa, dtype=float)]
     for mva in reversed(bounces):
         images.insert(0, mva_to_va(mva, images[0]))
+    return trace_hops(agent, images, [_surface_frame(mva) for mva in bounces], extents,
+                      obstacles, check)
+
+
+def trace_hops(agent, images, frames, extents, obstacles, check: bool):
+    """Walk a path's hops from the agent, given its images and surface frames.
+
+    ``images`` holds, per bounce, the image of the anchor across that bounce
+    and every later one, then the anchor itself; ``images[0]`` is the VA.
+    ``frames`` holds each bounce's :func:`_surface_frame`.  Each hop runs
+    from the previous bounce point toward the next image; its bounce point
+    must lie on the surface inside the extent and the hop must be
+    unobstructed.  Arguments as in :func:`backward_trace`, whose result this
+    returns; the caller may compute the images and frames once and reuse
+    them across paths.
+    """
+    agent = np.asarray(agent, dtype=float)
     valid = np.ones(agent.shape[:-1], dtype=bool)
     available = valid
     p = agent
-    for k, mva in enumerate(bounces):
-        ok, normal, offset = _surface_frame(mva)
+    for k, (ok, normal, offset) in enumerate(frames):
         valid = valid & ok
         if not check:
             continue
@@ -306,4 +322,4 @@ def backward_trace(agent, pa, bounces=(), extents=(), obstacles=(), check: bool 
     va = np.where(valid[..., None], images[0], 0.0)
     if not check:
         return va, valid
-    return va, valid & available & ~hop_obstructed(p, pa, obstacles)
+    return va, valid & available & ~hop_obstructed(p, images[-1], obstacles)

@@ -296,3 +296,30 @@ def likelihood(z, agent_pos, heading, path, pa, mva_s=None, mva_s2=None, *, prof
     d, phi = predicted_measurement(agent_pos, heading, path, pa, mva_s, mva_s2)
     return float(gaussian_pdf(z.z_d, d, noise.sigma_d)
                  * gaussian_pdf(wrap_angle(z.z_phi - phi), 0.0, noise.sigma_phi))
+
+
+def dedupe_points_loop(points, tol):
+    """Keep each point unless it lies within ``tol`` of an earlier kept point."""
+    kept = []
+    for q in np.asarray(points, dtype=float).reshape(-1, 2):
+        if not any(np.hypot(*(q - k)) <= tol for k in kept):
+            kept.append(q)
+    return np.array(kept).reshape(-1, 2)
+
+
+def _dense_lik(rows, parts, lik, avail):
+    full = np.zeros(avail.shape + lik.shape[1:], dtype=lik.dtype)
+    full[rows, parts] = lik
+    return full
+
+
+def dense_lik_sums(rows, parts, lik, avail):
+    """Per-row likelihood sums over the particles from a dense (R, I, M) tensor."""
+    return _dense_lik(rows, parts, lik, avail).sum(axis=1, dtype=np.float64)
+
+
+def dense_response(rows, parts, lik, avail, eta, denom, p_d):
+    """Per-particle row responses (R, I) from a dense (R, I, M) likelihood tensor."""
+    resp = eta[:, :1] * (1.0 - avail * p_d)
+    eta_m = (eta[:, 1:] / denom[None, :]).astype(lik.dtype)
+    return resp + p_d * np.einsum("rim,rm->ri", _dense_lik(rows, parts, lik, avail), eta_m)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from mvaslam.engine import (
     AgentBelief,
     HyperParams,
     PmvaBelief,
+    _FeatureTraces,
+    _RowBlock,
     _block_likelihood,
     SlamFilter,
     draw_new_pmva,
@@ -16,7 +20,14 @@ from mvaslam.engine import (
     systematic_resample,
 )
 from mvaslam.errors import DegenerateWeights
-from mvaslam.geometry import WallSegment, mva_to_va, path_distance_angle, va_to_mva, wrap_angle
+from mvaslam.geometry import (
+    EPS_GEO,
+    WallSegment,
+    mva_to_va,
+    path_distance_angle,
+    va_to_mva,
+    wrap_angle,
+)
 from mvaslam.measurement import (
     ClutterModel,
     MeasurementBatch,
@@ -25,9 +36,10 @@ from mvaslam.measurement import (
     enumerate_paths,
     generate_batch,
 )
-from mvaslam.raytrace import Environment, PathClass
+from mvaslam.raytrace import Environment, PathClass, _surface_frame, backward_trace
+from mvaslam.scenario import bundled_scenario
 
-from oracles import Measurement, likelihood
+from oracles import Measurement, dense_lik_sums, dense_response, likelihood
 
 PROFILE = NoiseProfile(los=PathNoise(0.05, np.deg2rad(10.0)),
                        single=PathNoise(0.10, np.deg2rad(15.0)),
@@ -62,6 +74,20 @@ def test_hyperparams_reject_certain_detection(kind):
     with pytest.raises(ValueError, match=f"p_detect_{kind}"):
         HyperParams(**{f"p_detect_{kind}": 1.0})
     HyperParams(**{f"p_detect_{kind}": 0.0})
+
+
+@pytest.mark.parametrize("field,bad,edge", [
+    ("assoc_max_iters", 0, 1),
+    ("assoc_tol", -1e-9, 0.0),
+    ("eps_velocity", -1e-3, 0.0),
+    ("pair_existence_floor", -1e-4, 0.0),
+    ("pair_existence_floor", 2.0, 1.0),
+    ("pair_existence_floor", float("nan"), 1.0),
+])
+def test_hyperparams_reject_settings_that_break_the_filter(field, bad, edge):
+    with pytest.raises(ValueError, match=field):
+        HyperParams(**{field: bad})
+    assert getattr(HyperParams(**{field: edge}), field) == edge
 
 
 def test_predict_agent_noiseless_kinematics():
@@ -189,22 +215,105 @@ def test_block_likelihood_matches_scalar_reference():
         va[0, i] = agent_xy[i] - 3.0 * np.array([np.cos(phi), np.sin(phi)])
         avail[0, i] = True
         z[m] = 3.0, z_phi
+    # one available particle sits on its VA: it scores nothing
+    avail[2, n_meas] = True
+    va[2, n_meas] = agent_xy[n_meas]
+    scoring = avail & (np.hypot(*np.moveaxis(agent_xy - va, -1, 0)) > EPS_GEO)
+    assert not scoring[2, n_meas]
+
     ref = np.zeros((n_rows, n_part, n_meas))
-    for r, i, m in zip(*np.nonzero(avail[..., None] & np.ones(n_meas, dtype=bool))):
+    for r, i, m in zip(*np.nonzero(scoring[..., None] & np.ones(n_meas, dtype=bool))):
         ref[r, i, m] = likelihood(Measurement(*z[m]), agent_xy[i], headings[i], PathClass(),
                                   va[r, i], profile=profile)
     assert ref[0, n_meas - 2, n_meas - 2] > 0.1 and ref[0, n_meas - 1, n_meas - 1] > 0.1
 
-    lik64 = _block_likelihood(agent_xy, headings, va, avail, z, sigma_d, sigma_phi)
-    assert lik64.dtype == np.float64 and lik64.shape == ref.shape
+    def dense(out_dtype):
+        rows, parts, lik = _block_likelihood(agent_xy, headings, va, avail, z,
+                                             sigma_d, sigma_phi, out_dtype)
+        np.testing.assert_array_equal(rows, np.nonzero(scoring)[0])
+        np.testing.assert_array_equal(parts, np.nonzero(scoring)[1])
+        assert lik.dtype == out_dtype and lik.shape == (len(rows), n_meas)
+        full = np.zeros(ref.shape, dtype=out_dtype)
+        full[rows, parts] = lik
+        return full
+
+    lik64 = dense(np.float64)
     # atol only covers values below the normal range, where the two factorizations round apart
     np.testing.assert_allclose(lik64, ref, rtol=1e-12, atol=1e-300)
-    lik32 = _block_likelihood(agent_xy, headings, va, avail, z, sigma_d, sigma_phi,
-                              out_dtype=np.float32)
-    assert lik32.dtype == np.float32
+    lik32 = dense(np.float32)
     assert np.max(np.abs(lik32 - ref)) <= 1e-5 * ref.max()
-    for lik in (lik64, lik32):
-        assert np.all(lik[~avail] == 0.0)
+
+
+@pytest.mark.parametrize("n_meas", [0, 1, 6])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_compact_reductions_match_dense_reference(n_meas, dtype):
+    rng = np.random.default_rng(22 + n_meas)
+    n_rows, n_part = 4, 50
+    agent_xy = rng.uniform(-5.0, 5.0, (n_part, 2))
+    headings = rng.uniform(-np.pi, np.pi, n_part)
+    va = rng.uniform(-8.0, 8.0, (n_rows, n_part, 2))
+    avail = rng.random((n_rows, n_part)) < 0.6
+    avail[1] = False                          # a row with no available particle
+    avail[2, 7] = True
+    va[2, 7] = agent_xy[7]                    # an available particle on its VA
+    # measurements near some predictions, so the likelihoods span many magnitudes
+    z = np.empty((n_meas, 2))
+    for m in range(n_meas):
+        diff = agent_xy[m] - va[0, m]
+        z[m] = np.hypot(*diff) + 0.2, np.arctan2(diff[1], diff[0]) - headings[m] + 0.1
+    rows, parts, lik = _block_likelihood(agent_xy, headings, va, avail, z, 0.3, 0.3, dtype)
+    assert lik.shape == (len(rows), n_meas) and not np.any((rows == 2) & (parts == 7))
+    block = _RowBlock("single", np.arange(n_rows)[:, None], slice(0, n_rows),
+                      np.full(n_rows, 0.5), avail, (rows, parts), lik)
+    eta = rng.uniform(0.1, 1.0, (n_rows, n_meas + 1))
+    denom = rng.uniform(0.01, 0.1, max(n_meas, 1))[:n_meas]
+    sums = block.lik_sums()
+    assert sums.dtype == np.float64 and sums.shape == (n_rows, n_meas)
+    np.testing.assert_allclose(sums, dense_lik_sums(rows, parts, lik, avail), rtol=1e-13)
+    assert np.all(sums[1] == 0.0)
+    resp = block.response(eta, denom, 0.9)
+    np.testing.assert_allclose(resp, dense_response(rows, parts, lik, avail, eta, denom, 0.9),
+                               rtol=1e-13)
+    np.testing.assert_array_equal(resp[1], eta[1, 0])
+    assert resp[2, 7] == eta[2, 0] * (1.0 - 0.9)
+    # a block without a scoring entry
+    none = np.zeros_like(avail)
+    *entries, lik = _block_likelihood(agent_xy, headings, va, none, z, 0.3, 0.3, dtype)
+    empty = _RowBlock("single", np.arange(n_rows)[:, None], slice(0, n_rows),
+                      np.full(n_rows, 0.5), none, tuple(entries), lik)
+    sums = empty.lik_sums()
+    assert sums.dtype == np.float64 and sums.shape == (n_rows, n_meas) and not sums.any()
+    np.testing.assert_array_equal(empty.response(eta, denom, 0.9),
+                                  np.broadcast_to(eta[:, :1], avail.shape))
+
+
+def test_feature_trace_cache_matches_backward_trace():
+    rng = np.random.default_rng(23)
+    n_feat, n_part = 4, 60
+    pa = np.array([1.0, 0.5])
+    agent_xy = rng.uniform(-6.0, 6.0, (n_part, 2))
+    clouds = rng.normal(rng.uniform(-12.0, 12.0, (n_feat, 1, 2)), 1.0, (n_feat, n_part, 2))
+    clouds[1, :5] = 0.0                       # degenerate MVA rows
+    clouds[2, 5:8] = 0.5 * EPS_GEO
+    ctx = Environment(blockers=[WallSegment([2.0, -3.0], [2.0, 3.0]),
+                                WallSegment([-4.0, 1.0], [-1.0, 4.0])])
+    lo, hi = ctx.nearest_extents(clouds, _surface_frame(clouds)[1])
+    assert np.all(np.isinf(lo)) and np.all(np.isinf(hi))
+    pairs = np.argwhere(~np.eye(n_feat, dtype=bool))
+    for check in (True, False):
+        traces = _FeatureTraces(clouds, pa, ctx, check)
+        for members in (np.zeros((1, 0), dtype=int), np.arange(n_feat)[:, None], pairs):
+            idx = members.T
+            want = backward_trace(agent_xy, pa, [clouds[i] for i in idx],
+                                  [(lo[i], hi[i]) for i in idx], ctx.blocker_segments, check)
+            got = traces.trace(agent_xy, idx)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype
+                np.testing.assert_array_equal(g, w)
+            if check and members.shape[1]:
+                assert 0 < want[1].sum() < want[1].size
+            if members.shape[1]:
+                assert not want[1][members[:, 0] == 1][:, :5].any()
 
 
 def test_process_pa_no_measurements_no_info():
@@ -400,3 +509,33 @@ def test_filter_determinism_same_seed():
     first = run_once()
     second = run_once()
     assert np.array_equal(first, second)
+
+
+def test_process_pa_peak_memory_is_bounded():
+    # One anchor block at 1000 particles with 30 legacy features, all 870
+    # ordered pairs active, and 15 measurements, in the paper room.  The
+    # likelihood is held at the available entries only: with numpy 2.4 the
+    # traced peak was 58 MiB, against 239 MiB for a dense (rows, particles,
+    # measurements) tensor.
+    config = bundled_scenario("exp1_rect_room")
+    env = config.environment
+    n, s_count, n_meas = 1000, 30, 15
+    rng = np.random.default_rng(5)
+    start = np.asarray(config.waypoints[0], dtype=float)
+    agent = AgentBelief(particles=np.concatenate([start + rng.uniform(-0.5, 0.5, (n, 2)),
+                                                  rng.uniform(-0.1, 0.1, (n, 2))], axis=1),
+                        weights=np.full(n, 1.0 / n), headings=rng.uniform(-np.pi, np.pi, n))
+    centres = np.concatenate([env.wall_mvas,
+                              rng.uniform(-15.0, 15.0, (s_count - len(env.wall_mvas), 2))])
+    legacy = [PmvaBelief(particles=rng.normal(c, 0.3, (n, 2)), existence=0.9, id=k)
+              for k, c in enumerate(centres)]
+    batch = batch_of(np.stack([rng.uniform(1.0, 20.0, n_meas),
+                               rng.uniform(-np.pi, np.pi, n_meas)], axis=1))
+    tracemalloc.start()
+    try:
+        process_pa(agent, np.zeros(n), legacy, [], batch, config.pas[0], HyperParams(n_particles=n),
+                   config.profile, config.clutter, rng, env, [100])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 120 * 2**20, f"peak {peak / 2**20:.1f} MiB"

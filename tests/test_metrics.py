@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from mvaslam.experiment import available_path_keys, truth_va_sets
-from mvaslam.geometry import mva_to_va
+from mvaslam.geometry import EPS_GEO, mva_to_va
 from mvaslam.metrics import OspaParams, dedupe_points, ospa, va_ospa, va_set
 from mvaslam.raytrace import PathClass
 from mvaslam.scenario import bundled_scenario
 
-from oracles import brute_force_assignment_cost, double_bounce_va
+from oracles import brute_force_assignment_cost, dedupe_points_loop, double_bounce_va
 
 P51 = OspaParams(cutoff=5.0, order=1.0)
 
@@ -73,6 +73,28 @@ def test_ospa_order_two():
 def test_dedupe_points():
     pts = dedupe_points([[1.0, 1.0], [1.0, 1.0 + 1e-9], [2.0, 2.0]])
     assert pts.shape == (2, 2)
+
+
+def test_dedupe_points_matches_loop_on_near_duplicate_chains():
+    rng = np.random.default_rng(11)
+    step = 0.6 * EPS_GEO            # consecutive chain links are near, links two apart are not
+    for trial in range(200):
+        n = int(rng.integers(0, 25))
+        base = rng.uniform(-10.0, 10.0, (n, 2))
+        links = []
+        for p in base[rng.random(n) < 0.4]:
+            direction = rng.normal(size=2)
+            direction /= np.hypot(*direction)
+            links += [p + k * step * direction for k in range(1, int(rng.integers(1, 5)))]
+        exact = base[rng.integers(0, n, 3)] if n else np.zeros((0, 2))
+        points = np.concatenate([base, np.reshape(links, (-1, 2)), exact])
+        if trial % 2:
+            points = points[rng.permutation(len(points))]
+        got = dedupe_points(points)
+        assert np.array_equal(got, dedupe_points_loop(points, EPS_GEO)), trial
+    chain = [[0.0, 0.0], [step, 0.0], [2 * step, 0.0], [3 * step, 0.0]]
+    assert np.array_equal(dedupe_points(chain), [[0.0, 0.0], [2 * step, 0.0]])
+    assert dedupe_points(np.zeros((0, 2))).shape == (0, 2)
 
 
 def test_va_ospa_perfect_single_estimate():

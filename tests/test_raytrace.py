@@ -6,6 +6,7 @@ from mvaslam.measurement import enumerate_paths
 from mvaslam.raytrace import (
     Environment,
     PathClass,
+    _surface_frame,
     backward_trace,
 )
 from mvaslam.scenario import bundled_scenario
@@ -152,11 +153,12 @@ def test_filter_and_generator_agree_on_bundled_scenarios(name):
     paths = enumerate_paths(len(env.walls))
     # one "particle" per waypoint, every particle at the true MVA
     clouds = np.repeat(env.wall_mvas[:, None], len(points), axis=1)
-    lo, hi = env.nearest_extents(clouds)
+    lo, hi = env.nearest_extents(clouds, _surface_frame(clouds)[1])
     for pa in config.pas:
         generator = env.trace_paths(points, pa, paths)[1]
         for k, path in enumerate(paths):
             idx = path.bounces
             _, filt = backward_trace(points, pa, [clouds[i] for i in idx],
-                                     [(lo[i], hi[i]) for i in idx], env.blocker_segments)
+                                     [(lo[i], hi[i]) for i in idx], env.blocker_segments,
+                                     check=True)
             assert np.array_equal(filt, generator[:, k]), f"{name}: {path} at pa={pa}"

@@ -271,6 +271,19 @@ def test_cli_certain_detection_is_a_scenario_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_cli_zero_association_iterations_is_a_scenario_error(tmp_path, capsys):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["params"] = {"assoc_max_iters": 0, "n_particles": 50}
+    path = tmp_path / "no_iterations.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["--scenario", str(path), "--runs", "1", "--out-dir", str(tmp_path / "e")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("mvaslam: error: params: ") and "assoc_max_iters" in err
+    assert not (tmp_path / "e").exists()
+
+
 def test_cli_outputs_deterministic(tmp_path, capsys):
     path = small_test_scenario(tmp_path)
     args = ["--scenario", str(path), "--runs", "2", "--seed", "5",
