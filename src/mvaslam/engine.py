@@ -24,12 +24,11 @@ import numpy as np
 
 from .association import AssociationInput, run_association
 from .errors import DegenerateWeights
-from .geometry import EPS_GEO, WallSegment, mva_to_va, va_to_mva
+from .geometry import EPS_GEO, WallSegment, va_to_mva
 from .measurement import ClutterModel, MeasurementBatch, NoiseProfile, TWO_PI
-from .raytrace import Environment, _surface_frame, trace_hops
+from .raytrace import Environment, candidate_blocks
 
 _DENOM_FLOOR = 1e-12
-_TRACE_CHUNK = 1 << 16  # (row, particle) elements traced per call
 _PRIOR_POS_HALFWIDTH = 0.5  # m, half-width of the uniform prior box around the start
 _PRIOR_VEL_HALFWIDTH = 0.1  # m/s, half-width of the uniform prior velocity box
 # pair rows outnumber the others about S-fold; their likelihood is float32
@@ -44,7 +43,6 @@ class HyperParams:
     p_detect_los: float = 0.95
     p_detect_single: float = 0.95
     p_detect_double: float = 0.95
-    mu_clutter: float = 1.0
     mu_new: float = 0.05
     birth_region: tuple[tuple[float, float], tuple[float, float]] = ((-15.0, 15.0), (-15.0, 15.0))
     p_confirm: float = 0.5
@@ -79,8 +77,8 @@ class HyperParams:
             raise ValueError("pruning threshold must lie below the confirmation threshold")
         if min(self.sigma_regularization, self.sigma_accel, self.dt) <= 0:
             raise ValueError("noise scales and dt must be positive")
-        if self.mu_clutter < 0 or self.mu_new < 0:
-            raise ValueError("Poisson means must be non-negative")
+        if self.mu_new < 0:
+            raise ValueError("mu_new must be non-negative")
         if self.n_particles < 1 or self.max_features < 1:
             raise ValueError("n_particles and max_features must be positive")
         if self.assoc_max_iters < 1:
@@ -326,42 +324,6 @@ class _RowBlock:
         return resp
 
 
-class _FeatureTraces:
-    """Per-feature inputs of the row traces of one anchor block.
-
-    ``clouds`` (S, I, 2) holds the legacy features' MVA particles.  Each
-    feature's surface frame, single-bounce VA of the anchor and reflector
-    extent are computed once and shared by every row the feature is a
-    member of, so a pair row computes only its outer image.  The map holds
-    surface lines, not wall segments: only blockers obstruct.
-    """
-
-    def __init__(self, clouds: np.ndarray, pa: np.ndarray, ctx: Environment, check: bool):
-        self.clouds = clouds
-        self.pa = pa
-        self.frame = _surface_frame(clouds)
-        self.va1 = mva_to_va(clouds, pa)
-        self.extents = ctx.nearest_extents(clouds, self.frame[1])
-        self.obstacles = ctx.blocker_segments
-        self.check = check
-
-    def trace(self, agent_xy: np.ndarray, idx: np.ndarray):
-        """VAs and availability of the rows with members ``idx`` (k, R).
-
-        Bit for bit the result of :func:`backward_trace` on the surfaces
-        ``[clouds[i] for i in idx]``, shaped (R, I, 2) and (R, I) (one
-        broadcastable row for LOS).
-        """
-        images = [self.pa]
-        if len(idx):
-            images.insert(0, self.va1[idx[-1]])
-        for i in reversed(idx[:-1]):
-            images.insert(0, mva_to_va(self.clouds[i], images[0]))
-        return trace_hops(agent_xy, images, [tuple(a[i] for a in self.frame) for i in idx],
-                          [tuple(e[i] for e in self.extents) for i in idx], self.obstacles,
-                          self.check)
-
-
 def process_pa(agent: AgentBelief, log_weights: np.ndarray,
                legacy: list[PmvaBelief], new_from_prev: list[PmvaBelief],
                batch: MeasurementBatch, pa, params: HyperParams,
@@ -388,7 +350,7 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray,
     z = batch.z.reshape(n_meas, 2)
     pe = np.array([f.existence for f in legacy])
 
-    denom = np.maximum(params.mu_clutter * clutter.density, _DENOM_FLOOR) * np.ones(max(n_meas, 1))
+    denom = np.maximum(clutter.mu_fp * clutter.density, _DENOM_FLOOR) * np.ones(max(n_meas, 1))
 
     # new-feature proposals, one per measurement
     proposals = []
@@ -398,34 +360,25 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray,
             agent, pa, params, rng, feature_id=next_id[0]))
         next_id[0] += 1
 
-    # row blocks in evidence-table order: LOS, singles, active ordered pairs
-    kinds = [("los", np.zeros((1, 0), dtype=int))]
-    if s_count:
-        kinds.append(("single", np.arange(s_count)[:, None]))
-    if params.use_double_bounce and s_count > 1:
-        pair_mask = ~np.eye(s_count, dtype=bool)
-        if params.pair_existence_floor > 0:
-            pair_mask &= pe[:, None] * pe[None, :] >= params.pair_existence_floor
-        if pair_mask.any():
-            kinds.append(("double", np.argwhere(pair_mask)))
-
-    # availability and likelihood per block, traced in row chunks so the
-    # tracer's temporaries stay small
+    # availability and likelihood per row block, in evidence-table order:
+    # LOS, singles, and the ordered pairs whose joint existence reaches the floor
     clouds = np.array([f.particles for f in legacy]).reshape(s_count, n_part, 2)
-    traces = _FeatureTraces(clouds, pa, ctx, params.visibility_check)
-    chunk = max(1, _TRACE_CHUNK // n_part)
+    traces = ctx.feature_traces(clouds, pa, params.visibility_check)
     blocks: list[_RowBlock] = []
     n_rows = 0
-    for kind, members in kinds:
-        va = np.empty((len(members), n_part, 2))
-        avail = np.empty((len(members), n_part), dtype=bool)
-        for r in range(0, len(members), chunk):
-            va[r:r + chunk], avail[r:r + chunk] = traces.trace(agent_xy, members[r:r + chunk].T)
+    for kind, members in candidate_blocks(s_count, params.use_double_bounce):
+        exist = np.prod(pe[members], axis=1)
+        if kind == "double" and params.pair_existence_floor > 0:
+            keep = exist >= params.pair_existence_floor
+            members, exist = members[keep], exist[keep]
+            if not len(members):
+                continue
+        va, avail = traces.trace(agent_xy, members)
         noise = getattr(profile, kind)
         *entries, lik = _block_likelihood(agent_xy, agent.headings, va, avail, z,
                                           noise.sigma_d, noise.sigma_phi, _LIK_DTYPE[kind])
         blocks.append(_RowBlock(kind, members, slice(n_rows, n_rows + len(members)),
-                                np.prod(pe[members], axis=1), avail, tuple(entries), lik))
+                                exist, avail, tuple(entries), lik))
         n_rows += len(members)
 
     # birth-density values of the proposal clouds

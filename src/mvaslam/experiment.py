@@ -22,9 +22,9 @@ import numpy as np
 
 from .engine import SlamFilter
 from .errors import DegenerateWeights, NonFinite
-from .measurement import enumerate_paths, generate_batch
+from .measurement import generate_batch
 from .metrics import OspaParams, dedupe_points, ospa, va_ospa
-from .raytrace import PathClass
+from .raytrace import candidate_blocks
 from .scenario import ScenarioConfig
 
 OSPA_PARAMS = OspaParams()
@@ -57,7 +57,7 @@ class RunRecord:
 class TruthTable(NamedTuple):
     """The true geometry traced once: every candidate path, anchor and waypoint."""
 
-    paths: list[PathClass]     # (K,) candidate paths, LOS first
+    blocks: list[tuple[str, np.ndarray]]  # (kind, members) row blocks, K rows, LOS first
     va: np.ndarray             # (J, N+1, K, 2) true virtual anchors
     available: np.ndarray      # (J, N+1, K) availability
 
@@ -69,18 +69,18 @@ def available_path_keys(config: ScenarioConfig) -> TruthTable:
     traces it once; each run's measurement generation only reads it.
     """
     env = config.environment
-    paths = enumerate_paths(len(env.walls), include_double=config.double_bounce)
+    blocks = candidate_blocks(len(env.walls), config.double_bounce)
     pas = np.array(config.pas)[:, None]                     # (J, 1, 2)
-    va, available = env.trace_paths(config.waypoints, pas, paths)
-    return TruthTable(paths, va, available)
+    va, available = env.trace_paths(config.waypoints, pas, blocks)
+    return TruthTable(blocks, va, available)
 
 
 def truth_va_sets(truth: TruthTable) -> list[np.ndarray]:
     """Each anchor's true VA set: the VAs of the bounce paths available somewhere
     along the trajectory, deduplicated in :func:`mvaslam.metrics.va_set`'s order
     (single bounce at ``s``, then ``(s, s2)`` for every ``s2``)."""
-    order = sorted((k for k, path in enumerate(truth.paths) if path.bounces),
-                   key=lambda k: truth.paths[k].bounces)
+    bounces = [tuple(row) for _, members in truth.blocks for row in members.tolist()]
+    order = sorted((k for k, b in enumerate(bounces) if b), key=bounces.__getitem__)
     seen = truth.available.any(axis=1)                      # (J, K)
     return [dedupe_points(truth.va[j, 0, [k for k in order if seen[j, k]]])
             for j in range(len(seen))]
@@ -127,7 +127,7 @@ def simulate_run(config: ScenarioConfig, run_index: int, base_seed: int,
         pos = config.waypoints[n]
         vel = velocities[n - 1]
         heading = float(np.arctan2(vel[1], vel[0]))
-        batches = [generate_batch(pos, heading, truth.paths, truth.va[j, n],
+        batches = [generate_batch(pos, heading, truth.blocks, truth.va[j, n],
                                   truth.available[j, n], p_detect,
                                   config.profile, config.clutter, rng)
                    for j in range(n_pa)]

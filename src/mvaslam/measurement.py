@@ -17,7 +17,6 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import path_distance_angle, wrap_angle
-from .raytrace import PathClass
 
 TWO_PI = 2.0 * math.pi
 
@@ -43,9 +42,6 @@ class NoiseProfile:
     los: PathNoise
     single: PathNoise
     double: PathNoise
-
-    def for_path(self, path: PathClass) -> PathNoise:
-        return getattr(self, path.kind)
 
 
 @dataclass(frozen=True)
@@ -77,38 +73,29 @@ class MeasurementBatch:
         return self.z.shape[0]
 
 
-def enumerate_paths(n_surfaces: int, include_double: bool = True) -> list[PathClass]:
-    """All candidate paths: LOS, one per surface, and ordered surface pairs."""
-    paths = [PathClass()]
-    paths += [PathClass(s=s) for s in range(n_surfaces)]
-    if include_double:
-        paths += [PathClass(s=s, s2=s2)
-                  for s in range(n_surfaces) for s2 in range(n_surfaces) if s2 != s]
-    return paths
-
-
-def generate_batch(agent_pos, heading, paths: Sequence[PathClass], va, available, p_detect,
-                   profile: NoiseProfile, clutter: ClutterModel,
+def generate_batch(agent_pos, heading, blocks: Sequence[tuple[str, np.ndarray]], va, available,
+                   p_detect, profile: NoiseProfile, clutter: ClutterModel,
                    rng: np.random.Generator) -> MeasurementBatch:
     """Draw one anchor's measurement batch from its traced truth at one agent state.
 
     ``va`` (K, 2) and ``available`` (K,) are the true virtual anchors and
-    the availability of the candidate ``paths`` at ``agent_pos``, one
-    row of the truth the experiment traces once.  Nothing is traced here.
-    Every available path is detected with its class's probability and
-    measured with Gaussian noise; Poisson clutter is appended; the batch
-    order is randomly permuted.  ``p_detect`` maps a path kind ("los" /
-    "single" / "double") to its base detection probability; noise levels
-    come from the path class's entry in ``profile``.
+    the availability of the candidate paths at ``agent_pos``, one column
+    per row of the ``(kind, members)`` ``blocks``: one row of the truth the
+    experiment traces once.  Nothing is traced here.  Every available path
+    is detected with its kind's probability and measured with Gaussian
+    noise; Poisson clutter is appended; the batch order is randomly
+    permuted.  ``p_detect`` maps a path kind ("los" / "single" / "double")
+    to its base detection probability; noise levels come from the kind's
+    entry in ``profile``.
     """
+    kinds = [kind for kind, members in blocks for _ in members]
     found = np.flatnonzero(available)
     dist, angle = path_distance_angle(agent_pos, heading, va[found])
     rows = []
     for k, d, phi in zip(found, dist, angle):
-        path = paths[k]
-        if rng.random() >= p_detect[path.kind]:
+        if rng.random() >= p_detect[kinds[k]]:
             continue
-        noise = profile.for_path(path)
+        noise = getattr(profile, kinds[k])
         z_d = float(d + noise.sigma_d * rng.standard_normal())
         z_phi = float(wrap_angle(phi + noise.sigma_phi * rng.standard_normal()))
         rows.append((z_d, z_phi))

@@ -7,56 +7,44 @@ extent, and every hop segment must be free of obstructions.  Availability
 feeds the per-path detection probabilities: an unavailable path cannot
 produce a measurement.
 
-One array tracer serves every caller: :func:`backward_trace` builds a
-path's images and surface frames, and its hop loop, :func:`trace_hops`,
-walks them.  The experiment traces the true walls once, at every
-waypoint, through :meth:`Environment.trace_paths`, and measurement
-generation draws from that table.  The SLAM filter traces per-particle
-feature clouds: it computes every feature's frame and single-bounce image
-once per anchor and feeds them to :func:`trace_hops` row by row.  Each
-caller supplies the reflector extents and the obstacle set, the one
-modelling difference between them.
+Candidate paths come in row blocks (:func:`candidate_blocks`): the row
+``members`` list the surfaces a path bounces off, the one nearest the
+agent first.  One per-surface trace cache, :class:`SurfaceTraces`, traces
+them for every caller, and its hop loop, :func:`trace_hops`, walks each
+path.  :class:`Environment` builds both caches: the experiment traces the
+true walls once, at every waypoint (:meth:`Environment.trace_paths`), and
+measurement generation draws from that table; the SLAM filter traces
+per-particle feature clouds (:meth:`Environment.feature_traces`).  The
+reflector extents and the obstacle set are the one modelling difference
+between them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .geometry import EPS_GEO, Surface, WallSegment, mva_to_va
 
 
-@dataclass(frozen=True)
-class PathClass:
-    """One propagation path: LOS, single bounce at ``s``, or double bounce.
+_TRACE_CHUNK = 1 << 16  # (row, point) elements traced per call
 
-    For a double bounce ``(s, s2)``, ``s`` is the surface of the bounce
-    nearest the agent and ``s2`` the one nearest the anchor: its VA mirrors
-    the anchor across ``s2`` first, then across ``s`` (:func:`backward_trace`).
+
+def candidate_blocks(n_surfaces: int, double: bool) -> list[tuple[str, np.ndarray]]:
+    """The candidate paths off ``n_surfaces`` surfaces, as ``(kind, members)`` row blocks.
+
+    ``members`` (R, k) lists the surfaces each row bounces off, the one
+    nearest the agent first: LOS (1, 0), single bounces (S, 1) and, with
+    ``double``, the ordered pairs (S(S-1), 2).  Empty blocks are left out.
     """
-
-    s: Optional[int] = None
-    s2: Optional[int] = None
-
-    def __post_init__(self):
-        if self.s is None and self.s2 is not None:
-            raise ValueError("double-bounce path requires both surface indices")
-        if self.s is not None and self.s == self.s2:
-            raise ValueError("double-bounce surfaces must differ")
-
-    @property
-    def kind(self) -> str:
-        if self.s is None:
-            return "los"
-        return "single" if self.s2 is None else "double"
-
-    @property
-    def bounces(self) -> tuple[int, ...]:
-        """Surface indices of the bounces, the one nearest the agent first."""
-        return tuple(s for s in (self.s, self.s2) if s is not None)
+    blocks = [("los", np.zeros((1, 0), dtype=int)), ("single", np.arange(n_surfaces)[:, None])]
+    if double:
+        blocks.append(("double", np.argwhere(~np.eye(n_surfaces, dtype=bool))))
+    return [(kind, members) for kind, members in blocks if len(members)]
 
 
 @dataclass(frozen=True)
@@ -107,14 +95,12 @@ class Environment:
     def segments(self) -> tuple:
         return tuple((w.a, w.b) for w in self.walls) + self.blocker_segments
 
-    def nearest_extents(self, clouds, normal):
+    def nearest_extents(self, clouds):
         """Per-particle extents of estimated surfaces clipped to the nearest wall.
 
-        ``clouds`` (S, I, 2) holds the MVA particles of S estimated surfaces
-        and ``normal`` (S, I, 2) the unit normals of their lines (from
-        :func:`_surface_frame`).  Each surface takes the wall whose MVA lies
-        nearest its mean MVA, and the wall's endpoints are projected onto
-        every particle's line.
+        ``clouds`` (S, I, 2) holds the MVA particles of S estimated surfaces.
+        Each surface takes the wall whose MVA lies nearest its mean MVA, and
+        the wall's endpoints are projected onto every particle's line.
         Returns ``(lo, hi)`` of shape (S, I); without walls the reflectors are
         unbounded and both have shape (S, 1).
         """
@@ -125,36 +111,39 @@ class Environment:
         d = np.hypot(self.wall_mvas[:, 0] - means[:, None, 0],
                      self.wall_mvas[:, 1] - means[:, None, 1])
         ends = self.wall_ends[np.argmin(d, axis=1)]             # (S, 2, 2)
+        normal = _surface_frame(clouds)[1]
         ta = _along(ends[:, None, 0], normal)
         tb = _along(ends[:, None, 1], normal)
         return np.minimum(ta, tb), np.maximum(ta, tb)
 
-    def trace_paths(self, agent, pa, paths: Sequence[PathClass]):
-        """Trace every path in ``paths`` against the true geometry.
+    def feature_traces(self, clouds, pa, check: bool) -> SurfaceTraces:
+        """The filter's trace cache of estimated surfaces ``clouds`` (S, I, 2).
+
+        Each reflector is clipped to its nearest wall
+        (:meth:`nearest_extents`); the map holds surface lines, not wall
+        segments, so only blockers obstruct.
+        """
+        return SurfaceTraces(clouds, pa, self.nearest_extents(clouds), self.blocker_segments, check)
+
+    def trace_paths(self, agent, pa, blocks):
+        """Trace the candidate path ``blocks`` against the true geometry.
 
         Wall ``k`` is surface ``k``.  Each bounce is clipped to its wall's
         extent, and every wall and blocker obstructs; a hop ends on the wall
         of the bounce it arrives at, which the endpoint margin of
         :func:`segment_blocks` keeps from blocking it.  ``agent`` and
         ``pa`` are (..., 2) and broadcast together.  Returns the VAs
-        (..., P, 2) and the availability (..., P), one column per path.
+        (..., K, 2) and the availability (..., K), one column per block row.
         """
-        agent = np.asarray(agent, dtype=float)[..., None, :]
-        pa = np.asarray(pa, dtype=float)[..., None, :]
+        agent = np.asarray(agent, dtype=float)
+        pa = np.asarray(pa, dtype=float)
+        axes = tuple(range(1, max(agent.ndim, pa.ndim)))      # broadcast over agent and pa
         lo, hi = self.wall_extents.T
-        rows = np.broadcast_shapes(agent.shape, pa.shape)[:-2]
-        va = np.empty(rows + (len(paths), 2))
-        available = np.empty(rows + (len(paths),), dtype=bool)
-        bounces = [path.bounces for path in paths]
-        for n_bounces in range(3):                          # LOS, single, double
-            cols = [k for k, b in enumerate(bounces) if len(b) == n_bounces]
-            if not cols:
-                continue
-            idx = np.array([bounces[k] for k in cols], dtype=int).reshape(len(cols), -1).T
-            va[..., cols, :], available[..., cols] = backward_trace(
-                agent, pa, [self.wall_mvas[i] for i in idx], [(lo[i], hi[i]) for i in idx],
-                self.segments, check=True)
-        return va, available
+        traces = SurfaceTraces(np.expand_dims(self.wall_mvas, axes), pa,
+                               (np.expand_dims(lo, axes), np.expand_dims(hi, axes)),
+                               self.segments, check=True)
+        va, available = zip(*(traces.trace(agent, members) for _, members in blocks))
+        return np.moveaxis(np.concatenate(va), 0, -2), np.moveaxis(np.concatenate(available), 0, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -269,28 +258,52 @@ def hop_obstructed(p, q, segments):
     return blocked
 
 
-def backward_trace(agent, pa, bounces, extents, obstacles, check: bool):
-    """Backward-trace paths from the agent to the anchor ``pa``.
+class SurfaceTraces:
+    """Per-surface trace cache: the candidate paths off a set of surfaces.
 
-    ``bounces`` lists the reflecting surfaces as MVA arrays, the bounce
-    nearest the agent first: empty for LOS, one surface for a single bounce,
-    two for a double bounce.  ``extents`` holds each bounce's reflector
-    extent ``(lo, hi)`` in the tangent coordinate of its surface (infinite
-    bounds for an unbounded reflector).  ``obstacles`` are ``(a, b)``
-    segments.  Agent points, surfaces and extents broadcast over leading
-    axes (the path rows).
-
-    The image method mirrors the anchor across the bounces from the anchor
-    side, and :func:`trace_hops` walks the hops.  Returns ``(va,
-    available)``: the path's virtual anchor (zero where a bounce surface is
-    degenerate) and its availability.  With ``check=False`` nothing is
-    traced and ``available`` only reports non-degenerate surfaces.
+    ``mvas`` (S, ..., 2) holds the surfaces' MVAs and ``extents`` ``(lo,
+    hi)`` (S, ...) their reflector extents, the surface axis first; every
+    other axis broadcasts with the anchor ``pa`` and the agent points.
+    Each surface's frame and single-bounce image of the anchor are computed
+    once and shared by every row it is a member of, so a pair row computes
+    only its outer image.  ``obstacles`` are ``(a, b)`` segments.  With
+    ``check=False`` nothing is traced and availability only reports
+    non-degenerate surfaces.
     """
-    images = [np.asarray(pa, dtype=float)]
-    for mva in reversed(bounces):
-        images.insert(0, mva_to_va(mva, images[0]))
-    return trace_hops(agent, images, [_surface_frame(mva) for mva in bounces], extents,
-                      obstacles, check)
+
+    def __init__(self, mvas, pa, extents, obstacles, check: bool):
+        self.mvas = np.asarray(mvas, dtype=float)
+        self.pa = np.asarray(pa, dtype=float)
+        self.frame = _surface_frame(self.mvas)
+        self.va1 = mva_to_va(self.mvas, self.pa)
+        self.extents = extents
+        self.obstacles = obstacles
+        self.check = check
+
+    def trace(self, agent, members):
+        """VAs (R, ..., 2) and availability (R, ...) of the rows ``members`` (R, k).
+
+        The image method mirrors the anchor across a row's bounces from the
+        anchor side, and :func:`trace_hops` walks the hops from ``agent``.
+        A row's VA is zero where a bounce surface is degenerate.  Rows are
+        traced in chunks so the temporaries stay small.
+        """
+        agent = np.asarray(agent, dtype=float)
+        shape = np.broadcast_shapes(agent.shape, self.pa.shape, self.mvas.shape[1:])[:-1]
+        va = np.empty((len(members),) + shape + (2,))
+        available = np.empty((len(members),) + shape, dtype=bool)
+        chunk = max(1, _TRACE_CHUNK // max(math.prod(shape), 1))
+        for r in range(0, len(members), chunk):
+            idx = members[r:r + chunk].T
+            images = [self.pa]
+            if len(idx):
+                images.insert(0, self.va1[idx[-1]])
+            for i in reversed(idx[:-1]):
+                images.insert(0, mva_to_va(self.mvas[i], images[0]))
+            va[r:r + chunk], available[r:r + chunk] = trace_hops(
+                agent, images, [tuple(a[i] for a in self.frame) for i in idx],
+                [tuple(e[i] for e in self.extents) for i in idx], self.obstacles, self.check)
+        return va, available
 
 
 def trace_hops(agent, images, frames, extents, obstacles, check: bool):
@@ -301,9 +314,10 @@ def trace_hops(agent, images, frames, extents, obstacles, check: bool):
     ``frames`` holds each bounce's :func:`_surface_frame`.  Each hop runs
     from the previous bounce point toward the next image; its bounce point
     must lie on the surface inside the extent and the hop must be
-    unobstructed.  Arguments as in :func:`backward_trace`, whose result this
-    returns; the caller may compute the images and frames once and reuse
-    them across paths.
+    unobstructed.  ``extents`` holds each bounce's ``(lo, hi)`` in the
+    tangent coordinate of its surface and ``obstacles`` the ``(a, b)``
+    segments; everything broadcasts.  Returns ``(va, available)`` as
+    :meth:`SurfaceTraces.trace` does, without its row axis.
     """
     agent = np.asarray(agent, dtype=float)
     valid = np.ones(agent.shape[:-1], dtype=bool)

@@ -44,6 +44,12 @@ class ScenarioConfig:
     params: HyperParams
     double_bounce: bool = True        # full setup vs single-bounce-only setup
 
+    def __post_init__(self):
+        # the truth, the metrics and the filter must see the same setup
+        if self.double_bounce != self.params.use_double_bounce:
+            raise ValueError(f"double_bounce={self.double_bounce} differs from "
+                             f"params.use_double_bounce={self.params.use_double_bounce}")
+
     @property
     def environment(self) -> Environment:
         return Environment(walls=self.walls, blockers=self.blockers)

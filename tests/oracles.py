@@ -7,6 +7,10 @@ joint assignment events, and optimal assignment cost from trying every
 permutation.  Mirroring uses the normal / line-point form instead of the
 MVA algebra, and the measurement likelihood is evaluated one path and one
 measurement at a time, as a reference for the filter's vectorized blocks.
+A path is its bounce tuple: ``()`` for LOS, ``(s,)`` for a single bounce
+at surface ``s`` and ``(s, s2)`` for a double bounce, the surface nearest
+the agent first.  :func:`backward_trace` is the bit-for-bit reference of
+the package's trace cache: it traces one path from scratch.
 """
 
 from __future__ import annotations
@@ -18,9 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from mvaslam.geometry import mva_to_va, path_distance_angle, wrap_angle
-from mvaslam.raytrace import PathClass
+from mvaslam.raytrace import _surface_frame, trace_hops
 
 AMBIGUOUS = "ambiguous"
+KINDS = ("los", "single", "double")   # path kind by bounce count
 
 
 def _mirror(p, normal, offset):
@@ -105,8 +110,8 @@ def _dense_blocked(p, q, seg_a, seg_b, n_samples, endpoint_margin):
     return True
 
 
-def oracle_path_available(agent, pa, path, env, n_samples=201, endpoint_margin=1e-3):
-    """Dense-sampling availability check; returns bool or AMBIGUOUS.
+def oracle_path_available(agent, pa, bounces, env, n_samples=201, endpoint_margin=1e-3):
+    """Dense-sampling availability check of the path ``bounces``; returns bool or AMBIGUOUS.
 
     Wall ``s`` of ``env`` is surface ``s``; its line and extent are derived
     here from the wall endpoints.
@@ -146,38 +151,40 @@ def oracle_path_available(agent, pa, path, env, n_samples=201, endpoint_margin=1
                 return False
         return True
 
-    if path.kind == "los":
+    if not bounces:
         return hop_free(agent, pa, None)
 
-    _, n1, c1 = _wall_frame(env.walls[path.s])
-    if path.kind == "single":
+    s, *rest = bounces
+    _, n1, c1 = _wall_frame(env.walls[s])
+    if not rest:
         va = _mirror(pa, n1, c1)
-        hit = reflect_hit(agent, va, path.s)
+        hit = reflect_hit(agent, va, s)
         if hit is AMBIGUOUS:
             return AMBIGUOUS
         if hit is None:
             return False
-        for free in (hop_free(agent, hit, path.s), hop_free(hit, pa, None)):
+        for free in (hop_free(agent, hit, s), hop_free(hit, pa, None)):
             if free is AMBIGUOUS:
                 return AMBIGUOUS
             if not free:
                 return False
         return True
 
-    _, n2, c2 = _wall_frame(env.walls[path.s2])
+    s2, = rest
+    _, n2, c2 = _wall_frame(env.walls[s2])
     va1 = _mirror(pa, n2, c2)
     va2 = _mirror(va1, n1, c1)
-    hit1 = reflect_hit(agent, va2, path.s)
+    hit1 = reflect_hit(agent, va2, s)
     if hit1 is AMBIGUOUS:
         return AMBIGUOUS
     if hit1 is None:
         return False
-    hit2 = reflect_hit(hit1, va1, path.s2)
+    hit2 = reflect_hit(hit1, va1, s2)
     if hit2 is AMBIGUOUS:
         return AMBIGUOUS
     if hit2 is None:
         return False
-    for free in (hop_free(agent, hit1, path.s), hop_free(hit1, hit2, path.s2),
+    for free in (hop_free(agent, hit1, s), hop_free(hit1, hit2, s2),
                  hop_free(hit2, pa, None)):
         if free is AMBIGUOUS:
             return AMBIGUOUS
@@ -230,7 +237,28 @@ def brute_force_assignment_cost(cost: np.ndarray) -> float:
     return float(best)
 
 
-LOS = PathClass()
+def backward_trace(agent, pa, bounces, extents, obstacles, check: bool):
+    """Backward-trace one path from the agent to the anchor ``pa``.
+
+    ``bounces`` lists the reflecting surfaces as MVA arrays, the bounce
+    nearest the agent first, and ``extents`` each bounce's reflector extent
+    ``(lo, hi)``.  The anchor is mirrored across the bounces from the anchor
+    side and :func:`mvaslam.raytrace.trace_hops` walks the hops.  Returns
+    ``(va, available)`` as the trace cache does for one row.
+    """
+    images = [np.asarray(pa, dtype=float)]
+    for mva in reversed(bounces):
+        images.insert(0, mva_to_va(mva, images[0]))
+    return trace_hops(agent, images, [_surface_frame(mva) for mva in bounces], extents,
+                      obstacles, check)
+
+
+def candidate_bounces(n_surfaces, double):
+    """Every candidate path's bounce tuple, in the truth table's column order."""
+    paths = [()] + [(s,) for s in range(n_surfaces)]
+    if double:
+        paths += [(s, s2) for s in range(n_surfaces) for s2 in range(n_surfaces) if s2 != s]
+    return paths
 
 
 def unit_normal(surface):
@@ -275,25 +303,25 @@ def gaussian_pdf(x, mu, sigma):
     return np.exp(-0.5 * ((x - mu) / sigma) ** 2) / (np.sqrt(2.0 * math.pi) * sigma)
 
 
-def predicted_measurement(agent_pos, heading, path, pa, mva_s=None, mva_s2=None):
-    """Noise-free (distance, angle) of one path at the given agent state."""
-    if path.kind == "los":
+def predicted_measurement(agent_pos, heading, bounces, pa, mva_s=None, mva_s2=None):
+    """Noise-free (distance, angle) of the path ``bounces`` at the given agent state."""
+    if not bounces:
         va = np.asarray(pa, dtype=float)
-    elif path.kind == "single":
+    elif len(bounces) == 1:
         va = mva_to_va(mva_s, pa)
     else:
         va = double_bounce_va(mva_s, mva_s2, pa)
     return path_distance_angle(agent_pos, heading, va)
 
 
-def likelihood(z, agent_pos, heading, path, pa, mva_s=None, mva_s2=None, *, profile):
-    """Likelihood of measurement ``z`` under one path hypothesis.
+def likelihood(z, agent_pos, heading, bounces, pa, mva_s=None, mva_s2=None, *, profile):
+    """Likelihood of measurement ``z`` under the path hypothesis ``bounces``.
 
     Gaussian in distance and in the wrapped angle difference, with the noise
-    levels of the path class's entry in ``profile``.
+    levels of the path kind's entry in ``profile``.
     """
-    noise = profile.for_path(path)
-    d, phi = predicted_measurement(agent_pos, heading, path, pa, mva_s, mva_s2)
+    noise = getattr(profile, KINDS[len(bounces)])
+    d, phi = predicted_measurement(agent_pos, heading, bounces, pa, mva_s, mva_s2)
     return float(gaussian_pdf(z.z_d, d, noise.sigma_d)
                  * gaussian_pdf(wrap_angle(z.z_phi - phi), 0.0, noise.sigma_phi))
 

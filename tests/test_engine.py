@@ -7,7 +7,6 @@ from mvaslam.engine import (
     AgentBelief,
     HyperParams,
     PmvaBelief,
-    _FeatureTraces,
     _RowBlock,
     _block_likelihood,
     SlamFilter,
@@ -33,13 +32,12 @@ from mvaslam.measurement import (
     MeasurementBatch,
     NoiseProfile,
     PathNoise,
-    enumerate_paths,
     generate_batch,
 )
-from mvaslam.raytrace import Environment, PathClass, _surface_frame, backward_trace
+from mvaslam.raytrace import Environment, candidate_blocks
 from mvaslam.scenario import bundled_scenario
 
-from oracles import Measurement, dense_lik_sums, dense_response, likelihood
+from oracles import Measurement, backward_trace, dense_lik_sums, dense_response, likelihood
 
 PROFILE = NoiseProfile(los=PathNoise(0.05, np.deg2rad(10.0)),
                        single=PathNoise(0.10, np.deg2rad(15.0)),
@@ -182,12 +180,12 @@ def one_wall_ctx():
     return Environment(walls=[WallSegment([5.0, -10.0], [5.0, 10.0])])
 
 
-def run_block(agent, feats, batch, params, pa=(1.0, 0.5), ctx=None, rng=None):
+def run_block(agent, feats, batch, params, pa=(1.0, 0.5), ctx=None, rng=None, clutter=CLUTTER):
     ctx = ctx or Environment()
     rng = rng or np.random.default_rng(0)
     logw = np.zeros(agent.n_particles)
     return process_pa(agent, logw, feats, [], batch, np.asarray(pa), params,
-                      PROFILE, CLUTTER, rng, ctx, [100])
+                      PROFILE, clutter, rng, ctx, [100])
 
 
 def test_block_likelihood_matches_scalar_reference():
@@ -223,7 +221,7 @@ def test_block_likelihood_matches_scalar_reference():
 
     ref = np.zeros((n_rows, n_part, n_meas))
     for r, i, m in zip(*np.nonzero(scoring[..., None] & np.ones(n_meas, dtype=bool))):
-        ref[r, i, m] = likelihood(Measurement(*z[m]), agent_xy[i], headings[i], PathClass(),
+        ref[r, i, m] = likelihood(Measurement(*z[m]), agent_xy[i], headings[i], (),
                                   va[r, i], profile=profile)
     assert ref[0, n_meas - 2, n_meas - 2] > 0.1 and ref[0, n_meas - 1, n_meas - 1] > 0.1
 
@@ -297,19 +295,18 @@ def test_feature_trace_cache_matches_backward_trace():
     clouds[2, 5:8] = 0.5 * EPS_GEO
     ctx = Environment(blockers=[WallSegment([2.0, -3.0], [2.0, 3.0]),
                                 WallSegment([-4.0, 1.0], [-1.0, 4.0])])
-    lo, hi = ctx.nearest_extents(clouds, _surface_frame(clouds)[1])
+    lo, hi = ctx.nearest_extents(clouds)
     assert np.all(np.isinf(lo)) and np.all(np.isinf(hi))
-    pairs = np.argwhere(~np.eye(n_feat, dtype=bool))
     for check in (True, False):
-        traces = _FeatureTraces(clouds, pa, ctx, check)
-        for members in (np.zeros((1, 0), dtype=int), np.arange(n_feat)[:, None], pairs):
+        traces = ctx.feature_traces(clouds, pa, check)
+        for _, members in candidate_blocks(n_feat, True):
             idx = members.T
             want = backward_trace(agent_xy, pa, [clouds[i] for i in idx],
                                   [(lo[i], hi[i]) for i in idx], ctx.blocker_segments, check)
-            got = traces.trace(agent_xy, idx)
+            got = traces.trace(agent_xy, members)
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype
-                np.testing.assert_array_equal(g, w)
+                np.testing.assert_array_equal(g, np.broadcast_to(w, g.shape))
             if check and members.shape[1]:
                 assert 0 < want[1].sum() < want[1].size
             if members.shape[1]:
@@ -342,7 +339,7 @@ def test_process_pa_missed_detection_decays_existence():
 def test_process_pa_weight_ordering_follows_likelihood():
     # noiseless detections, no clutter: particles nearest the truth win
     ctx = one_wall_ctx()
-    params = HyperParams(n_particles=200, mu_clutter=1e-9)
+    params = HyperParams(n_particles=200)
     rng = np.random.default_rng(4)
     truth = np.array([-2.0, 1.0])
     vel = np.array([0.2, 0.0])
@@ -350,14 +347,15 @@ def test_process_pa_weight_ordering_follows_likelihood():
     offsets = np.linspace(0, 1.5, 200)
     agent.particles[:, 0] += offsets  # particle 0 is exact, the rest drift off
     pa = np.array([1.0, 0.5])
-    paths = enumerate_paths(len(ctx.walls))
-    batch = generate_batch(truth, 0.0, paths, *ctx.trace_paths(truth, pa, paths),
+    blocks = candidate_blocks(len(ctx.walls), True)
+    batch = generate_batch(truth, 0.0, blocks, *ctx.trace_paths(truth, pa, blocks),
                            {"los": 1.0, "single": 1.0, "double": 1.0},
                            NoiseProfile(los=PathNoise(1e-6, 1e-6),
                                         single=PathNoise(1e-6, 1e-6),
                                         double=PathNoise(1e-6, 1e-6)),
                            ClutterModel(mu_fp=0.0, d_max=30.0), rng)
-    logw, _, _ = run_block(agent, [], batch, params, pa=pa, ctx=ctx, rng=rng)
+    logw, _, _ = run_block(agent, [], batch, params, pa=pa, ctx=ctx, rng=rng,
+                           clutter=ClutterModel(mu_fp=1e-9, d_max=30.0))
     assert np.argmax(logw) == 0
     finite = np.isfinite(logw)
     assert np.all(np.diff(logw[finite]) <= 1e-9)
@@ -491,8 +489,8 @@ def test_filter_determinism_same_seed():
     env = Environment(walls=walls)
     params = HyperParams(n_particles=300)
     positions = np.array([[-2.0 + 0.1 * n, 1.0] for n in range(5)])
-    paths = enumerate_paths(len(walls))
-    va, available = env.trace_paths(positions, [1.0, 0.5], paths)
+    blocks = candidate_blocks(len(walls), True)
+    va, available = env.trace_paths(positions, [1.0, 0.5], blocks)
 
     def run_once():
         rng = np.random.default_rng(33)
@@ -500,7 +498,7 @@ def test_filter_determinism_same_seed():
                           start_pos=[-2.0, 1.0], extent_walls=walls)
         outs = []
         for n in range(5):
-            batch = generate_batch(positions[n], 0.0, paths, va[n], available[n],
+            batch = generate_batch(positions[n], 0.0, blocks, va[n], available[n],
                                    {"los": 0.95, "single": 0.95, "double": 0.95},
                                    PROFILE, CLUTTER, rng)
             outs.append(filt.step([batch]).x_hat)

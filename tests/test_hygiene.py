@@ -32,6 +32,14 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
+def private_imports(source: str) -> list[str]:
+    """Underscore names a package module imports from another package module."""
+    return [f"line {node.lineno}: {alias.name}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "mvaslam")
+            for alias in node.names if alias.name.startswith("_")]
+
+
 def public_names(source: str) -> list[str]:
     """Public top-level functions and classes, and the public methods of those classes."""
     names = []
@@ -123,6 +131,24 @@ def test_no_unused_imports():
     findings = [f"{path.relative_to(ROOT)} {finding}"
                 for path in MODULES for finding in unused_imports(path.read_text(encoding="utf-8"))]
     assert not findings, "unused imports:\n" + "\n".join(findings)
+
+
+def test_private_import_checker_flags_only_package_underscore_names():
+    source = ("from __future__ import annotations\n"
+              "from numpy import _globals\n"
+              "from .raytrace import Environment, _surface_frame\n"
+              "from mvaslam.geometry import _helper as helper\n"
+              "from . import _internal\n"
+              "import _thread\n")
+    assert private_imports(source) == ["line 3: _surface_frame", "line 4: _helper",
+                                       "line 5: _internal"]
+
+
+def test_no_private_imports_across_package_modules():
+    # a name another module needs is part of its owner's interface: make it public
+    findings = [f"{path.relative_to(ROOT)} {finding}"
+                for path in PACKAGE for finding in private_imports(path.read_text(encoding="utf-8"))]
+    assert not findings, "private names imported across modules:\n" + "\n".join(findings)
 
 
 def test_reference_checker_sees_names_and_attributes():

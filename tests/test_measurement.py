@@ -6,10 +6,9 @@ from mvaslam.measurement import (
     ClutterModel,
     NoiseProfile,
     PathNoise,
-    enumerate_paths,
     generate_batch,
 )
-from mvaslam.raytrace import Environment, PathClass
+from mvaslam.raytrace import Environment, candidate_blocks
 
 from oracles import Measurement, gaussian_pdf, likelihood, predicted_measurement
 
@@ -23,10 +22,10 @@ WALL_MVA = ONE_WALL.wall_mvas[0]
 
 
 def traced(agent, pa, env):
-    """Candidate paths, true VAs and availability at one agent position, traced once."""
-    paths = enumerate_paths(len(env.walls))
-    va, available = env.trace_paths(agent, pa, paths)
-    return paths, va, available
+    """Candidate path blocks, true VAs and availability at one agent position, traced once."""
+    blocks = candidate_blocks(len(env.walls), True)
+    va, available = env.trace_paths(agent, pa, blocks)
+    return blocks, va, available
 
 
 def test_noise_profile_validation():
@@ -102,9 +101,9 @@ def test_clutter_support():
 def test_likelihood_peak_value():
     agent = np.array([-2.0, 1.0])
     pa = np.array([1.0, -1.0])
-    d, phi = predicted_measurement(agent, 0.2, PathClass(s=0), pa, WALL_MVA)
+    d, phi = predicted_measurement(agent, 0.2, (0,), pa, WALL_MVA)
     noise = PROFILE.single
-    peak = likelihood(Measurement(float(d), float(phi)), agent, 0.2, PathClass(s=0),
+    peak = likelihood(Measurement(float(d), float(phi)), agent, 0.2, (0,),
                       pa, WALL_MVA, profile=PROFILE)
     assert peak == pytest.approx(1.0 / (2 * np.pi * noise.sigma_d * noise.sigma_phi))
 
@@ -112,11 +111,11 @@ def test_likelihood_peak_value():
 def test_likelihood_wrapped_angle_difference():
     agent = np.array([0.0, 0.0])
     pa = np.array([3.0, 0.0])
-    d, phi = predicted_measurement(agent, 0.0, PathClass(), pa)
+    d, phi = predicted_measurement(agent, 0.0, (), pa)
     base = likelihood(Measurement(float(d), float(phi - 0.1)), agent, 0.0,
-                      PathClass(), pa, profile=PROFILE)
+                      (), pa, profile=PROFILE)
     shifted = likelihood(Measurement(float(d), float(phi + 2 * np.pi - 0.1)),
-                         agent, 0.0, PathClass(), pa, profile=PROFILE)
+                         agent, 0.0, (), pa, profile=PROFILE)
     assert shifted == pytest.approx(base, rel=1e-9)
 
 
@@ -125,10 +124,10 @@ def test_likelihood_matches_bivariate_gaussian_oracle():
     heading = -0.4
     pa = np.array([1.0, -1.0])
     noise = PROFILE.single
-    d, phi = predicted_measurement(agent, heading, PathClass(s=0), pa, WALL_MVA)
+    d, phi = predicted_measurement(agent, heading, (0,), pa, WALL_MVA)
     for k_d, k_phi in [(3, 0), (0, 3), (3, 3), (-2, 1)]:
         z = Measurement(float(d + k_d * noise.sigma_d), float(phi + k_phi * noise.sigma_phi))
-        got = likelihood(z, agent, heading, PathClass(s=0), pa, WALL_MVA,
+        got = likelihood(z, agent, heading, (0,), pa, WALL_MVA,
                          profile=PROFILE)
         want = (gaussian_pdf(k_d * noise.sigma_d, 0.0, noise.sigma_d)
                 * gaussian_pdf(k_phi * noise.sigma_phi, 0.0, noise.sigma_phi))
@@ -138,7 +137,7 @@ def test_likelihood_matches_bivariate_gaussian_oracle():
 def test_likelihood_integrates_to_one():
     agent = np.array([0.0, 0.0])
     pa = np.array([4.0, 1.0])
-    d0, phi0 = predicted_measurement(agent, 0.1, PathClass(), pa)
+    d0, phi0 = predicted_measurement(agent, 0.1, (), pa)
     noise = PROFILE.double  # widest angle noise: 25 degrees
     ds = np.linspace(d0 - 8 * noise.sigma_d, d0 + 8 * noise.sigma_d, 401)
     phis = np.linspace(phi0 - 8 * noise.sigma_phi, phi0 + 8 * noise.sigma_phi, 401)
@@ -148,7 +147,7 @@ def test_likelihood_integrates_to_one():
     integral = np.trapezoid(np.trapezoid(vals, phis, axis=1), ds)
     assert integral == pytest.approx(1.0, abs=1e-3)
     sampled = likelihood(Measurement(float(ds[100]), float(phis[250])), agent, 0.1,
-                         PathClass(), pa, profile=NoiseProfile(noise, noise, noise))
+                         (), pa, profile=NoiseProfile(noise, noise, noise))
     assert sampled == pytest.approx(float(vals[100, 250]), rel=1e-9)
 
 
@@ -166,7 +165,7 @@ def test_generation_likelihood_consistency():
                                {"los": 1.0, "single": 0.0, "double": 0.0},
                                PROFILE, ClutterModel(mu_fp=0.0, d_max=30.0), rng)
         z = Measurement(float(batch.z[0, 0]), float(batch.z[0, 1]))
-        logs.append(np.log(likelihood(z, agent, heading, PathClass(), pa, profile=PROFILE)))
+        logs.append(np.log(likelihood(z, agent, heading, (), pa, profile=PROFILE)))
     expected = -1.0 - np.log(2 * np.pi * noise.sigma_d * noise.sigma_phi)
     assert np.mean(logs) == pytest.approx(expected, rel=0.02)
 

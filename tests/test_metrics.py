@@ -6,7 +6,6 @@ import pytest
 from mvaslam.experiment import available_path_keys, truth_va_sets
 from mvaslam.geometry import EPS_GEO, mva_to_va
 from mvaslam.metrics import OspaParams, dedupe_points, ospa, va_ospa, va_set
-from mvaslam.raytrace import PathClass
 from mvaslam.scenario import bundled_scenario
 
 from oracles import brute_force_assignment_cost, dedupe_points_loop, double_bounce_va
@@ -165,10 +164,10 @@ def reference_truth_vas(mvas, pa, seen):
     bounce at ``s``, then ``(s, s2)`` for every ``s2``, deduplicated."""
     points = []
     for s, mva in enumerate(mvas):
-        if PathClass(s=s) in seen:
+        if (s,) in seen:
             points.append(mva_to_va(mva, pa))
         for s2, mva2 in enumerate(mvas):
-            if s2 != s and PathClass(s=s, s2=s2) in seen:
+            if s2 != s and (s, s2) in seen:
                 points.append(double_bounce_va(mva, mva2, pa))
     return dedupe_points(points)
 
@@ -176,11 +175,14 @@ def reference_truth_vas(mvas, pa, seen):
 @pytest.mark.parametrize("name", ["exp1_rect_room", "exp3_olos", "nonrect"])
 def test_truth_va_sets_match_va_set_of_seen_paths(name):
     for double in (True, False):
-        config = replace(bundled_scenario(name), double_bounce=double)
+        config = bundled_scenario(name)
+        config = replace(config, double_bounce=double,
+                         params=replace(config.params, use_double_bounce=double))
         truth = available_path_keys(config)
         seen = truth.available.any(axis=1)
+        bounces = [tuple(row) for _, members in truth.blocks for row in members.tolist()]
         for j, got in enumerate(truth_va_sets(truth)):
-            paths = {path for path, s in zip(truth.paths, seen[j]) if s}
+            paths = {path for path, s in zip(bounces, seen[j]) if s}
             want = reference_truth_vas(config.environment.wall_mvas, config.pas[j], paths)
             assert len(want) and np.array_equal(got, want), (name, double, j)
 

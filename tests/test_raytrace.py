@@ -1,17 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from mvaslam.experiment import available_path_keys
 from mvaslam.geometry import WallSegment
-from mvaslam.measurement import enumerate_paths
-from mvaslam.raytrace import (
-    Environment,
-    PathClass,
-    _surface_frame,
-    backward_trace,
-)
+from mvaslam.raytrace import Environment, candidate_blocks
 from mvaslam.scenario import bundled_scenario
 
-from oracles import AMBIGUOUS, LOS, oracle_path_available
+from oracles import AMBIGUOUS, KINDS, backward_trace, candidate_bounces, oracle_path_available
+
+LOS = ()
 
 
 def rect_room():
@@ -32,9 +31,10 @@ def nonrect_room():
     ])
 
 
-def available(agent, pa, path, env):
+def available(agent, pa, bounces, env):
     """Availability of one path at one agent position, traced as the generator does."""
-    return bool(env.trace_paths(agent, pa, [path])[1][0])
+    kind = KINDS[len(bounces)]
+    return bool(env.trace_paths(agent, pa, [(kind, np.array([bounces]).reshape(1, -1))])[1][0])
 
 
 def test_los_open_room():
@@ -65,12 +65,12 @@ def test_blocker_removal_monotonicity():
     blocker = WallSegment([0.0, -3.0], [0.5, 2.0])
     env_b = Environment(walls=env.walls, blockers=[blocker])
     rng = np.random.default_rng(6)
-    paths = enumerate_paths(4)
+    blocks = candidate_blocks(4, True)
     for _ in range(200):
         agent = rng.uniform([-4.5, -3.0], [4.5, 3.0])
         pa = rng.uniform([-4.5, -3.0], [4.5, 3.0])
-        with_blocker = env_b.trace_paths(agent, pa, paths)[1]
-        without = env.trace_paths(agent, pa, paths)[1]
+        with_blocker = env_b.trace_paths(agent, pa, blocks)[1]
+        without = env.trace_paths(agent, pa, blocks)[1]
         assert np.all(without[with_blocker])
 
 
@@ -84,12 +84,10 @@ def test_perpendicular_double_bounce_exactly_one_order():
     checked = 0
     for _ in range(1000):
         agent = rng.uniform([-2.5, -5.5], [4.5, 3.5])
-        against = [oracle_path_available(agent, pa, PathClass(s=s, s2=t), env)
-                   for s, t in ((0, 1), (1, 0))]
+        against = [oracle_path_available(agent, pa, path, env) for path in ((0, 1), (1, 0))]
         if AMBIGUOUS in against:
             continue
-        got = [available(agent, pa, PathClass(s=s, s2=t), env)
-               for s, t in ((0, 1), (1, 0))]
+        got = [available(agent, pa, path, env) for path in ((0, 1), (1, 0))]
         assert got == against
         assert sum(got) <= 1
         checked += 1
@@ -103,12 +101,13 @@ def test_oracle_equivalence(room):
     hi = np.max([[w.a, w.b] for w in env.walls], axis=(0, 1))
     rng = np.random.default_rng(1234)
     pas = [rng.uniform(lo + 0.5, hi - 0.5) for _ in range(2)]
-    paths = enumerate_paths(len(env.walls))
+    paths = candidate_bounces(len(env.walls), True)
     agents, anchors = [], []
     for _ in range(1000):
         agents.append(rng.uniform(lo + 0.2, hi - 0.2))
         anchors.append(pas[int(rng.integers(2))])
-    got = env.trace_paths(np.array(agents), np.array(anchors), paths)[1]
+    blocks = candidate_blocks(len(env.walls), True)
+    got = env.trace_paths(np.array(agents), np.array(anchors), blocks)[1]
     checked = skipped = 0
     for agent, pa, row in zip(agents, anchors, got):
         for path, avail in zip(paths, row):
@@ -119,16 +118,6 @@ def test_oracle_equivalence(room):
             assert avail == expected, f"disagreement at agent={agent}, pa={pa}, path={path}"
             checked += 1
     assert checked > 10 * skipped
-
-
-def test_path_class_validation():
-    with pytest.raises(ValueError):
-        PathClass(s=1, s2=1)
-    with pytest.raises(ValueError):
-        PathClass(s=None, s2=3)
-    assert PathClass(s=2).kind == "single"
-    assert PathClass(s=0, s2=1).kind == "double"
-    assert LOS.kind == "los"
 
 
 def test_wall_extents():
@@ -150,15 +139,38 @@ def test_filter_and_generator_agree_on_bundled_scenarios(name):
     config = bundled_scenario(name)
     env = config.environment
     points = config.waypoints
-    paths = enumerate_paths(len(env.walls))
+    paths = candidate_bounces(len(env.walls), True)
     # one "particle" per waypoint, every particle at the true MVA
     clouds = np.repeat(env.wall_mvas[:, None], len(points), axis=1)
-    lo, hi = env.nearest_extents(clouds, _surface_frame(clouds)[1])
+    lo, hi = env.nearest_extents(clouds)
     for pa in config.pas:
-        generator = env.trace_paths(points, pa, paths)[1]
-        for k, path in enumerate(paths):
-            idx = path.bounces
+        generator = env.trace_paths(points, pa, candidate_blocks(len(env.walls), True))[1]
+        for k, idx in enumerate(paths):
             _, filt = backward_trace(points, pa, [clouds[i] for i in idx],
                                      [(lo[i], hi[i]) for i in idx], env.blocker_segments,
                                      check=True)
-            assert np.array_equal(filt, generator[:, k]), f"{name}: {path} at pa={pa}"
+            assert np.array_equal(filt, generator[:, k]), f"{name}: {idx} at pa={pa}"
+
+
+@pytest.mark.parametrize("name", ["exp1_rect_room", "exp3_olos", "nonrect"])
+@pytest.mark.parametrize("double", [True, False])
+def test_truth_table_matches_backward_trace(name, double):
+    # the truth table, traced once through the trace cache, equals a trace of
+    # each candidate path from scratch, column by column and bit for bit
+    config = bundled_scenario(name)
+    config = replace(config, double_bounce=double,
+                     params=replace(config.params, use_double_bounce=double))
+    env = config.environment
+    truth = available_path_keys(config)
+    paths = candidate_bounces(len(env.walls), double)
+    kinds = [kind for kind, members in truth.blocks for _ in members]
+    assert kinds == [KINDS[len(idx)] for idx in paths]
+    assert [tuple(row) for _, members in truth.blocks for row in members.tolist()] == paths
+    lo, hi = env.wall_extents.T
+    pas = np.array(config.pas)[:, None]
+    assert truth.va.shape == (len(config.pas), len(config.waypoints), len(paths), 2)
+    for k, idx in enumerate(paths):
+        va, available = backward_trace(config.waypoints, pas, [env.wall_mvas[i] for i in idx],
+                                       [(lo[i], hi[i]) for i in idx], env.segments, check=True)
+        assert np.array_equal(truth.va[:, :, k], va), (name, double, idx)
+        assert np.array_equal(truth.available[:, :, k], available), (name, double, idx)

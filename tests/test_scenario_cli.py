@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -80,6 +81,24 @@ def test_params_double_bounce_flag_rejected():
     # the setup flag lives at the top level only; a params copy would be overwritten
     with pytest.raises(ScenarioError, match=r"params\.use_double_bounce.*'double_bounce'"):
         minimal_config(params={"use_double_bounce": False})
+
+
+def test_setup_fields_must_agree():
+    # the truth and the metrics read double_bounce, the filter use_double_bounce
+    config = minimal_config()
+    for mismatched in (dict(double_bounce=False),
+                       dict(params=replace(config.params, use_double_bounce=False))):
+        with pytest.raises(ValueError, match=r"double_bounce=.*params\.use_double_bounce="):
+            replace(config, **mismatched)
+    single = replace(config, double_bounce=False,
+                     params=replace(config.params, use_double_bounce=False))
+    assert single.double_bounce is single.params.use_double_bounce is False
+
+
+def test_clutter_mean_is_not_a_filter_hyperparameter():
+    # the filter reads the clutter mean from the clutter model the generator draws from
+    with pytest.raises(ScenarioError, match=r"^params\.mu_clutter: unknown hyperparameter"):
+        minimal_config(params={"mu_clutter": 1.0})
 
 
 def test_reflective_wall_through_origin_names_the_wall(tmp_path, capsys):
