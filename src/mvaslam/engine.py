@@ -33,6 +33,8 @@ _PRIOR_POS_HALFWIDTH = 0.5  # m, half-width of the uniform prior box around the 
 _PRIOR_VEL_HALFWIDTH = 0.1  # m/s, half-width of the uniform prior velocity box
 # pair rows outnumber the others about S-fold; their likelihood is float32
 _LIK_DTYPE = {"los": np.float64, "single": np.float64, "double": np.float32}
+_EXP_CLAMP = -700.0        # float64 exp stays normal, and vectorized, above this
+_EXP_ZERO_BELOW = -745.2   # float64 exp is exactly 0.0 below this
 
 
 @dataclass
@@ -241,42 +243,68 @@ def _log_sum_exp(values: np.ndarray) -> float:
     return float(m + np.log(np.sum(np.exp(values - m))))
 
 
-def _block_likelihood(agent_xy, headings, va, avail, z, sigma_d, sigma_phi,
+def _exp_in_place(x):
+    """``np.exp(x, out=x)``, bit for bit, kept off float64 exp's underflow path.
+
+    float64 ``np.exp`` leaves its vector loop wherever a lane underflows,
+    and most likelihood arguments lie far below the float64 range.  So the
+    arguments are clamped at ``_EXP_CLAMP``, exponentiated and zeroed below
+    it; the few in ``[_EXP_ZERO_BELOW, _EXP_CLAMP)``, whose exp is
+    subnormal, are recomputed by ``np.exp``.  Below ``_EXP_ZERO_BELOW`` exp
+    is exactly 0.0.  Other dtypes take plain ``np.exp``.
+    """
+    if x.dtype != np.float64:
+        return np.exp(x, out=x)
+    low = x < _EXP_CLAMP
+    subnormal = np.nonzero(low & (x >= _EXP_ZERO_BELOW))
+    tail = np.exp(x[subnormal])
+    np.maximum(x, _EXP_CLAMP, out=x)
+    np.exp(x, out=x)
+    x *= np.logical_not(low, out=low)
+    x[subnormal] = tail
+    return x
+
+
+def _block_likelihood(agent, headings, va, avail, z, sigma_d, sigma_phi,
                       out_dtype=np.float64):
     """Likelihood of a block of rows at its scoring entries only.
 
+    ``agent`` (I,) and ``va`` (R, I) are ``(x, y)`` coordinate planes.
     Returns ``(rows, parts, lik)``: the (row, particle) entries where the
     path is available and the agent particle lies farther than ``EPS_GEO``
-    from its VA, in row-major order, and their likelihood (n, M).  Every
-    other entry of the block's (R, I, M) likelihood is zero by definition.
-    ``sigma_d`` / ``sigma_phi`` are the noise levels of the block's path
-    kind.  The double-bounce block requests float32 output; the distance and
-    angle are cast up front so no full-size float64 temporary is formed.
+    from its VA, in row-major order, and their likelihood (M, n), one
+    contiguous row per measurement.  Every other entry of the block's (R,
+    I, M) likelihood is zero by definition.  ``sigma_d`` / ``sigma_phi``
+    are the noise levels of the block's path kind.  The double-bounce block
+    requests float32 output; the distance and angle are cast up front so no
+    full-size float64 temporary is formed.
     """
     rows, parts = np.nonzero(avail)
-    diff = agent_xy[parts] - va[rows, parts]
-    d = np.hypot(diff[:, 0], diff[:, 1])
+    dx = agent[0][parts] - va[0][rows, parts]
+    dy = agent[1][parts] - va[1][rows, parts]
+    d = np.hypot(dx, dy)
     keep = d > EPS_GEO
     if not keep.all():
-        rows, parts, diff, d = rows[keep], parts[keep], diff[keep], d[keep]
-    phi = np.arctan2(diff[:, 1], diff[:, 0]) - headings[parts]
+        rows, parts, dx, dy, d = rows[keep], parts[keep], dx[keep], dy[keep], d[keep]
+    phi = np.arctan2(dy, dx) - headings[parts]
     d = d.astype(out_dtype, copy=False)
     phi = phi.astype(out_dtype, copy=False)
     z = z.astype(out_dtype, copy=False)
     sigma_d, sigma_phi = out_dtype(sigma_d), out_dtype(sigma_phi)
-    dphi = z[:, 1] - phi[:, None]
+    dphi = z[:, 1:] - phi
     # inputs lie in (-3 pi, 3 pi): two conditional shifts wrap to [-pi, pi]
     two_pi = out_dtype(2.0 * np.pi)
     dphi -= two_pi * (dphi > out_dtype(np.pi))
     dphi += two_pi * (dphi < out_dtype(-np.pi))
     dphi /= sigma_phi
-    dd = z[:, 0] - d[:, None]
+    dd = z[:, :1] - d
     dd /= sigma_d
     # single fused exponential, in place; the bivariate normalizer is factored out front
     lik = np.square(dd, out=dd)
     lik += np.square(dphi, out=dphi)
+    del dphi
     lik *= out_dtype(-0.5)
-    np.exp(lik, out=lik)
+    _exp_in_place(lik)
     lik /= (TWO_PI * sigma_d * sigma_phi)
     return rows, parts, lik
 
@@ -290,7 +318,7 @@ class _RowBlock:
     and (P, 2) for active ordered pairs.  A row exists when all its members
     do, so ``exist`` is the product of their existences (1 for LOS).
     The likelihood is kept at the scoring entries of :func:`_block_likelihood`
-    only: ``entries`` holds their (row, particle) indices and ``lik`` (n, M)
+    only: ``entries`` holds their (row, particle) indices and ``lik`` (M, n)
     their values.
     """
 
@@ -300,14 +328,14 @@ class _RowBlock:
     exist: np.ndarray    # (R,)
     avail: np.ndarray    # (R, I)
     entries: tuple[np.ndarray, np.ndarray]  # (n,) row and (n,) particle indices
-    lik: np.ndarray      # (n, M)
+    lik: np.ndarray      # (M, n)
 
     def lik_sums(self) -> np.ndarray:
         """Likelihood summed over the particles, (R, M) float64, in particle order."""
-        n_rows, n_meas = len(self.members), self.lik.shape[1]
-        sums = np.empty((n_rows, n_meas))
-        for m in range(n_meas):
-            sums[:, m] = np.bincount(self.entries[0], weights=self.lik[:, m], minlength=n_rows)
+        n_rows = len(self.members)
+        sums = np.empty((n_rows, len(self.lik)))
+        for m, lik in enumerate(self.lik):
+            sums[:, m] = np.bincount(self.entries[0], weights=lik, minlength=n_rows)
         return sums
 
     def response(self, eta: np.ndarray, denom: np.ndarray, p_d: float) -> np.ndarray:
@@ -318,9 +346,14 @@ class _RowBlock:
         ``p_d sum_m lik eta[:, m] / denom[m]`` at the scoring entries.
         """
         resp = eta[:, :1] * (1.0 - self.avail * p_d)
-        if self.lik.shape[1]:
+        if len(self.lik):
             eta_m = (eta[:, 1:] / denom[None, :]).astype(self.lik.dtype)
-            resp[self.entries] += p_d * np.einsum("em,em->e", self.lik, eta_m[self.entries[0]])
+            # einsum sums along contiguous (n, M) rows; over (M, n) it would sum
+            # in another order.  The block keeps a view of the copy, so the
+            # (M, n) original is freed before the messages are gathered.
+            lik = np.ascontiguousarray(self.lik.T)
+            self.lik = lik.T
+            resp[self.entries] += p_d * np.einsum("em,em->e", lik, eta_m[self.entries[0]])
         return resp
 
 
@@ -346,6 +379,7 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray,
     s_count = len(legacy)
     n_meas = len(batch)
     agent_xy = agent.particles[:, :2]
+    agent_planes = agent_xy.T.copy()
     n_part = agent.n_particles
     z = batch.z.reshape(n_meas, 2)
     pe = np.array([f.existence for f in legacy])
@@ -375,11 +409,12 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray,
                 continue
         va, avail = traces.trace(agent_xy, members)
         noise = getattr(profile, kind)
-        *entries, lik = _block_likelihood(agent_xy, agent.headings, va, avail, z,
+        *entries, lik = _block_likelihood(agent_planes, agent.headings, va, avail, z,
                                           noise.sigma_d, noise.sigma_phi, _LIK_DTYPE[kind])
         blocks.append(_RowBlock(kind, members, slice(n_rows, n_rows + len(members)),
                                 exist, avail, tuple(entries), lik))
         n_rows += len(members)
+    del va, lik    # from here the blocks alone hold what the response needs
 
     # birth-density values of the proposal clouds
     (xlo, xhi), (ylo, yhi) = params.birth_region

@@ -93,14 +93,24 @@ def mva_to_va(mva, pa):
     """
     mva = _as_points(mva)
     pa = _as_points(pa)
-    nrm2 = mva[..., 0] * mva[..., 0] + mva[..., 1] * mva[..., 1]
+    return np.stack(mva_to_va_planes(mva[..., 0], mva[..., 1], pa[..., 0], pa[..., 1]), axis=-1)
+
+
+def mva_to_va_planes(mx, my, px, py):
+    """:func:`mva_to_va` on coordinate planes: MVA ``(mx, my)``, anchor ``(px, py)``.
+
+    Returns the VA planes ``(vx, vy)``, broadcast over all four inputs.
+    """
+    nrm2 = mx * mx + my * my
     bad = nrm2 <= EPS_GEO * EPS_GEO
     denom = np.where(bad, 1.0, nrm2)
-    scale = -(2.0 * (mva[..., 0] * pa[..., 0] + mva[..., 1] * pa[..., 1]) / denom - 1.0)
-    va = scale[..., None] * mva + pa
+    scale = -(2.0 * (mx * px + my * py) / denom - 1.0)
+    vx = scale * mx + px
+    vy = scale * my + py
     if bad.any():
-        va = np.where(bad[..., None], np.nan, va)
-    return va
+        vx = np.where(bad, np.nan, vx)
+        vy = np.where(bad, np.nan, vy)
+    return vx, vy
 
 
 def va_to_mva(va, pa):
@@ -132,11 +142,13 @@ def path_distance_angle(agent_pos, heading, va):
     measured from the VA toward the agent, relative to the agent heading.
     Raises :class:`CoincidentPoints` where the agent sits on the VA.
     """
-    agent_pos = _as_points(agent_pos)
-    va = _as_points(va)
-    diff = agent_pos - va
-    d = np.hypot(diff[..., 0], diff[..., 1])
-    if (d <= EPS_GEO).any():
+    diff = np.subtract(agent_pos, va, dtype=float)
+    if diff.shape[-1:] != (2,):
+        raise ValueError(f"expected points with last axis 2, got shape {diff.shape}")
+    dx, dy = diff[..., 0], diff[..., 1]
+    d = np.hypot(dx, dy)
+    if np.count_nonzero(d <= EPS_GEO):
         raise CoincidentPoints("agent position coincides with the VA")
-    phi = wrap_angle(np.arctan2(diff[..., 1], diff[..., 0]) - np.asarray(heading, dtype=float))
+    # wrap_angle inlined: this runs once per measurement batch, on a few paths
+    phi = np.mod(np.arctan2(dy, dx) - heading + np.pi, 2.0 * np.pi) - np.pi
     return d, phi

@@ -28,10 +28,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import EPS_GEO, Surface, WallSegment, mva_to_va
+from .geometry import EPS_GEO, Surface, WallSegment, mva_to_va_planes
 
 
-_TRACE_CHUNK = 1 << 16  # (row, point) elements traced per call
+_TRACE_CHUNK = 1 << 14  # (row, point) elements traced per call
 
 
 def candidate_blocks(n_surfaces: int, double: bool) -> list[tuple[str, np.ndarray]]:
@@ -111,9 +111,9 @@ class Environment:
         d = np.hypot(self.wall_mvas[:, 0] - means[:, None, 0],
                      self.wall_mvas[:, 1] - means[:, None, 1])
         ends = self.wall_ends[np.argmin(d, axis=1)]             # (S, 2, 2)
-        normal = _surface_frame(clouds)[1]
-        ta = _along(ends[:, None, 0], normal)
-        tb = _along(ends[:, None, 1], normal)
+        normal = _surface_frame(*_planes(clouds))[1:3]
+        ta = _along(_planes(ends[:, None, 0]), normal)
+        tb = _along(_planes(ends[:, None, 1]), normal)
         return np.minimum(ta, tb), np.maximum(ta, tb)
 
     def feature_traces(self, clouds, pa, check: bool) -> SurfaceTraces:
@@ -143,78 +143,93 @@ class Environment:
                                (np.expand_dims(lo, axes), np.expand_dims(hi, axes)),
                                self.segments, check=True)
         va, available = zip(*(traces.trace(agent, members) for _, members in blocks))
-        return np.moveaxis(np.concatenate(va), 0, -2), np.moveaxis(np.concatenate(available), 0, -1)
+        va = np.stack([np.concatenate(v) for v in zip(*va)], axis=-1)
+        return np.moveaxis(va, 0, -2), np.moveaxis(np.concatenate(available), 0, -1)
 
 
 # ---------------------------------------------------------------------------
-# Array primitives.  Points are (..., 2); line normals (..., 2) with offsets
-# (...,) describe n . x = c.  Everything broadcasts.
+# Array primitives.  Inside the tracer a point is a pair of coordinate planes
+# ``(x, y)``, so every elementwise loop runs along the long axis; line
+# normals are planes ``(nx, ny)`` with offsets describing n . x = c.
+# Everything broadcasts.
 # ---------------------------------------------------------------------------
 
 
-def _dot(a, b):
-    """Row-wise dot product of 2-vectors."""
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+def _planes(points, ndim=0):
+    """Coordinate planes ``(x, y)`` of (..., 2) points, each one contiguous.
+
+    Unit axes are prepended to give the planes at least ``ndim`` axes.
+    """
+    planes = np.ascontiguousarray(np.moveaxis(np.asarray(points, dtype=float), -1, 0))
+    lead = (1,) * (ndim - planes.ndim + 1)
+    return tuple(planes.reshape((2,) + lead + planes.shape[1:]))
 
 
 def _along(x, normal):
     """Coordinate of points ``x`` along the tangent (-n_y, n_x) of a line."""
-    return x[..., 1] * normal[..., 0] - x[..., 0] * normal[..., 1]
+    return x[1] * normal[0] - x[0] * normal[1]
 
 
-def _surface_frame(mva):
-    """Validity, unit normal and line offset of surface MVA(s).
+def _surface_frame(mx, my):
+    """Validity, unit normal planes and line offset of surface MVA planes ``(mx, my)``.
 
-    A surface is valid when its MVA is farther than ``EPS_GEO`` from the
-    origin; invalid rows carry finite but meaningless frames.
+    Returns ``(ok, nx, ny, offset)``.  A surface is valid when its MVA is
+    farther than ``EPS_GEO`` from the origin; invalid entries carry finite
+    but meaningless frames.
     """
-    mva = np.asarray(mva, dtype=float)
-    norm = np.hypot(mva[..., 0], mva[..., 1])
+    norm = np.hypot(mx, my)
     ok = norm > EPS_GEO
-    return ok, mva / np.where(ok, norm, 1.0)[..., None], 0.5 * norm
+    safe = np.where(ok, norm, 1.0)
+    return ok, mx / safe, my / safe, 0.5 * norm
 
 
 def line_crossing(p, q, normal, offset):
     """Where segment [p, q] crosses the line ``normal . x = offset``.
 
-    Returns ``(ok, hit)``: ``ok`` is True when p and q lie on opposite sides
-    (touching counts), ``hit`` is the crossing point (unspecified when not
-    ``ok``).
+    Points and the normal are ``(x, y)`` planes.  Returns ``(ok, hit)``:
+    ``ok`` is True when p and q lie on opposite sides (touching counts),
+    ``hit`` the crossing point's planes (unspecified when not ``ok``).
     """
-    p = np.asarray(p)
-    q = np.asarray(q)
-    sd_p = _dot(p, normal) - offset
-    sd_q = _dot(q, normal) - offset
+    (px, py), (qx, qy), (nx, ny) = p, q, normal
+    # in place where the shapes allow: the chunk's temporaries stay few and cached
+    sd_p = px * nx
+    sd_p += py * ny
+    sd_p -= offset
+    sd_q = qx * nx
+    sd_q += qy * ny
+    sd_q -= offset
     denom = sd_p - sd_q
     safe = np.abs(denom) > 1e-300
-    t = np.where(safe, sd_p / np.where(safe, denom, 1.0), 0.0)
-    ok = (sd_p * sd_q <= 0.0) & safe
-    hit = p + t[..., None] * (q - p)
-    return ok, hit
+    t = np.divide(sd_p, denom, out=np.zeros(denom.shape), where=safe)
+    ok = np.multiply(sd_p, sd_q, out=denom) <= 0.0
+    ok &= safe
+    hx = t * (qx - px)
+    hx += px
+    hy = t * (qy - py)
+    hy += py
+    return ok, (hx, hy)
 
 
 def segment_blocks(p, q, a, b):
     """True where segment [a, b] obstructs the open interior of hop [p, q].
 
-    Crossings within ``EPS_GEO`` of the hop endpoints do not count: hop
-    endpoints lie on reflectors by construction, so a reflector never blocks
-    the hops that meet at it.  Grazing the blocking segment's own endpoints
-    does count (deterministic tie-break).
+    ``p`` and ``q`` are ``(x, y)`` planes, ``a`` and ``b`` the segment's
+    endpoints.  Crossings within ``EPS_GEO`` of the hop endpoints do not
+    count: hop endpoints lie on reflectors by construction, so a reflector
+    never blocks the hops that meet at it.  Grazing the blocking segment's
+    own endpoints does count (deterministic tie-break).
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    ab = b - a
-    pq = q - p
+    (px, py), (qx, qy), (ax, ay), (bx, by) = p, q, a, b
+    abx, aby = bx - ax, by - ay
+    pqx, pqy = qx - px, qy - py
     # side of p/q relative to line ab, and of a/b relative to line pq
-    cross_ap = ab[..., 0] * (p[..., 1] - a[..., 1]) - ab[..., 1] * (p[..., 0] - a[..., 0])
-    cross_aq = ab[..., 0] * (q[..., 1] - a[..., 1]) - ab[..., 1] * (q[..., 0] - a[..., 0])
-    cross_pa = pq[..., 0] * (a[..., 1] - p[..., 1]) - pq[..., 1] * (a[..., 0] - p[..., 0])
-    cross_pb = pq[..., 0] * (b[..., 1] - p[..., 1]) - pq[..., 1] * (b[..., 0] - p[..., 0])
+    cross_ap = abx * (py - ay) - aby * (px - ax)
+    cross_aq = abx * (qy - ay) - aby * (qx - ax)
+    cross_pa = pqx * (ay - py) - pqy * (ax - px)
+    cross_pb = pqx * (by - py) - pqy * (bx - px)
     crossing = (cross_ap * cross_aq <= 0.0) & (cross_pa * cross_pb <= 0.0)
-    hop_len = np.hypot(pq[..., 0], pq[..., 1])
-    seg_len = np.hypot(ab[..., 0], ab[..., 1])
+    hop_len = np.hypot(pqx, pqy)
+    seg_len = np.hypot(abx, aby)
     scale = np.maximum(seg_len * hop_len, 1e-300)
     collinear = (np.abs(cross_ap) <= EPS_GEO * scale) & (np.abs(cross_aq) <= EPS_GEO * scale)
     if not (crossing.any() or collinear.any()):
@@ -222,13 +237,13 @@ def segment_blocks(p, q, a, b):
 
     denom_t = cross_ap - cross_aq
     safe_t = np.abs(denom_t) > 1e-300
-    t = np.where(safe_t, cross_ap / np.where(safe_t, denom_t, 1.0), -1.0)
+    t = np.divide(cross_ap, denom_t, out=np.full(denom_t.shape, -1.0), where=safe_t)
     margin = np.where(hop_len > 0, EPS_GEO / np.maximum(hop_len, 1e-300), 0.0)
     interior = (t > margin) & (t < 1.0 - margin)
 
     denom_u = cross_pa - cross_pb
     safe_u = np.abs(denom_u) > 1e-300
-    u = np.where(safe_u, cross_pa / np.where(safe_u, denom_u, 1.0), -1.0)
+    u = np.divide(cross_pa, denom_u, out=np.full(denom_u.shape, -1.0), where=safe_u)
     margin_u = EPS_GEO / np.maximum(seg_len, 1e-300)
     within = (u >= -margin_u) & (u <= 1.0 + margin_u)
 
@@ -236,9 +251,9 @@ def segment_blocks(p, q, a, b):
 
     # collinear overlap: hop slides along the segment
     if collinear.any():
-        rr = np.maximum(_dot(pq, pq), 1e-300)
-        t0 = _dot(a - p, pq) / rr
-        t1 = _dot(b - p, pq) / rr
+        rr = np.maximum(pqx * pqx + pqy * pqy, 1e-300)
+        t0 = ((ax - px) * pqx + (ay - py) * pqy) / rr
+        t1 = ((bx - px) * pqx + (by - py) * pqy) / rr
         lo = np.minimum(t0, t1)
         hi = np.maximum(t0, t1)
         overlap = (hi > margin) & (lo < 1.0 - margin)
@@ -249,8 +264,9 @@ def segment_blocks(p, q, a, b):
 def hop_obstructed(p, q, segments):
     """True where any wall/blocker segment obstructs hop [p, q].
 
-    ``segments`` is a sequence of ``(a, b)`` endpoint pairs.  Without
-    segments the result is a scalar False.
+    ``p`` and ``q`` are ``(x, y)`` planes; ``segments`` is a sequence of
+    ``(a, b)`` endpoint pairs.  Without segments the result is a scalar
+    False.
     """
     blocked = np.False_
     for a, b in segments:
@@ -263,77 +279,81 @@ class SurfaceTraces:
 
     ``mvas`` (S, ..., 2) holds the surfaces' MVAs and ``extents`` ``(lo,
     hi)`` (S, ...) their reflector extents, the surface axis first; every
-    other axis broadcasts with the anchor ``pa`` and the agent points.
-    Each surface's frame and single-bounce image of the anchor are computed
-    once and shared by every row it is a member of, so a pair row computes
-    only its outer image.  ``obstacles`` are ``(a, b)`` segments.  With
-    ``check=False`` nothing is traced and availability only reports
-    non-degenerate surfaces.
+    other axis broadcasts with the anchor ``pa`` (..., 2) and the agent
+    points.  Each surface's frame and single-bounce image of the anchor are
+    computed once, as coordinate planes, and shared by every row it is a
+    member of, so a pair row computes only its outer image.  ``obstacles``
+    are ``(a, b)`` segments.  With ``check=False`` nothing is traced and
+    availability only reports non-degenerate surfaces.
     """
 
     def __init__(self, mvas, pa, extents, obstacles, check: bool):
-        self.mvas = np.asarray(mvas, dtype=float)
-        self.pa = np.asarray(pa, dtype=float)
-        self.frame = _surface_frame(self.mvas)
-        self.va1 = mva_to_va(self.mvas, self.pa)
+        self.mvas = _planes(mvas)
+        # the anchor and agent planes take the surface planes' rank, so that every
+        # point handed to the hop tests has one rank
+        self.pa = _planes(pa, self.mvas[0].ndim)
+        self.frame = _surface_frame(*self.mvas)
+        self.va1 = mva_to_va_planes(*self.mvas, *self.pa)
         self.extents = extents
         self.obstacles = obstacles
         self.check = check
 
     def trace(self, agent, members):
-        """VAs (R, ..., 2) and availability (R, ...) of the rows ``members`` (R, k).
+        """VA planes ``(vx, vy)`` (R, ...) and availability (R, ...) of the rows ``members`` (R, k).
 
-        The image method mirrors the anchor across a row's bounces from the
-        anchor side, and :func:`trace_hops` walks the hops from ``agent``.
-        A row's VA is zero where a bounce surface is degenerate.  Rows are
-        traced in chunks so the temporaries stay small.
+        ``agent`` holds (..., 2) points.  The image method mirrors the
+        anchor across a row's bounces from the anchor side, and
+        :func:`trace_hops` walks the hops from ``agent``.  A row's VA is
+        zero where a bounce surface is degenerate.  Rows are traced in
+        chunks so the temporaries stay small.
         """
-        agent = np.asarray(agent, dtype=float)
-        shape = np.broadcast_shapes(agent.shape, self.pa.shape, self.mvas.shape[1:])[:-1]
-        va = np.empty((len(members),) + shape + (2,))
+        mx, my = self.mvas
+        agent = _planes(agent, mx.ndim)
+        shape = np.broadcast_shapes(agent[0].shape, self.pa[0].shape, mx.shape)[1:]
+        vx, vy = (np.empty((len(members),) + shape) for _ in range(2))
         available = np.empty((len(members),) + shape, dtype=bool)
         chunk = max(1, _TRACE_CHUNK // max(math.prod(shape), 1))
         for r in range(0, len(members), chunk):
             idx = members[r:r + chunk].T
             images = [self.pa]
             if len(idx):
-                images.insert(0, self.va1[idx[-1]])
+                images.insert(0, tuple(v[idx[-1]] for v in self.va1))
             for i in reversed(idx[:-1]):
-                images.insert(0, mva_to_va(self.mvas[i], images[0]))
-            va[r:r + chunk], available[r:r + chunk] = trace_hops(
-                agent, images, [tuple(a[i] for a in self.frame) for i in idx],
+                images.insert(0, mva_to_va_planes(mx[i], my[i], *images[0]))
+            (vx[r:r + chunk], vy[r:r + chunk]), available[r:r + chunk] = trace_hops(
+                agent, images, [tuple(f[i] for f in self.frame) for i in idx],
                 [tuple(e[i] for e in self.extents) for i in idx], self.obstacles, self.check)
-        return va, available
+        return (vx, vy), available
 
 
 def trace_hops(agent, images, frames, extents, obstacles, check: bool):
     """Walk a path's hops from the agent, given its images and surface frames.
 
-    ``images`` holds, per bounce, the image of the anchor across that bounce
-    and every later one, then the anchor itself; ``images[0]`` is the VA.
-    ``frames`` holds each bounce's :func:`_surface_frame`.  Each hop runs
-    from the previous bounce point toward the next image; its bounce point
-    must lie on the surface inside the extent and the hop must be
-    unobstructed.  ``extents`` holds each bounce's ``(lo, hi)`` in the
-    tangent coordinate of its surface and ``obstacles`` the ``(a, b)``
-    segments; everything broadcasts.  Returns ``(va, available)`` as
-    :meth:`SurfaceTraces.trace` does, without its row axis.
+    Points are ``(x, y)`` planes.  ``images`` holds, per bounce, the image
+    of the anchor across that bounce and every later one, then the anchor
+    itself; ``images[0]`` is the VA.  ``frames`` holds each bounce's
+    :func:`_surface_frame`.  Each hop runs from the previous bounce point
+    toward the next image; its bounce point must lie on the surface inside
+    the extent and the hop must be unobstructed.  ``extents`` holds each
+    bounce's ``(lo, hi)`` in the tangent coordinate of its surface and
+    ``obstacles`` the ``(a, b)`` segments; everything broadcasts.  Returns
+    ``(va, available)`` as :meth:`SurfaceTraces.trace` does, without its
+    row axis.
     """
-    agent = np.asarray(agent, dtype=float)
-    valid = np.ones(agent.shape[:-1], dtype=bool)
+    valid = np.ones(np.shape(agent[0]), dtype=bool)
     available = valid
     p = agent
-    for k, (ok, normal, offset) in enumerate(frames):
+    for k, (ok, nx, ny, offset) in enumerate(frames):
         valid = valid & ok
         if not check:
             continue
-        crossed, hit = line_crossing(p, images[k], normal, offset)
-        tau = _along(hit, normal)
+        crossed, hit = line_crossing(p, images[k], (nx, ny), offset)
+        tau = _along(hit, (nx, ny))
         lo, hi = extents[k]
         available = (available & crossed & (tau >= lo - EPS_GEO) & (tau <= hi + EPS_GEO)
                      & ~hop_obstructed(p, hit, obstacles))
         p = hit
-    va = np.where(valid[..., None], images[0], 0.0)
+    va = tuple(np.where(valid, v, 0.0) for v in images[0])
     if not check:
         return va, valid
     return va, valid & available & ~hop_obstructed(p, images[-1], obstacles)

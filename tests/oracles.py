@@ -10,7 +10,10 @@ measurement at a time, as a reference for the filter's vectorized blocks.
 A path is its bounce tuple: ``()`` for LOS, ``(s,)`` for a single bounce
 at surface ``s`` and ``(s, s2)`` for a double bounce, the surface nearest
 the agent first.  :func:`backward_trace` is the bit-for-bit reference of
-the package's trace cache: it traces one path from scratch.
+the package's trace cache: it traces one path from scratch with its own
+copy of the ray tracer on (..., 2) points, and
+:func:`block_likelihood_reference` is the bit-for-bit reference of the
+filter's likelihood kernel, laid out (entries, measurements).
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mvaslam.geometry import mva_to_va, path_distance_angle, wrap_angle
-from mvaslam.raytrace import _surface_frame, trace_hops
+from mvaslam.geometry import EPS_GEO, mva_to_va, path_distance_angle, wrap_angle
+from mvaslam.measurement import TWO_PI
 
 AMBIGUOUS = "ambiguous"
 KINDS = ("los", "single", "double")   # path kind by bounce count
@@ -237,20 +240,148 @@ def brute_force_assignment_cost(cost: np.ndarray) -> float:
     return float(best)
 
 
+# ---------------------------------------------------------------------------
+# Reference ray tracer on (..., 2) points.  The package traces on coordinate
+# planes; every elementwise operation here is the same, so both must agree
+# bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _dot(a, b):
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+
+
+def _along(x, normal):
+    return x[..., 1] * normal[..., 0] - x[..., 0] * normal[..., 1]
+
+
+def _mva_to_va(mva, pa):
+    mva = np.asarray(mva, dtype=float)
+    pa = np.asarray(pa, dtype=float)
+    nrm2 = mva[..., 0] * mva[..., 0] + mva[..., 1] * mva[..., 1]
+    bad = nrm2 <= EPS_GEO * EPS_GEO
+    denom = np.where(bad, 1.0, nrm2)
+    scale = -(2.0 * (mva[..., 0] * pa[..., 0] + mva[..., 1] * pa[..., 1]) / denom - 1.0)
+    va = scale[..., None] * mva + pa
+    return np.where(bad[..., None], np.nan, va)
+
+
+def _surface_frame(mva):
+    mva = np.asarray(mva, dtype=float)
+    norm = np.hypot(mva[..., 0], mva[..., 1])
+    ok = norm > EPS_GEO
+    return ok, mva / np.where(ok, norm, 1.0)[..., None], 0.5 * norm
+
+
+def _line_crossing(p, q, normal, offset):
+    sd_p = _dot(p, normal) - offset
+    sd_q = _dot(q, normal) - offset
+    denom = sd_p - sd_q
+    safe = np.abs(denom) > 1e-300
+    t = np.where(safe, sd_p / np.where(safe, denom, 1.0), 0.0)
+    ok = (sd_p * sd_q <= 0.0) & safe
+    return ok, p + t[..., None] * (q - p)
+
+
+def _segment_blocks(p, q, a, b):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    ab = b - a
+    pq = q - p
+    cross_ap = ab[..., 0] * (p[..., 1] - a[..., 1]) - ab[..., 1] * (p[..., 0] - a[..., 0])
+    cross_aq = ab[..., 0] * (q[..., 1] - a[..., 1]) - ab[..., 1] * (q[..., 0] - a[..., 0])
+    cross_pa = pq[..., 0] * (a[..., 1] - p[..., 1]) - pq[..., 1] * (a[..., 0] - p[..., 0])
+    cross_pb = pq[..., 0] * (b[..., 1] - p[..., 1]) - pq[..., 1] * (b[..., 0] - p[..., 0])
+    crossing = (cross_ap * cross_aq <= 0.0) & (cross_pa * cross_pb <= 0.0)
+    hop_len = np.hypot(pq[..., 0], pq[..., 1])
+    seg_len = np.hypot(ab[..., 0], ab[..., 1])
+    scale = np.maximum(seg_len * hop_len, 1e-300)
+    collinear = (np.abs(cross_ap) <= EPS_GEO * scale) & (np.abs(cross_aq) <= EPS_GEO * scale)
+    denom_t = cross_ap - cross_aq
+    safe_t = np.abs(denom_t) > 1e-300
+    t = np.where(safe_t, cross_ap / np.where(safe_t, denom_t, 1.0), -1.0)
+    margin = np.where(hop_len > 0, EPS_GEO / np.maximum(hop_len, 1e-300), 0.0)
+    interior = (t > margin) & (t < 1.0 - margin)
+    denom_u = cross_pa - cross_pb
+    safe_u = np.abs(denom_u) > 1e-300
+    u = np.where(safe_u, cross_pa / np.where(safe_u, denom_u, 1.0), -1.0)
+    margin_u = EPS_GEO / np.maximum(seg_len, 1e-300)
+    within = (u >= -margin_u) & (u <= 1.0 + margin_u)
+    blocked = crossing & safe_t & safe_u & interior & within
+    # collinear overlap: hop slides along the segment
+    rr = np.maximum(_dot(pq, pq), 1e-300)
+    t0 = _dot(a - p, pq) / rr
+    t1 = _dot(b - p, pq) / rr
+    overlap = (np.maximum(t0, t1) > margin) & (np.minimum(t0, t1) < 1.0 - margin)
+    return blocked | (collinear & overlap)
+
+
+def _hop_obstructed(p, q, obstacles):
+    blocked = np.False_
+    for a, b in obstacles:
+        blocked = blocked | _segment_blocks(p, q, a, b)
+    return blocked
+
+
 def backward_trace(agent, pa, bounces, extents, obstacles, check: bool):
     """Backward-trace one path from the agent to the anchor ``pa``.
 
     ``bounces`` lists the reflecting surfaces as MVA arrays, the bounce
     nearest the agent first, and ``extents`` each bounce's reflector extent
     ``(lo, hi)``.  The anchor is mirrored across the bounces from the anchor
-    side and :func:`mvaslam.raytrace.trace_hops` walks the hops.  Returns
-    ``(va, available)`` as the trace cache does for one row.
+    side; each hop runs from the previous bounce point toward the next image
+    and must cross its surface inside the extent, unobstructed.  Points are
+    (..., 2) and everything broadcasts.  Returns ``(va (..., 2),
+    available)`` as the trace cache does for one row.
     """
+    agent = np.asarray(agent, dtype=float)
     images = [np.asarray(pa, dtype=float)]
     for mva in reversed(bounces):
-        images.insert(0, mva_to_va(mva, images[0]))
-    return trace_hops(agent, images, [_surface_frame(mva) for mva in bounces], extents,
-                      obstacles, check)
+        images.insert(0, _mva_to_va(mva, images[0]))
+    valid = np.ones(agent.shape[:-1], dtype=bool)
+    available = valid
+    p = agent
+    for k, mva in enumerate(bounces):
+        ok, normal, offset = _surface_frame(mva)
+        valid = valid & ok
+        if not check:
+            continue
+        crossed, hit = _line_crossing(p, images[k], normal, offset)
+        tau = _along(hit, normal)
+        lo, hi = extents[k]
+        available = (available & crossed & (tau >= lo - EPS_GEO) & (tau <= hi + EPS_GEO)
+                     & ~_hop_obstructed(p, hit, obstacles))
+        p = hit
+    va = np.where(valid[..., None], images[0], 0.0)
+    if not check:
+        return va, valid
+    return va, valid & available & ~_hop_obstructed(p, images[-1], obstacles)
+
+
+def block_likelihood_reference(agent_xy, headings, va, avail, z, sigma_d, sigma_phi, out_dtype):
+    """The filter's block likelihood on (..., 2) points, laid out (entries, measurements).
+
+    ``agent_xy`` (I, 2), ``va`` (R, I, 2).  Returns ``(rows, parts, lik
+    (n, M))`` at the available entries whose particle lies farther than
+    ``EPS_GEO`` from its VA, in row-major order.
+    """
+    rows, parts = np.nonzero(avail)
+    diff = agent_xy[parts] - va[rows, parts]
+    d = np.hypot(diff[:, 0], diff[:, 1])
+    keep = d > EPS_GEO
+    rows, parts, diff, d = rows[keep], parts[keep], diff[keep], d[keep]
+    phi = (np.arctan2(diff[:, 1], diff[:, 0]) - headings[parts]).astype(out_dtype)
+    d = d.astype(out_dtype)
+    z = z.astype(out_dtype)
+    sigma_d, sigma_phi = out_dtype(sigma_d), out_dtype(sigma_phi)
+    two_pi = out_dtype(2.0 * np.pi)
+    dphi = z[:, 1] - phi[:, None]
+    dphi = dphi - two_pi * (dphi > out_dtype(np.pi))
+    dphi = dphi + two_pi * (dphi < out_dtype(-np.pi))
+    dd = (z[:, 0] - d[:, None]) / sigma_d
+    dphi = dphi / sigma_phi
+    lik = np.exp(out_dtype(-0.5) * (np.square(dd) + np.square(dphi)))
+    return rows, parts, lik / (TWO_PI * sigma_d * sigma_phi)
 
 
 def candidate_bounces(n_surfaces, double):

@@ -9,6 +9,7 @@ from mvaslam.engine import (
     PmvaBelief,
     _RowBlock,
     _block_likelihood,
+    _exp_in_place,
     SlamFilter,
     draw_new_pmva,
     finalize_step,
@@ -37,7 +38,8 @@ from mvaslam.measurement import (
 from mvaslam.raytrace import Environment, candidate_blocks
 from mvaslam.scenario import bundled_scenario
 
-from oracles import Measurement, backward_trace, dense_lik_sums, dense_response, likelihood
+from oracles import (Measurement, backward_trace, block_likelihood_reference, dense_lik_sums,
+                     dense_response, likelihood)
 
 PROFILE = NoiseProfile(los=PathNoise(0.05, np.deg2rad(10.0)),
                        single=PathNoise(0.10, np.deg2rad(15.0)),
@@ -226,13 +228,13 @@ def test_block_likelihood_matches_scalar_reference():
     assert ref[0, n_meas - 2, n_meas - 2] > 0.1 and ref[0, n_meas - 1, n_meas - 1] > 0.1
 
     def dense(out_dtype):
-        rows, parts, lik = _block_likelihood(agent_xy, headings, va, avail, z,
-                                             sigma_d, sigma_phi, out_dtype)
+        rows, parts, lik = _block_likelihood(agent_xy.T, headings, np.moveaxis(va, -1, 0), avail,
+                                             z, sigma_d, sigma_phi, out_dtype)
         np.testing.assert_array_equal(rows, np.nonzero(scoring)[0])
         np.testing.assert_array_equal(parts, np.nonzero(scoring)[1])
-        assert lik.dtype == out_dtype and lik.shape == (len(rows), n_meas)
+        assert lik.dtype == out_dtype and lik.shape == (n_meas, len(rows))
         full = np.zeros(ref.shape, dtype=out_dtype)
-        full[rows, parts] = lik
+        full[rows, parts] = lik.T
         return full
 
     lik64 = dense(np.float64)
@@ -240,6 +242,51 @@ def test_block_likelihood_matches_scalar_reference():
     np.testing.assert_allclose(lik64, ref, rtol=1e-12, atol=1e-300)
     lik32 = dense(np.float32)
     assert np.max(np.abs(lik32 - ref)) <= 1e-5 * ref.max()
+
+
+def test_exp_in_place_matches_np_exp_bit_for_bit():
+    edges = [-700.0, -707.9, -708.4, -745.13, -745.2, np.nextafter(-700.0, -np.inf),
+             np.nextafter(-745.2, 0.0), -1e4, -np.inf, np.nan, 0.0, -0.0, 1.0]
+    grid = np.concatenate([np.linspace(-800.0, 0.0, 400_001), edges])
+    rng = np.random.default_rng(24)
+    assert np.count_nonzero((np.exp(grid) > 0.0) & (np.exp(grid) < np.finfo(float).tiny))
+    for x in (grid, rng.uniform(-900.0, 0.0, (500, 13))):
+        got = _exp_in_place(x.copy())
+        assert got.shape == x.shape
+        np.testing.assert_array_equal(got.view(np.uint64), np.exp(x).view(np.uint64))
+    x32 = rng.uniform(-120.0, 0.0, (50, 13)).astype(np.float32)
+    got = _exp_in_place(x32.copy())
+    assert got.dtype == np.float32
+    np.testing.assert_array_equal(got.view(np.uint32), np.exp(x32).view(np.uint32))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_block_likelihood_matches_reference_kernel(dtype):
+    # planes in, (M, n) out: every value equals the (..., 2) kernel's, bit for bit
+    rng = np.random.default_rng(25)
+    n_rows, n_part, n_meas = 5, 300, 9
+    agent_xy = rng.uniform(-5.0, 5.0, (n_part, 2))
+    headings = rng.uniform(-np.pi, np.pi, n_part)
+    va = rng.uniform(-15.0, 15.0, (n_rows, n_part, 2))
+    avail = rng.random((n_rows, n_part)) < 0.7
+    avail[3, 11] = True
+    va[3, 11] = agent_xy[11]                  # an available entry on its VA
+    headings[:40] = 0.0                       # predictions just inside +-pi ...
+    va[0, :20] = agent_xy[:20] + [3.0, 0.01]
+    va[0, 20:40] = agent_xy[20:40] + [3.0, -0.01]
+    avail[0, :40] = True
+    z = np.stack([rng.uniform(0.0, 30.0, n_meas), rng.uniform(-np.pi, np.pi, n_meas)], axis=1)
+    z[:2] = [[3.0, -np.pi + 0.02], [3.0, np.pi - 0.02]]   # ... measured just across it
+    rows, parts, lik = _block_likelihood(agent_xy.T, headings, np.moveaxis(va, -1, 0), avail, z,
+                                         0.1, 0.2, dtype)
+    ref_rows, ref_parts, ref = block_likelihood_reference(agent_xy, headings, va, avail, z,
+                                                          0.1, 0.2, dtype)
+    np.testing.assert_array_equal(rows, ref_rows)
+    np.testing.assert_array_equal(parts, ref_parts)
+    assert not np.any((rows == 3) & (parts == 11))
+    assert lik.dtype == dtype and lik.shape == (n_meas, len(rows)) and lik.flags.c_contiguous
+    np.testing.assert_array_equal(lik, ref.T)
+    assert np.count_nonzero(lik == 0.0) and lik[:2, (rows == 0) & (parts < 40)].min() > 0.1
 
 
 @pytest.mark.parametrize("n_meas", [0, 1, 6])
@@ -259,24 +306,25 @@ def test_compact_reductions_match_dense_reference(n_meas, dtype):
     for m in range(n_meas):
         diff = agent_xy[m] - va[0, m]
         z[m] = np.hypot(*diff) + 0.2, np.arctan2(diff[1], diff[0]) - headings[m] + 0.1
-    rows, parts, lik = _block_likelihood(agent_xy, headings, va, avail, z, 0.3, 0.3, dtype)
-    assert lik.shape == (len(rows), n_meas) and not np.any((rows == 2) & (parts == 7))
+    planes = (agent_xy.T, np.moveaxis(va, -1, 0))
+    rows, parts, lik = _block_likelihood(planes[0], headings, planes[1], avail, z, 0.3, 0.3, dtype)
+    assert lik.shape == (n_meas, len(rows)) and not np.any((rows == 2) & (parts == 7))
     block = _RowBlock("single", np.arange(n_rows)[:, None], slice(0, n_rows),
                       np.full(n_rows, 0.5), avail, (rows, parts), lik)
     eta = rng.uniform(0.1, 1.0, (n_rows, n_meas + 1))
     denom = rng.uniform(0.01, 0.1, max(n_meas, 1))[:n_meas]
     sums = block.lik_sums()
     assert sums.dtype == np.float64 and sums.shape == (n_rows, n_meas)
-    np.testing.assert_allclose(sums, dense_lik_sums(rows, parts, lik, avail), rtol=1e-13)
+    np.testing.assert_allclose(sums, dense_lik_sums(rows, parts, lik.T, avail), rtol=1e-13)
     assert np.all(sums[1] == 0.0)
     resp = block.response(eta, denom, 0.9)
-    np.testing.assert_allclose(resp, dense_response(rows, parts, lik, avail, eta, denom, 0.9),
+    np.testing.assert_allclose(resp, dense_response(rows, parts, lik.T, avail, eta, denom, 0.9),
                                rtol=1e-13)
     np.testing.assert_array_equal(resp[1], eta[1, 0])
     assert resp[2, 7] == eta[2, 0] * (1.0 - 0.9)
     # a block without a scoring entry
     none = np.zeros_like(avail)
-    *entries, lik = _block_likelihood(agent_xy, headings, va, none, z, 0.3, 0.3, dtype)
+    *entries, lik = _block_likelihood(planes[0], headings, planes[1], none, z, 0.3, 0.3, dtype)
     empty = _RowBlock("single", np.arange(n_rows)[:, None], slice(0, n_rows),
                       np.full(n_rows, 0.5), none, tuple(entries), lik)
     sums = empty.lik_sums()
@@ -303,8 +351,8 @@ def test_feature_trace_cache_matches_backward_trace():
             idx = members.T
             want = backward_trace(agent_xy, pa, [clouds[i] for i in idx],
                                   [(lo[i], hi[i]) for i in idx], ctx.blocker_segments, check)
-            got = traces.trace(agent_xy, members)
-            for g, w in zip(got, want):
+            (vx, vy), available = traces.trace(agent_xy, members)
+            for g, w in zip((np.stack((vx, vy), axis=-1), available), want):
                 assert g.dtype == w.dtype
                 np.testing.assert_array_equal(g, np.broadcast_to(w, g.shape))
             if check and members.shape[1]:
