@@ -91,20 +91,20 @@ def generate_batch(agent_pos, heading, blocks: Sequence[tuple[str, np.ndarray]],
     kinds = [kind for kind, members in blocks for _ in members]
     found = np.flatnonzero(available)
     dist, angle = path_distance_angle(agent_pos, heading, va[found])
-    rows = []
-    for k, d, phi in zip(found, dist, angle):
+    z_d, z_phi = [], []
+    for k, d, phi in zip(found.tolist(), dist.tolist(), angle.tolist()):
         if rng.random() >= p_detect[kinds[k]]:
             continue
         noise = getattr(profile, kinds[k])
-        z_d = float(d + noise.sigma_d * rng.standard_normal())
-        z_phi = float(wrap_angle(phi + noise.sigma_phi * rng.standard_normal()))
-        rows.append((z_d, z_phi))
+        z_d.append(d + noise.sigma_d * rng.standard_normal())
+        z_phi.append(phi + noise.sigma_phi * rng.standard_normal())
+    n_found = len(z_d)
 
-    n_clutter = rng.poisson(clutter.mu_fp)
-    for _ in range(n_clutter):
-        z_d = float(clutter.d_max * rng.random())
-        z_phi = float(TWO_PI * rng.random() - math.pi)
-        rows.append((z_d, z_phi))
+    for _ in range(rng.poisson(clutter.mu_fp)):
+        z_d.append(clutter.d_max * rng.random())
+        z_phi.append(TWO_PI * rng.random() - math.pi)
 
-    order = rng.permutation(len(rows))
-    return MeasurementBatch(z=np.array([rows[i] for i in order], dtype=float).reshape(len(rows), 2))
+    z = np.array((z_d, z_phi)).T
+    if n_found:
+        z[:n_found, 1] = wrap_angle(z[:n_found, 1])    # elementwise: one call, the same bits
+    return MeasurementBatch(z=z[rng.permutation(len(z))])

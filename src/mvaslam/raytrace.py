@@ -95,23 +95,23 @@ class Environment:
     def segments(self) -> tuple:
         return tuple((w.a, w.b) for w in self.walls) + self.blocker_segments
 
-    def nearest_extents(self, clouds):
+    def nearest_extents(self, mvas, normal):
         """Per-particle extents of estimated surfaces clipped to the nearest wall.
 
-        ``clouds`` (S, I, 2) holds the MVA particles of S estimated surfaces.
-        Each surface takes the wall whose MVA lies nearest its mean MVA, and
-        the wall's endpoints are projected onto every particle's line.
-        Returns ``(lo, hi)`` of shape (S, I); without walls the reflectors are
-        unbounded and both have shape (S, 1).
+        ``mvas`` holds the MVA particle planes ``(mx, my)``, each (S, I), of
+        S estimated surfaces and ``normal`` their unit normal planes, from
+        the surfaces' one :func:`_surface_frame`.  Each surface takes the
+        wall whose MVA lies nearest its mean MVA, and the wall's endpoints
+        are projected onto every particle's line.  Returns ``(lo, hi)`` of
+        shape (S, I); without walls the reflectors are unbounded and both
+        have shape (S, 1).
         """
         if not self.walls:
-            unbounded = np.full((clouds.shape[0], 1), np.inf)
+            unbounded = np.full((mvas[0].shape[0], 1), np.inf)
             return -unbounded, unbounded
-        means = clouds.mean(axis=1)
-        d = np.hypot(self.wall_mvas[:, 0] - means[:, None, 0],
-                     self.wall_mvas[:, 1] - means[:, None, 1])
+        mx, my = _particle_means(mvas)
+        d = np.hypot(self.wall_mvas[:, 0] - mx[:, None], self.wall_mvas[:, 1] - my[:, None])
         ends = self.wall_ends[np.argmin(d, axis=1)]             # (S, 2, 2)
-        normal = _surface_frame(*_planes(clouds))[1:3]
         ta = _along(_planes(ends[:, None, 0]), normal)
         tb = _along(_planes(ends[:, None, 1]), normal)
         return np.minimum(ta, tb), np.maximum(ta, tb)
@@ -119,11 +119,15 @@ class Environment:
     def feature_traces(self, clouds, pa, check: bool) -> SurfaceTraces:
         """The filter's trace cache of estimated surfaces ``clouds`` (S, I, 2).
 
-        Each reflector is clipped to its nearest wall
-        (:meth:`nearest_extents`); the map holds surface lines, not wall
-        segments, so only blockers obstruct.
+        Each surface's frame is computed once per call, here: the cache
+        traces with it, and :meth:`nearest_extents` projects the nearest
+        wall onto its normals to clip the reflector.  The map holds surface
+        lines, not wall segments, so only blockers obstruct.
         """
-        return SurfaceTraces(clouds, pa, self.nearest_extents(clouds), self.blocker_segments, check)
+        mvas = _planes(clouds)
+        frame = _surface_frame(*mvas)
+        return SurfaceTraces(mvas, frame, pa, self.nearest_extents(mvas, frame[1:3]),
+                             self.blocker_segments, check)
 
     def trace_paths(self, agent, pa, blocks):
         """Trace the candidate path ``blocks`` against the true geometry.
@@ -139,7 +143,8 @@ class Environment:
         pa = np.asarray(pa, dtype=float)
         axes = tuple(range(1, max(agent.ndim, pa.ndim)))      # broadcast over agent and pa
         lo, hi = self.wall_extents.T
-        traces = SurfaceTraces(np.expand_dims(self.wall_mvas, axes), pa,
+        mvas = _planes(np.expand_dims(self.wall_mvas, axes))
+        traces = SurfaceTraces(mvas, _surface_frame(*mvas), pa,
                                (np.expand_dims(lo, axes), np.expand_dims(hi, axes)),
                                self.segments, check=True)
         va, available = zip(*(traces.trace(agent, members) for _, members in blocks))
@@ -163,6 +168,18 @@ def _planes(points, ndim=0):
     planes = np.ascontiguousarray(np.moveaxis(np.asarray(points, dtype=float), -1, 0))
     lead = (1,) * (ndim - planes.ndim + 1)
     return tuple(planes.reshape((2,) + lead + planes.shape[1:]))
+
+
+def _particle_means(planes):
+    """Means over the particle axis of (S, I) planes, each (S,).
+
+    The particles are summed in order, as ``clouds.mean(axis=1)`` sums
+    (S, I, 2) clouds: a running sum keeps that order along the contiguous
+    particle axis, where a reduction would sum pairwise and round
+    differently.  The reduction starts from +0.0, so adding it last turns
+    an all -0.0 sum into +0.0 as well.
+    """
+    return tuple((np.cumsum(v, axis=1)[:, -1] + 0.0) / v.shape[1] for v in planes)
 
 
 def _along(x, normal):
@@ -265,35 +282,77 @@ def hop_obstructed(p, q, segments):
     """True where any wall/blocker segment obstructs hop [p, q].
 
     ``p`` and ``q`` are ``(x, y)`` planes; ``segments`` is a sequence of
-    ``(a, b)`` endpoint pairs.  Without segments the result is a scalar
-    False.
+    ``(a, b)`` endpoint pairs.  The first segment is tested on every hop,
+    each further one only on the hops no earlier segment blocked.  Without
+    segments the result is a scalar False.
     """
-    blocked = np.False_
-    for a, b in segments:
-        blocked = blocked | segment_blocks(p, q, a, b)
+    if not segments:
+        return np.False_
+    (a, b), *rest = segments
+    blocked = segment_blocks(p, q, a, b)
+    if rest:
+        live = np.flatnonzero(~blocked)
+        for a, b in rest:
+            hit = segment_blocks(*(_take(x, live, blocked.shape) for x in (p, q)), a, b)
+            np.put(blocked, live[hit], True)
+            live = live[~hit]
     return blocked
+
+
+def _take(planes, live, shape):
+    """``(x, y)`` planes that broadcast to ``shape``, at its flat indices ``live``.
+
+    One-element planes stay as they are and broadcast against the subset.
+    """
+    x = planes[0]
+    if x.shape == shape:
+        return tuple(v.reshape(-1)[live] for v in planes)
+    if x.size == 1:
+        return tuple(v.reshape(1) for v in planes)
+    idx = np.unravel_index(live, shape)[len(shape) - x.ndim:]
+    sub = tuple(i if n > 1 else 0 for i, n in zip(idx, x.shape))
+    return tuple(v[sub] for v in planes)
+
+
+def _unobstructed(available, p, q, obstacles):
+    """``available`` with the hops [p, q] that an obstacle blocks cleared.
+
+    Only the available hops reach :func:`hop_obstructed`: the test is
+    elementwise, so the others would only be discarded.  With obstacles the
+    result is a new array, broadcast to the hops' shape.
+    """
+    if not obstacles:
+        return available
+    shape = np.broadcast_shapes(available.shape, p[0].shape, q[0].shape)
+    available = np.broadcast_to(available, shape).copy()
+    live = np.flatnonzero(available)
+    blocked = hop_obstructed(_take(p, live, shape), _take(q, live, shape), obstacles)
+    np.put(available, live[blocked], False)
+    return available
 
 
 class SurfaceTraces:
     """Per-surface trace cache: the candidate paths off a set of surfaces.
 
-    ``mvas`` (S, ..., 2) holds the surfaces' MVAs and ``extents`` ``(lo,
-    hi)`` (S, ...) their reflector extents, the surface axis first; every
-    other axis broadcasts with the anchor ``pa`` (..., 2) and the agent
-    points.  Each surface's frame and single-bounce image of the anchor are
-    computed once, as coordinate planes, and shared by every row it is a
-    member of, so a pair row computes only its outer image.  ``obstacles``
-    are ``(a, b)`` segments.  With ``check=False`` nothing is traced and
-    availability only reports non-degenerate surfaces.
+    ``mvas`` holds the surfaces' MVA planes ``(mx, my)`` (S, ...), ``frame``
+    their :func:`_surface_frame` and ``extents`` ``(lo, hi)`` (S, ...) their
+    reflector extents, the surface axis first; every other axis broadcasts
+    with the anchor ``pa`` (..., 2) and the agent points.  The caller
+    computes each surface's frame once, so that it can derive the extents
+    from the same frame; the single-bounce image of the anchor is computed
+    once here, and both are shared by every row the surface is a member of,
+    so a pair row computes only its outer image.  ``obstacles`` are ``(a,
+    b)`` segments.  With ``check=False`` nothing is traced and availability
+    only reports non-degenerate surfaces.
     """
 
-    def __init__(self, mvas, pa, extents, obstacles, check: bool):
-        self.mvas = _planes(mvas)
+    def __init__(self, mvas, frame, pa, extents, obstacles, check: bool):
+        self.mvas = mvas
         # the anchor and agent planes take the surface planes' rank, so that every
         # point handed to the hop tests has one rank
-        self.pa = _planes(pa, self.mvas[0].ndim)
-        self.frame = _surface_frame(*self.mvas)
-        self.va1 = mva_to_va_planes(*self.mvas, *self.pa)
+        self.pa = _planes(pa, mvas[0].ndim)
+        self.frame = frame
+        self.va1 = mva_to_va_planes(*mvas, *self.pa)
         self.extents = extents
         self.obstacles = obstacles
         self.check = check
@@ -339,6 +398,11 @@ def trace_hops(agent, images, frames, extents, obstacles, check: bool):
     ``obstacles`` the ``(a, b)`` segments; everything broadcasts.  Returns
     ``(va, available)`` as :meth:`SurfaceTraces.trace` does, without its
     row axis.
+
+    The obstruction test, the costliest per hop, runs only where the path
+    is still available: a bounce hop only where its surface is valid, it
+    crosses the surface inside the extent and every earlier hop passed, and
+    the final hop only where every bounce passed.
     """
     valid = np.ones(np.shape(agent[0]), dtype=bool)
     available = valid
@@ -350,10 +414,10 @@ def trace_hops(agent, images, frames, extents, obstacles, check: bool):
         crossed, hit = line_crossing(p, images[k], (nx, ny), offset)
         tau = _along(hit, (nx, ny))
         lo, hi = extents[k]
-        available = (available & crossed & (tau >= lo - EPS_GEO) & (tau <= hi + EPS_GEO)
-                     & ~hop_obstructed(p, hit, obstacles))
+        available = available & ok & crossed & (tau >= lo - EPS_GEO) & (tau <= hi + EPS_GEO)
+        available = _unobstructed(available, p, hit, obstacles)
         p = hit
     va = tuple(np.where(valid, v, 0.0) for v in images[0])
     if not check:
         return va, valid
-    return va, valid & available & ~hop_obstructed(p, images[-1], obstacles)
+    return va, _unobstructed(available, p, images[-1], obstacles)

@@ -323,7 +323,7 @@ def _hop_obstructed(p, q, obstacles):
     return blocked
 
 
-def backward_trace(agent, pa, bounces, extents, obstacles, check: bool):
+def backward_trace(agent, pa, bounces, extents, obstacles, check: bool, live=None):
     """Backward-trace one path from the agent to the anchor ``pa``.
 
     ``bounces`` lists the reflecting surfaces as MVA arrays, the bounce
@@ -332,7 +332,9 @@ def backward_trace(agent, pa, bounces, extents, obstacles, check: bool):
     side; each hop runs from the previous bounce point toward the next image
     and must cross its surface inside the extent, unobstructed.  Points are
     (..., 2) and everything broadcasts.  Returns ``(va (..., 2),
-    available)`` as the trace cache does for one row.
+    available)`` as the trace cache does for one row.  A ``live`` list
+    receives, per hop, the mask of hops whose path is still available when
+    the hop's obstruction test runs.
     """
     agent = np.asarray(agent, dtype=float)
     images = [np.asarray(pa, dtype=float)]
@@ -349,13 +351,33 @@ def backward_trace(agent, pa, bounces, extents, obstacles, check: bool):
         crossed, hit = _line_crossing(p, images[k], normal, offset)
         tau = _along(hit, normal)
         lo, hi = extents[k]
-        available = (available & crossed & (tau >= lo - EPS_GEO) & (tau <= hi + EPS_GEO)
-                     & ~_hop_obstructed(p, hit, obstacles))
+        available = available & crossed & (tau >= lo - EPS_GEO) & (tau <= hi + EPS_GEO)
+        if live is not None:
+            live.append(valid & available)
+        available = available & ~_hop_obstructed(p, hit, obstacles)
         p = hit
     va = np.where(valid[..., None], images[0], 0.0)
     if not check:
         return va, valid
+    if live is not None:
+        live.append(valid & available)
     return va, valid & available & ~_hop_obstructed(p, images[-1], obstacles)
+
+
+def nearest_extents_reference(env, clouds):
+    """Per-particle nearest-wall extents of ``clouds`` (S, I, 2) on (..., 2) points.
+
+    Returns ``(lo, hi, walls)``: the extents and the index of the wall each
+    surface takes, the one whose MVA lies nearest ``clouds.mean(axis=1)``.
+    """
+    means = clouds.mean(axis=1)
+    d = np.hypot(env.wall_mvas[:, 0] - means[:, None, 0], env.wall_mvas[:, 1] - means[:, None, 1])
+    walls = np.argmin(d, axis=1)
+    ends = env.wall_ends[walls]
+    normal = _surface_frame(clouds)[1]
+    ta = _along(ends[:, None, 0], normal)
+    tb = _along(ends[:, None, 1], normal)
+    return np.minimum(ta, tb), np.maximum(ta, tb), walls
 
 
 def block_likelihood_reference(agent_xy, headings, va, avail, z, sigma_d, sigma_phi, out_dtype):

@@ -35,6 +35,7 @@ from mvaslam.measurement import (
     PathNoise,
     generate_batch,
 )
+from mvaslam import raytrace
 from mvaslam.raytrace import Environment, candidate_blocks
 from mvaslam.scenario import bundled_scenario
 
@@ -343,10 +344,10 @@ def test_feature_trace_cache_matches_backward_trace():
     clouds[2, 5:8] = 0.5 * EPS_GEO
     ctx = Environment(blockers=[WallSegment([2.0, -3.0], [2.0, 3.0]),
                                 WallSegment([-4.0, 1.0], [-1.0, 4.0])])
-    lo, hi = ctx.nearest_extents(clouds)
-    assert np.all(np.isinf(lo)) and np.all(np.isinf(hi))
     for check in (True, False):
         traces = ctx.feature_traces(clouds, pa, check)
+        lo, hi = traces.extents
+        assert np.all(np.isinf(lo)) and np.all(np.isinf(hi))
         for _, members in candidate_blocks(n_feat, True):
             idx = members.T
             want = backward_trace(agent_xy, pa, [clouds[i] for i in idx],
@@ -359,6 +360,51 @@ def test_feature_trace_cache_matches_backward_trace():
                 assert 0 < want[1].sum() < want[1].size
             if members.shape[1]:
                 assert not want[1][members[:, 0] == 1][:, :5].any()
+
+
+def test_feature_trace_cache_tests_only_live_hops(monkeypatch):
+    # walls clip every reflector to its nearest wall and three blockers
+    # obstruct: most hops fail their crossing or extent test first, and only
+    # the hops whose path is still available reach the obstruction test;
+    # each further blocker sees only the hops no earlier one blocked
+    rng = np.random.default_rng(31)
+    n_part = 80
+    pa = np.array([1.0, 0.5])
+    ctx = Environment(
+        walls=[WallSegment([5.0, -3.5], [5.0, 3.5]), WallSegment([-5.0, -3.5], [-5.0, 3.5]),
+               WallSegment([-5.0, 3.5], [5.0, 3.5]), WallSegment([-5.0, -3.5], [5.0, -3.5])],
+        blockers=[WallSegment([2.0, -3.0], [2.0, 1.0]), WallSegment([-4.0, 1.0], [-1.0, 3.0]),
+                  WallSegment([-2.0, -2.5], [0.5, -1.5])])
+    agent_xy = rng.uniform([-4.8, -3.3], [4.8, 3.3], (n_part, 2))
+    clouds = np.concatenate([rng.normal(ctx.wall_mvas[:, None], 0.3, (4, n_part, 2)),
+                             rng.normal([[[30.0, -40.0]]], 1.0, (1, n_part, 2))])   # far off
+    clouds[1, :4] = 0.0                       # degenerate MVA rows
+    segments = ctx.blocker_segments
+    seen = [0] * len(segments)
+    segment_blocks = raytrace.segment_blocks
+
+    def counted(p, q, a, b):
+        j = next(j for j, (sa, _) in enumerate(segments) if sa is a)
+        seen[j] += int(np.prod(np.broadcast_shapes(np.shape(p[0]), np.shape(q[0]))))
+        return segment_blocks(p, q, a, b)
+
+    monkeypatch.setattr(raytrace, "segment_blocks", counted)
+    traces = ctx.feature_traces(clouds, pa, True)
+    lo, hi = traces.extents
+    live = hops = 0
+    for _, members in candidate_blocks(len(clouds), True):
+        (vx, vy), available = traces.trace(agent_xy, members)
+        for r, idx in enumerate(members):
+            masks = []
+            va, want = backward_trace(agent_xy, pa, [clouds[i] for i in idx],
+                                      [(lo[i], hi[i]) for i in idx], segments, True, live=masks)
+            np.testing.assert_array_equal(np.stack((vx[r], vy[r]), axis=-1), va)
+            np.testing.assert_array_equal(available[r], want)
+            live += sum(np.broadcast_to(m, (n_part,)).sum() for m in masks)
+            hops += (len(idx) + 1) * n_part
+    assert seen[0] == live
+    assert seen[0] >= seen[1] >= seen[2] and seen[2] < seen[0]
+    assert 0 < live < hops / 2
 
 
 def test_process_pa_no_measurements_no_info():

@@ -5,10 +5,12 @@ import pytest
 
 from mvaslam.experiment import available_path_keys
 from mvaslam.geometry import WallSegment
-from mvaslam.raytrace import Environment, candidate_blocks
+from mvaslam.raytrace import (Environment, _particle_means, _planes, _surface_frame,
+                              candidate_blocks)
 from mvaslam.scenario import bundled_scenario
 
-from oracles import AMBIGUOUS, KINDS, backward_trace, candidate_bounces, oracle_path_available
+from oracles import (AMBIGUOUS, KINDS, backward_trace, candidate_bounces,
+                     nearest_extents_reference, oracle_path_available)
 
 LOS = ()
 
@@ -130,6 +132,37 @@ def test_wall_extents():
     assert Environment().wall_extents.shape == (0, 2)
 
 
+def test_nearest_extents_match_cloud_mean_reference():
+    # the particle means equal clouds.mean(axis=1) bit for bit, so every
+    # surface takes the same wall and gets the same extents as from the
+    # (..., 2) reference
+    rng = np.random.default_rng(5)
+    env = rect_room()
+    n_part = 997
+    clouds = np.concatenate([
+        rng.normal(env.wall_mvas[:, None], 0.5, (4, n_part, 2)),        # near the walls
+        rng.normal([[[3e7, -2e8]]], 1e-3, (1, n_part, 2)),              # far off, tiny spread
+        rng.normal(0.0, 1.0, (1, n_part, 2)) * np.logspace(-12, 12, n_part)[:, None],
+        rng.normal(env.wall_mvas[None, 2] / 2, 1e-3, (1, n_part, 2)),   # between two walls
+        np.zeros((1, n_part, 2)),                                       # degenerate
+        np.full((1, n_part, 2), -0.0),
+        np.where(np.arange(n_part)[:, None] < 500, -0.0, 0.0)[None].repeat(2, axis=2),
+    ])
+    for c in (clouds, clouds[:, :1], clouds[:, :2], clouds[:, :17]):
+        mvas = _planes(c)
+        got = np.stack(_particle_means(mvas), axis=-1)
+        assert got.tobytes() == c.mean(axis=1).tobytes()
+        lo, hi = env.nearest_extents(mvas, _surface_frame(*mvas)[1:3])
+        want_lo, want_hi, walls = nearest_extents_reference(env, c)
+        mx, my = _particle_means(mvas)
+        d = np.hypot(env.wall_mvas[:, 0] - mx[:, None], env.wall_mvas[:, 1] - my[:, None])
+        np.testing.assert_array_equal(np.argmin(d, axis=1), walls)
+        assert lo.tobytes() == want_lo.tobytes() and hi.tobytes() == want_hi.tobytes()
+    # a pairwise sum along the planes rounds differently on these clouds
+    pairwise = np.stack([v.sum(axis=1) / n_part for v in _planes(clouds)], axis=-1)
+    assert pairwise.tobytes() != clouds.mean(axis=1).tobytes()
+
+
 @pytest.mark.parametrize("name", ["exp1_rect_room", "exp3_olos", "nonrect"])
 def test_filter_and_generator_agree_on_bundled_scenarios(name):
     # The filter traces feature clouds clipped to the nearest wall with only
@@ -142,8 +175,8 @@ def test_filter_and_generator_agree_on_bundled_scenarios(name):
     paths = candidate_bounces(len(env.walls), True)
     # one "particle" per waypoint, every particle at the true MVA
     clouds = np.repeat(env.wall_mvas[:, None], len(points), axis=1)
-    lo, hi = env.nearest_extents(clouds)
     for pa in config.pas:
+        lo, hi = env.feature_traces(clouds, pa, True).extents
         generator = env.trace_paths(points, pa, candidate_blocks(len(env.walls), True))[1]
         for k, idx in enumerate(paths):
             _, filt = backward_trace(points, pa, [clouds[i] for i in idx],
