@@ -24,36 +24,6 @@ _TINY = 1e-300
 
 
 @dataclass
-class AssociationInput:
-    """Input evidence tables.
-
-    ``beta``: (K, M+1), row per candidate path, column 0 for "no
-    measurement", column m for measurement m.  ``xi``: (M, K+1), row per
-    measurement, column 0 for "not from any tracked path" (new feature or
-    clutter), column k for path k in ``beta``'s row order.
-    """
-
-    beta: np.ndarray
-    xi: np.ndarray
-
-    def __post_init__(self):
-        self.beta = np.asarray(self.beta, dtype=float)
-        self.xi = np.asarray(self.xi, dtype=float)
-        if self.beta.ndim != 2 or self.xi.ndim != 2:
-            raise ValueError("beta and xi must be 2-D tables")
-        k, m1 = self.beta.shape
-        m, k1 = self.xi.shape
-        if m1 != m + 1 or k1 != k + 1:
-            raise ValueError(f"inconsistent table shapes beta {self.beta.shape}, xi {self.xi.shape}")
-        if not (np.all(np.isfinite(self.beta)) and np.all(np.isfinite(self.xi))):
-            raise NonFinite("association inputs must be finite")
-        if np.any(self.beta < 0) or np.any(self.xi < 0):
-            raise ValueError("association inputs must be non-negative")
-        if k and np.any(self.beta[:, 0] <= 0):
-            raise ValueError("beta[:, 0] must be strictly positive")
-
-
-@dataclass
 class AssociationOutput:
     """Marginal messages: ``eta`` per path row, ``sigma_out`` per measurement."""
 
@@ -62,17 +32,33 @@ class AssociationOutput:
     iterations_used: int
 
 
-def run_association(inp: AssociationInput, max_iters: int = 20, tol: float = 1e-6) -> AssociationOutput:
+def run_association(beta, xi_new, max_iters: int = 20, tol: float = 1e-6) -> AssociationOutput:
     """Iterate the two message families to a fixed point (or ``max_iters``).
+
+    ``beta``: (K, M+1), row per candidate path, column 0 for "no
+    measurement", column m for measurement m.  ``xi_new``: (M,), each
+    measurement's evidence for "not from any tracked path" (new feature or
+    clutter).  Its evidence for every tracked path is 1, so this column is
+    all of the (M, K+1) measurement table the model varies.
 
     Each message has only two distinct values ("claims this partner" vs.
     "anything else"), so a sweep reduces to ratio updates with a
     sum-minus-self trick: O(K*M) per sweep.
     """
-    beta = inp.beta
-    xi = inp.xi
+    beta = np.asarray(beta, dtype=float)
+    xi_new = np.asarray(xi_new, dtype=float)
+    if beta.ndim != 2 or xi_new.ndim != 1:
+        raise ValueError("beta must be a 2-D table and xi_new a vector")
     n_paths, m1 = beta.shape
     n_meas = m1 - 1
+    if xi_new.shape != (n_meas,):
+        raise ValueError(f"inconsistent shapes beta {beta.shape}, xi_new {xi_new.shape}")
+    if not (np.all(np.isfinite(beta)) and np.all(np.isfinite(xi_new))):
+        raise NonFinite("association inputs must be finite")
+    if np.any(beta < 0) or np.any(xi_new < 0):
+        raise ValueError("association inputs must be non-negative")
+    if n_paths and np.any(beta[:, 0] <= 0):
+        raise ValueError("beta[:, 0] must be strictly positive")
 
     if n_meas == 0 or n_paths == 0:
         eta = np.ones((n_paths, n_meas + 1)) / (n_meas + 1)
@@ -81,8 +67,6 @@ def run_association(inp: AssociationInput, max_iters: int = 20, tol: float = 1e-
 
     beta_miss = beta[:, 0][:, None]        # (K, 1)
     beta_hit = beta[:, 1:]                 # (K, M)
-    xi_new = xi[:, 0][None, :]             # (1, M)
-    xi_hit = xi[:, 1:].T                   # (K, M): xi_hit[k, m] = xi[m, k+1]
 
     # z[k, m]: path-to-measurement ratio; v[k, m]: measurement-to-path ratio
     row_sum = beta_miss + beta_hit.sum(axis=1, keepdims=True)
@@ -91,11 +75,11 @@ def run_association(inp: AssociationInput, max_iters: int = 20, tol: float = 1e-
     v = np.zeros_like(z)
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        t_m = xi_new + (xi_hit * z).sum(axis=0, keepdims=True)          # (1, M)
-        v = xi_hit / np.maximum(t_m - xi_hit * z, _TINY)
+        t_m = xi_new + z.sum(axis=0, keepdims=True)                     # (1, M)
+        v = 1.0 / np.maximum(t_m - z, _TINY)
         u_k = beta_miss + (beta_hit * v).sum(axis=1, keepdims=True)     # (K, 1)
         z_next = beta_hit / np.maximum(u_k - beta_hit * v, _TINY)
-        delta = np.max(np.abs(z_next - z) / np.maximum(np.abs(z), 1e-12)) if z.size else 0.0
+        delta = np.max(np.abs(z_next - z) / np.maximum(np.abs(z), 1e-12))
         z = z_next
         if delta < tol:
             break

@@ -17,12 +17,12 @@ throughout; products over feature rows would underflow otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .association import AssociationInput, run_association
+from .association import run_association
 from .errors import DegenerateWeights
 from .geometry import EPS_GEO, WallSegment, va_to_mva
 from .measurement import ClutterModel, MeasurementBatch, NoiseProfile, TWO_PI
@@ -107,14 +107,14 @@ class HyperParams:
 
 @dataclass
 class AgentBelief:
-    """Weighted particle set over the agent state [px, py, vx, vy].
+    """Equally weighted particle set over the agent state [px, py, vx, vy].
 
+    Every step ends by resampling, so the particles carry equal weights.
     ``headings`` carries each particle's last well-defined heading; it is
     refreshed from the velocity whenever the speed exceeds ``eps_velocity``.
     """
 
     particles: np.ndarray  # (I, 4)
-    weights: np.ndarray    # (I,), sums to 1
     headings: np.ndarray   # (I,)
 
     @property
@@ -122,7 +122,8 @@ class AgentBelief:
         return self.particles.shape[0]
 
     def mean(self) -> np.ndarray:
-        return self.weights @ self.particles
+        n = self.n_particles
+        return np.full(n, 1.0 / n) @ self.particles
 
 
 @dataclass
@@ -140,9 +141,7 @@ class StepEstimate:
 
     x_hat: np.ndarray            # (4,)
     mva_positions: np.ndarray    # (S_hat, 2)
-    mva_ids: list[int]
     s_hat: int
-    existence: dict[int, float] = field(default_factory=dict)
 
 
 def ncv_matrices(dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -181,16 +180,16 @@ def initial_agent_belief(start_pos, params: HyperParams, rng: np.random.Generato
     particles[:, :2] = start + _PRIOR_POS_HALFWIDTH * (2.0 * rng.random((n, 2)) - 1.0)
     particles[:, 2:] = _PRIOR_VEL_HALFWIDTH * (2.0 * rng.random((n, 2)) - 1.0)
     headings = _refresh_headings(particles[:, 2:], np.zeros(n), params.eps_velocity)
-    return AgentBelief(particles=particles, weights=np.full(n, 1.0 / n), headings=headings)
+    return AgentBelief(particles=particles, headings=headings)
 
 
 def predict_agent(belief: AgentBelief, params: HyperParams, rng: np.random.Generator) -> AgentBelief:
-    """Propagate every particle through the NCV model; weights unchanged."""
+    """Propagate every particle through the NCV model."""
     a, b = ncv_matrices(params.dt)
     noise = params.sigma_accel * rng.standard_normal((belief.n_particles, 2))
     particles = belief.particles @ a.T + noise @ b.T
     headings = _refresh_headings(particles[:, 2:], belief.headings, params.eps_velocity)
-    return AgentBelief(particles=particles, weights=belief.weights.copy(), headings=headings)
+    return AgentBelief(particles=particles, headings=headings)
 
 
 def predict_legacy(pmvas: Sequence[PmvaBelief], params: HyperParams,
@@ -338,16 +337,17 @@ class _RowBlock:
             sums[:, m] = np.bincount(self.entries[0], weights=lik, minlength=n_rows)
         return sums
 
-    def response(self, eta: np.ndarray, denom: np.ndarray, p_d: float) -> np.ndarray:
+    def response(self, eta: np.ndarray, denom: float, p_d: float) -> np.ndarray:
         """Per-particle response (R, I) of the rows to their messages ``eta`` (R, M+1).
 
         The missed-detection term ``eta[:, 0] (1 - p_d)`` where the path is
         available (``eta[:, 0]`` elsewhere) plus the likelihood mixture
-        ``p_d sum_m lik eta[:, m] / denom[m]`` at the scoring entries.
+        ``p_d sum_m lik eta[:, m] / denom`` at the scoring entries, where
+        ``denom`` is the clutter denominator.
         """
         resp = eta[:, :1] * (1.0 - self.avail * p_d)
         if len(self.lik):
-            eta_m = (eta[:, 1:] / denom[None, :]).astype(self.lik.dtype)
+            eta_m = (eta[:, 1:] / denom).astype(self.lik.dtype)
             # einsum sums along contiguous (n, M) rows; over (M, n) it would sum
             # in another order.  The block keeps a view of the copy, so the
             # (M, n) original is freed before the messages are gathered.
@@ -384,7 +384,8 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray,
     z = batch.z.reshape(n_meas, 2)
     pe = np.array([f.existence for f in legacy])
 
-    denom = np.maximum(clutter.mu_fp * clutter.density, _DENOM_FLOOR) * np.ones(max(n_meas, 1))
+    # clutter denominator: the clutter intensity, the same at every measurement
+    denom = max(clutter.mu_fp * clutter.density, _DENOM_FLOOR)
 
     # new-feature proposals, one per measurement
     proposals = []
@@ -416,27 +417,21 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray,
         n_rows += len(members)
     del va, lik    # from here the blocks alone hold what the response needs
 
-    # birth-density values of the proposal clouds
+    # birth-density values of the proposal clouds, (M, I)
     (xlo, xhi), (ylo, yhi) = params.birth_region
-    f_birth = np.empty((n_meas, n_part))
-    for m, prop in enumerate(proposals):
-        p = prop.particles
-        inside = (p[:, 0] >= xlo) & (p[:, 0] <= xhi) & (p[:, 1] >= ylo) & (p[:, 1] <= yhi)
-        f_birth[m] = inside / params.birth_area
+    props = np.array([prop.particles for prop in proposals]).reshape(n_meas, n_part, 2)
+    px, py = props[..., 0], props[..., 1]
+    f_birth = ((px >= xlo) & (px <= xhi) & (py >= ylo) & (py <= yhi)) / params.birth_area
 
     # evidence tables
     beta = np.empty((n_rows, n_meas + 1))
     for b in blocks:
         p_d = params.p_detect(b.kind)
         beta[b.rows, 0] = b.exist * np.mean(1.0 - b.avail * p_d, axis=1) + (1.0 - b.exist)
-        if n_meas:
-            beta[b.rows, 1:] = (b.exist[:, None] * p_d * b.lik_sums()
-                                / n_part / denom[None, :])
-    xi = np.ones((n_meas, n_rows + 1))
-    if n_meas:
-        xi[:, 0] = 1.0 + params.mu_new * f_birth.mean(axis=1) / denom
-    assoc = run_association(AssociationInput(beta=beta, xi=xi),
-                            max_iters=params.assoc_max_iters, tol=params.assoc_tol)
+        beta[b.rows, 1:] = b.exist[:, None] * p_d * b.lik_sums() / n_part / denom
+    # a measurement's evidence is 1 for every tracked path; only "new or clutter" varies
+    xi_new = 1.0 + params.mu_new * f_birth.mean(axis=1) / denom
+    assoc = run_association(beta, xi_new, max_iters=params.assoc_max_iters, tol=params.assoc_tol)
     eta = assoc.eta
     sigma_msg = assoc.sigma_out
 
@@ -492,7 +487,7 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray,
     # new-feature update: existence from the unclaimed-measurement message
     updated_new: list[PmvaBelief] = []
     for m, prop in enumerate(proposals):
-        num = sigma_msg[m, 0] * params.mu_new * float(f_birth[m].mean()) / denom[m]
+        num = sigma_msg[m, 0] * params.mu_new * float(f_birth[m].mean()) / denom
         existence = num / (1.0 + num)
         weights = f_birth[m]
         total = weights.sum()
@@ -529,18 +524,12 @@ def finalize_step(agent: AgentBelief, log_weights: np.ndarray,
     idx = systematic_resample(weights, rng)
     particles = agent.particles[idx]
     headings = _refresh_headings(particles[:, 2:], agent.headings[idx], params.eps_velocity)
-    resampled = AgentBelief(particles=particles,
-                            weights=np.full(agent.n_particles, 1.0 / agent.n_particles),
-                            headings=headings)
+    resampled = AgentBelief(particles=particles, headings=headings)
 
     confirmed = [f for f in features if f.existence > params.p_confirm]
     positions = (np.stack([f.particles.mean(axis=0) for f in confirmed])
                  if confirmed else np.zeros((0, 2)))
-    estimate = StepEstimate(x_hat=x_hat,
-                            mva_positions=positions,
-                            mva_ids=[f.id for f in confirmed],
-                            s_hat=len(confirmed),
-                            existence={f.id: f.existence for f in features})
+    estimate = StepEstimate(x_hat=x_hat, mva_positions=positions, s_hat=len(confirmed))
     return resampled, estimate
 
 

@@ -50,7 +50,6 @@ class RunRecord:
     mospa_va: np.ndarray       # (J, N+1)
     s_hat: np.ndarray          # (N+1,) int
     converged: bool
-    diverged_early: bool
     wall_time: float
 
 
@@ -93,7 +92,8 @@ def simulate_run(config: ScenarioConfig, run_index: int, base_seed: int,
     Measurements are drawn from ``availability``, the experiment's traced
     truth (:func:`available_path_keys`), which is traced here when not
     given.  A run whose weights degenerate or whose association turns
-    non-finite stops there and is recorded as diverged early.
+    non-finite stops there: its later steps stay NaN, and it does not count
+    as converged.
     """
     seed = splitmix64(base_seed, run_index)
     rng = np.random.default_rng(seed)
@@ -121,7 +121,6 @@ def simulate_run(config: ScenarioConfig, run_index: int, base_seed: int,
                                  include_double=config.double_bounce)
 
     velocities = config.velocities()
-    diverged_early = False
     started = time.perf_counter()
     for n in range(1, n_steps + 1):
         pos = config.waypoints[n]
@@ -134,7 +133,6 @@ def simulate_run(config: ScenarioConfig, run_index: int, base_seed: int,
         try:
             estimate = filt.step(batches)
         except (DegenerateWeights, NonFinite):
-            diverged_early = True
             break
         err[n] = float(np.hypot(*(estimate.x_hat[:2] - pos)))
         mospa_mva[n] = ospa(estimate.mva_positions, true_mvas, OSPA_PARAMS)
@@ -144,10 +142,9 @@ def simulate_run(config: ScenarioConfig, run_index: int, base_seed: int,
         s_hat[n] = estimate.s_hat
     wall_time = time.perf_counter() - started
 
-    converged = (not diverged_early) and bool(np.all(err < CONVERGENCE_RADIUS))
+    converged = bool(np.all(err < CONVERGENCE_RADIUS))     # False on a NaN step
     return RunRecord(run_index=run_index, seed=seed, err_pos=err, mospa_mva=mospa_mva,
-                     mospa_va=mospa_va, s_hat=s_hat, converged=converged,
-                     diverged_early=diverged_early, wall_time=wall_time)
+                     mospa_va=mospa_va, s_hat=s_hat, converged=converged, wall_time=wall_time)
 
 
 @dataclass

@@ -79,13 +79,10 @@ class Environment:
     @cached_property
     def wall_extents(self) -> np.ndarray:
         """Tangential range ``(lo, hi)`` of each wall on its own line, (W, 2)."""
-        extents = []
-        for wall, mva in zip(self.walls, self.wall_mvas):
-            normal = mva / np.linalg.norm(mva)
-            tangent = np.array([-normal[1], normal[0]])
-            ta, tb = float(tangent @ wall.a), float(tangent @ wall.b)
-            extents.append((min(ta, tb), max(ta, tb)))
-        return np.array(extents).reshape(-1, 2)
+        normal = _surface_frame(*_planes(self.wall_mvas))[1:3]
+        ta = _along(_planes(self.wall_ends[:, 0]), normal)
+        tb = _along(_planes(self.wall_ends[:, 1]), normal)
+        return np.stack([np.minimum(ta, tb), np.maximum(ta, tb)], axis=-1)
 
     @cached_property
     def blocker_segments(self) -> tuple:

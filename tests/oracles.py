@@ -11,9 +11,12 @@ A path is its bounce tuple: ``()`` for LOS, ``(s,)`` for a single bounce
 at surface ``s`` and ``(s, s2)`` for a double bounce, the surface nearest
 the agent first.  :func:`backward_trace` is the bit-for-bit reference of
 the package's trace cache: it traces one path from scratch with its own
-copy of the ray tracer on (..., 2) points, and
+copy of the ray tracer on (..., 2) points,
 :func:`block_likelihood_reference` is the bit-for-bit reference of the
-filter's likelihood kernel, laid out (entries, measurements).
+filter's likelihood kernel, laid out (entries, measurements), and
+:func:`general_association`, the message iteration over a full (M, K+1)
+measurement table, is that of the association wherever the table's path
+columns are 1.
 """
 
 from __future__ import annotations
@@ -229,6 +232,41 @@ def enumerate_association(beta, xi):
         for m in range(n_meas):
             pm[m, meas_origin[m]] += weight
     return pa / total, pm / total
+
+
+def general_association(beta, xi, max_iters, tol):
+    """Loopy-BP association with a full measurement table ``xi`` (M, K+1).
+
+    The bit-for-bit reference of :func:`mvaslam.association.run_association`
+    wherever ``xi``'s path columns are 1: the same two-value message sweeps,
+    with each measurement's evidence for each path as an explicit factor.
+    Returns ``(eta, sigma_out, iterations_used)``.
+    """
+    beta = np.asarray(beta, dtype=float)
+    xi = np.asarray(xi, dtype=float)
+    n_paths, n_meas = beta.shape[0], beta.shape[1] - 1
+    beta_miss = beta[:, 0][:, None]
+    beta_hit = beta[:, 1:]
+    xi_new = xi[:, 0][None, :]
+    xi_hit = xi[:, 1:].T                   # xi_hit[k, m] = xi[m, k+1]
+    row_sum = beta_miss + beta_hit.sum(axis=1, keepdims=True)
+    z = beta_hit / np.maximum(row_sum - beta_hit, 1e-300)
+    v = np.zeros_like(z)
+    iterations = 0
+    for iterations in range(1, max_iters + 1):
+        t_m = xi_new + (xi_hit * z).sum(axis=0, keepdims=True)
+        v = xi_hit / np.maximum(t_m - xi_hit * z, 1e-300)
+        u_k = beta_miss + (beta_hit * v).sum(axis=1, keepdims=True)
+        z_next = beta_hit / np.maximum(u_k - beta_hit * v, 1e-300)
+        delta = np.max(np.abs(z_next - z) / np.maximum(np.abs(z), 1e-12))
+        z = z_next
+        if delta < tol:
+            break
+    eta = np.concatenate([np.ones((n_paths, 1)), v], axis=1)
+    sigma_out = np.concatenate([np.ones((n_meas, 1)), z.T], axis=1)
+    eta /= eta.sum(axis=1, keepdims=True)
+    sigma_out /= sigma_out.sum(axis=1, keepdims=True)
+    return eta, sigma_out, iterations
 
 
 def brute_force_assignment_cost(cost: np.ndarray) -> float:

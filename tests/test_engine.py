@@ -52,8 +52,7 @@ def point_belief(pos, vel, n, heading=None):
     particles = np.tile(np.concatenate([pos, vel]), (n, 1))
     if heading is None:
         heading = np.arctan2(vel[1], vel[0])
-    return AgentBelief(particles=particles, weights=np.full(n, 1.0 / n),
-                       headings=np.full(n, heading))
+    return AgentBelief(particles=particles, headings=np.full(n, heading))
 
 
 def empty_batch():
@@ -97,7 +96,7 @@ def test_predict_agent_noiseless_kinematics():
     out = predict_agent(belief, params, np.random.default_rng(0))
     assert np.allclose(out.particles[:, :2], [1.0, 0.0])
     assert np.allclose(out.particles[:, 2:], [1.0, 0.0])
-    assert np.allclose(out.weights, belief.weights)
+    assert np.allclose(out.mean(), [1.0, 0.0, 1.0, 0.0])
 
 
 def test_predict_agent_noise_moments():
@@ -507,12 +506,13 @@ def test_finalize_uniform_weights_mean():
     params = HyperParams(n_particles=500)
     rng = np.random.default_rng(8)
     particles = rng.normal(0, 1, (500, 4))
-    agent = AgentBelief(particles=particles, weights=np.full(500, 1 / 500),
-                        headings=np.zeros(500))
+    agent = AgentBelief(particles=particles, headings=np.zeros(500))
+    assert np.allclose(agent.mean(), particles.mean(axis=0))
     resampled, est = finalize_step(agent, np.zeros(500), [], params, rng)
     assert np.allclose(est.x_hat, particles.mean(axis=0))
     assert est.s_hat == 0
-    assert np.allclose(resampled.weights, 1 / 500)
+    # the resampled particles are equally weighted: their mean is the plain average
+    assert np.allclose(resampled.mean(), resampled.particles.mean(axis=0))
 
 
 def test_finalize_confirmation_threshold():
@@ -522,14 +522,13 @@ def test_finalize_confirmation_threshold():
     feats = [PmvaBelief(particles=np.full((10, 2), [10.0, 0.0]), existence=0.49, id=0),
              PmvaBelief(particles=np.full((10, 2), [0.0, 7.0]), existence=0.51, id=1)]
     _, est = finalize_step(agent, np.zeros(10), feats, params, rng)
-    assert est.mva_ids == [1]
+    assert np.array_equal(est.mva_positions, [[0.0, 7.0]])
     assert est.s_hat == 1
 
 
 def test_finalize_single_particle():
     params = HyperParams(n_particles=1)
-    agent = AgentBelief(particles=np.array([[1.0, 2.0, 0.1, 0.0]]),
-                        weights=np.array([1.0]), headings=np.zeros(1))
+    agent = AgentBelief(particles=np.array([[1.0, 2.0, 0.1, 0.0]]), headings=np.zeros(1))
     _, est = finalize_step(agent, np.zeros(1), [], params, np.random.default_rng(0))
     assert np.allclose(est.x_hat, [1.0, 2.0, 0.1, 0.0])
 
@@ -614,7 +613,7 @@ def test_process_pa_peak_memory_is_bounded():
     start = np.asarray(config.waypoints[0], dtype=float)
     agent = AgentBelief(particles=np.concatenate([start + rng.uniform(-0.5, 0.5, (n, 2)),
                                                   rng.uniform(-0.1, 0.1, (n, 2))], axis=1),
-                        weights=np.full(n, 1.0 / n), headings=rng.uniform(-np.pi, np.pi, n))
+                        headings=rng.uniform(-np.pi, np.pi, n))
     centres = np.concatenate([env.wall_mvas,
                               rng.uniform(-15.0, 15.0, (s_count - len(env.wall_mvas), 2))])
     legacy = [PmvaBelief(particles=rng.normal(c, 0.3, (n, 2)), existence=0.9, id=k)

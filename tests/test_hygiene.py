@@ -63,6 +63,59 @@ def read_names(source: str) -> set[str]:
     return names
 
 
+def dataclass_fields(source: str) -> dict[str, list[str]]:
+    """Field names of each public dataclass a module defines."""
+    return {node.name: [item.target.id for item in node.body
+                        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+            for node in ast.parse(source).body
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+            and any("dataclass" in ast.unparse(d) for d in node.decorator_list)}
+
+
+def read_fields(source: str, fields: dict[str, list[str]]) -> set[tuple[str, str]]:
+    """``(class, field)`` pairs of ``fields`` that a module reads.
+
+    A field counts as read when a string constant names it, or an attribute
+    read does.  An attribute that several classes have counts only for the
+    classes its receiver's annotation names: the receiver is a parameter
+    annotated with them, or the target of a loop over such a parameter.
+    """
+    owners: dict[str, set[str]] = {}
+    for cls, names in fields.items():
+        for name in names:
+            owners.setdefault(name, set()).add(cls)
+    tree = ast.parse(source)
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and node.value in owners:
+            found |= {(cls, node.value) for cls in owners[node.value]}
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+              and len(owners.get(node.attr, ())) == 1):
+            found |= {(cls, node.attr) for cls in owners[node.attr]}
+
+    def named(node) -> set[str]:
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and n.id in fields}
+
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        params = func.args.posonlyargs + func.args.args + func.args.kwonlyargs
+        bound = {arg.arg: named(arg.annotation) for arg in params if arg.annotation}
+        for node in ast.walk(func):
+            if isinstance(node, (ast.For, ast.comprehension)):
+                classes = set().union(*(bound.get(n.id, set()) for n in ast.walk(node.iter)
+                                        if isinstance(n, ast.Name)))
+                for n in ast.walk(node.target):
+                    if isinstance(n, ast.Name):
+                        bound[n.id] = bound.get(n.id, set()) | classes
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and isinstance(node.value, ast.Name)):
+                found |= {(cls, node.attr) for cls in bound.get(node.value.id, set())
+                          if cls in owners.get(node.attr, ())}
+    return found
+
+
 def defaulted_parameters(source: str) -> list[tuple[str, str, int | None]]:
     """``(callee, parameter, position)`` of every parameter with a default.
 
@@ -195,3 +248,42 @@ def test_public_names_are_used_outside_tests():
     findings = [f"{path.relative_to(ROOT)} {name}" for path in PACKAGE
                 for name in public_names(path.read_text(encoding="utf-8")) if name not in read]
     assert not findings, "public names used only by tests:\n" + "\n".join(findings)
+
+
+def test_field_checker_attributes_shared_names_by_receiver():
+    source = ("from dataclasses import dataclass, field\n"
+              "@dataclass\n"
+              "class Belief:\n"
+              "    particles: list\n"
+              "    existence: float\n"
+              "    def size(self):\n        return len(self.particles)\n"
+              "@dataclass(frozen=True)\n"
+              "class Estimate:\n"
+              "    existence: dict = field(default_factory=dict)\n"
+              "    ids: list\n"
+              "    count: int\n"
+              "class _Hidden:\n"
+              "    unused: int\n"
+              "def report(beliefs, more: list[Belief], est: Estimate):\n"
+              "    for b in beliefs:\n        print(b.existence)\n"
+              "    return [m.existence for m in more], getattr(est, 'count')\n")
+    fields = dataclass_fields(source)
+    assert fields == {"Belief": ["particles", "existence"],
+                      "Estimate": ["existence", "ids", "count"]}
+    # b's class is unknown, so only ``more`` reads Belief.existence; nothing reads
+    # Estimate.existence or ids, and ``count`` is read by name
+    assert read_fields(source, fields) == {
+        ("Belief", "particles"), ("Belief", "existence"), ("Estimate", "count")}
+    assert read_fields("def f(e: Estimate):\n    return e.existence\n", fields) == {
+        ("Estimate", "existence")}
+
+
+def test_every_dataclass_field_is_read_outside_tests():
+    # a field that only tests read is dead weight on every instance
+    fields: dict[str, list[str]] = {}
+    for path in PACKAGE:
+        fields.update(dataclass_fields(path.read_text(encoding="utf-8")))
+    read = set().union(*(read_fields(path.read_text(encoding="utf-8"), fields) for path in READERS))
+    findings = [f"{cls}.{name}" for cls, names in fields.items() for name in names
+                if (cls, name) not in read]
+    assert not findings, "dataclass fields nothing outside the tests reads:\n" + "\n".join(findings)

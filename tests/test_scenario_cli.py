@@ -352,7 +352,8 @@ def test_nonfinite_association_diverges_one_run(tmp_path, monkeypatch, capsys):
     config = load_scenario(path)
     calls.clear()
     record = run_experiment(config, runs=1, base_seed=5).records[0]
-    assert record.diverged_early and not record.converged
+    assert not record.converged
+    assert np.all(np.isfinite(record.err_pos[:3])) and np.all(np.isnan(record.err_pos[3:]))
 
 
 def test_cli_setup_and_ablation_flags(tmp_path):
