@@ -9,6 +9,8 @@ Map features are potential master virtual anchors (PMVAs): a particle cloud
 over the MVA position plus a scalar existence probability.  New features
 are proposed from each measurement by inverting the measurement map through
 every agent particle; they become legacy features for the next anchor.
+The map is one list in birth order: each anchor block appends its new
+features after the survivors, so a feature's position is its age.
 
 Per-particle weights and existence ratios are accumulated in the log domain
 throughout; products over feature rows would underflow otherwise.
@@ -25,7 +27,7 @@ import numpy as np
 from .association import run_association
 from .errors import DegenerateWeights
 from .geometry import EPS_GEO, WallSegment, va_to_mva
-from .measurement import ClutterModel, MeasurementBatch, NoiseProfile, TWO_PI
+from .measurement import ClutterModel, NoiseProfile, TWO_PI
 from .raytrace import Environment, candidate_blocks
 
 _DENOM_FLOOR = 1e-12
@@ -132,7 +134,6 @@ class PmvaBelief:
 
     particles: np.ndarray  # (I, 2)
     existence: float
-    id: int
 
 
 @dataclass
@@ -141,7 +142,6 @@ class StepEstimate:
 
     x_hat: np.ndarray            # (4,)
     mva_positions: np.ndarray    # (S_hat, 2)
-    s_hat: int
 
 
 def ncv_matrices(dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -199,20 +199,19 @@ def predict_legacy(pmvas: Sequence[PmvaBelief], params: HyperParams,
     for f in pmvas:
         jitter = params.sigma_regularization * rng.standard_normal(f.particles.shape)
         out.append(PmvaBelief(particles=f.particles + jitter,
-                              existence=params.p_survival * f.existence, id=f.id))
+                              existence=params.p_survival * f.existence))
     return out
 
 
 def draw_new_pmva(z_d: float, z_phi: float, sigma_d: float, sigma_phi: float,
                   agent: AgentBelief, pa, params: HyperParams,
-                  rng: np.random.Generator, feature_id: int = -1) -> PmvaBelief:
-    """Propose a new feature from one measurement.
+                  rng: np.random.Generator) -> np.ndarray:
+    """Propose a new feature's particle cloud (I, 2) from one measurement.
 
     Per agent particle, the measurement (jittered by its noise) is inverted:
     the VA sits at distance z_d and bearing z_phi + heading from the agent;
     the MVA follows from the inverse single-bounce transform.  Degenerate
     inversions (VA at the anchor) are replaced by birth-region draws.
-    Existence starts at zero; the new-feature update sets it.
     """
     pa = np.asarray(pa, dtype=float)
     n = agent.n_particles
@@ -227,7 +226,7 @@ def draw_new_pmva(z_d: float, z_phi: float, sigma_d: float, sigma_phi: float,
         draws = np.stack([xlo + (xhi - xlo) * rng.random(int(bad.sum())),
                           ylo + (yhi - ylo) * rng.random(int(bad.sum()))], axis=1)
         mva[bad] = draws
-    return PmvaBelief(particles=mva, existence=0.0, id=feature_id)
+    return mva
 
 
 # ---------------------------------------------------------------------------
@@ -357,60 +356,56 @@ class _RowBlock:
         return resp
 
 
-def process_pa(agent: AgentBelief, log_weights: np.ndarray,
-               legacy: list[PmvaBelief], new_from_prev: list[PmvaBelief],
-               batch: MeasurementBatch, pa, params: HyperParams,
+def process_pa(agent: AgentBelief, log_weights: np.ndarray, features: list[PmvaBelief],
+               batch: np.ndarray, pa, params: HyperParams,
                profile: NoiseProfile, clutter: ClutterModel,
-               rng: np.random.Generator, ctx: Environment,
-               next_id: list[int]) -> tuple[np.ndarray, list[PmvaBelief], list[PmvaBelief]]:
+               rng: np.random.Generator,
+               ctx: Environment) -> tuple[np.ndarray, list[PmvaBelief]]:
     """One anchor's update block.
 
-    Stacks the previous anchor's new features as legacy, proposes new
-    features from this anchor's measurements, evaluates all candidate-path
-    rows (LOS, one single-bounce row per feature, ordered double-bounce
-    rows per feature pair), runs data association, and applies the agent,
-    legacy-feature, and new-feature updates with per-feature resampling and
-    pruning.  Returns the updated agent log-weights and the surviving
-    legacy and new feature lists.  ``ctx`` holds the scenario's true walls
-    (reflector extents) and blockers (obstructions).
+    Takes the map as the previous anchor block left it and this anchor's
+    measurements ``batch`` (M, 2), rows of (distance, angle).  Proposes new
+    features from the measurements, evaluates all candidate-path rows (LOS,
+    one single-bounce row per feature, ordered double-bounce rows per
+    feature pair), runs data association, and applies the agent, legacy-
+    feature, and new-feature updates with per-feature resampling and
+    pruning.  Returns the updated agent log-weights and the map: the
+    surviving features in their order, followed by this anchor's surviving
+    new features.  ``ctx`` holds the scenario's true walls (reflector
+    extents) and blockers (obstructions).
     """
     pa = np.asarray(pa, dtype=float)
-    legacy = list(legacy) + list(new_from_prev)
-    s_count = len(legacy)
+    s_count = len(features)
     n_meas = len(batch)
     agent_xy = agent.particles[:, :2]
     agent_planes = agent_xy.T.copy()
     n_part = agent.n_particles
-    z = batch.z.reshape(n_meas, 2)
-    pe = np.array([f.existence for f in legacy])
+    pe = np.array([f.existence for f in features])
 
     # clutter denominator: the clutter intensity, the same at every measurement
     denom = max(clutter.mu_fp * clutter.density, _DENOM_FLOOR)
 
-    # new-feature proposals, one per measurement
-    proposals = []
-    for m in range(n_meas):
-        proposals.append(draw_new_pmva(
-            float(z[m, 0]), float(z[m, 1]), profile.single.sigma_d, profile.single.sigma_phi,
-            agent, pa, params, rng, feature_id=next_id[0]))
-        next_id[0] += 1
+    # new-feature proposal clouds, one per measurement, (M, I, 2)
+    props = np.array([draw_new_pmva(float(z_d), float(z_phi), profile.single.sigma_d,
+                                    profile.single.sigma_phi, agent, pa, params, rng)
+                      for z_d, z_phi in batch]).reshape(n_meas, n_part, 2)
 
     # availability and likelihood per row block, in evidence-table order:
     # LOS, singles, and the ordered pairs whose joint existence reaches the floor
-    clouds = np.array([f.particles for f in legacy]).reshape(s_count, n_part, 2)
+    clouds = np.array([f.particles for f in features]).reshape(s_count, n_part, 2)
     traces = ctx.feature_traces(clouds, pa, params.visibility_check)
     blocks: list[_RowBlock] = []
     n_rows = 0
     for kind, members in candidate_blocks(s_count, params.use_double_bounce):
         exist = np.prod(pe[members], axis=1)
-        if kind == "double" and params.pair_existence_floor > 0:
+        if kind == "double":
             keep = exist >= params.pair_existence_floor
             members, exist = members[keep], exist[keep]
             if not len(members):
                 continue
         va, avail = traces.trace(agent_xy, members)
         noise = getattr(profile, kind)
-        *entries, lik = _block_likelihood(agent_planes, agent.headings, va, avail, z,
+        *entries, lik = _block_likelihood(agent_planes, agent.headings, va, avail, batch,
                                           noise.sigma_d, noise.sigma_phi, _LIK_DTYPE[kind])
         blocks.append(_RowBlock(kind, members, slice(n_rows, n_rows + len(members)),
                                 exist, avail, tuple(entries), lik))
@@ -419,7 +414,6 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray,
 
     # birth-density values of the proposal clouds, (M, I)
     (xlo, xhi), (ylo, yhi) = params.birth_region
-    props = np.array([prop.particles for prop in proposals]).reshape(n_meas, n_part, 2)
     px, py = props[..., 0], props[..., 1]
     f_birth = ((px >= xlo) & (px <= xhi) & (py >= ylo) & (py <= yhi)) / params.birth_area
 
@@ -443,7 +437,7 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray,
     # the existence ratio uses the same product for the nonexistence mass.
     log_g1 = np.zeros((s_count, n_part))
     log_g0 = np.zeros(s_count)
-    features = np.arange(s_count)[:, None]
+    index = np.arange(s_count)[:, None]
     with np.errstate(divide="ignore"):
         for b in blocks:
             p_d = params.p_detect(b.kind)
@@ -456,7 +450,7 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray,
             log_eta0 = np.log(np.maximum(eta_b[:, 0], 1e-300))
             for j in range(b.members.shape[1]):
                 # one-hot selectors turn the per-feature sums into matrix products
-                sel = (b.members[:, j] == features).astype(float)
+                sel = (b.members[:, j] == index).astype(float)
                 others = np.prod(np.delete(pe[b.members], j, axis=1), axis=1)[:, None]
                 log_g1 = log_g1 + sel @ np.log(
                     np.maximum(others * resp + eta0 * (1.0 - others), 0.0))
@@ -465,8 +459,8 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray,
         raise DegenerateWeights("agent particle weights underflowed during a PA block")
 
     # legacy update: per-feature existence and resampling
-    updated_legacy: list[PmvaBelief] = []
-    for s, feat in enumerate(legacy):
+    updated: list[PmvaBelief] = []
+    for s, feat in enumerate(features):
         lse = _log_sum_exp(log_g1[s])
         if np.isfinite(lse):
             log_mass1 = (math.log(feat.existence) if feat.existence > 0 else -np.inf) \
@@ -482,32 +476,29 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray,
         else:
             existence = 0.0
             particles = feat.particles
-        updated_legacy.append(PmvaBelief(particles=particles, existence=existence, id=feat.id))
+        updated.append(PmvaBelief(particles=particles, existence=existence))
 
     # new-feature update: existence from the unclaimed-measurement message
-    updated_new: list[PmvaBelief] = []
-    for m, prop in enumerate(proposals):
+    for m, prop in enumerate(props):
         num = sigma_msg[m, 0] * params.mu_new * float(f_birth[m].mean()) / denom
         existence = num / (1.0 + num)
         weights = f_birth[m]
         total = weights.sum()
         if total > 0:
             idx = systematic_resample(weights / total, rng)
-            particles = prop.particles[idx]
+            particles = prop[idx]
         else:
             existence = 0.0
-            particles = prop.particles
-        updated_new.append(PmvaBelief(particles=particles, existence=existence, id=prop.id))
+            particles = prop
+        updated.append(PmvaBelief(particles=particles, existence=existence))
 
-    updated_legacy = [f for f in updated_legacy if f.existence >= params.p_prune]
-    updated_new = [f for f in updated_new if f.existence >= params.p_prune]
-    overflow = len(updated_legacy) + len(updated_new) - params.max_features
-    if overflow > 0:
-        ranked = sorted(updated_legacy + updated_new, key=lambda f: (-f.existence, f.id))
-        keep = {f.id for f in ranked[:params.max_features]}
-        updated_legacy = [f for f in updated_legacy if f.id in keep]
-        updated_new = [f for f in updated_new if f.id in keep]
-    return log_weights, updated_legacy, updated_new
+    # pruning, then the cap: the most likely features, ties to the older (earlier)
+    # one, kept in birth order
+    updated = [f for f in updated if f.existence >= params.p_prune]
+    if len(updated) > params.max_features:
+        ranked = sorted(range(len(updated)), key=lambda k: -updated[k].existence)
+        updated = [updated[k] for k in sorted(ranked[:params.max_features])]
+    return log_weights, updated
 
 
 def finalize_step(agent: AgentBelief, log_weights: np.ndarray,
@@ -529,7 +520,7 @@ def finalize_step(agent: AgentBelief, log_weights: np.ndarray,
     confirmed = [f for f in features if f.existence > params.p_confirm]
     positions = (np.stack([f.particles.mean(axis=0) for f in confirmed])
                  if confirmed else np.zeros((0, 2)))
-    estimate = StepEstimate(x_hat=x_hat, mva_positions=positions, s_hat=len(confirmed))
+    estimate = StepEstimate(x_hat=x_hat, mva_positions=positions)
     return resampled, estimate
 
 
@@ -548,22 +539,19 @@ class SlamFilter:
         self.agent = initial_agent_belief(start_pos, params, rng)
         self.features: list[PmvaBelief] = []
         self.ctx = Environment(walls=extent_walls, blockers=blockers)
-        self._next_id = [0]
 
-    def step(self, batches: Sequence[MeasurementBatch]) -> StepEstimate:
-        """Advance one time step with one measurement batch per anchor."""
+    def step(self, batches: Sequence[np.ndarray]) -> StepEstimate:
+        """Advance one time step with one (M, 2) measurement batch per anchor."""
         if len(batches) != len(self.pas):
             raise ValueError("one measurement batch per anchor is required")
         self.agent = predict_agent(self.agent, self.params, self.rng)
-        legacy = predict_legacy(self.features, self.params, self.rng)
-        new_feats: list[PmvaBelief] = []
+        features = predict_legacy(self.features, self.params, self.rng)
         log_weights = np.zeros(self.agent.n_particles)
         for pa, batch in zip(self.pas, batches):
-            log_weights, legacy, new_feats = process_pa(
-                self.agent, log_weights, legacy, new_feats, batch, pa,
-                self.params, self.profile, self.clutter, self.rng, self.ctx,
-                self._next_id)
-        self.features = legacy + new_feats
+            log_weights, features = process_pa(
+                self.agent, log_weights, features, batch, pa,
+                self.params, self.profile, self.clutter, self.rng, self.ctx)
+        self.features = features
         self.agent, estimate = finalize_step(self.agent, log_weights, self.features,
                                              self.params, self.rng)
         return estimate

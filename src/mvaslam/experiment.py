@@ -139,7 +139,7 @@ def simulate_run(config: ScenarioConfig, run_index: int, base_seed: int,
         for j, pa in enumerate(config.pas):
             mospa_va[j, n] = va_ospa(estimate.mva_positions, truth_vas[j], pa, OSPA_PARAMS,
                                      include_double=config.double_bounce)
-        s_hat[n] = estimate.s_hat
+        s_hat[n] = len(estimate.mva_positions)
     wall_time = time.perf_counter() - started
 
     converged = bool(np.all(err < CONVERGENCE_RADIUS))     # False on a NaN step

@@ -63,19 +63,9 @@ class ClutterModel:
         return 1.0 / (self.d_max * TWO_PI)
 
 
-@dataclass
-class MeasurementBatch:
-    """Measurements of one anchor at one time step, in randomized order."""
-
-    z: np.ndarray          # (M, 2): columns z_d, z_phi
-
-    def __len__(self) -> int:
-        return self.z.shape[0]
-
-
 def generate_batch(agent_pos, heading, blocks: Sequence[tuple[str, np.ndarray]], va, available,
                    p_detect, profile: NoiseProfile, clutter: ClutterModel,
-                   rng: np.random.Generator) -> MeasurementBatch:
+                   rng: np.random.Generator) -> np.ndarray:
     """Draw one anchor's measurement batch from its traced truth at one agent state.
 
     ``va`` (K, 2) and ``available`` (K,) are the true virtual anchors and
@@ -86,7 +76,8 @@ def generate_batch(agent_pos, heading, blocks: Sequence[tuple[str, np.ndarray]],
     noise; Poisson clutter is appended; the batch order is randomly
     permuted.  ``p_detect`` maps a path kind ("los" / "single" / "double")
     to its base detection probability; noise levels come from the kind's
-    entry in ``profile``.
+    entry in ``profile``.  Returns the batch as an (M, 2) array of
+    (distance, angle) rows.
     """
     kinds = [kind for kind, members in blocks for _ in members]
     found = np.flatnonzero(available)
@@ -107,4 +98,4 @@ def generate_batch(agent_pos, heading, blocks: Sequence[tuple[str, np.ndarray]],
     z = np.array((z_d, z_phi)).T
     if n_found:
         z[:n_found, 1] = wrap_angle(z[:n_found, 1])    # elementwise: one call, the same bits
-    return MeasurementBatch(z=z[rng.permutation(len(z))])
+    return z[rng.permutation(len(z))]

@@ -30,7 +30,6 @@ from mvaslam.geometry import (
 )
 from mvaslam.measurement import (
     ClutterModel,
-    MeasurementBatch,
     NoiseProfile,
     PathNoise,
     generate_batch,
@@ -56,11 +55,11 @@ def point_belief(pos, vel, n, heading=None):
 
 
 def empty_batch():
-    return MeasurementBatch(z=np.zeros((0, 2)))
+    return np.zeros((0, 2))
 
 
 def batch_of(rows):
-    return MeasurementBatch(z=np.asarray(rows, dtype=float).reshape(-1, 2))
+    return np.asarray(rows, dtype=float).reshape(-1, 2)
 
 
 def test_ncv_matrices_shape_and_values():
@@ -122,7 +121,7 @@ def test_predict_agent_heading_fallback():
 
 def test_predict_legacy_survival_and_jitter():
     params = HyperParams(p_survival=0.999, sigma_regularization=1e-300, n_particles=8)
-    feats = [PmvaBelief(particles=np.ones((8, 2)), existence=1.0, id=0)]
+    feats = [PmvaBelief(particles=np.ones((8, 2)), existence=1.0)]
     out = predict_legacy(feats, params, np.random.default_rng(0))
     assert out[0].existence == pytest.approx(0.999)
     assert np.allclose(out[0].particles, 1.0)
@@ -134,7 +133,7 @@ def test_predict_legacy_survival_and_jitter():
     existence = 1.0
     for _ in range(100):
         existence *= 0.999
-    feats = [PmvaBelief(particles=np.ones((8, 2)), existence=1.0, id=0)]
+    feats = [PmvaBelief(particles=np.ones((8, 2)), existence=1.0)]
     for _ in range(100):
         feats = predict_legacy(feats, params, np.random.default_rng(0))
     assert feats[0].existence == pytest.approx(existence)
@@ -149,8 +148,8 @@ def test_draw_new_pmva_inversion():
                          np.random.default_rng(0))
     va = np.array([-z_d * np.cos(z_phi), -z_d * np.sin(z_phi)])
     expected = va_to_mva(va, pa)
-    assert np.allclose(prop.particles, expected, atol=1e-9)
-    assert prop.existence == 0.0
+    assert prop.shape == (64, 2)
+    assert np.allclose(prop, expected, atol=1e-9)
 
 
 def test_draw_new_pmva_concentrates_on_true_feature():
@@ -166,7 +165,7 @@ def test_draw_new_pmva_concentrates_on_true_feature():
     belief = point_belief(agent, np.array([1.0, 0.0]), 256, heading=heading)
     prop = draw_new_pmva(z_d, z_phi, 1e-12, 1e-12, belief, pa, params,
                          np.random.default_rng(1))
-    assert np.hypot(*(prop.particles.mean(axis=0) - mva)) < 1e-6
+    assert np.hypot(*(prop.mean(axis=0) - mva)) < 1e-6
 
 
 def test_systematic_resample_preserves_mass():
@@ -186,8 +185,8 @@ def run_block(agent, feats, batch, params, pa=(1.0, 0.5), ctx=None, rng=None, cl
     ctx = ctx or Environment()
     rng = rng or np.random.default_rng(0)
     logw = np.zeros(agent.n_particles)
-    return process_pa(agent, logw, feats, [], batch, np.asarray(pa), params,
-                      PROFILE, clutter, rng, ctx, [100])
+    return process_pa(agent, logw, feats, batch, np.asarray(pa), params,
+                      PROFILE, clutter, rng, ctx)
 
 
 def test_block_likelihood_matches_scalar_reference():
@@ -411,20 +410,20 @@ def test_process_pa_no_measurements_no_info():
                          p_detect_double=0.0)
     agent = point_belief(np.array([-2.0, 1.0]), np.array([0.2, 0.0]), 50)
     agent.particles[:, :2] += np.random.default_rng(3).normal(0, 0.3, (50, 2))
-    feats = [PmvaBelief(particles=np.full((50, 2), [10.0, 0.0]) , existence=0.7, id=0)]
-    logw, legacy, new = run_block(agent, feats, empty_batch(), params)
+    feats = [PmvaBelief(particles=np.full((50, 2), [10.0, 0.0]) , existence=0.7)]
+    logw, out = run_block(agent, feats, empty_batch(), params)
     assert np.allclose(logw, logw[0])
-    assert legacy[0].existence == pytest.approx(0.7)
+    assert out[0].existence == pytest.approx(0.7)
 
 
 def test_process_pa_missed_detection_decays_existence():
     params = HyperParams(n_particles=50)
     agent = point_belief(np.array([-2.0, 1.0]), np.array([0.2, 0.0]), 50)
-    feats = [PmvaBelief(particles=np.full((50, 2), [10.0, 0.0]), existence=0.9, id=0)]
-    _, legacy, _ = run_block(agent, feats, empty_batch(), params)
+    feats = [PmvaBelief(particles=np.full((50, 2), [10.0, 0.0]), existence=0.9)]
+    _, out = run_block(agent, feats, empty_batch(), params)
     # a = 0 factor: available but undetected shrinks the existence
     expected = 0.9 * 0.05 / (0.9 * 0.05 + 0.1)
-    assert legacy[0].existence == pytest.approx(expected, rel=1e-6)
+    assert out[0].existence == pytest.approx(expected, rel=1e-6)
 
 
 def test_process_pa_weight_ordering_follows_likelihood():
@@ -445,8 +444,8 @@ def test_process_pa_weight_ordering_follows_likelihood():
                                         single=PathNoise(1e-6, 1e-6),
                                         double=PathNoise(1e-6, 1e-6)),
                            ClutterModel(mu_fp=0.0, d_max=30.0), rng)
-    logw, _, _ = run_block(agent, [], batch, params, pa=pa, ctx=ctx, rng=rng,
-                           clutter=ClutterModel(mu_fp=1e-9, d_max=30.0))
+    logw, _ = run_block(agent, [], batch, params, pa=pa, ctx=ctx, rng=rng,
+                        clutter=ClutterModel(mu_fp=1e-9, d_max=30.0))
     assert np.argmax(logw) == 0
     finite = np.isfinite(logw)
     assert np.all(np.diff(logw[finite]) <= 1e-9)
@@ -457,16 +456,15 @@ def test_process_pa_bookkeeping_stacking():
     # S2 = S1 + 3 features before pruning
     params = HyperParams(n_particles=30, p_prune=0.0, pair_existence_floor=0.0)
     agent = point_belief(np.array([-2.0, 1.0]), np.array([0.2, 0.0]), 30)
-    feats = [PmvaBelief(particles=np.full((30, 2), [10.0, 0.0]), existence=0.5, id=0)]
+    feats = [PmvaBelief(particles=np.full((30, 2), [10.0, 0.0]), existence=0.5)]
     batch1 = batch_of([[3.0, 0.1], [5.0, -0.4], [8.0, 1.0]])
     rng = np.random.default_rng(5)
-    logw, legacy1, new1 = run_block(agent, feats, batch1, params, rng=rng)
-    assert len(legacy1) == 1 and len(new1) == 3
-    logw, legacy2, new2 = process_pa(agent, logw, legacy1, new1, empty_batch(),
-                                     np.array([4.0, -1.0]), params, PROFILE, CLUTTER,
-                                     rng, Environment(), [200])
-    assert len(legacy2) == 4  # S2 = S1 + M1
-    assert len(new2) == 0
+    logw, map1 = run_block(agent, feats, batch1, params, rng=rng)
+    assert len(map1) == 4  # the S1 = 1 survivor first, then the M1 = 3 new features
+    assert np.allclose(map1[0].particles, [10.0, 0.0])
+    logw, map2 = process_pa(agent, logw, map1, empty_batch(), np.array([4.0, -1.0]), params,
+                            PROFILE, CLUTTER, rng, Environment())
+    assert len(map2) == 4  # S2 = S1 + M1, and no new features
 
 
 def test_pure_prediction_reduction():
@@ -477,12 +475,12 @@ def test_pure_prediction_reduction():
     rng = np.random.default_rng(6)
     agent = point_belief(np.array([-2.0, 1.0]), np.array([0.2, 0.1]), 100)
     agent.particles += rng.normal(0, 0.2, agent.particles.shape)
-    feats = [PmvaBelief(particles=rng.normal([10.0, 0.0], 0.3, (100, 2)), existence=0.6, id=0),
-             PmvaBelief(particles=rng.normal([0.0, 9.0], 0.3, (100, 2)), existence=0.4, id=1)]
+    feats = [PmvaBelief(particles=rng.normal([10.0, 0.0], 0.3, (100, 2)), existence=0.6),
+             PmvaBelief(particles=rng.normal([0.0, 9.0], 0.3, (100, 2)), existence=0.4)]
     batch = batch_of([[4.0, 0.3], [7.0, -1.0]])
-    logw, legacy, new = run_block(agent, feats, batch, params, ctx=ctx, rng=rng)
+    logw, out = run_block(agent, feats, batch, params, ctx=ctx, rng=rng)
     assert np.allclose(logw, logw[0])  # constant weights: belief unchanged
-    for before, after in zip(feats, legacy):
+    for before, after in zip(feats, out):   # the survivors lead the map
         assert after.existence == pytest.approx(before.existence)
 
 
@@ -490,14 +488,13 @@ def test_existence_stays_in_unit_interval():
     params = HyperParams(n_particles=40)
     rng = np.random.default_rng(7)
     agent = point_belief(np.array([-2.0, 1.0]), np.array([0.2, 0.0]), 40)
-    feats = [PmvaBelief(particles=rng.normal([10.0, 0.0], 1.0, (40, 2)), existence=e, id=i)
-             for i, e in enumerate([0.99999, 0.5, 1e-3])]
+    feats = [PmvaBelief(particles=rng.normal([10.0, 0.0], 1.0, (40, 2)), existence=e)
+             for e in [0.99999, 0.5, 1e-3]]
     for trial in range(20):
         batch = batch_of(rng.uniform([0, -np.pi], [15, np.pi], (3, 2)))
-        logw, feats, new = run_block(agent, feats, batch, params, rng=rng)
-        for f in feats + new:
+        logw, feats = run_block(agent, feats, batch, params, rng=rng)
+        for f in feats:
             assert 0.0 <= f.existence <= 1.0
-        feats = feats + new
         if len(feats) > 6:
             feats = feats[:6]
 
@@ -510,7 +507,7 @@ def test_finalize_uniform_weights_mean():
     assert np.allclose(agent.mean(), particles.mean(axis=0))
     resampled, est = finalize_step(agent, np.zeros(500), [], params, rng)
     assert np.allclose(est.x_hat, particles.mean(axis=0))
-    assert est.s_hat == 0
+    assert est.mva_positions.shape == (0, 2)
     # the resampled particles are equally weighted: their mean is the plain average
     assert np.allclose(resampled.mean(), resampled.particles.mean(axis=0))
 
@@ -519,11 +516,11 @@ def test_finalize_confirmation_threshold():
     params = HyperParams(n_particles=10)
     rng = np.random.default_rng(9)
     agent = point_belief(np.array([0.0, 0.0]), np.array([1.0, 0.0]), 10)
-    feats = [PmvaBelief(particles=np.full((10, 2), [10.0, 0.0]), existence=0.49, id=0),
-             PmvaBelief(particles=np.full((10, 2), [0.0, 7.0]), existence=0.51, id=1)]
+    feats = [PmvaBelief(particles=np.full((10, 2), [10.0, 0.0]), existence=0.49),
+             PmvaBelief(particles=np.full((10, 2), [0.0, 7.0]), existence=0.51)]
     _, est = finalize_step(agent, np.zeros(10), feats, params, rng)
     assert np.array_equal(est.mva_positions, [[0.0, 7.0]])
-    assert est.s_hat == 1
+    assert len(est.mva_positions) == 1
 
 
 def test_finalize_single_particle():
@@ -549,29 +546,33 @@ def test_log_domain_safety_random_steps():
     for trial in range(1000):
         n_feats = int(rng.integers(0, 4))
         feats = [PmvaBelief(particles=rng.normal(rng.uniform(-12, 12, 2), 0.5, (30, 2)),
-                            existence=float(rng.uniform(1e-3, 1.0)), id=i)
-                 for i in range(n_feats)]
+                            existence=float(rng.uniform(1e-3, 1.0)))
+                 for _ in range(n_feats)]
         n_meas = int(rng.integers(0, 4))
         batch = (batch_of(rng.uniform([0, -np.pi], [20, np.pi], (n_meas, 2)))
                  if n_meas else empty_batch())
-        logw, legacy, new = run_block(agent, feats, batch, params,
-                                      pa=rng.uniform(-3, 3, 2), rng=rng)
+        logw, out = run_block(agent, feats, batch, params, pa=rng.uniform(-3, 3, 2), rng=rng)
         assert not np.any(np.isnan(logw))
         assert np.any(np.isfinite(logw))
-        for f in legacy + new:
+        for f in out:
             assert np.isfinite(f.existence)
             assert np.all(np.isfinite(f.particles))
 
 
 def test_max_features_cap_prefers_existence_then_age():
-    params = HyperParams(n_particles=10, max_features=2, p_prune=0.0,
-                         p_detect_los=0.0, p_detect_single=0.0, p_detect_double=0.0)
+    # with no detection the update leaves the existences as they are, so
+    # features 0 and 3 tie; the cap keeps the more likely features, the
+    # earlier one of a tie, and returns them in list (birth) order
+    quiet = dict(n_particles=10, p_prune=0.0,
+                 p_detect_los=0.0, p_detect_single=0.0, p_detect_double=0.0)
     agent = point_belief(np.array([0.0, 0.0]), np.array([0.1, 0.0]), 10)
-    feats = [PmvaBelief(particles=np.full((10, 2), [10.0, 0.0]), existence=0.5, id=3),
-             PmvaBelief(particles=np.full((10, 2), [0.0, 7.0]), existence=0.5, id=1),
-             PmvaBelief(particles=np.full((10, 2), [-9.0, 0.0]), existence=0.2, id=0)]
-    _, legacy, _ = run_block(agent, feats, empty_batch(), params)
-    assert sorted(f.id for f in legacy) == [1, 3]  # tie broken toward older id
+    centres = [[10.0, 0.0], [-9.0, 0.0], [0.0, 7.0], [0.0, -8.0]]
+    feats = [PmvaBelief(particles=np.full((10, 2), c), existence=e)
+             for c, e in zip(centres, [0.5, 0.2, 0.9, 0.5])]
+    _, uncapped = run_block(agent, feats, empty_batch(), HyperParams(max_features=4, **quiet))
+    assert uncapped[0].existence == uncapped[3].existence   # a true tie
+    _, kept = run_block(agent, feats, empty_batch(), HyperParams(max_features=2, **quiet))
+    assert [f.particles[0].tolist() for f in kept] == [centres[0], centres[2]]
 
 
 def test_filter_determinism_same_seed():
@@ -616,14 +617,14 @@ def test_process_pa_peak_memory_is_bounded():
                         headings=rng.uniform(-np.pi, np.pi, n))
     centres = np.concatenate([env.wall_mvas,
                               rng.uniform(-15.0, 15.0, (s_count - len(env.wall_mvas), 2))])
-    legacy = [PmvaBelief(particles=rng.normal(c, 0.3, (n, 2)), existence=0.9, id=k)
-              for k, c in enumerate(centres)]
+    legacy = [PmvaBelief(particles=rng.normal(c, 0.3, (n, 2)), existence=0.9)
+              for c in centres]
     batch = batch_of(np.stack([rng.uniform(1.0, 20.0, n_meas),
                                rng.uniform(-np.pi, np.pi, n_meas)], axis=1))
     tracemalloc.start()
     try:
-        process_pa(agent, np.zeros(n), legacy, [], batch, config.pas[0], HyperParams(n_particles=n),
-                   config.profile, config.clutter, rng, env, [100])
+        process_pa(agent, np.zeros(n), legacy, batch, config.pas[0], HyperParams(n_particles=n),
+                   config.profile, config.clutter, rng, env)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

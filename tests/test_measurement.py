@@ -52,7 +52,7 @@ def test_noiseless_limit_exact_values():
     d_los, phi_los = path_distance_angle(agent, heading, pa)
     va = mva_to_va(WALL_MVA, pa)
     d_s, phi_s = path_distance_angle(agent, heading, va)
-    got = sorted(map(tuple, batch.z))
+    got = sorted(map(tuple, batch))
     want = sorted([(d_los, phi_los), (d_s, phi_s)])
     for (gd, gp), (wd, wp) in zip(got, want):
         assert gd == pytest.approx(wd, abs=1e-6)
@@ -94,8 +94,8 @@ def test_clutter_support():
     batch = generate_batch([0.0, 0.0], 0.0, *traced([0.0, 0.0], [3.0, 0.0], Environment()),
                            {"los": 0.0, "single": 0.0, "double": 0.0},
                            PROFILE, clutter, rng)
-    assert np.all(batch.z[:, 0] >= 0.0) and np.all(batch.z[:, 0] <= 30.0)
-    assert np.all(batch.z[:, 1] >= -np.pi) and np.all(batch.z[:, 1] < np.pi)
+    assert np.all(batch[:, 0] >= 0.0) and np.all(batch[:, 0] <= 30.0)
+    assert np.all(batch[:, 1] >= -np.pi) and np.all(batch[:, 1] < np.pi)
 
 
 def test_likelihood_peak_value():
@@ -164,7 +164,7 @@ def test_generation_likelihood_consistency():
         batch = generate_batch(agent, heading, *truth,
                                {"los": 1.0, "single": 0.0, "double": 0.0},
                                PROFILE, ClutterModel(mu_fp=0.0, d_max=30.0), rng)
-        z = Measurement(float(batch.z[0, 0]), float(batch.z[0, 1]))
+        z = Measurement(float(batch[0, 0]), float(batch[0, 1]))
         logs.append(np.log(likelihood(z, agent, heading, (), pa, profile=PROFILE)))
     expected = -1.0 - np.log(2 * np.pi * noise.sigma_d * noise.sigma_phi)
     assert np.mean(logs) == pytest.approx(expected, rel=0.02)
