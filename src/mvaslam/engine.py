@@ -37,6 +37,10 @@ _PRIOR_VEL_HALFWIDTH = 0.1  # m/s, half-width of the uniform prior velocity box
 _LIK_DTYPE = {"los": np.float64, "single": np.float64, "double": np.float32}
 _EXP_CLAMP = -700.0        # float64 exp stays normal, and vectorized, above this
 _EXP_ZERO_BELOW = -745.2   # float64 exp is exactly 0.0 below this
+# Distance gate half-widths in sigma_d: beyond them the exponent is below
+# -G^2 / 2 (-760.5 and -112.5), where exp is exactly 0.0 in the dtype
+# (below -745.2 and about -103.97), whatever the angle
+_GATE_SIGMAS = {np.float64: 39.0, np.float32: 15.0}
 
 
 @dataclass
@@ -124,8 +128,7 @@ class AgentBelief:
         return self.particles.shape[0]
 
     def mean(self) -> np.ndarray:
-        n = self.n_particles
-        return np.full(n, 1.0 / n) @ self.particles
+        return self.particles.sum(axis=0) / self.n_particles
 
 
 @dataclass
@@ -184,10 +187,13 @@ def initial_agent_belief(start_pos, params: HyperParams, rng: np.random.Generato
 
 
 def predict_agent(belief: AgentBelief, params: HyperParams, rng: np.random.Generator) -> AgentBelief:
-    """Propagate every particle through the NCV model."""
-    a, b = ncv_matrices(params.dt)
+    """Propagate every particle through the NCV model (:func:`ncv_matrices`)."""
+    dt = params.dt
     noise = params.sigma_accel * rng.standard_normal((belief.n_particles, 2))
-    particles = belief.particles @ a.T + noise @ b.T
+    pos, vel = belief.particles[:, :2], belief.particles[:, 2:]
+    particles = np.empty_like(belief.particles)
+    particles[:, :2] = pos + dt * vel + (dt * dt / 2.0) * noise
+    particles[:, 2:] = vel + dt * noise
     headings = _refresh_headings(particles[:, 2:], belief.headings, params.eps_velocity)
     return AgentBelief(particles=particles, headings=headings)
 
@@ -229,6 +235,30 @@ def draw_new_pmva(z_d: float, z_phi: float, sigma_d: float, sigma_phi: float,
     return mva
 
 
+def _draw_proposals(batch: np.ndarray, sigma_d: float, sigma_phi: float, agent: AgentBelief,
+                    pa: np.ndarray, params: HyperParams, rng: np.random.Generator) -> np.ndarray:
+    """:func:`draw_new_pmva` for every measurement of ``batch`` at once, (M, I, 2).
+
+    The noise is one ``(M, 2, I)`` draw, the same numbers as the calls one
+    by one.  A degenerate inversion draws birth points between two
+    measurements' noise, so then the generator is rewound and the calls are
+    made one by one.
+    """
+    n = agent.n_particles
+    state = rng.bit_generator.state
+    noise = rng.standard_normal((len(batch), 2, n))
+    zd = batch[:, :1] + sigma_d * noise[:, 0]
+    theta = batch[:, 1:] + sigma_phi * noise[:, 1] + agent.headings
+    va = agent.particles[:, :2] - zd[..., None] * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    mva = va_to_mva(va, pa)
+    if np.all(np.isfinite(mva)):
+        return mva
+    rng.bit_generator.state = state
+    return np.array([draw_new_pmva(float(z_d), float(z_phi), sigma_d, sigma_phi,
+                                   agent, pa, params, rng)
+                     for z_d, z_phi in batch]).reshape(len(batch), n, 2)
+
+
 # ---------------------------------------------------------------------------
 # Per-anchor update block
 # ---------------------------------------------------------------------------
@@ -265,37 +295,58 @@ def _exp_in_place(x):
 
 def _block_likelihood(agent, headings, va, avail, z, sigma_d, sigma_phi,
                       out_dtype=np.float64):
-    """Likelihood of a block of rows at its scoring entries only.
+    """Likelihood of a block of rows where it does not underflow.
 
     ``agent`` (I,) and ``va`` (R, I) are ``(x, y)`` coordinate planes.
-    Returns ``(rows, parts, lik)``: the (row, particle) entries where the
-    path is available and the agent particle lies farther than ``EPS_GEO``
-    from its VA, in row-major order, and their likelihood (M, n), one
-    contiguous row per measurement.  Every other entry of the block's (R,
-    I, M) likelihood is zero by definition.  ``sigma_d`` / ``sigma_phi``
-    are the noise levels of the block's path kind.  The double-bounce block
-    requests float32 output; the distance and angle are cast up front so no
-    full-size float64 temporary is formed.
+    Returns ``(rows, parts, gates, lik)``.  ``rows`` and ``parts`` index the
+    (row, particle) entries where the path is available, sorted by the
+    distance from the particle to its VA, so the entries within ``EPS_GEO``
+    of their VA, which score nothing, come first.  Measurement m is scored
+    on the entry slice ``gates[m]``, the entries off their VA whose
+    distance lies within ``_GATE_SIGMAS[out_dtype]`` sigma_d of its own,
+    and ``lik[m]`` holds those values; every other element of the block's
+    (R, I, M) likelihood is exactly zero.  ``sigma_d`` / ``sigma_phi`` are
+    the noise levels of the block's path kind.  The double-bounce block
+    requests float32 output; the distance and angle are cast up front.
     """
-    rows, parts = np.nonzero(avail)
-    dx = agent[0][parts] - va[0][rows, parts]
-    dy = agent[1][parts] - va[1][rows, parts]
-    d = np.hypot(dx, dy)
-    keep = d > EPS_GEO
-    if not keep.all():
-        rows, parts, dx, dy, d = rows[keep], parts[keep], dx[keep], dy[keep], d[keep]
+    n_part = avail.shape[1]
+    flat = np.flatnonzero(avail)
+    parts = flat % n_part
+    dx = agent[0][parts] - va[0].ravel()[flat]
+    dy = agent[1][parts] - va[1].ravel()[flat]
+    dist = np.hypot(dx, dy)
     phi = np.arctan2(dy, dx) - headings[parts]
+    order = np.argsort(dist)
+    d = dist[order]
+    if np.any(d[1:] == d[:-1]):
+        # entries at equal distance keep their row-major order on every platform
+        order = np.argsort(dist, kind="stable")
+    flat = flat[order]
+    rows = flat // n_part
+    parts = flat - rows * n_part
+    phi = phi[order]
+    scoring = np.searchsorted(d, EPS_GEO, side="right")
     d = d.astype(out_dtype, copy=False)
     phi = phi.astype(out_dtype, copy=False)
     z = z.astype(out_dtype, copy=False)
     sigma_d, sigma_phi = out_dtype(sigma_d), out_dtype(sigma_phi)
-    dphi = z[:, 1:] - phi
+    reach = out_dtype(_GATE_SIGMAS[out_dtype]) * sigma_d
+    lo = np.maximum(np.searchsorted(d, z[:, 0] - reach, side="left"), scoring)
+    hi = np.maximum(np.searchsorted(d, z[:, 0] + reach, side="right"), lo)
+    counts = hi - lo
+    gates = [slice(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+
+    # every measurement's run of entries, one after the other
+    def runs(x):
+        return np.concatenate([x[:0]] + [x[gate] for gate in gates])
+
+    dphi = np.repeat(z[:, 1], counts) - runs(phi)
     # inputs lie in (-3 pi, 3 pi): two conditional shifts wrap to [-pi, pi]
     two_pi = out_dtype(2.0 * np.pi)
     dphi -= two_pi * (dphi > out_dtype(np.pi))
     dphi += two_pi * (dphi < out_dtype(-np.pi))
     dphi /= sigma_phi
-    dd = z[:, :1] - d
+    dd = np.repeat(z[:, 0], counts) - runs(d)
     dd /= sigma_d
     # single fused exponential, in place; the bivariate normalizer is factored out front
     lik = np.square(dd, out=dd)
@@ -304,7 +355,9 @@ def _block_likelihood(agent, headings, va, avail, z, sigma_d, sigma_phi,
     lik *= out_dtype(-0.5)
     _exp_in_place(lik)
     lik /= (TWO_PI * sigma_d * sigma_phi)
-    return rows, parts, lik
+    starts = (np.cumsum(counts) - counts).tolist()
+    lik = [lik[a:a + c] for a, c in zip(starts, counts.tolist())]
+    return rows, parts, gates, lik
 
 
 @dataclass
@@ -315,45 +368,70 @@ class _RowBlock:
     one nearest the agent first: (1, 0) for LOS, (S, 1) for single bounces
     and (P, 2) for active ordered pairs.  A row exists when all its members
     do, so ``exist`` is the product of their existences (1 for LOS).
-    The likelihood is kept at the scoring entries of :func:`_block_likelihood`
-    only: ``entries`` holds their (row, particle) indices and ``lik`` (M, n)
-    their values.
+    ``entries`` holds the (row, particle) indices where the path is
+    available, ``gates`` and ``lik`` the likelihood on them, as
+    :func:`_block_likelihood` returns them.  Where a path is unavailable its
+    detection probability is 0, so there the row's factors are constants.
     """
 
     kind: str
     members: np.ndarray
     rows: slice          # position in the evidence table
     exist: np.ndarray    # (R,)
-    avail: np.ndarray    # (R, I)
     entries: tuple[np.ndarray, np.ndarray]  # (n,) row and (n,) particle indices
-    lik: np.ndarray      # (M, n)
+    gates: list[slice]   # M entry slices, one per measurement
+    lik: list[np.ndarray]  # M arrays, one value per entry of the measurement's slice
 
     def lik_sums(self) -> np.ndarray:
-        """Likelihood summed over the particles, (R, M) float64, in particle order."""
+        """Likelihood summed over the particles, (R, M) float64."""
         n_rows = len(self.members)
+        rows = self.entries[0]
         sums = np.empty((n_rows, len(self.lik)))
-        for m, lik in enumerate(self.lik):
-            sums[:, m] = np.bincount(self.entries[0], weights=lik, minlength=n_rows)
+        for m, (gate, lik) in enumerate(zip(self.gates, self.lik)):
+            sums[:, m] = np.bincount(rows[gate], weights=lik, minlength=n_rows)
         return sums
 
     def response(self, eta: np.ndarray, denom: float, p_d: float) -> np.ndarray:
-        """Per-particle response (R, I) of the rows to their messages ``eta`` (R, M+1).
+        """Response (n,) of the rows to their messages ``eta`` (R, M+1) at the entries.
 
-        The missed-detection term ``eta[:, 0] (1 - p_d)`` where the path is
-        available (``eta[:, 0]`` elsewhere) plus the likelihood mixture
-        ``p_d sum_m lik eta[:, m] / denom`` at the scoring entries, where
-        ``denom`` is the clutter denominator.
+        The missed-detection term ``eta[:, 0] (1 - p_d)`` plus the
+        likelihood mixture ``p_d sum_m lik eta[:, m] / denom``, accumulated
+        in float64 in measurement order, where ``denom`` is the clutter
+        denominator.  Off the entries the response is ``eta[:, 0]``.
         """
-        resp = eta[:, :1] * (1.0 - self.avail * p_d)
-        if len(self.lik):
-            eta_m = (eta[:, 1:] / denom).astype(self.lik.dtype)
-            # einsum sums along contiguous (n, M) rows; over (M, n) it would sum
-            # in another order.  The block keeps a view of the copy, so the
-            # (M, n) original is freed before the messages are gathered.
-            lik = np.ascontiguousarray(self.lik.T)
-            self.lik = lik.T
-            resp[self.entries] += p_d * np.einsum("em,em->e", lik, eta_m[self.entries[0]])
-        return resp
+        rows = self.entries[0]
+        mixture = np.zeros(len(rows))
+        for gate, lik, eta_m in zip(self.gates, self.lik, (eta[:, 1:] / denom).T):
+            mixture[gate] += lik * eta_m[rows[gate]]
+        return eta[rows, 0] * (1.0 - p_d) + p_d * mixture
+
+
+def _row_log_sums(weight, eta0, resp, entries, groups, n_groups, n_part):
+    """Sums over rows of ``log(max(weight resp + eta0 (1 - weight), 0))``, (n_groups, I).
+
+    ``weight``, ``eta0`` and ``groups`` are per row (R,), ``groups`` naming
+    the sum each row adds to; ``resp`` is the rows' response at their
+    ``entries`` (:meth:`_RowBlock.response`).  Off the entries the response
+    is ``eta0``, so a row adds one constant to every particle of its group,
+    and its entries add their difference from it.  A row whose constant is
+    -inf (``eta0`` 0) makes the sum -inf wherever it has no entry.
+    """
+    rows, parts = entries
+    const = np.log(np.maximum(weight * eta0 + eta0 * (1.0 - weight), 0.0))
+    weight, eta0 = weight[rows], eta0[rows]
+    at_entries = np.log(np.maximum(weight * resp + eta0 * (1.0 - weight), 0.0))
+    finite = np.isfinite(const)
+    const = np.where(finite, const, 0.0)
+    cells = groups[rows] * n_part + parts
+    sums = np.bincount(cells, weights=at_entries - const[rows], minlength=n_groups * n_part)
+    sums = sums.reshape(n_groups, n_part) + np.bincount(groups, weights=const,
+                                                        minlength=n_groups)[:, None]
+    if not finite.all():
+        dead = ~finite
+        covered = np.bincount(cells[dead[rows]], minlength=n_groups * n_part)
+        needed = np.bincount(groups[dead], minlength=n_groups)
+        sums[covered.reshape(n_groups, n_part) < needed[:, None]] = -np.inf
+    return sums
 
 
 def process_pa(agent: AgentBelief, log_weights: np.ndarray, features: list[PmvaBelief],
@@ -386,9 +464,8 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray, features: list[PmvaB
     denom = max(clutter.mu_fp * clutter.density, _DENOM_FLOOR)
 
     # new-feature proposal clouds, one per measurement, (M, I, 2)
-    props = np.array([draw_new_pmva(float(z_d), float(z_phi), profile.single.sigma_d,
-                                    profile.single.sigma_phi, agent, pa, params, rng)
-                      for z_d, z_phi in batch]).reshape(n_meas, n_part, 2)
+    props = _draw_proposals(batch, profile.single.sigma_d, profile.single.sigma_phi,
+                            agent, pa, params, rng)
 
     # availability and likelihood per row block, in evidence-table order:
     # LOS, singles, and the ordered pairs whose joint existence reaches the floor
@@ -405,23 +482,25 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray, features: list[PmvaB
                 continue
         va, avail = traces.trace(agent_xy, members)
         noise = getattr(profile, kind)
-        *entries, lik = _block_likelihood(agent_planes, agent.headings, va, avail, batch,
-                                          noise.sigma_d, noise.sigma_phi, _LIK_DTYPE[kind])
+        rows, parts, gates, lik = _block_likelihood(
+            agent_planes, agent.headings, va, avail, batch, noise.sigma_d, noise.sigma_phi,
+            _LIK_DTYPE[kind])
         blocks.append(_RowBlock(kind, members, slice(n_rows, n_rows + len(members)),
-                                exist, avail, tuple(entries), lik))
+                                exist, (rows, parts), gates, lik))
         n_rows += len(members)
-    del va, lik    # from here the blocks alone hold what the response needs
+    del va, avail    # from here the blocks alone hold what the updates need
 
     # birth-density values of the proposal clouds, (M, I)
     (xlo, xhi), (ylo, yhi) = params.birth_region
     px, py = props[..., 0], props[..., 1]
     f_birth = ((px >= xlo) & (px <= xhi) & (py >= ylo) & (py <= yhi)) / params.birth_area
 
-    # evidence tables
+    # evidence tables; an unavailable path is detected with probability 0
     beta = np.empty((n_rows, n_meas + 1))
     for b in blocks:
         p_d = params.p_detect(b.kind)
-        beta[b.rows, 0] = b.exist * np.mean(1.0 - b.avail * p_d, axis=1) + (1.0 - b.exist)
+        available = np.bincount(b.entries[0], minlength=len(b.members))
+        beta[b.rows, 0] = b.exist * (1.0 - p_d * available / n_part) + (1.0 - b.exist)
         beta[b.rows, 1:] = b.exist[:, None] * p_d * b.lik_sums() / n_part / denom
     # a measurement's evidence is 1 for every tracked path; only "new or clutter" varies
     xi_new = 1.0 + params.mu_new * f_birth.mean(axis=1) / denom
@@ -437,24 +516,21 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray, features: list[PmvaB
     # the existence ratio uses the same product for the nonexistence mass.
     log_g1 = np.zeros((s_count, n_part))
     log_g0 = np.zeros(s_count)
-    index = np.arange(s_count)[:, None]
     with np.errstate(divide="ignore"):
         for b in blocks:
-            p_d = params.p_detect(b.kind)
             eta_b = eta[b.rows]
-            eta0 = eta_b[:, :1]
-            resp = b.response(eta_b, denom, p_d)
-            exist = b.exist[:, None]
-            log_weights = log_weights + np.log(
-                np.maximum(exist * resp + eta0 * (1.0 - exist), 0.0)).sum(axis=0)
-            log_eta0 = np.log(np.maximum(eta_b[:, 0], 1e-300))
-            for j in range(b.members.shape[1]):
-                # one-hot selectors turn the per-feature sums into matrix products
-                sel = (b.members[:, j] == index).astype(float)
-                others = np.prod(np.delete(pe[b.members], j, axis=1), axis=1)[:, None]
-                log_g1 = log_g1 + sel @ np.log(
-                    np.maximum(others * resp + eta0 * (1.0 - others), 0.0))
-                log_g0 = log_g0 + sel @ log_eta0
+            eta0 = eta_b[:, 0]
+            resp = b.response(eta_b, denom, params.p_detect(b.kind))
+            n_members = b.members.shape[1]
+            log_weights = log_weights + _row_log_sums(
+                b.exist, eta0, resp, b.entries, np.zeros(len(eta0), dtype=np.intp), 1, n_part)[0]
+            log_eta0 = np.log(np.maximum(eta0, 1e-300))
+            member_pe = pe[b.members]
+            for j in range(n_members):
+                others = np.prod(member_pe[:, np.arange(n_members) != j], axis=1)
+                log_g1 += _row_log_sums(others, eta0, resp, b.entries, b.members[:, j],
+                                        s_count, n_part)
+                log_g0 += np.bincount(b.members[:, j], weights=log_eta0, minlength=s_count)
     if not np.any(np.isfinite(log_weights)):
         raise DegenerateWeights("agent particle weights underflowed during a PA block")
 
@@ -510,7 +586,7 @@ def finalize_step(agent: AgentBelief, log_weights: np.ndarray,
         raise DegenerateWeights("all agent particle weights are zero")
     weights = np.exp(log_weights - lse)
     weights /= weights.sum()
-    x_hat = weights @ agent.particles
+    x_hat = (weights[:, None] * agent.particles).sum(axis=0)
 
     idx = systematic_resample(weights, rng)
     particles = agent.particles[idx]

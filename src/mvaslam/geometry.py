@@ -65,7 +65,7 @@ class Surface:
             raise CoincidentPoints("segment endpoints coincide")
         n = np.array([-d[1], d[0]]) / length
         # mva = twice the projection of the origin onto the line
-        return cls(mva=2.0 * np.dot(n, a) * n)
+        return cls(mva=2.0 * (n[0] * a[0] + n[1] * a[1]) * n)
 
 
 @dataclass(frozen=True)

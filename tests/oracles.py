@@ -6,7 +6,10 @@ signed distances, association marginals come from enumerating all valid
 joint assignment events, and optimal assignment cost from trying every
 permutation.  Mirroring uses the normal / line-point form instead of the
 MVA algebra, and the measurement likelihood is evaluated one path and one
-measurement at a time, as a reference for the filter's vectorized blocks.
+measurement at a time, as a reference for the filter's vectorized blocks,
+and :func:`process_pa_reference` updates an anchor block densely, over every
+(row, particle) entry and every measurement, as a reference for the
+filter's sparse row blocks.
 A path is its bounce tuple: ``()`` for LOS, ``(s,)`` for a single bounce
 at surface ``s`` and ``(s, s2)`` for a double bounce, the surface nearest
 the agent first.  :func:`backward_trace` is the bit-for-bit reference of
@@ -27,8 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from mvaslam import association
+from mvaslam.engine import _LIK_DTYPE, draw_new_pmva
 from mvaslam.geometry import EPS_GEO, mva_to_va, path_distance_angle, wrap_angle
 from mvaslam.measurement import TWO_PI
+from mvaslam.raytrace import candidate_blocks
 
 AMBIGUOUS = "ambiguous"
 KINDS = ("los", "single", "double")   # path kind by bounce count
@@ -538,7 +544,98 @@ def dense_lik_sums(rows, parts, lik, avail):
 
 
 def dense_response(rows, parts, lik, avail, eta, denom, p_d):
-    """Per-particle row responses (R, I) from a dense (R, I, M) likelihood tensor."""
+    """Per-particle row responses (R, I) from a dense (R, I, M) likelihood tensor.
+
+    The likelihood mixture is accumulated in float64 whatever the dtype of ``lik``.
+    """
     resp = eta[:, :1] * (1.0 - avail * p_d)
-    eta_m = (eta[:, 1:] / denom[None, :]).astype(lik.dtype)
-    return resp + p_d * np.einsum("rim,rm->ri", _dense_lik(rows, parts, lik, avail), eta_m)
+    eta_m = eta[:, 1:] / denom
+    return resp + p_d * np.einsum("rim,rm->ri", _dense_lik(rows, parts, lik, avail)
+                                  .astype(np.float64), eta_m)
+
+
+def process_pa_reference(agent, log_weights, features, batch, pa, params, profile, clutter,
+                         rng, ctx):
+    """Agent log-weights and feature existences of one anchor block, updated densely.
+
+    The filter's model with every row block held whole: availability (R, I),
+    a likelihood (R, I, M) at every element without a gate, responses
+    (R, I), and per-feature sums that add one row at a time.  The likelihood
+    mixture is accumulated in float64.  ``rng`` is drawn from as the filter
+    draws from it up to its resampling.  Returns ``(log_weights,
+    existences)``: the legacy features' existences, then the new features',
+    before pruning.
+    """
+    pa = np.asarray(pa, dtype=float)
+    agent_xy = agent.particles[:, :2]
+    n_part, s_count, n_meas = agent.n_particles, len(features), len(batch)
+    pe = np.array([f.existence for f in features])
+    denom = max(clutter.mu_fp * clutter.density, 1e-12)
+    props = np.array([draw_new_pmva(float(z_d), float(z_phi), profile.single.sigma_d,
+                                    profile.single.sigma_phi, agent, pa, params, rng)
+                      for z_d, z_phi in batch]).reshape(n_meas, n_part, 2)
+    clouds = np.array([f.particles for f in features]).reshape(s_count, n_part, 2)
+    traces = ctx.feature_traces(clouds, pa, params.visibility_check)
+    blocks = []
+    for kind, members in candidate_blocks(s_count, params.use_double_bounce):
+        exist = np.prod(pe[members], axis=1)
+        if kind == "double":
+            keep = exist >= params.pair_existence_floor
+            members, exist = members[keep], exist[keep]
+            if not len(members):
+                continue
+        (vx, vy), avail = traces.trace(agent_xy, members)
+        noise = getattr(profile, kind)
+        rows, parts, lik = block_likelihood_reference(
+            agent_xy, agent.headings, np.stack((vx, vy), axis=-1), avail, batch,
+            noise.sigma_d, noise.sigma_phi, _LIK_DTYPE[kind])
+        blocks.append((kind, members, exist, avail,
+                       _dense_lik(rows, parts, lik, avail).astype(np.float64)))
+
+    (xlo, xhi), (ylo, yhi) = params.birth_region
+    px, py = props[..., 0], props[..., 1]
+    f_birth = ((px >= xlo) & (px <= xhi) & (py >= ylo) & (py <= yhi)) / params.birth_area
+    beta = np.concatenate([np.zeros((0, n_meas + 1))] + [
+        np.concatenate([(exist * np.mean(1.0 - avail * params.p_detect(kind), axis=1)
+                         + (1.0 - exist))[:, None],
+                        exist[:, None] * params.p_detect(kind) * lik.sum(axis=1)
+                        / n_part / denom], axis=1)
+        for kind, _, exist, avail, lik in blocks])
+    xi_new = 1.0 + params.mu_new * f_birth.mean(axis=1) / denom
+    assoc = association.run_association(beta, xi_new, max_iters=params.assoc_max_iters,
+                                        tol=params.assoc_tol)
+
+    log_g1 = np.zeros((s_count, n_part))
+    log_g0 = np.zeros(s_count)
+    first = 0
+    with np.errstate(divide="ignore"):
+        for kind, members, exist, avail, lik in blocks:
+            eta = assoc.eta[first:first + len(members)]
+            first += len(members)
+            eta0 = eta[:, :1]
+            p_d = params.p_detect(kind)
+            resp = eta0 * (1.0 - avail * p_d) + p_d * np.einsum("rim,rm->ri", lik,
+                                                                eta[:, 1:] / denom)
+            log_weights = log_weights + np.log(np.maximum(
+                exist[:, None] * resp + eta0 * (1.0 - exist[:, None]), 0.0)).sum(axis=0)
+            for r, row in enumerate(members):
+                for j, s in enumerate(row):
+                    others = np.prod(np.delete(pe[row], j))
+                    log_g1[s] += np.log(np.maximum(others * resp[r] + eta0[r] * (1.0 - others),
+                                                   0.0))
+                    log_g0[s] += np.log(max(eta0[r, 0], 1e-300))
+
+    existences = []
+    for s, e in enumerate(pe):
+        top = np.max(log_g1[s])
+        if not np.isfinite(top):
+            existences.append(0.0)
+            continue
+        log_mass1 = (np.log(e) if e > 0 else -np.inf) + top + np.log(
+            np.mean(np.exp(log_g1[s] - top)))
+        log_mass0 = (np.log1p(-e) if e < 1 else -np.inf) + log_g0[s]
+        existences.append(float(np.exp(log_mass1 - np.logaddexp(log_mass1, log_mass0))))
+    for m in range(n_meas):
+        num = assoc.sigma_out[m, 0] * params.mu_new * f_birth[m].mean() / denom
+        existences.append(float(num / (1.0 + num)) if f_birth[m].sum() > 0 else 0.0)
+    return log_weights, existences

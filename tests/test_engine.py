@@ -1,15 +1,20 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from mvaslam import association, engine
 from mvaslam.engine import (
     AgentBelief,
     HyperParams,
     PmvaBelief,
+    _GATE_SIGMAS,
     _RowBlock,
     _block_likelihood,
+    _draw_proposals,
     _exp_in_place,
+    _row_log_sums,
     SlamFilter,
     draw_new_pmva,
     finalize_step,
@@ -39,7 +44,7 @@ from mvaslam.raytrace import Environment, candidate_blocks
 from mvaslam.scenario import bundled_scenario
 
 from oracles import (Measurement, backward_trace, block_likelihood_reference, dense_lik_sums,
-                     dense_response, likelihood)
+                     dense_response, likelihood, process_pa_reference)
 
 PROFILE = NoiseProfile(los=PathNoise(0.05, np.deg2rad(10.0)),
                        single=PathNoise(0.10, np.deg2rad(15.0)),
@@ -189,6 +194,26 @@ def run_block(agent, feats, batch, params, pa=(1.0, 0.5), ctx=None, rng=None, cl
                       PROFILE, clutter, rng, ctx)
 
 
+def dense_likelihood(rows, parts, gates, lik, shape, dtype):
+    """A block's (R, I, M) likelihood from the values it keeps, zero elsewhere, and its mask."""
+    full = np.zeros(shape + (len(lik),), dtype=dtype)
+    kept = np.zeros(full.shape, dtype=bool)
+    for m, (gate, values) in enumerate(zip(gates, lik)):
+        assert values.dtype == dtype and values.shape == rows[gate].shape
+        assert values.flags.c_contiguous
+        full[rows[gate], parts[gate], m] = values
+        kept[rows[gate], parts[gate], m] = True
+    return full, kept
+
+
+def assert_entries_sorted(rows, parts, agent_xy, va, avail):
+    # every available entry once, nearest its VA first
+    assert len(set(zip(rows.tolist(), parts.tolist()))) == len(rows) == avail.sum()
+    assert avail[rows, parts].all()
+    d = np.hypot(*np.moveaxis(agent_xy[parts] - va[rows, parts], -1, 0))
+    assert np.all(np.diff(d) >= 0.0)
+
+
 def test_block_likelihood_matches_scalar_reference():
     rng = np.random.default_rng(21)
     n_rows, n_part, n_meas = 3, 40, 8
@@ -227,13 +252,12 @@ def test_block_likelihood_matches_scalar_reference():
     assert ref[0, n_meas - 2, n_meas - 2] > 0.1 and ref[0, n_meas - 1, n_meas - 1] > 0.1
 
     def dense(out_dtype):
-        rows, parts, lik = _block_likelihood(agent_xy.T, headings, np.moveaxis(va, -1, 0), avail,
-                                             z, sigma_d, sigma_phi, out_dtype)
-        np.testing.assert_array_equal(rows, np.nonzero(scoring)[0])
-        np.testing.assert_array_equal(parts, np.nonzero(scoring)[1])
-        assert lik.dtype == out_dtype and lik.shape == (n_meas, len(rows))
-        full = np.zeros(ref.shape, dtype=out_dtype)
-        full[rows, parts] = lik.T
+        rows, parts, gates, lik = _block_likelihood(agent_xy.T, headings, np.moveaxis(va, -1, 0),
+                                                    avail, z, sigma_d, sigma_phi, out_dtype)
+        assert_entries_sorted(rows, parts, agent_xy, va, avail)
+        assert len(gates) == len(lik) == n_meas
+        full, kept = dense_likelihood(rows, parts, gates, lik, avail.shape, out_dtype)
+        assert not (kept & ~scoring[..., None]).any() and kept.any() and not kept.all()
         return full
 
     lik64 = dense(np.float64)
@@ -260,8 +284,21 @@ def test_exp_in_place_matches_np_exp_bit_for_bit():
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_gate_lies_past_exp_underflow(dtype):
+    # beyond the gate every exponent lies at or below -G^2 / 2, whose exp is exactly zero
+    gate = dtype(_GATE_SIGMAS[dtype])
+    edge = dtype(-0.5) * gate * gate
+    x = np.array([edge, np.nextafter(edge, dtype(-np.inf)), dtype(1.5) * edge], dtype=dtype)
+    np.testing.assert_array_equal(_exp_in_place(x), 0.0)
+    # and the gate is no wider than it must be: one sigma less keeps a nonzero value
+    closer = dtype(-0.5) * (gate - 1) * (gate - 1)
+    assert _exp_in_place(np.array([closer], dtype=dtype))[0] > 0.0
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_block_likelihood_matches_reference_kernel(dtype):
-    # planes in, (M, n) out: every value equals the (..., 2) kernel's, bit for bit
+    # planes in, gated runs out: every kept value equals the (..., 2) kernel's, bit
+    # for bit, and the kernel is exactly zero at every element the gate drops
     rng = np.random.default_rng(25)
     n_rows, n_part, n_meas = 5, 300, 9
     agent_xy = rng.uniform(-5.0, 5.0, (n_part, 2))
@@ -270,22 +307,31 @@ def test_block_likelihood_matches_reference_kernel(dtype):
     avail = rng.random((n_rows, n_part)) < 0.7
     avail[3, 11] = True
     va[3, 11] = agent_xy[11]                  # an available entry on its VA
+    avail[4, 20:23] = True
+    va[4, 20:23] = agent_xy[20:23]            # three more: four entries at distance 0
     headings[:40] = 0.0                       # predictions just inside +-pi ...
     va[0, :20] = agent_xy[:20] + [3.0, 0.01]
     va[0, 20:40] = agent_xy[20:40] + [3.0, -0.01]
     avail[0, :40] = True
     z = np.stack([rng.uniform(0.0, 30.0, n_meas), rng.uniform(-np.pi, np.pi, n_meas)], axis=1)
     z[:2] = [[3.0, -np.pi + 0.02], [3.0, np.pi - 0.02]]   # ... measured just across it
-    rows, parts, lik = _block_likelihood(agent_xy.T, headings, np.moveaxis(va, -1, 0), avail, z,
-                                         0.1, 0.2, dtype)
+    rows, parts, gates, lik = _block_likelihood(agent_xy.T, headings, np.moveaxis(va, -1, 0),
+                                                avail, z, 0.1, 0.2, dtype)
     ref_rows, ref_parts, ref = block_likelihood_reference(agent_xy, headings, va, avail, z,
                                                           0.1, 0.2, dtype)
-    np.testing.assert_array_equal(rows, ref_rows)
-    np.testing.assert_array_equal(parts, ref_parts)
-    assert not np.any((rows == 3) & (parts == 11))
-    assert lik.dtype == dtype and lik.shape == (n_meas, len(rows)) and lik.flags.c_contiguous
-    np.testing.assert_array_equal(lik, ref.T)
-    assert np.count_nonzero(lik == 0.0) and lik[:2, (rows == 0) & (parts < 40)].min() > 0.1
+    assert_entries_sorted(rows, parts, agent_xy, va, avail)
+    # entries at equal distance keep their row-major order
+    assert list(zip(rows[:4], parts[:4])) == [(3, 11), (4, 20), (4, 21), (4, 22)]
+    assert avail[3, 11] and not np.any((ref_rows == 3) & (ref_parts == 11))
+    got, kept = dense_likelihood(rows, parts, gates, lik, avail.shape, dtype)
+    want = np.zeros_like(got)
+    want[ref_rows, ref_parts] = ref
+    uint = np.uint64 if dtype == np.float64 else np.uint32
+    np.testing.assert_array_equal(got.view(uint), want.view(uint))
+    assert not kept[3, 11].any() and not kept[4, 20:23].any()
+    # the gate drops most elements, and keeps the large values at +-pi
+    assert 0 < kept.sum() < avail.sum() * n_meas / 2
+    assert got[0, :40, :2][avail[0, :40]].min() > 0.1
 
 
 @pytest.mark.parametrize("n_meas", [0, 1, 6])
@@ -306,30 +352,94 @@ def test_compact_reductions_match_dense_reference(n_meas, dtype):
         diff = agent_xy[m] - va[0, m]
         z[m] = np.hypot(*diff) + 0.2, np.arctan2(diff[1], diff[0]) - headings[m] + 0.1
     planes = (agent_xy.T, np.moveaxis(va, -1, 0))
-    rows, parts, lik = _block_likelihood(planes[0], headings, planes[1], avail, z, 0.3, 0.3, dtype)
-    assert lik.shape == (n_meas, len(rows)) and not np.any((rows == 2) & (parts == 7))
+    rows, parts, gates, lik = _block_likelihood(planes[0], headings, planes[1], avail, z,
+                                                0.3, 0.3, dtype)
+    ref_rows, ref_parts, ref = block_likelihood_reference(agent_xy, headings, va, avail, z,
+                                                          0.3, 0.3, dtype)
+    assert len(lik) == n_meas and not np.any((ref_rows == 2) & (ref_parts == 7))
     block = _RowBlock("single", np.arange(n_rows)[:, None], slice(0, n_rows),
-                      np.full(n_rows, 0.5), avail, (rows, parts), lik)
+                      np.full(n_rows, 0.5), (rows, parts), gates, lik)
     eta = rng.uniform(0.1, 1.0, (n_rows, n_meas + 1))
     denom = rng.uniform(0.01, 0.1, max(n_meas, 1))[:n_meas]
     sums = block.lik_sums()
     assert sums.dtype == np.float64 and sums.shape == (n_rows, n_meas)
-    np.testing.assert_allclose(sums, dense_lik_sums(rows, parts, lik.T, avail), rtol=1e-13)
+    np.testing.assert_allclose(sums, dense_lik_sums(ref_rows, ref_parts, ref, avail), rtol=1e-13)
     assert np.all(sums[1] == 0.0)
     resp = block.response(eta, denom, 0.9)
-    np.testing.assert_allclose(resp, dense_response(rows, parts, lik.T, avail, eta, denom, 0.9),
-                               rtol=1e-13)
-    np.testing.assert_array_equal(resp[1], eta[1, 0])
-    assert resp[2, 7] == eta[2, 0] * (1.0 - 0.9)
-    # a block without a scoring entry
+    assert resp.dtype == np.float64 and resp.shape == rows.shape
+    # off the entries the response is eta[:, 0]
+    full = np.repeat(eta[:, :1], n_part, axis=1)
+    full[rows, parts] = resp
+    np.testing.assert_allclose(full, dense_response(ref_rows, ref_parts, ref, avail, eta, denom,
+                                                    0.9), rtol=1e-13)
+    assert full[2, 7] == eta[2, 0] * (1.0 - 0.9)
+    # a block without an available entry
     none = np.zeros_like(avail)
-    *entries, lik = _block_likelihood(planes[0], headings, planes[1], none, z, 0.3, 0.3, dtype)
+    rows, parts, gates, lik = _block_likelihood(planes[0], headings, planes[1], none, z,
+                                                0.3, 0.3, dtype)
+    assert len(rows) == 0 and len(gates) == n_meas and all(not rows[g].size for g in gates)
     empty = _RowBlock("single", np.arange(n_rows)[:, None], slice(0, n_rows),
-                      np.full(n_rows, 0.5), none, tuple(entries), lik)
+                      np.full(n_rows, 0.5), (rows, parts), gates, lik)
     sums = empty.lik_sums()
     assert sums.dtype == np.float64 and sums.shape == (n_rows, n_meas) and not sums.any()
-    np.testing.assert_array_equal(empty.response(eta, denom, 0.9),
-                                  np.broadcast_to(eta[:, :1], avail.shape))
+    assert empty.response(eta, denom, 0.9).shape == (0,)
+
+
+def test_row_log_sums_match_dense_rows():
+    # per (group, particle) sums over rows of log(max(w resp + eta0 (1 - w), 0)), the
+    # response eta0 off the entries; rows with eta0 = 0 are -inf wherever they have no entry
+    rng = np.random.default_rng(26)
+    n_rows, n_part, n_groups = 12, 30, 4
+    avail = rng.random((n_rows, n_part)) < 0.5
+    avail[3] = True                            # an eta0 = 0 row available everywhere
+    avail[5] = False
+    weight = rng.uniform(0.0, 1.0, n_rows)
+    weight[0] = 1.0
+    eta0 = rng.uniform(0.05, 1.0, n_rows)
+    eta0[[2, 3, 7]] = 0.0
+    groups = rng.integers(0, n_groups, n_rows)
+    groups[[2, 3]] = 1
+    resp = rng.uniform(0.0, 2.0, (n_rows, n_part))
+    resp[4, :5] = 0.0
+    rows, parts = np.nonzero(avail)
+    order = rng.permutation(len(rows))
+    rows, parts = rows[order], parts[order]
+    dense_resp = np.where(avail, resp, eta0[:, None])
+    want = np.zeros((n_groups, n_part))
+    with np.errstate(divide="ignore"):
+        for r in range(n_rows):
+            want[groups[r]] += np.log(np.maximum(weight[r] * dense_resp[r]
+                                                 + eta0[r] * (1.0 - weight[r]), 0.0))
+        got = _row_log_sums(weight, eta0, resp[rows, parts], (rows, parts), groups, n_groups,
+                            n_part)
+    assert np.isneginf(want).any() and np.isfinite(want).any()
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def test_draw_proposals_equal_one_draw_per_measurement():
+    n = 64
+    params = HyperParams(n_particles=n)
+    rng = np.random.default_rng(41)
+    agent = AgentBelief(particles=np.concatenate([rng.uniform(-3.0, 3.0, (n, 2)),
+                                                  rng.uniform(-1.0, 1.0, (n, 2))], axis=1),
+                        headings=rng.uniform(-np.pi, np.pi, n))
+    pa = np.array([1.0, 0.5])
+    # particle 0 inverts measurement 1 onto the anchor: a degenerate inversion
+    agent.particles[0, :2] = [3.0, 0.5]
+    agent.headings[0] = 0.0
+    assert not np.isfinite(va_to_mva(agent.particles[0, :2] - [2.0, 0.0], pa)).any()
+    cases = [(batch_of(rng.uniform([0.5, -np.pi], [12.0, np.pi], (5, 2))), 0.1, 0.2),
+             (batch_of([[4.0, 0.3], [2.0, 0.0], [6.0, -1.0]]), 1e-300, 1e-300),
+             (empty_batch(), 0.1, 0.2)]
+    for batch, sigma_d, sigma_phi in cases:
+        batched, looped = np.random.default_rng(7), np.random.default_rng(7)
+        got = _draw_proposals(batch, sigma_d, sigma_phi, agent, pa, params, batched)
+        want = np.array([draw_new_pmva(float(z_d), float(z_phi), sigma_d, sigma_phi, agent, pa,
+                                       params, looped)
+                         for z_d, z_phi in batch]).reshape(len(batch), n, 2)
+        np.testing.assert_array_equal(got, want)
+        assert np.isfinite(got).all()
+        assert batched.random() == looped.random()    # both left the generator in one state
 
 
 def test_feature_trace_cache_matches_backward_trace():
@@ -599,6 +709,71 @@ def test_filter_determinism_same_seed():
     first = run_once()
     second = run_once()
     assert np.array_equal(first, second)
+
+
+def paper_room_block(case, monkeypatch):
+    """Inputs of one anchor block at the start of the paper room, shaped by ``case``."""
+    config = bundled_scenario("exp1_rect_room")
+    env = config.environment
+    pa = np.asarray(config.pas[0], dtype=float)
+    start = np.asarray(config.waypoints[0], dtype=float)
+    step = np.asarray(config.waypoints[1], dtype=float) - start
+    heading = float(np.arctan2(step[1], step[0]))
+    s_count = 30 if case == "pairs_s30" else 4
+    n = 120
+    rng = np.random.default_rng(12)
+    agent = AgentBelief(particles=np.concatenate([start + rng.uniform(-0.5, 0.5, (n, 2)),
+                                                  rng.uniform(-0.1, 0.1, (n, 2))], axis=1),
+                        headings=heading + rng.normal(0.0, 0.05, n))
+    centres = np.concatenate([env.wall_mvas, rng.uniform(-15.0, 15.0, (s_count, 2))])[:s_count]
+    features = [PmvaBelief(particles=rng.normal(c, 0.2, (n, 2)), existence=e)
+                for c, e in zip(centres, rng.uniform(0.3, 0.99, s_count))]
+    blocks = candidate_blocks(len(env.walls), True)
+    batch = generate_batch(start, heading, blocks, *env.trace_paths(start, pa, blocks),
+                           {"los": 0.95, "single": 0.95, "double": 0.95}, config.profile,
+                           config.clutter, rng)
+    params = HyperParams(n_particles=n, p_prune=0.0, max_features=1000, pair_existence_floor=0.0)
+    # a blocker across the anchor's line of sight, long enough to hide it from every
+    # particle, or only from the particles on one side
+    normal = np.array([-(pa - start)[1], (pa - start)[0]]) / np.hypot(*(pa - start))
+    mid = (start + pa) / 2.0
+    ctx = env
+    if case == "eta0_zero":
+        ctx = Environment(walls=env.walls, blockers=[WallSegment(mid, mid + 2.0 * normal)])
+
+        def zero_eta0(beta, xi_new, **kw):
+            out = plain_association(beta, xi_new, **kw)
+            out.eta[:2, 0] = 0.0                      # the LOS row and the first single row
+            return out
+
+        plain_association = association.run_association
+        monkeypatch.setattr(engine, "run_association", zero_eta0)
+        monkeypatch.setattr(association, "run_association", zero_eta0)
+    elif case == "on_va":
+        params = replace(params, visibility_check=False)
+        agent.particles[:3, :2] = pa                  # on the LOS VA
+        agent.particles[3:6, :2] = mva_to_va(features[0].particles[3:6], pa)
+    elif case == "no_entries":
+        ctx = Environment(walls=env.walls, blockers=[WallSegment(mid - 3.0 * normal,
+                                                                 mid + 3.0 * normal)])
+        features[1].particles[:] = 0.0               # a degenerate surface: no available row
+    elif case == "no_measurements":
+        batch = empty_batch()
+    return (agent, np.zeros(n), features, batch, pa, params, config.profile, config.clutter), ctx
+
+
+@pytest.mark.parametrize("case", ["pairs_s30", "eta0_zero", "on_va", "no_entries",
+                                  "no_measurements"])
+def test_process_pa_matches_dense_reference(case, monkeypatch):
+    args, ctx = paper_room_block(case, monkeypatch)
+    logw, updated = process_pa(*args, np.random.default_rng(3), ctx)
+    want_logw, want_existence = process_pa_reference(*args, np.random.default_rng(3), ctx)
+    assert len(updated) == len(want_existence)
+    np.testing.assert_allclose(logw, want_logw, rtol=1e-12)
+    np.testing.assert_allclose([f.existence for f in updated], want_existence, rtol=1e-12)
+    assert np.isfinite(logw).any()
+    if case == "eta0_zero":
+        assert np.isneginf(logw).any()
 
 
 def test_process_pa_peak_memory_is_bounded():
