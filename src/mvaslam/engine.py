@@ -9,8 +9,11 @@ Map features are potential master virtual anchors (PMVAs): a particle cloud
 over the MVA position plus a scalar existence probability.  New features
 are proposed from each measurement by inverting the measurement map through
 every agent particle; they become legacy features for the next anchor.
-The map is one list in birth order: each anchor block appends its new
-features after the survivors, so a feature's position is its age.
+The map is one :class:`FeatureMap` of arrays in birth order: each anchor
+block appends its new features after the survivors, so a feature's row is
+its age.  Only a legacy feature's updated existence is computed one feature
+at a time, in ``math`` scalars, because numpy's ``log`` / ``log1p`` / ``exp``
+round differently on some arguments and the outputs are pinned bit for bit.
 
 Per-particle weights and existence ratios are accumulated in the log domain
 throughout; products over feature rows would underflow otherwise.
@@ -103,7 +106,9 @@ class HyperParams:
             raise ValueError("birth region must have positive area")
 
     def p_detect(self, kind: str) -> float:
-        return getattr(self, f"p_detect_{kind}")
+        """Base detection probability of a path kind: "los", "single" or "double"."""
+        return {"los": self.p_detect_los, "single": self.p_detect_single,
+                "double": self.p_detect_double}[kind]
 
     @property
     def birth_area(self) -> float:
@@ -132,11 +137,14 @@ class AgentBelief:
 
 
 @dataclass
-class PmvaBelief:
-    """Potential MVA: equally-weighted position particles plus existence."""
+class FeatureMap:
+    """The potential MVAs in birth order: equally weighted position particles plus existence."""
 
-    particles: np.ndarray  # (I, 2)
-    existence: float
+    particles: np.ndarray  # (S, I, 2)
+    existence: np.ndarray  # (S,)
+
+    def __len__(self) -> int:
+        return len(self.existence)
 
 
 @dataclass
@@ -161,13 +169,21 @@ def ncv_matrices(dt: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Low-variance resampling: a single uniform offset strides the CDF."""
+    """Low-variance resampling of weights (n,), or of each row of (k, n).
+
+    One uniform offset per row strides its CDF.  The k offsets are one
+    ``rng.random(k)`` draw, the same numbers as k draws of one.
+    """
     weights = np.asarray(weights, dtype=float)
-    n = weights.size
-    positions = (rng.random() + np.arange(n)) / n
-    cdf = np.cumsum(weights)
-    cdf[-1] = 1.0
-    return np.searchsorted(cdf, positions)
+    n = weights.shape[-1]
+    rows = weights.reshape(-1, n)
+    idx = np.empty(rows.shape, dtype=np.intp)
+    # one search per row: shifting the rows apart to search them at once would round the CDFs
+    for row, (w, offset) in enumerate(zip(rows, rng.random(len(rows)))):
+        cdf = np.cumsum(w)
+        cdf[-1] = 1.0
+        idx[row] = np.searchsorted(cdf, (offset + np.arange(n)) / n)
+    return idx.reshape(weights.shape)
 
 
 def _refresh_headings(velocities: np.ndarray, previous: np.ndarray, eps: float) -> np.ndarray:
@@ -198,15 +214,13 @@ def predict_agent(belief: AgentBelief, params: HyperParams, rng: np.random.Gener
     return AgentBelief(particles=particles, headings=headings)
 
 
-def predict_legacy(pmvas: Sequence[PmvaBelief], params: HyperParams,
-                   rng: np.random.Generator) -> list[PmvaBelief]:
+def predict_legacy(features: FeatureMap, params: HyperParams,
+                   rng: np.random.Generator) -> FeatureMap:
     """Survival-decay the existence and jitter the position particles."""
-    out = []
-    for f in pmvas:
-        jitter = params.sigma_regularization * rng.standard_normal(f.particles.shape)
-        out.append(PmvaBelief(particles=f.particles + jitter,
-                              existence=params.p_survival * f.existence))
-    return out
+    particles = rng.standard_normal(features.particles.shape)
+    particles *= params.sigma_regularization
+    particles += features.particles
+    return FeatureMap(particles=particles, existence=params.p_survival * features.existence)
 
 
 def draw_new_pmva(z_d: float, z_phi: float, sigma_d: float, sigma_phi: float,
@@ -264,11 +278,12 @@ def _draw_proposals(batch: np.ndarray, sigma_d: float, sigma_phi: float, agent: 
 # ---------------------------------------------------------------------------
 
 
-def _log_sum_exp(values: np.ndarray) -> float:
-    m = np.max(values)
-    if not np.isfinite(m):
-        return -np.inf
-    return float(m + np.log(np.sum(np.exp(values - m))))
+def _log_sum_exp(values: np.ndarray) -> np.ndarray:
+    """``log(sum(exp(values)))`` over the last axis; -inf where its maximum is not finite."""
+    top = np.max(values, axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore"):
+        lse = top[..., 0] + np.log(np.sum(np.exp(values - top), axis=-1))
+    return np.where(np.isfinite(top[..., 0]), lse, -np.inf)
 
 
 def _exp_in_place(x):
@@ -434,11 +449,11 @@ def _row_log_sums(weight, eta0, resp, entries, groups, n_groups, n_part):
     return sums
 
 
-def process_pa(agent: AgentBelief, log_weights: np.ndarray, features: list[PmvaBelief],
+def process_pa(agent: AgentBelief, log_weights: np.ndarray, features: FeatureMap,
                batch: np.ndarray, pa, params: HyperParams,
                profile: NoiseProfile, clutter: ClutterModel,
                rng: np.random.Generator,
-               ctx: Environment) -> tuple[np.ndarray, list[PmvaBelief]]:
+               ctx: Environment) -> tuple[np.ndarray, FeatureMap]:
     """One anchor's update block.
 
     Takes the map as the previous anchor block left it and this anchor's
@@ -458,7 +473,7 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray, features: list[PmvaB
     agent_xy = agent.particles[:, :2]
     agent_planes = agent_xy.T.copy()
     n_part = agent.n_particles
-    pe = np.array([f.existence for f in features])
+    pe = features.existence
 
     # clutter denominator: the clutter intensity, the same at every measurement
     denom = max(clutter.mu_fp * clutter.density, _DENOM_FLOOR)
@@ -469,8 +484,7 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray, features: list[PmvaB
 
     # availability and likelihood per row block, in evidence-table order:
     # LOS, singles, and the ordered pairs whose joint existence reaches the floor
-    clouds = np.array([f.particles for f in features]).reshape(s_count, n_part, 2)
-    traces = ctx.feature_traces(clouds, pa, params.visibility_check)
+    traces = ctx.feature_traces(features.particles, pa, params.visibility_check)
     blocks: list[_RowBlock] = []
     n_rows = 0
     for kind, members in candidate_blocks(s_count, params.use_double_bounce):
@@ -494,6 +508,7 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray, features: list[PmvaB
     (xlo, xhi), (ylo, yhi) = params.birth_region
     px, py = props[..., 0], props[..., 1]
     f_birth = ((px >= xlo) & (px <= xhi) & (py >= ylo) & (py <= yhi)) / params.birth_area
+    birth_mean = f_birth.mean(axis=1)
 
     # evidence tables; an unavailable path is detected with probability 0
     beta = np.empty((n_rows, n_meas + 1))
@@ -503,7 +518,7 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray, features: list[PmvaB
         beta[b.rows, 0] = b.exist * (1.0 - p_d * available / n_part) + (1.0 - b.exist)
         beta[b.rows, 1:] = b.exist[:, None] * p_d * b.lik_sums() / n_part / denom
     # a measurement's evidence is 1 for every tracked path; only "new or clutter" varies
-    xi_new = 1.0 + params.mu_new * f_birth.mean(axis=1) / denom
+    xi_new = 1.0 + params.mu_new * birth_mean / denom
     assoc = run_association(beta, xi_new, max_iters=params.assoc_max_iters, tol=params.assoc_tol)
     eta = assoc.eta
     sigma_msg = assoc.sigma_out
@@ -534,51 +549,43 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray, features: list[PmvaB
     if not np.any(np.isfinite(log_weights)):
         raise DegenerateWeights("agent particle weights underflowed during a PA block")
 
-    # legacy update: per-feature existence and resampling
-    updated: list[PmvaBelief] = []
-    for s, feat in enumerate(features):
-        lse = _log_sum_exp(log_g1[s])
-        if np.isfinite(lse):
-            log_mass1 = (math.log(feat.existence) if feat.existence > 0 else -np.inf) \
-                + lse - math.log(n_part)
-            log_mass0 = (math.log1p(-feat.existence) if feat.existence < 1 else -np.inf) \
-                + log_g0[s]
-            top = max(log_mass1, log_mass0)
-            existence = (math.exp(log_mass1 - top)
-                         / (math.exp(log_mass1 - top) + math.exp(log_mass0 - top)))
-            w = np.exp(log_g1[s] - lse)
-            idx = systematic_resample(w / w.sum(), rng)
-            particles = feat.particles[idx]
-        else:
-            existence = 0.0
-            particles = feat.particles
-        updated.append(PmvaBelief(particles=particles, existence=existence))
+    # legacy update: existence, and a resampling row per feature whose weights do not vanish
+    lse = _log_sum_exp(log_g1)
+    live = np.isfinite(lse)
+    existence = np.zeros(s_count + n_meas)
+    for s in np.flatnonzero(live).tolist():
+        e = float(pe[s])
+        log_mass1 = (math.log(e) if e > 0 else -np.inf) + float(lse[s]) - math.log(n_part)
+        log_mass0 = (math.log1p(-e) if e < 1 else -np.inf) + log_g0[s]
+        top = max(log_mass1, log_mass0)
+        existence[s] = (math.exp(log_mass1 - top)
+                        / (math.exp(log_mass1 - top) + math.exp(log_mass0 - top)))
 
-    # new-feature update: existence from the unclaimed-measurement message
-    for m, prop in enumerate(props):
-        num = sigma_msg[m, 0] * params.mu_new * float(f_birth[m].mean()) / denom
-        existence = num / (1.0 + num)
-        weights = f_birth[m]
-        total = weights.sum()
-        if total > 0:
-            idx = systematic_resample(weights / total, rng)
-            particles = prop[idx]
-        else:
-            existence = 0.0
-            particles = prop
-        updated.append(PmvaBelief(particles=particles, existence=existence))
+    # new-feature update: existence from the unclaimed-measurement message, and a
+    # resampling row per proposal that reaches the birth region
+    born = birth_mean > 0
+    num = sigma_msg[:, 0] * params.mu_new * birth_mean / denom
+    existence[s_count:] = np.where(born, num / (1.0 + num), 0.0)
+
+    # one resampling pass, legacy rows first; the other rows keep their particles
+    weights = np.concatenate([np.exp(log_g1[live] - lse[live, None]), f_birth[born]])
+    weights /= weights.sum(axis=1, keepdims=True)
+    resampled = np.concatenate([live, born])
+    idx = np.tile(np.arange(n_part), (s_count + n_meas, 1))
+    idx[resampled] = systematic_resample(weights, rng)
 
     # pruning, then the cap: the most likely features, ties to the older (earlier)
     # one, kept in birth order
-    updated = [f for f in updated if f.existence >= params.p_prune]
-    if len(updated) > params.max_features:
-        ranked = sorted(range(len(updated)), key=lambda k: -updated[k].existence)
-        updated = [updated[k] for k in sorted(ranked[:params.max_features])]
-    return log_weights, updated
+    ranked = np.argsort(-existence, kind="stable")
+    keep = np.sort(ranked[existence[ranked] >= params.p_prune][:params.max_features])
+    old, new = keep[keep < s_count], keep[keep >= s_count]
+    particles = np.concatenate([features.particles[old[:, None], idx[old]],
+                                props[new[:, None] - s_count, idx[new]]])
+    return log_weights, FeatureMap(particles=particles, existence=existence[keep])
 
 
 def finalize_step(agent: AgentBelief, log_weights: np.ndarray,
-                  features: Sequence[PmvaBelief], params: HyperParams,
+                  features: FeatureMap, params: HyperParams,
                   rng: np.random.Generator) -> tuple[AgentBelief, StepEstimate]:
     """Normalize the accumulated agent weights, estimate, and resample."""
     lse = _log_sum_exp(log_weights)
@@ -593,9 +600,7 @@ def finalize_step(agent: AgentBelief, log_weights: np.ndarray,
     headings = _refresh_headings(particles[:, 2:], agent.headings[idx], params.eps_velocity)
     resampled = AgentBelief(particles=particles, headings=headings)
 
-    confirmed = [f for f in features if f.existence > params.p_confirm]
-    positions = (np.stack([f.particles.mean(axis=0) for f in confirmed])
-                 if confirmed else np.zeros((0, 2)))
+    positions = features.particles[features.existence > params.p_confirm].mean(axis=1)
     estimate = StepEstimate(x_hat=x_hat, mva_positions=positions)
     return resampled, estimate
 
@@ -613,7 +618,7 @@ class SlamFilter:
         self.clutter = clutter
         self.rng = rng
         self.agent = initial_agent_belief(start_pos, params, rng)
-        self.features: list[PmvaBelief] = []
+        self.features = FeatureMap(np.zeros((0, params.n_particles, 2)), np.zeros(0))
         self.ctx = Environment(walls=extent_walls, blockers=blockers)
 
     def step(self, batches: Sequence[np.ndarray]) -> StepEstimate:

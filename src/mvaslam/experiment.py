@@ -99,7 +99,6 @@ def simulate_run(config: ScenarioConfig, run_index: int, base_seed: int,
     rng = np.random.default_rng(seed)
     true_mvas = config.environment.wall_mvas
     params = config.params
-    p_detect = config.p_detect()
     truth = available_path_keys(config) if availability is None else availability
     truth_vas = truth_va_sets(truth)
 
@@ -127,7 +126,7 @@ def simulate_run(config: ScenarioConfig, run_index: int, base_seed: int,
         vel = velocities[n - 1]
         heading = float(np.arctan2(vel[1], vel[0]))
         batches = [generate_batch(pos, heading, truth.blocks, truth.va[j, n],
-                                  truth.available[j, n], p_detect,
+                                  truth.available[j, n], params.p_detect,
                                   config.profile, config.clutter, rng)
                    for j in range(n_pa)]
         try:

@@ -74,17 +74,17 @@ def generate_batch(agent_pos, heading, blocks: Sequence[tuple[str, np.ndarray]],
     experiment traces once.  Nothing is traced here.  Every available path
     is detected with its kind's probability and measured with Gaussian
     noise; Poisson clutter is appended; the batch order is randomly
-    permuted.  ``p_detect`` maps a path kind ("los" / "single" / "double")
-    to its base detection probability; noise levels come from the kind's
-    entry in ``profile``.  Returns the batch as an (M, 2) array of
-    (distance, angle) rows.
+    permuted.  ``p_detect(kind)`` gives a path kind's ("los" / "single" /
+    "double") base detection probability, as ``HyperParams.p_detect`` does;
+    noise levels come from the kind's entry in ``profile``.  Returns the
+    batch as an (M, 2) array of (distance, angle) rows.
     """
     kinds = [kind for kind, members in blocks for _ in members]
     found = np.flatnonzero(available)
     dist, angle = path_distance_angle(agent_pos, heading, va[found])
     z_d, z_phi = [], []
     for k, d, phi in zip(found.tolist(), dist.tolist(), angle.tolist()):
-        if rng.random() >= p_detect[kinds[k]]:
+        if rng.random() >= p_detect(kinds[k]):
             continue
         noise = getattr(profile, kinds[k])
         z_d.append(d + noise.sigma_d * rng.standard_normal())

@@ -58,11 +58,6 @@ class ScenarioConfig:
     def n_steps(self) -> int:
         return self.waypoints.shape[0] - 1
 
-    def p_detect(self) -> dict[str, float]:
-        return {"los": self.params.p_detect_los,
-                "single": self.params.p_detect_single,
-                "double": self.params.p_detect_double}
-
     def velocities(self) -> np.ndarray:
         """Backward-difference velocities, one per measured step."""
         dt = self.params.dt

@@ -532,6 +532,15 @@ def dedupe_points_loop(points, tol):
     return np.array(kept).reshape(-1, 2)
 
 
+def systematic_resample_reference(weights, rng):
+    """Systematic resampling of one normalized weight vector (n,) with one ``rng.random()``."""
+    n = weights.size
+    positions = (rng.random() + np.arange(n)) / n
+    cdf = np.cumsum(weights)
+    cdf[-1] = 1.0
+    return np.searchsorted(cdf, positions)
+
+
 def _dense_lik(rows, parts, lik, avail):
     full = np.zeros(avail.shape + lik.shape[1:], dtype=lik.dtype)
     full[rows, parts] = lik
@@ -558,6 +567,8 @@ def process_pa_reference(agent, log_weights, features, batch, pa, params, profil
                          rng, ctx):
     """Agent log-weights and feature existences of one anchor block, updated densely.
 
+    ``features`` is the engine's ``FeatureMap``.
+
     The filter's model with every row block held whole: availability (R, I),
     a likelihood (R, I, M) at every element without a gate, responses
     (R, I), and per-feature sums that add one row at a time.  The likelihood
@@ -569,13 +580,12 @@ def process_pa_reference(agent, log_weights, features, batch, pa, params, profil
     pa = np.asarray(pa, dtype=float)
     agent_xy = agent.particles[:, :2]
     n_part, s_count, n_meas = agent.n_particles, len(features), len(batch)
-    pe = np.array([f.existence for f in features])
+    pe = features.existence
     denom = max(clutter.mu_fp * clutter.density, 1e-12)
     props = np.array([draw_new_pmva(float(z_d), float(z_phi), profile.single.sigma_d,
                                     profile.single.sigma_phi, agent, pa, params, rng)
                       for z_d, z_phi in batch]).reshape(n_meas, n_part, 2)
-    clouds = np.array([f.particles for f in features]).reshape(s_count, n_part, 2)
-    traces = ctx.feature_traces(clouds, pa, params.visibility_check)
+    traces = ctx.feature_traces(features.particles, pa, params.visibility_check)
     blocks = []
     for kind, members in candidate_blocks(s_count, params.use_double_bounce):
         exist = np.prod(pe[members], axis=1)

@@ -7,8 +7,8 @@ import pytest
 from mvaslam import association, engine
 from mvaslam.engine import (
     AgentBelief,
+    FeatureMap,
     HyperParams,
-    PmvaBelief,
     _GATE_SIGMAS,
     _RowBlock,
     _block_likelihood,
@@ -44,7 +44,8 @@ from mvaslam.raytrace import Environment, candidate_blocks
 from mvaslam.scenario import bundled_scenario
 
 from oracles import (Measurement, backward_trace, block_likelihood_reference, dense_lik_sums,
-                     dense_response, likelihood, process_pa_reference)
+                     dense_response, likelihood, process_pa_reference,
+                     systematic_resample_reference)
 
 PROFILE = NoiseProfile(los=PathNoise(0.05, np.deg2rad(10.0)),
                        single=PathNoise(0.10, np.deg2rad(15.0)),
@@ -65,6 +66,13 @@ def empty_batch():
 
 def batch_of(rows):
     return np.asarray(rows, dtype=float).reshape(-1, 2)
+
+
+def feature_map(clouds, existence, n_particles):
+    """The map of the particle clouds (I, 2) with their existences, in birth order."""
+    return FeatureMap(particles=np.array(clouds, dtype=float).reshape(len(existence),
+                                                                      n_particles, 2),
+                      existence=np.array(existence, dtype=float))
 
 
 def test_ncv_matrices_shape_and_values():
@@ -124,24 +132,46 @@ def test_predict_agent_heading_fallback():
     assert np.allclose(out.headings, 0.77)
 
 
+def test_systematic_resample_rows_match_one_row_at_a_time():
+    # process_pa resamples its legacy and new-feature rows in one call, and
+    # finalize_step then resamples the agent's weights (n,): the batched call
+    # draws what one call per row draws and leaves the generator where they do
+    rng = np.random.default_rng(13)
+    weights = rng.random((4, 50))
+    weights[2, 30:] = 0.0                                  # a zero-weight tail
+    weights /= weights.sum(axis=1, keepdims=True)
+    agent_weights = rng.random(50)
+    agent_weights /= agent_weights.sum()
+    batched, one_by_one = np.random.default_rng(14), np.random.default_rng(14)
+    got = systematic_resample(weights, batched)
+    want = np.stack([systematic_resample_reference(w, one_by_one) for w in weights])
+    assert got.shape == weights.shape
+    np.testing.assert_array_equal(got, want)
+    assert batched.bit_generator.state == one_by_one.bit_generator.state
+    assert systematic_resample(np.zeros((0, 50)), batched).shape == (0, 50)   # draws nothing
+    np.testing.assert_array_equal(systematic_resample(agent_weights, batched),
+                                  systematic_resample_reference(agent_weights, one_by_one))
+    assert batched.bit_generator.state == one_by_one.bit_generator.state
+
+
 def test_predict_legacy_survival_and_jitter():
     params = HyperParams(p_survival=0.999, sigma_regularization=1e-300, n_particles=8)
-    feats = [PmvaBelief(particles=np.ones((8, 2)), existence=1.0)]
+    feats = feature_map([np.ones((8, 2))], [1.0], 8)
     out = predict_legacy(feats, params, np.random.default_rng(0))
-    assert out[0].existence == pytest.approx(0.999)
-    assert np.allclose(out[0].particles, 1.0)
+    assert out.existence[0] == pytest.approx(0.999)
+    assert np.allclose(out.particles[0], 1.0)
 
     params_id = HyperParams(p_survival=1.0, sigma_regularization=1e-300, n_particles=8)
     out = predict_legacy(feats, params_id, np.random.default_rng(0))
-    assert out[0].existence == pytest.approx(1.0)
+    assert out.existence[0] == pytest.approx(1.0)
 
     existence = 1.0
     for _ in range(100):
         existence *= 0.999
-    feats = [PmvaBelief(particles=np.ones((8, 2)), existence=1.0)]
+    feats = feature_map([np.ones((8, 2))], [1.0], 8)
     for _ in range(100):
         feats = predict_legacy(feats, params, np.random.default_rng(0))
-    assert feats[0].existence == pytest.approx(existence)
+    assert feats.existence[0] == pytest.approx(existence)
 
 
 def test_draw_new_pmva_inversion():
@@ -520,20 +550,20 @@ def test_process_pa_no_measurements_no_info():
                          p_detect_double=0.0)
     agent = point_belief(np.array([-2.0, 1.0]), np.array([0.2, 0.0]), 50)
     agent.particles[:, :2] += np.random.default_rng(3).normal(0, 0.3, (50, 2))
-    feats = [PmvaBelief(particles=np.full((50, 2), [10.0, 0.0]) , existence=0.7)]
+    feats = feature_map([np.full((50, 2), [10.0, 0.0])], [0.7], 50)
     logw, out = run_block(agent, feats, empty_batch(), params)
     assert np.allclose(logw, logw[0])
-    assert out[0].existence == pytest.approx(0.7)
+    assert out.existence[0] == pytest.approx(0.7)
 
 
 def test_process_pa_missed_detection_decays_existence():
     params = HyperParams(n_particles=50)
     agent = point_belief(np.array([-2.0, 1.0]), np.array([0.2, 0.0]), 50)
-    feats = [PmvaBelief(particles=np.full((50, 2), [10.0, 0.0]), existence=0.9)]
+    feats = feature_map([np.full((50, 2), [10.0, 0.0])], [0.9], 50)
     _, out = run_block(agent, feats, empty_batch(), params)
     # a = 0 factor: available but undetected shrinks the existence
     expected = 0.9 * 0.05 / (0.9 * 0.05 + 0.1)
-    assert out[0].existence == pytest.approx(expected, rel=1e-6)
+    assert out.existence[0] == pytest.approx(expected, rel=1e-6)
 
 
 def test_process_pa_weight_ordering_follows_likelihood():
@@ -549,12 +579,12 @@ def test_process_pa_weight_ordering_follows_likelihood():
     pa = np.array([1.0, 0.5])
     blocks = candidate_blocks(len(ctx.walls), True)
     batch = generate_batch(truth, 0.0, blocks, *ctx.trace_paths(truth, pa, blocks),
-                           {"los": 1.0, "single": 1.0, "double": 1.0},
+                           {"los": 1.0, "single": 1.0, "double": 1.0}.get,
                            NoiseProfile(los=PathNoise(1e-6, 1e-6),
                                         single=PathNoise(1e-6, 1e-6),
                                         double=PathNoise(1e-6, 1e-6)),
                            ClutterModel(mu_fp=0.0, d_max=30.0), rng)
-    logw, _ = run_block(agent, [], batch, params, pa=pa, ctx=ctx, rng=rng,
+    logw, _ = run_block(agent, feature_map([], [], 200), batch, params, pa=pa, ctx=ctx, rng=rng,
                         clutter=ClutterModel(mu_fp=1e-9, d_max=30.0))
     assert np.argmax(logw) == 0
     finite = np.isfinite(logw)
@@ -566,12 +596,12 @@ def test_process_pa_bookkeeping_stacking():
     # S2 = S1 + 3 features before pruning
     params = HyperParams(n_particles=30, p_prune=0.0, pair_existence_floor=0.0)
     agent = point_belief(np.array([-2.0, 1.0]), np.array([0.2, 0.0]), 30)
-    feats = [PmvaBelief(particles=np.full((30, 2), [10.0, 0.0]), existence=0.5)]
+    feats = feature_map([np.full((30, 2), [10.0, 0.0])], [0.5], 30)
     batch1 = batch_of([[3.0, 0.1], [5.0, -0.4], [8.0, 1.0]])
     rng = np.random.default_rng(5)
     logw, map1 = run_block(agent, feats, batch1, params, rng=rng)
     assert len(map1) == 4  # the S1 = 1 survivor first, then the M1 = 3 new features
-    assert np.allclose(map1[0].particles, [10.0, 0.0])
+    assert np.allclose(map1.particles[0], [10.0, 0.0])
     logw, map2 = process_pa(agent, logw, map1, empty_batch(), np.array([4.0, -1.0]), params,
                             PROFILE, CLUTTER, rng, Environment())
     assert len(map2) == 4  # S2 = S1 + M1, and no new features
@@ -585,28 +615,28 @@ def test_pure_prediction_reduction():
     rng = np.random.default_rng(6)
     agent = point_belief(np.array([-2.0, 1.0]), np.array([0.2, 0.1]), 100)
     agent.particles += rng.normal(0, 0.2, agent.particles.shape)
-    feats = [PmvaBelief(particles=rng.normal([10.0, 0.0], 0.3, (100, 2)), existence=0.6),
-             PmvaBelief(particles=rng.normal([0.0, 9.0], 0.3, (100, 2)), existence=0.4)]
+    feats = feature_map([rng.normal([10.0, 0.0], 0.3, (100, 2)),
+                         rng.normal([0.0, 9.0], 0.3, (100, 2))], [0.6, 0.4], 100)
     batch = batch_of([[4.0, 0.3], [7.0, -1.0]])
     logw, out = run_block(agent, feats, batch, params, ctx=ctx, rng=rng)
     assert np.allclose(logw, logw[0])  # constant weights: belief unchanged
-    for before, after in zip(feats, out):   # the survivors lead the map
-        assert after.existence == pytest.approx(before.existence)
+    for before, after in zip(feats.existence, out.existence):   # the survivors lead the map
+        assert after == pytest.approx(before)
 
 
 def test_existence_stays_in_unit_interval():
     params = HyperParams(n_particles=40)
     rng = np.random.default_rng(7)
     agent = point_belief(np.array([-2.0, 1.0]), np.array([0.2, 0.0]), 40)
-    feats = [PmvaBelief(particles=rng.normal([10.0, 0.0], 1.0, (40, 2)), existence=e)
-             for e in [0.99999, 0.5, 1e-3]]
+    feats = feature_map([rng.normal([10.0, 0.0], 1.0, (40, 2)) for _ in range(3)],
+                        [0.99999, 0.5, 1e-3], 40)
     for trial in range(20):
         batch = batch_of(rng.uniform([0, -np.pi], [15, np.pi], (3, 2)))
         logw, feats = run_block(agent, feats, batch, params, rng=rng)
-        for f in feats:
-            assert 0.0 <= f.existence <= 1.0
+        for e in feats.existence:
+            assert 0.0 <= e <= 1.0
         if len(feats) > 6:
-            feats = feats[:6]
+            feats = FeatureMap(particles=feats.particles[:6], existence=feats.existence[:6])
 
 
 def test_finalize_uniform_weights_mean():
@@ -615,7 +645,7 @@ def test_finalize_uniform_weights_mean():
     particles = rng.normal(0, 1, (500, 4))
     agent = AgentBelief(particles=particles, headings=np.zeros(500))
     assert np.allclose(agent.mean(), particles.mean(axis=0))
-    resampled, est = finalize_step(agent, np.zeros(500), [], params, rng)
+    resampled, est = finalize_step(agent, np.zeros(500), feature_map([], [], 500), params, rng)
     assert np.allclose(est.x_hat, particles.mean(axis=0))
     assert est.mva_positions.shape == (0, 2)
     # the resampled particles are equally weighted: their mean is the plain average
@@ -626,8 +656,8 @@ def test_finalize_confirmation_threshold():
     params = HyperParams(n_particles=10)
     rng = np.random.default_rng(9)
     agent = point_belief(np.array([0.0, 0.0]), np.array([1.0, 0.0]), 10)
-    feats = [PmvaBelief(particles=np.full((10, 2), [10.0, 0.0]), existence=0.49),
-             PmvaBelief(particles=np.full((10, 2), [0.0, 7.0]), existence=0.51)]
+    feats = feature_map([np.full((10, 2), [10.0, 0.0]), np.full((10, 2), [0.0, 7.0])],
+                        [0.49, 0.51], 10)
     _, est = finalize_step(agent, np.zeros(10), feats, params, rng)
     assert np.array_equal(est.mva_positions, [[0.0, 7.0]])
     assert len(est.mva_positions) == 1
@@ -636,7 +666,8 @@ def test_finalize_confirmation_threshold():
 def test_finalize_single_particle():
     params = HyperParams(n_particles=1)
     agent = AgentBelief(particles=np.array([[1.0, 2.0, 0.1, 0.0]]), headings=np.zeros(1))
-    _, est = finalize_step(agent, np.zeros(1), [], params, np.random.default_rng(0))
+    _, est = finalize_step(agent, np.zeros(1), feature_map([], [], 1), params,
+                           np.random.default_rng(0))
     assert np.allclose(est.x_hat, [1.0, 2.0, 0.1, 0.0])
 
 
@@ -644,7 +675,8 @@ def test_finalize_degenerate_weights_raises():
     params = HyperParams(n_particles=10)
     agent = point_belief(np.array([0.0, 0.0]), np.array([1.0, 0.0]), 10)
     with pytest.raises(DegenerateWeights):
-        finalize_step(agent, np.full(10, -np.inf), [], params, np.random.default_rng(0))
+        finalize_step(agent, np.full(10, -np.inf), feature_map([], [], 10), params,
+                      np.random.default_rng(0))
 
 
 def test_log_domain_safety_random_steps():
@@ -655,18 +687,18 @@ def test_log_domain_safety_random_steps():
     agent.particles[:, :2] += rng.normal(0, 0.5, (30, 2))
     for trial in range(1000):
         n_feats = int(rng.integers(0, 4))
-        feats = [PmvaBelief(particles=rng.normal(rng.uniform(-12, 12, 2), 0.5, (30, 2)),
-                            existence=float(rng.uniform(1e-3, 1.0)))
+        drawn = [(rng.normal(rng.uniform(-12, 12, 2), 0.5, (30, 2)),
+                  float(rng.uniform(1e-3, 1.0)))
                  for _ in range(n_feats)]
+        feats = feature_map([c for c, _ in drawn], [e for _, e in drawn], 30)
         n_meas = int(rng.integers(0, 4))
         batch = (batch_of(rng.uniform([0, -np.pi], [20, np.pi], (n_meas, 2)))
                  if n_meas else empty_batch())
         logw, out = run_block(agent, feats, batch, params, pa=rng.uniform(-3, 3, 2), rng=rng)
         assert not np.any(np.isnan(logw))
         assert np.any(np.isfinite(logw))
-        for f in out:
-            assert np.isfinite(f.existence)
-            assert np.all(np.isfinite(f.particles))
+        assert np.all(np.isfinite(out.existence))
+        assert np.all(np.isfinite(out.particles))
 
 
 def test_max_features_cap_prefers_existence_then_age():
@@ -677,12 +709,11 @@ def test_max_features_cap_prefers_existence_then_age():
                  p_detect_los=0.0, p_detect_single=0.0, p_detect_double=0.0)
     agent = point_belief(np.array([0.0, 0.0]), np.array([0.1, 0.0]), 10)
     centres = [[10.0, 0.0], [-9.0, 0.0], [0.0, 7.0], [0.0, -8.0]]
-    feats = [PmvaBelief(particles=np.full((10, 2), c), existence=e)
-             for c, e in zip(centres, [0.5, 0.2, 0.9, 0.5])]
+    feats = feature_map([np.full((10, 2), c) for c in centres], [0.5, 0.2, 0.9, 0.5], 10)
     _, uncapped = run_block(agent, feats, empty_batch(), HyperParams(max_features=4, **quiet))
-    assert uncapped[0].existence == uncapped[3].existence   # a true tie
+    assert uncapped.existence[0] == uncapped.existence[3]   # a true tie
     _, kept = run_block(agent, feats, empty_batch(), HyperParams(max_features=2, **quiet))
-    assert [f.particles[0].tolist() for f in kept] == [centres[0], centres[2]]
+    assert kept.particles[:, 0].tolist() == [centres[0], centres[2]]
 
 
 def test_filter_determinism_same_seed():
@@ -701,8 +732,7 @@ def test_filter_determinism_same_seed():
         outs = []
         for n in range(5):
             batch = generate_batch(positions[n], 0.0, blocks, va[n], available[n],
-                                   {"los": 0.95, "single": 0.95, "double": 0.95},
-                                   PROFILE, CLUTTER, rng)
+                                   params.p_detect, PROFILE, CLUTTER, rng)
             outs.append(filt.step([batch]).x_hat)
         return np.stack(outs)
 
@@ -726,11 +756,11 @@ def paper_room_block(case, monkeypatch):
                                                   rng.uniform(-0.1, 0.1, (n, 2))], axis=1),
                         headings=heading + rng.normal(0.0, 0.05, n))
     centres = np.concatenate([env.wall_mvas, rng.uniform(-15.0, 15.0, (s_count, 2))])[:s_count]
-    features = [PmvaBelief(particles=rng.normal(c, 0.2, (n, 2)), existence=e)
-                for c, e in zip(centres, rng.uniform(0.3, 0.99, s_count))]
+    existence = rng.uniform(0.3, 0.99, s_count)
+    features = feature_map([rng.normal(c, 0.2, (n, 2)) for c in centres], existence, n)
     blocks = candidate_blocks(len(env.walls), True)
     batch = generate_batch(start, heading, blocks, *env.trace_paths(start, pa, blocks),
-                           {"los": 0.95, "single": 0.95, "double": 0.95}, config.profile,
+                           HyperParams().p_detect, config.profile,
                            config.clutter, rng)
     params = HyperParams(n_particles=n, p_prune=0.0, max_features=1000, pair_existence_floor=0.0)
     # a blocker across the anchor's line of sight, long enough to hide it from every
@@ -752,11 +782,11 @@ def paper_room_block(case, monkeypatch):
     elif case == "on_va":
         params = replace(params, visibility_check=False)
         agent.particles[:3, :2] = pa                  # on the LOS VA
-        agent.particles[3:6, :2] = mva_to_va(features[0].particles[3:6], pa)
+        agent.particles[3:6, :2] = mva_to_va(features.particles[0, 3:6], pa)
     elif case == "no_entries":
         ctx = Environment(walls=env.walls, blockers=[WallSegment(mid - 3.0 * normal,
                                                                  mid + 3.0 * normal)])
-        features[1].particles[:] = 0.0               # a degenerate surface: no available row
+        features.particles[1] = 0.0                  # a degenerate surface: no available row
     elif case == "no_measurements":
         batch = empty_batch()
     return (agent, np.zeros(n), features, batch, pa, params, config.profile, config.clutter), ctx
@@ -770,7 +800,7 @@ def test_process_pa_matches_dense_reference(case, monkeypatch):
     want_logw, want_existence = process_pa_reference(*args, np.random.default_rng(3), ctx)
     assert len(updated) == len(want_existence)
     np.testing.assert_allclose(logw, want_logw, rtol=1e-12)
-    np.testing.assert_allclose([f.existence for f in updated], want_existence, rtol=1e-12)
+    np.testing.assert_allclose(updated.existence, want_existence, rtol=1e-12)
     assert np.isfinite(logw).any()
     if case == "eta0_zero":
         assert np.isneginf(logw).any()
@@ -792,8 +822,7 @@ def test_process_pa_peak_memory_is_bounded():
                         headings=rng.uniform(-np.pi, np.pi, n))
     centres = np.concatenate([env.wall_mvas,
                               rng.uniform(-15.0, 15.0, (s_count - len(env.wall_mvas), 2))])
-    legacy = [PmvaBelief(particles=rng.normal(c, 0.3, (n, 2)), existence=0.9)
-              for c in centres]
+    legacy = feature_map([rng.normal(c, 0.3, (n, 2)) for c in centres], [0.9] * s_count, n)
     batch = batch_of(np.stack([rng.uniform(1.0, 20.0, n_meas),
                                rng.uniform(-np.pi, np.pi, n_meas)], axis=1))
     tracemalloc.start()

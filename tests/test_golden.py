@@ -6,6 +6,12 @@ numerical drift in generation, ray tracing, filtering or metrics changes a
 digest; a deliberate change must be explained, not re-pinned silently.  The
 last case caps the map at 8 features, so the cap binds in 19 of its 40
 anchor blocks.
+
+The same runs also show that the filter works: every run stays within the
+convergence radius, and with the visibility check on the final confirmed
+map is non-empty with an MVA MOSPA below the OSPA cutoff.  ``nonrect``
+without the visibility check confirms no feature within 20 steps, so its
+map is not checked.
 """
 
 import hashlib
@@ -13,7 +19,7 @@ from dataclasses import replace
 
 import pytest
 
-from mvaslam.experiment import records_csv, simulate_run
+from mvaslam.experiment import OSPA_PARAMS, records_csv, simulate_run
 from mvaslam.scenario import bundled_scenario
 
 STEPS = 20
@@ -42,16 +48,21 @@ def golden_config(name, visibility, setup, max_features=None):
                    double_bounce=double)
 
 
-def golden_digest(name, visibility, setup, max_features=None):
+def golden_run(name, visibility, setup, max_features=None):
+    """The run record of one case and the digest of its ``records_csv`` text."""
     config = golden_config(name, visibility, setup, max_features)
     record = simulate_run(config, 0, SEED)
     text = records_csv([record], len(config.pas))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return record, hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @pytest.mark.parametrize("name,visibility,setup,max_features", list(GOLDEN),
                          ids=[f"{n}-vis{int(v)}-setup{s}" + (f"-cap{c}" if c else "")
                               for n, v, s, c in GOLDEN])
 def test_golden_digest(name, visibility, setup, max_features):
-    assert golden_digest(name, visibility, setup, max_features) == GOLDEN[
-        (name, visibility, setup, max_features)]
+    record, digest = golden_run(name, visibility, setup, max_features)
+    assert digest == GOLDEN[(name, visibility, setup, max_features)]
+    assert record.converged
+    if visibility:
+        assert record.s_hat[-1] > 0
+        assert record.mospa_mva[-1] < OSPA_PARAMS.cutoff

@@ -16,7 +16,7 @@ TINY = PathNoise(sigma_d=1e-9, sigma_phi=1e-9)
 PROFILE = NoiseProfile(los=PathNoise(0.05, np.deg2rad(10.0)),
                        single=PathNoise(0.10, np.deg2rad(15.0)),
                        double=PathNoise(0.15, np.deg2rad(25.0)))
-P_DETECT = {"los": 0.95, "single": 0.95, "double": 0.95}
+P_DETECT = {"los": 0.95, "single": 0.95, "double": 0.95}.get
 ONE_WALL = Environment(walls=[WallSegment([5.0, -10.0], [5.0, 10.0])])
 WALL_MVA = ONE_WALL.wall_mvas[0]
 
@@ -46,7 +46,7 @@ def test_noiseless_limit_exact_values():
     tiny = NoiseProfile(los=TINY, single=TINY, double=TINY)
     rng = np.random.default_rng(0)
     batch = generate_batch(agent, heading, *traced(agent, pa, ONE_WALL),
-                           {"los": 1.0, "single": 1.0, "double": 1.0},
+                           {"los": 1.0, "single": 1.0, "double": 1.0}.get,
                            tiny, ClutterModel(mu_fp=0.0, d_max=30.0), rng)
     assert len(batch) == 2
     d_los, phi_los = path_distance_angle(agent, heading, pa)
@@ -68,7 +68,7 @@ def test_clutter_count_mean():
     n_draws = 100_000
     for _ in range(n_draws):
         batch = generate_batch([0.0, 0.0], 0.0, *truth,
-                               {"los": 0.0, "single": 0.0, "double": 0.0},
+                               {"los": 0.0, "single": 0.0, "double": 0.0}.get,
                                PROFILE, clutter, rng)
         total += len(batch)
     assert total / n_draws == pytest.approx(1.0, abs=0.01)
@@ -92,7 +92,7 @@ def test_clutter_support():
     rng = np.random.default_rng(3)
     clutter = ClutterModel(mu_fp=5.0, d_max=30.0)
     batch = generate_batch([0.0, 0.0], 0.0, *traced([0.0, 0.0], [3.0, 0.0], Environment()),
-                           {"los": 0.0, "single": 0.0, "double": 0.0},
+                           {"los": 0.0, "single": 0.0, "double": 0.0}.get,
                            PROFILE, clutter, rng)
     assert np.all(batch[:, 0] >= 0.0) and np.all(batch[:, 0] <= 30.0)
     assert np.all(batch[:, 1] >= -np.pi) and np.all(batch[:, 1] < np.pi)
@@ -162,7 +162,7 @@ def test_generation_likelihood_consistency():
     logs = []
     for _ in range(10_000):
         batch = generate_batch(agent, heading, *truth,
-                               {"los": 1.0, "single": 0.0, "double": 0.0},
+                               {"los": 1.0, "single": 0.0, "double": 0.0}.get,
                                PROFILE, ClutterModel(mu_fp=0.0, d_max=30.0), rng)
         z = Measurement(float(batch[0, 0]), float(batch[0, 1]))
         logs.append(np.log(likelihood(z, agent, heading, (), pa, profile=PROFILE)))
