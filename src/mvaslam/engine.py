@@ -223,54 +223,27 @@ def predict_legacy(features: FeatureMap, params: HyperParams,
     return FeatureMap(particles=particles, existence=params.p_survival * features.existence)
 
 
-def draw_new_pmva(z_d: float, z_phi: float, sigma_d: float, sigma_phi: float,
-                  agent: AgentBelief, pa, params: HyperParams,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Propose a new feature's particle cloud (I, 2) from one measurement.
-
-    Per agent particle, the measurement (jittered by its noise) is inverted:
-    the VA sits at distance z_d and bearing z_phi + heading from the agent;
-    the MVA follows from the inverse single-bounce transform.  Degenerate
-    inversions (VA at the anchor) are replaced by birth-region draws.
-    """
-    pa = np.asarray(pa, dtype=float)
-    n = agent.n_particles
-    zd = z_d + sigma_d * rng.standard_normal(n)
-    zphi = z_phi + sigma_phi * rng.standard_normal(n)
-    theta = zphi + agent.headings
-    va = agent.particles[:, :2] - zd[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    mva = va_to_mva(va, pa)
-    bad = ~np.all(np.isfinite(mva), axis=1)
-    if np.any(bad):
-        (xlo, xhi), (ylo, yhi) = params.birth_region
-        draws = np.stack([xlo + (xhi - xlo) * rng.random(int(bad.sum())),
-                          ylo + (yhi - ylo) * rng.random(int(bad.sum()))], axis=1)
-        mva[bad] = draws
-    return mva
-
-
 def _draw_proposals(batch: np.ndarray, sigma_d: float, sigma_phi: float, agent: AgentBelief,
                     pa: np.ndarray, params: HyperParams, rng: np.random.Generator) -> np.ndarray:
-    """:func:`draw_new_pmva` for every measurement of ``batch`` at once, (M, I, 2).
+    """Propose a new feature's particle cloud from every measurement of ``batch``, (M, I, 2).
 
-    The noise is one ``(M, 2, I)`` draw, the same numbers as the calls one
-    by one.  A degenerate inversion draws birth points between two
-    measurements' noise, so then the generator is rewound and the calls are
-    made one by one.
+    Per agent particle, each measurement (jittered by its noise, one ``(M,
+    2, I)`` draw) is inverted: the VA sits at distance z_d and bearing z_phi
+    + heading from the agent, and the MVA follows from the inverse
+    single-bounce transform.  Degenerate inversions (VA at the anchor) are
+    replaced by birth-region points, drawn after the noise as one ``(k, 2)``
+    draw, x then y per point.
     """
-    n = agent.n_particles
-    state = rng.bit_generator.state
-    noise = rng.standard_normal((len(batch), 2, n))
+    noise = rng.standard_normal((len(batch), 2, agent.n_particles))
     zd = batch[:, :1] + sigma_d * noise[:, 0]
     theta = batch[:, 1:] + sigma_phi * noise[:, 1] + agent.headings
     va = agent.particles[:, :2] - zd[..., None] * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     mva = va_to_mva(va, pa)
-    if np.all(np.isfinite(mva)):
-        return mva
-    rng.bit_generator.state = state
-    return np.array([draw_new_pmva(float(z_d), float(z_phi), sigma_d, sigma_phi,
-                                   agent, pa, params, rng)
-                     for z_d, z_phi in batch]).reshape(len(batch), n, 2)
+    bad = ~np.isfinite(mva).all(axis=-1)
+    if bad.any():
+        (xlo, xhi), (ylo, yhi) = params.birth_region
+        mva[bad] = (xlo, ylo) + (xhi - xlo, yhi - ylo) * rng.random((np.count_nonzero(bad), 2))
+    return mva
 
 
 # ---------------------------------------------------------------------------

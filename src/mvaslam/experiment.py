@@ -216,7 +216,6 @@ def run_experiment(config: ScenarioConfig, runs: int, base_seed: int,
     else:
         records = [simulate_run(config, i, base_seed, availability)
                    for i in range(runs)]
-    records.sort(key=lambda r: r.run_index)
     elapsed = time.perf_counter() - started
     summary = _aggregate(config, records)
     timing = {

@@ -157,14 +157,9 @@ class Environment:
 # ---------------------------------------------------------------------------
 
 
-def _planes(points, ndim=0):
-    """Coordinate planes ``(x, y)`` of (..., 2) points, each one contiguous.
-
-    Unit axes are prepended to give the planes at least ``ndim`` axes.
-    """
-    planes = np.ascontiguousarray(np.moveaxis(np.asarray(points, dtype=float), -1, 0))
-    lead = (1,) * (ndim - planes.ndim + 1)
-    return tuple(planes.reshape((2,) + lead + planes.shape[1:]))
+def _planes(points):
+    """Coordinate planes ``(x, y)`` of (..., 2) points, each one contiguous."""
+    return tuple(np.ascontiguousarray(np.moveaxis(np.asarray(points, dtype=float), -1, 0)))
 
 
 def _along(x, normal):
@@ -321,9 +316,7 @@ class SurfaceTraces:
 
     def __init__(self, mvas, frame, pa, extents, obstacles, check: bool):
         self.mvas = mvas
-        # the anchor and agent planes take the surface planes' rank, so that every
-        # point handed to the hop tests has one rank
-        self.pa = _planes(pa, mvas[0].ndim)
+        self.pa = _planes(pa)
         self.frame = frame
         self.va1 = mva_to_va_planes(*mvas, *self.pa)
         self.extents = extents
@@ -340,7 +333,7 @@ class SurfaceTraces:
         chunks so the temporaries stay small.
         """
         mx, my = self.mvas
-        agent = _planes(agent, mx.ndim)
+        agent = _planes(agent)
         shape = np.broadcast_shapes(agent[0].shape, self.pa[0].shape, mx.shape)[1:]
         vx, vy = (np.empty((len(members),) + shape) for _ in range(2))
         available = np.empty((len(members),) + shape, dtype=bool)

@@ -16,7 +16,9 @@ the agent first.  :func:`backward_trace` is the bit-for-bit reference of
 the package's trace cache: it traces one path from scratch with its own
 copy of the ray tracer on (..., 2) points,
 :func:`block_likelihood_reference` is the bit-for-bit reference of the
-filter's likelihood kernel, laid out (entries, measurements), and
+filter's likelihood kernel, laid out (entries, measurements),
+:func:`draw_new_pmva_reference` that of its new-feature proposals wherever no
+inversion is degenerate, drawn one measurement at a time, and
 :func:`general_association`, the message iteration over a full (M, K+1)
 measurement table, is that of the association wherever the table's path
 columns are 1.
@@ -31,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from mvaslam import association
-from mvaslam.engine import _LIK_DTYPE, draw_new_pmva
-from mvaslam.geometry import EPS_GEO, mva_to_va, path_distance_angle, wrap_angle
+from mvaslam.engine import _LIK_DTYPE
+from mvaslam.geometry import EPS_GEO, mva_to_va, path_distance_angle, va_to_mva, wrap_angle
 from mvaslam.measurement import TWO_PI
 from mvaslam.raytrace import candidate_blocks
 
@@ -563,6 +565,30 @@ def dense_response(rows, parts, lik, avail, eta, denom, p_d):
                                   .astype(np.float64), eta_m)
 
 
+def draw_new_pmva_reference(z_d, z_phi, sigma_d, sigma_phi, agent, pa, params, rng):
+    """A new feature's particle cloud (I, 2) from one measurement, one measurement at a time.
+
+    The reference of the filter's batched proposals: per agent particle, the
+    jittered measurement is inverted to a VA and then an MVA, and degenerate
+    inversions (VA at the anchor) are replaced by birth-region draws, all x
+    draws then all y draws, right after this measurement's noise.  Without a
+    degenerate inversion it draws what the batch draws, in the same order.
+    """
+    pa = np.asarray(pa, dtype=float)
+    n = agent.n_particles
+    zd = z_d + sigma_d * rng.standard_normal(n)
+    zphi = z_phi + sigma_phi * rng.standard_normal(n)
+    theta = zphi + agent.headings
+    va = agent.particles[:, :2] - zd[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    mva = va_to_mva(va, pa)
+    bad = ~np.all(np.isfinite(mva), axis=1)
+    if np.any(bad):
+        (xlo, xhi), (ylo, yhi) = params.birth_region
+        mva[bad] = np.stack([xlo + (xhi - xlo) * rng.random(int(bad.sum())),
+                             ylo + (yhi - ylo) * rng.random(int(bad.sum()))], axis=1)
+    return mva
+
+
 def process_pa_reference(agent, log_weights, features, batch, pa, params, profile, clutter,
                          rng, ctx):
     """Agent log-weights and feature existences of one anchor block, updated densely.
@@ -572,8 +598,9 @@ def process_pa_reference(agent, log_weights, features, batch, pa, params, profil
     The filter's model with every row block held whole: availability (R, I),
     a likelihood (R, I, M) at every element without a gate, responses
     (R, I), and per-feature sums that add one row at a time.  The likelihood
-    mixture is accumulated in float64.  ``rng`` is drawn from as the filter
-    draws from it up to its resampling.  Returns ``(log_weights,
+    mixture is accumulated in float64.  Where no proposal inversion is
+    degenerate, ``rng`` is drawn from as the filter draws from it up to its
+    resampling.  Returns ``(log_weights,
     existences)``: the legacy features' existences, then the new features',
     before pruning.
     """
@@ -582,8 +609,8 @@ def process_pa_reference(agent, log_weights, features, batch, pa, params, profil
     n_part, s_count, n_meas = agent.n_particles, len(features), len(batch)
     pe = features.existence
     denom = max(clutter.mu_fp * clutter.density, 1e-12)
-    props = np.array([draw_new_pmva(float(z_d), float(z_phi), profile.single.sigma_d,
-                                    profile.single.sigma_phi, agent, pa, params, rng)
+    props = np.array([draw_new_pmva_reference(float(z_d), float(z_phi), profile.single.sigma_d,
+                                              profile.single.sigma_phi, agent, pa, params, rng)
                       for z_d, z_phi in batch]).reshape(n_meas, n_part, 2)
     traces = ctx.feature_traces(features.particles, pa, params.visibility_check)
     blocks = []

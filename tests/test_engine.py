@@ -16,7 +16,6 @@ from mvaslam.engine import (
     _exp_in_place,
     _row_log_sums,
     SlamFilter,
-    draw_new_pmva,
     finalize_step,
     ncv_matrices,
     predict_agent,
@@ -44,7 +43,7 @@ from mvaslam.raytrace import Environment, candidate_blocks
 from mvaslam.scenario import bundled_scenario
 
 from oracles import (Measurement, backward_trace, block_likelihood_reference, dense_lik_sums,
-                     dense_response, likelihood, process_pa_reference,
+                     dense_response, draw_new_pmva_reference, likelihood, process_pa_reference,
                      systematic_resample_reference)
 
 PROFILE = NoiseProfile(los=PathNoise(0.05, np.deg2rad(10.0)),
@@ -179,11 +178,12 @@ def test_draw_new_pmva_inversion():
     belief = point_belief(np.array([0.0, 0.0]), np.array([1.0, 0.0]), 64, heading=0.0)
     pa = np.array([2.0, 1.0])
     z_d, z_phi = 3.0, 0.8
-    prop = draw_new_pmva(z_d, z_phi, 1e-300, 1e-300, belief, pa, params,
-                         np.random.default_rng(0))
+    props = _draw_proposals(batch_of([z_d, z_phi]), 1e-300, 1e-300, belief, pa, params,
+                            np.random.default_rng(0))
     va = np.array([-z_d * np.cos(z_phi), -z_d * np.sin(z_phi)])
     expected = va_to_mva(va, pa)
-    assert prop.shape == (64, 2)
+    assert props.shape == (1, 64, 2)
+    prop = props[0]
     assert np.allclose(prop, expected, atol=1e-9)
 
 
@@ -198,8 +198,8 @@ def test_draw_new_pmva_concentrates_on_true_feature():
     z_phi = float(np.arctan2(diff[1], diff[0]) - heading)
     params = HyperParams(n_particles=256)
     belief = point_belief(agent, np.array([1.0, 0.0]), 256, heading=heading)
-    prop = draw_new_pmva(z_d, z_phi, 1e-12, 1e-12, belief, pa, params,
-                         np.random.default_rng(1))
+    prop, = _draw_proposals(batch_of([z_d, z_phi]), 1e-12, 1e-12, belief, pa, params,
+                            np.random.default_rng(1))
     assert np.hypot(*(prop.mean(axis=0) - mva)) < 1e-6
 
 
@@ -458,18 +458,38 @@ def test_draw_proposals_equal_one_draw_per_measurement():
     agent.particles[0, :2] = [3.0, 0.5]
     agent.headings[0] = 0.0
     assert not np.isfinite(va_to_mva(agent.particles[0, :2] - [2.0, 0.0], pa)).any()
-    cases = [(batch_of(rng.uniform([0.5, -np.pi], [12.0, np.pi], (5, 2))), 0.1, 0.2),
-             (batch_of([[4.0, 0.3], [2.0, 0.0], [6.0, -1.0]]), 1e-300, 1e-300),
-             (empty_batch(), 0.1, 0.2)]
-    for batch, sigma_d, sigma_phi in cases:
+    cases = [(batch_of(rng.uniform([0.5, -np.pi], [12.0, np.pi], (5, 2))), 0.1, 0.2, None),
+             (batch_of([[4.0, 0.3], [2.0, 0.0], [6.0, -1.0]]), 1e-300, 1e-300, (1, 0)),
+             (empty_batch(), 0.1, 0.2, None)]
+    for batch, sigma_d, sigma_phi, degenerate in cases:
         batched, looped = np.random.default_rng(7), np.random.default_rng(7)
         got = _draw_proposals(batch, sigma_d, sigma_phi, agent, pa, params, batched)
-        want = np.array([draw_new_pmva(float(z_d), float(z_phi), sigma_d, sigma_phi, agent, pa,
-                                       params, looped)
+        want = np.array([draw_new_pmva_reference(float(z_d), float(z_phi), sigma_d, sigma_phi,
+                                                 agent, pa, params, looped)
                          for z_d, z_phi in batch]).reshape(len(batch), n, 2)
-        np.testing.assert_array_equal(got, want)
         assert np.isfinite(got).all()
-        assert batched.random() == looped.random()    # both left the generator in one state
+        if degenerate is None:
+            np.testing.assert_array_equal(got, want)
+            assert batched.random() == looped.random()    # both left the generator in one state
+            continue
+        # the batch draws its birth points after all the noise, the reference
+        # right after the measurement's own; at these sigmas the noise moves no
+        # inversion, so only the birth point differs
+        (xlo, xhi), (ylo, yhi) = params.birth_region
+        x, y = got[degenerate]
+        assert xlo <= x <= xhi and ylo <= y <= yhi
+        others = np.ones(got.shape[:2], dtype=bool)
+        others[degenerate] = False
+        np.testing.assert_array_equal(got[others], want[others])
+        again = _draw_proposals(batch, sigma_d, sigma_phi, agent, pa, params,
+                                np.random.default_rng(7))
+        np.testing.assert_array_equal(got, again)
+        # the birth point is one (x, y) draw after the whole batch's noise
+        after = np.random.default_rng(7)
+        after.standard_normal((len(batch), 2, n))
+        u = after.random(2)
+        assert (x, y) == (xlo + (xhi - xlo) * u[0], ylo + (yhi - ylo) * u[1])
+        assert batched.random() == after.random()
 
 
 def test_feature_trace_cache_matches_backward_trace():
