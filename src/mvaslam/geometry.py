@@ -96,20 +96,32 @@ def mva_to_va(mva, pa):
     return np.stack(mva_to_va_planes(mva[..., 0], mva[..., 1], pa[..., 0], pa[..., 1]), axis=-1)
 
 
-def mva_to_va_planes(mx, my, px, py):
+def mva_to_va_planes(mx, my, px, py, empty=np.empty):
     """:func:`mva_to_va` on coordinate planes: MVA ``(mx, my)``, anchor ``(px, py)``.
 
-    Returns the VA planes ``(vx, vy)``, broadcast over all four inputs.
+    Returns the VA planes ``(vx, vy)``, broadcast over all four inputs.  Every
+    plane, the temporaries included, comes from ``empty(shape, dtype)``; the
+    ray tracer passes its reused scratch planes.
     """
-    nrm2 = mx * mx + my * my
-    bad = nrm2 <= EPS_GEO * EPS_GEO
-    denom = np.where(bad, 1.0, nrm2)
-    scale = -(2.0 * (mx * px + my * py) / denom - 1.0)
-    vx = scale * mx + px
-    vy = scale * my + py
+    shape = np.broadcast(mx, my, px, py).shape
+    nrm2 = np.multiply(mx, mx, out=empty(shape, float))
+    tmp = np.multiply(my, my, out=empty(shape, float))
+    nrm2 += tmp
+    bad = np.less_equal(nrm2, EPS_GEO * EPS_GEO, out=empty(shape, bool))
+    np.copyto(nrm2, 1.0, where=bad)                  # the denominator
+    scale = np.multiply(mx, px, out=tmp)
+    scale += np.multiply(my, py, out=empty(shape, float))
+    np.multiply(2.0, scale, out=scale)
+    scale /= nrm2
+    scale -= 1.0
+    np.negative(scale, out=scale)
+    vx = np.multiply(scale, mx, out=empty(shape, float))
+    vx += px
+    vy = np.multiply(scale, my, out=nrm2)
+    vy += py
     if bad.any():
-        vx = np.where(bad, np.nan, vx)
-        vy = np.where(bad, np.nan, vy)
+        np.copyto(vx, np.nan, where=bad)
+        np.copyto(vy, np.nan, where=bad)
     return vx, vy
 
 

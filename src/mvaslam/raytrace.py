@@ -11,17 +11,19 @@ Candidate paths come in row blocks (:func:`candidate_blocks`): the row
 ``members`` list the surfaces a path bounces off, the one nearest the
 agent first.  One per-surface trace cache, :class:`SurfaceTraces`, traces
 them for every caller, and its hop loop, :func:`trace_hops`, walks each
-path.  :class:`Environment` builds both caches: the experiment traces the
-true walls once, at every waypoint (:meth:`Environment.trace_paths`), and
-measurement generation draws from that table; the SLAM filter traces
-per-particle feature clouds (:meth:`Environment.feature_traces`).  The
-reflector extents and the obstacle set are the one modelling difference
-between them.
+path, a chunk of rows at a time, in scratch planes that are reused from
+chunk to chunk and from call to call.  :class:`Environment` builds both
+caches: the experiment traces the true walls once, at every waypoint
+(:meth:`Environment.trace_paths`), and measurement generation draws from
+that table; the SLAM filter traces per-particle feature clouds
+(:meth:`Environment.feature_traces`).  The reflector extents and the
+obstacle set are the one modelling difference between them.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -31,7 +33,7 @@ import numpy as np
 from .geometry import EPS_GEO, Surface, WallSegment, mva_to_va_planes
 
 
-_TRACE_CHUNK = 1 << 14  # (row, point) elements traced per call
+_TRACE_CHUNK = 1 << 14  # (row, point) elements traced per chunk of rows
 
 
 def candidate_blocks(n_surfaces: int, double: bool) -> list[tuple[str, np.ndarray]]:
@@ -56,7 +58,8 @@ class Environment:
     MVAs and extents and both obstacle sets are computed once, on first use:
     ``segments`` (walls and blockers, as the truth sees them) and
     ``blocker_segments`` (blockers only, as the filter sees them), each a
-    tuple of ``(a, b)`` endpoint pairs.
+    tuple of ``(a, b)`` endpoint pairs.  The ``workspace`` holds the scratch
+    planes of every trace it makes, so a filter reuses them from step to step.
     """
 
     walls: tuple[WallSegment, ...] = ()
@@ -83,6 +86,11 @@ class Environment:
         ta = _along(_planes(self.wall_ends[:, 0]), normal)
         tb = _along(_planes(self.wall_ends[:, 1]), normal)
         return np.stack([np.minimum(ta, tb), np.maximum(ta, tb)], axis=-1)
+
+    @cached_property
+    def workspace(self) -> _Workspace:
+        """Scratch planes shared by every trace cache this environment builds."""
+        return _Workspace()
 
     @cached_property
     def blocker_segments(self) -> tuple:
@@ -124,7 +132,8 @@ class Environment:
         mvas = _planes(clouds)
         frame = _surface_frame(*mvas)
         extents = self.nearest_extents(clouds.mean(axis=1), frame[1:3])
-        return SurfaceTraces(mvas, frame, pa, extents, self.blocker_segments, check)
+        return SurfaceTraces(mvas, frame, pa, extents, self.blocker_segments, check,
+                             self.workspace)
 
     def trace_paths(self, agent, pa, blocks):
         """Trace the candidate path ``blocks`` against the true geometry.
@@ -143,7 +152,7 @@ class Environment:
         mvas = _planes(np.expand_dims(self.wall_mvas, axes))
         traces = SurfaceTraces(mvas, _surface_frame(*mvas), pa,
                                (np.expand_dims(lo, axes), np.expand_dims(hi, axes)),
-                               self.segments, check=True)
+                               self.segments, True, self.workspace)
         va, available = zip(*(traces.trace(agent, members) for _, members in blocks))
         va = np.stack([np.concatenate(v) for v in zip(*va)], axis=-1)
         return np.moveaxis(va, 0, -2), np.moveaxis(np.concatenate(available), 0, -1)
@@ -162,9 +171,12 @@ def _planes(points):
     return tuple(np.ascontiguousarray(np.moveaxis(np.asarray(points, dtype=float), -1, 0)))
 
 
-def _along(x, normal):
+def _along(x, normal, empty=np.empty):
     """Coordinate of points ``x`` along the tangent (-n_y, n_x) of a line."""
-    return x[1] * normal[0] - x[0] * normal[1]
+    shape = np.broadcast(x[0], normal[0]).shape
+    tau = np.multiply(x[1], normal[0], out=empty(shape, float))
+    tau -= np.multiply(x[0], normal[1], out=empty(shape, float))
+    return tau
 
 
 def _surface_frame(mx, my):
@@ -180,29 +192,34 @@ def _surface_frame(mx, my):
     return ok, mx / safe, my / safe, 0.5 * norm
 
 
-def line_crossing(p, q, normal, offset):
+def line_crossing(p, q, normal, offset, empty=np.empty):
     """Where segment [p, q] crosses the line ``normal . x = offset``.
 
     Points and the normal are ``(x, y)`` planes.  Returns ``(ok, hit)``:
     ``ok`` is True when p and q lie on opposite sides (touching counts),
     ``hit`` the crossing point's planes (unspecified when not ``ok``).
+    Every plane comes from ``empty(shape, dtype)``, as in
+    :func:`~mvaslam.geometry.mva_to_va_planes`.
     """
     (px, py), (qx, qy), (nx, ny) = p, q, normal
-    # in place where the shapes allow: the chunk's temporaries stay few and cached
-    sd_p = px * nx
-    sd_p += py * ny
+    shape = np.broadcast(px, qx, nx, offset).shape
+    sd_p = np.multiply(px, nx, out=empty(shape, float))
+    tmp = np.multiply(py, ny, out=empty(shape, float))
+    sd_p += tmp
     sd_p -= offset
-    sd_q = qx * nx
-    sd_q += qy * ny
+    sd_q = np.multiply(qx, nx, out=empty(shape, float))
+    sd_q += np.multiply(qy, ny, out=tmp)
     sd_q -= offset
-    denom = sd_p - sd_q
-    safe = np.abs(denom) > 1e-300
-    t = np.divide(sd_p, denom, out=np.zeros(denom.shape), where=safe)
-    ok = np.multiply(sd_p, sd_q, out=denom) <= 0.0
+    denom = np.subtract(sd_p, sd_q, out=empty(shape, float))
+    safe = np.greater(np.abs(denom, out=tmp), 1e-300, out=empty(shape, bool))
+    t = tmp
+    t.fill(0.0)
+    np.divide(sd_p, denom, out=t, where=safe)
+    ok = np.less_equal(np.multiply(sd_p, sd_q, out=denom), 0.0, out=empty(shape, bool))
     ok &= safe
-    hx = t * (qx - px)
+    hx = np.multiply(t, np.subtract(qx, px, out=denom), out=sd_p)
     hx += px
-    hy = t * (qy - py)
+    hy = np.multiply(t, np.subtract(qy, py, out=denom), out=sd_q)
     hy += py
     return ok, (hx, hy)
 
@@ -282,21 +299,68 @@ def _take(planes, live, shape):
     return tuple(v[sub] for v in planes)
 
 
-def _unobstructed(available, p, q, obstacles):
-    """``available`` with the hops [p, q] that an obstacle blocks cleared.
+def _clear_obstructed(available, p, q, obstacles):
+    """Clear, in place, the entries of ``available`` whose hop [p, q] an obstacle blocks.
 
     Only the available hops reach :func:`hop_obstructed`: the test is
-    elementwise, so the others would only be discarded.  With obstacles the
-    result is a new array, broadcast to the hops' shape.
+    elementwise, so the others would only be discarded.  ``p`` and ``q``
+    broadcast to ``available``'s shape.
     """
-    if not obstacles:
-        return available
-    shape = np.broadcast_shapes(available.shape, p[0].shape, q[0].shape)
-    available = np.broadcast_to(available, shape).copy()
-    live = np.flatnonzero(available)
-    blocked = hop_obstructed(_take(p, live, shape), _take(q, live, shape), obstacles)
-    np.put(available, live[blocked], False)
-    return available
+    if obstacles:
+        live = np.flatnonzero(available)
+        blocked = hop_obstructed(_take(p, live, available.shape), _take(q, live, available.shape),
+                                 obstacles)
+        np.put(available, live[blocked], False)
+
+
+def _gather(planes, rows, empty):
+    """Rows ``rows`` of each plane of ``planes``, into planes from ``empty``."""
+    # mode "clip" (the rows are in range): with the default, np.take buffers ``out``
+    return tuple(np.take(v, rows, axis=0, mode="clip",
+                         out=empty((len(rows),) + v.shape[1:], v.dtype)) for v in planes)
+
+
+def _free_refs() -> int:
+    """References to a listed buffer that nothing else holds, as :meth:`_Workspace.empty` counts."""
+    buffers = [np.empty(0)]
+    return sys.getrefcount(buffers[0])
+
+
+_FREE_REFS = _free_refs()
+
+
+class _Workspace:
+    """Scratch planes of the tracer, reused from chunk to chunk and call to call.
+
+    A plane is a view of one of the workspace's buffers, and a buffer is
+    free again once no view of it is alive: its reference count says so,
+    as a freed block goes back to the C allocator.  So the workspace holds
+    as many buffers as planes are alive at once, each grown to the largest
+    plane it has held: one chunk plane at most.  Freeing chunk-sized
+    temporaries to the allocator instead lets it trim the heap between
+    chunks and page-fault the same memory back in on the next one.  A
+    workspace pickles empty.
+    """
+
+    def __init__(self):
+        self._buffers: list[np.ndarray] = []
+
+    def __reduce__(self):
+        return _Workspace, ()
+
+    def empty(self, shape, dtype) -> np.ndarray:
+        """A plane of ``shape`` and ``dtype`` (at most 8 bytes an element), contents undefined."""
+        size = math.prod(shape)
+        buffers = self._buffers
+        for k in range(len(buffers)):
+            if sys.getrefcount(buffers[k]) == _FREE_REFS:
+                break
+        else:
+            k = len(buffers)
+            buffers.append(np.empty(0))
+        if len(buffers[k]) < size:
+            buffers[k] = np.empty(size)
+        return np.ndarray(shape, dtype, buffers[k])
 
 
 class SurfaceTraces:
@@ -311,10 +375,11 @@ class SurfaceTraces:
     once here, and both are shared by every row the surface is a member of,
     so a pair row computes only its outer image.  ``obstacles`` are ``(a,
     b)`` segments.  With ``check=False`` nothing is traced and availability
-    only reports non-degenerate surfaces.
+    only reports non-degenerate surfaces.  ``workspace`` holds the scratch
+    planes of the chunk loop.
     """
 
-    def __init__(self, mvas, frame, pa, extents, obstacles, check: bool):
+    def __init__(self, mvas, frame, pa, extents, obstacles, check: bool, workspace: _Workspace):
         self.mvas = mvas
         self.pa = _planes(pa)
         self.frame = frame
@@ -322,6 +387,7 @@ class SurfaceTraces:
         self.extents = extents
         self.obstacles = obstacles
         self.check = check
+        self.workspace = workspace
 
     def trace(self, agent, members):
         """VA planes ``(vx, vy)`` (R, ...) and availability (R, ...) of the rows ``members`` (R, k).
@@ -330,60 +396,89 @@ class SurfaceTraces:
         anchor across a row's bounces from the anchor side, and
         :func:`trace_hops` walks the hops from ``agent``.  A row's VA is
         zero where a bounce surface is degenerate.  Rows are traced in
-        chunks so the temporaries stay small.
+        chunks of about ``_TRACE_CHUNK`` (row, point) elements, each in the
+        workspace's scratch planes, straight into the three outputs.
         """
-        mx, my = self.mvas
         agent = _planes(agent)
-        shape = np.broadcast_shapes(agent[0].shape, self.pa[0].shape, mx.shape)[1:]
+        shape = np.broadcast_shapes(agent[0].shape, self.pa[0].shape, self.mvas[0].shape)[1:]
         vx, vy = (np.empty((len(members),) + shape) for _ in range(2))
         available = np.empty((len(members),) + shape, dtype=bool)
         chunk = max(1, _TRACE_CHUNK // max(math.prod(shape), 1))
+        empty = self.workspace.empty
         for r in range(0, len(members), chunk):
-            idx = members[r:r + chunk].T
+            rows = slice(r, r + chunk)
+            idx = members[rows].T
             images = [self.pa]
             if len(idx):
-                images.insert(0, tuple(v[idx[-1]] for v in self.va1))
+                images.insert(0, _gather(self.va1, idx[-1], empty))
             for i in reversed(idx[:-1]):
-                images.insert(0, mva_to_va_planes(mx[i], my[i], *images[0]))
-            (vx[r:r + chunk], vy[r:r + chunk]), available[r:r + chunk] = trace_hops(
-                agent, images, [tuple(f[i] for f in self.frame) for i in idx],
-                [tuple(e[i] for e in self.extents) for i in idx], self.obstacles, self.check)
+                images.insert(0, mva_to_va_planes(*_gather(self.mvas, i, empty), *images[0],
+                                                  empty=empty))
+            trace_hops(agent, images, self.frame, self.extents, idx, self.obstacles,
+                       self.check, (vx[rows], vy[rows]), available[rows], empty)
         return (vx, vy), available
 
 
-def trace_hops(agent, images, frames, extents, obstacles, check: bool):
+def trace_hops(agent, images, frame, extents, members, obstacles, check: bool, va, available,
+               empty):
     """Walk a path's hops from the agent, given its images and surface frames.
 
     Points are ``(x, y)`` planes.  ``images`` holds, per bounce, the image
     of the anchor across that bounce and every later one, then the anchor
-    itself; ``images[0]`` is the VA.  ``frames`` holds each bounce's
-    :func:`_surface_frame`.  Each hop runs from the previous bounce point
-    toward the next image; its bounce point must lie on the surface inside
-    the extent and the hop must be unobstructed.  ``extents`` holds each
-    bounce's ``(lo, hi)`` in the tangent coordinate of its surface and
-    ``obstacles`` the ``(a, b)`` segments; everything broadcasts.  Returns
-    ``(va, available)`` as :meth:`SurfaceTraces.trace` does, without its
-    row axis.
+    itself; ``images[0]`` is the VA.  ``members`` (k, ...) holds each
+    bounce's surface, an index into the surface axis of ``frame``, their
+    :func:`_surface_frame`, and of ``extents``, their ``(lo, hi)`` in the
+    tangent coordinate of the surface.  Each hop runs from the previous
+    bounce point toward the next image; its bounce point must lie on the
+    surface inside the extent and the hop must be unobstructed by the ``(a,
+    b)`` segments ``obstacles``.  Everything broadcasts to the output
+    planes.  Writes the VA planes into ``va`` and the availability into
+    ``available``, as :meth:`SurfaceTraces.trace` returns them; every
+    temporary comes from ``empty(shape, dtype)``.
 
     The obstruction test, the costliest per hop, runs only where the path
     is still available: a bounce hop only where its surface is valid, it
     crosses the surface inside the extent and every earlier hop passed, and
     the final hop only where every bounce passed.
     """
-    valid = np.ones(np.shape(agent[0]), dtype=bool)
-    available = valid
+    valid = empty(available.shape, bool)
+    valid.fill(True)
+    available.fill(True)
     p = agent
-    for k, (ok, nx, ny, offset) in enumerate(frames):
-        valid = valid & ok
-        if not check:
-            continue
-        crossed, hit = line_crossing(p, images[k], (nx, ny), offset)
-        tau = _along(hit, (nx, ny))
-        lo, hi = extents[k]
-        available = available & ok & crossed & (tau >= lo - EPS_GEO) & (tau <= hi + EPS_GEO)
-        available = _unobstructed(available, p, hit, obstacles)
-        p = hit
-    va = tuple(np.where(valid, v, 0.0) for v in images[0])
+    for q, i in zip(images, members):
+        p = _bounce(p, q, _gather(frame, i, empty), _gather(extents, i, empty), obstacles,
+                    check, valid, available, empty)
+    for plane, image in zip(va, images[0]):
+        plane.fill(0.0)
+        np.copyto(plane, image, where=valid)
+    if check:
+        _clear_obstructed(available, p, images[-1], obstacles)
+    else:
+        np.copyto(available, valid)
+
+
+def _bounce(p, q, frame, extent, obstacles, check: bool, valid, available, empty):
+    """One bounce of :func:`trace_hops`: the hop from ``p`` toward the image ``q``.
+
+    Folds the surface's validity into ``valid`` and, with ``check``, clears
+    in ``available`` the paths whose hop misses the surface, falls outside
+    the ``extent`` or is obstructed.  Returns the bounce point (``p`` when
+    not ``check``).  Its temporaries die when it returns, so their planes go
+    back to the workspace before the next bounce draws its own.
+    """
+    ok, nx, ny, offset = frame
+    valid &= ok
     if not check:
-        return va, valid
-    return va, _unobstructed(available, p, images[-1], obstacles)
+        return p
+    crossed, hit = line_crossing(p, q, (nx, ny), offset, empty)
+    tau = _along(hit, (nx, ny), empty)
+    lo, hi = extent
+    bound = np.subtract(lo, EPS_GEO, out=empty(available.shape, float))
+    inside = np.greater_equal(tau, bound, out=empty(available.shape, bool))
+    available &= ok
+    available &= crossed
+    available &= inside
+    np.less_equal(tau, np.add(hi, EPS_GEO, out=bound), out=inside)
+    available &= inside
+    _clear_obstructed(available, p, hit, obstacles)
+    return hit

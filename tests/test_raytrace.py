@@ -1,8 +1,11 @@
+import pickle
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from mvaslam import raytrace
 from mvaslam.experiment import available_path_keys
 from mvaslam.geometry import WallSegment
 from mvaslam.raytrace import Environment, candidate_blocks
@@ -197,3 +200,83 @@ def test_truth_table_matches_backward_trace(name, double):
                                        [(lo[i], hi[i]) for i in idx], env.segments, check=True)
         assert np.array_equal(truth.va[:, :, k], va), (name, double, idx)
         assert np.array_equal(truth.available[:, :, k], available), (name, double, idx)
+
+
+def test_chunking_and_scratch_reuse_change_no_bit(monkeypatch):
+    # Rows traced one per chunk, in chunks whose last one is partial, and in
+    # one chunk give the same bits, and all equal the reference trace.  The
+    # calls alternate between more and fewer rows and points on one
+    # environment, so a scratch plane left stale by a larger call would show.
+    rng = np.random.default_rng(17)
+    env = Environment(walls=rect_room().walls,
+                      blockers=[WallSegment([2.0, -3.0], [2.0, 1.0]),
+                                WallSegment([-4.0, 1.0], [-1.0, 3.0])])
+    pa = np.array([1.0, 0.5])
+    cases = []
+    for n_part, n_surf in ((80, 5), (45, 4)):
+        clouds = np.concatenate([rng.normal(env.wall_mvas[:, None], 0.3, (4, n_part, 2)),
+                                 rng.normal([[[30.0, -40.0]]], 1.0, (1, n_part, 2))])[:n_surf]
+        clouds[1, :4] = 0.0                       # degenerate MVA rows
+        cases.append((clouds, rng.uniform([-4.8, -3.3], [4.8, 3.3], (n_part, 2))))
+
+    def trace_all(env):
+        out = []
+        for clouds, agent in cases + cases:
+            for check in (True, False):
+                traces = env.feature_traces(clouds, pa, check)
+                for _, members in candidate_blocks(len(clouds), True):
+                    (vx, vy), available = traces.trace(agent, members)
+                    out.append((np.stack((vx, vy), axis=-1).view(np.uint64), available))
+        return out
+
+    monkeypatch.setattr(raytrace, "_TRACE_CHUNK", 1 << 30)
+    whole = trace_all(Environment(env.walls, env.blockers))
+    k = 0
+    for clouds, agent in cases + cases:
+        for check in (True, False):
+            lo, hi = env.feature_traces(clouds, pa, check).extents
+            for _, members in candidate_blocks(len(clouds), True):
+                va, available = whole[k]
+                k += 1
+                for r, idx in enumerate(members):
+                    want_va, want = backward_trace(agent, pa, [clouds[i] for i in idx],
+                                                   [(lo[i], hi[i]) for i in idx],
+                                                   env.blocker_segments, check)
+                    assert np.array_equal(va[r], want_va.view(np.uint64))
+                    assert np.array_equal(available[r], want)
+    # 240 elements: 3 of 80 points, so 20 pairs end in a chunk of 2, and 5
+    # of 45 points, so 12 pairs end in a chunk of 2
+    for chunk in (1, 240):
+        monkeypatch.setattr(raytrace, "_TRACE_CHUNK", chunk)
+        for (va, available), (want_va, want) in zip(trace_all(env), whole, strict=True):
+            assert np.array_equal(va, want_va)
+            assert np.array_equal(available, want)
+
+
+def test_warm_trace_allocates_no_chunk_temporaries():
+    # Once an environment's workspace is warm, a trace allocates its three
+    # outputs and no chunk-sized temporary.  Without blockers: the
+    # obstruction test gathers the live hops into new arrays.
+    rng = np.random.default_rng(23)
+    env = rect_room()
+    n_part = 1000
+    clouds = np.concatenate([rng.normal(env.wall_mvas[:, None], 0.3, (4, n_part, 2)),
+                             rng.normal(1.5 * env.wall_mvas[:, None], 0.3, (4, n_part, 2))])
+    agent = rng.uniform([-4.8, -3.3], [4.8, 3.3], (n_part, 2))
+    traces = env.feature_traces(clouds, [1.0, 0.5], True)
+    _, members = candidate_blocks(len(clouds), True)[-1]
+    chunk_rows = raytrace._TRACE_CHUNK // n_part
+    assert len(members) > 3 * chunk_rows
+    traces.trace(agent, members)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        (vx, vy), available = traces.trace(agent, members)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    chunk_plane = chunk_rows * n_part * vx.itemsize
+    assert peak - before <= vx.nbytes + vy.nbytes + available.nbytes + chunk_plane
+    assert available.any() and not available.all()
+    # the scratch planes stay behind when the environment is pickled
+    assert len(pickle.dumps(env)) < chunk_plane
