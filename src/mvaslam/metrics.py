@@ -7,10 +7,10 @@ unmatched points each pay the full cutoff.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .geometry import EPS_GEO, mva_to_va
 
@@ -34,6 +34,72 @@ def _as_set(points) -> np.ndarray:
     return arr
 
 
+def _assignment(cost: np.ndarray) -> list[int]:
+    """Column of each row in a minimum-cost assignment of an (m, n) matrix, m <= n.
+
+    Shortest augmenting paths (Crouse, "On Implementing 2D Rectangular
+    Assignment Algorithms", IEEE TAES 2016), the algorithm of scipy's
+    ``linear_sum_assignment``.  Every row starts at its cheapest column,
+    with row duals ``u`` at the row minima and column duals ``v`` at 0; a
+    row whose cheapest column no earlier row took keeps it without a search.
+    Each other row then finds, Dijkstra-like over the reduced costs
+    ``cost - u - v``, the cheapest alternating path to a free column, moves
+    the duals so that every assigned entry stays at reduced cost 0, and
+    flips the path.  Among equally cheap columns the search takes a free one.
+    The search runs on Python lists: OSPA's matrices are small (up to ~13 x
+    100), where a numpy call per Dijkstra step costs more than the step.
+    """
+    n = cost.shape[1]
+    u = cost.min(axis=1).tolist()
+    col4row = cost.argmin(axis=1).tolist()
+    row4col = [-1] * n
+    searched = []
+    for i, j in enumerate(col4row):
+        if row4col[j] < 0:
+            row4col[j] = i
+        else:
+            searched.append(i)
+    if not searched:
+        return col4row
+    rows = cost.tolist()
+    v = [0.0] * n
+    for i in searched:
+        spc = [math.inf] * n                      # shortest path cost to each column
+        path = [-1] * n                           # row before each column on its path
+        remaining = list(range(n))                # columns whose path cost is not final
+        closed = []                               # assigned columns whose path cost is final
+        row, min_val = i, 0.0
+        while True:
+            cost_row, u_row = rows[row], u[row]
+            lowest, k_low = math.inf, -1
+            for k, j in enumerate(remaining):
+                reduced = min_val + cost_row[j] - u_row - v[j]
+                if reduced < spc[j]:
+                    path[j] = row
+                    spc[j] = reduced
+                if spc[j] < lowest or (spc[j] == lowest and row4col[j] < 0):
+                    lowest, k_low = spc[j], k
+            min_val = lowest
+            j = remaining[k_low]
+            remaining[k_low] = remaining[-1]
+            remaining.pop()
+            if row4col[j] < 0:
+                break
+            closed.append(j)
+            row = row4col[j]
+        u[i] += min_val
+        for c in closed:
+            u[row4col[c]] += min_val - spc[c]
+            v[c] -= min_val - spc[c]
+        while True:                               # flip the path, from the free column j back to row i
+            row = path[j]
+            row4col[j] = row
+            col4row[row], j = j, col4row[row]
+            if row == i:
+                break
+    return col4row
+
+
 def ospa(est, truth, params: OspaParams) -> float:
     """OSPA distance between two planar point sets (empty sets allowed)."""
     est = _as_set(est)
@@ -48,8 +114,9 @@ def ospa(est, truth, params: OspaParams) -> float:
         return c
     diff = est[:, None, :] - truth[None, :, :]
     cost = np.minimum(np.hypot(diff[..., 0], diff[..., 1]), c) ** p
-    rows, cols = linear_sum_assignment(cost)
-    total = float(cost[rows, cols].sum()) + (n - m) * c ** p
+    if np.isnan(cost).any():
+        raise ValueError("OSPA point sets must not hold NaN")
+    total = float(cost[np.arange(m), _assignment(cost)].sum()) + (n - m) * c ** p
     return float((total / n) ** (1.0 / p))
 
 

@@ -280,7 +280,7 @@ def hop_obstructed(p, q, segments):
 
     ``p`` and ``q`` are ``(x, y)`` planes; ``segments`` is a sequence of
     ``(a, b)`` endpoint pairs.  The tracer hands it only the hops whose path
-    is still available (:func:`_unobstructed`).  Without segments the result
+    is still available (:func:`_clear_obstructed`).  Without segments the result
     is a scalar False.
     """
     blocked = np.False_

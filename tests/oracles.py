@@ -4,9 +4,11 @@ These deliberately avoid the production code paths: ray availability is
 decided by densely sampling hop segments and detecting sign changes of
 signed distances, association marginals come from enumerating all valid
 joint assignment events, and optimal assignment cost from trying every
-permutation.  Mirroring uses the normal / line-point form instead of the
-MVA algebra, and the measurement likelihood is evaluated one path and one
-measurement at a time, as a reference for the filter's vectorized blocks,
+permutation or from scipy's ``linear_sum_assignment`` (:func:`scipy_ospa`,
+the reference of the package's own assignment solver).  Mirroring uses the
+normal / line-point form instead of the MVA algebra, and the measurement
+likelihood is evaluated one path and one measurement at a time, as a
+reference for the filter's vectorized blocks,
 and :func:`process_pa_reference` updates an anchor block densely, over every
 (row, particle) entry and every measurement, as a reference for the
 filter's sparse row blocks.
@@ -31,6 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from mvaslam import association
 from mvaslam.engine import _LIK_DTYPE
@@ -284,6 +287,22 @@ def brute_force_assignment_cost(cost: np.ndarray) -> float:
     for perm in itertools.permutations(range(n)):
         best = min(best, sum(cost[i, perm[i]] for i in range(n)))
     return float(best)
+
+
+def scipy_ospa(est, truth, cutoff: float, order: float) -> float:
+    """OSPA distance with scipy's assignment, summed over the rows in order."""
+    est = np.asarray(est, dtype=float).reshape(-1, 2)
+    truth = np.asarray(truth, dtype=float).reshape(-1, 2)
+    if len(est) > len(truth):
+        est, truth = truth, est
+    m, n = len(est), len(truth)
+    if m == 0:
+        return cutoff if n else 0.0
+    diff = est[:, None, :] - truth[None, :, :]
+    cost = np.minimum(np.hypot(diff[..., 0], diff[..., 1]), cutoff) ** order
+    rows, cols = linear_sum_assignment(cost)
+    total = float(cost[rows, cols].sum()) + (n - m) * cutoff ** order
+    return float((total / n) ** (1.0 / order))
 
 
 # ---------------------------------------------------------------------------

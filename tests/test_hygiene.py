@@ -1,6 +1,9 @@
 """Static hygiene checks over the package and the test modules."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -287,3 +290,40 @@ def test_every_dataclass_field_is_read_outside_tests():
     findings = [f"{cls}.{name}" for cls, names in fields.items() for name in names
                 if (cls, name) not in read]
     assert not findings, "dataclass fields nothing outside the tests reads:\n" + "\n".join(findings)
+
+
+NO_SCIPY_RUN = """
+import sys
+sys.modules["scipy"] = None                     # any import of scipy now raises ImportError
+from dataclasses import replace
+import mvaslam.cli
+from mvaslam.experiment import simulate_run
+from mvaslam.metrics import OspaParams, ospa
+from mvaslam.scenario import bundled_scenario
+
+config = bundled_scenario("exp1_rect_room")
+config = replace(config, params=replace(config.params, n_particles=50),
+                 waypoints=config.waypoints[:4])
+assert simulate_run(config, 0, 1).err_pos.shape == (4,)
+# both estimates are nearest the first truth point, so the assignment needs a search
+assert ospa([[0.0, 0.0], [1.0, 0.0]], [[0.5, 0.0], [3.0, 0.0]], OspaParams()) == 1.25
+loaded = sorted(m for m, mod in sys.modules.items() if m.startswith("scipy") and mod is not None)
+assert not loaded, loaded
+"""
+
+
+def test_runtime_needs_no_scipy():
+    # scipy is the tests' oracle only: the package imports, filters and scores without it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    # nor anywhere a short run does not reach, such as an import inside a function
+    imports_scipy = [f"{path.relative_to(ROOT)} line {node.lineno}" for path in PACKAGE
+                     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                     if isinstance(node, ast.Import)
+                     and any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+                     or isinstance(node, ast.ImportFrom)
+                     and (node.module or "").split(".")[0] == "scipy"]
+    assert not imports_scipy, imports_scipy

@@ -8,7 +8,7 @@ from mvaslam.geometry import EPS_GEO, mva_to_va
 from mvaslam.metrics import OspaParams, dedupe_points, ospa, va_ospa, va_set
 from mvaslam.scenario import bundled_scenario
 
-from oracles import brute_force_assignment_cost, dedupe_points_loop, double_bounce_va
+from oracles import brute_force_assignment_cost, dedupe_points_loop, double_bounce_va, scipy_ospa
 
 P51 = OspaParams(cutoff=5.0, order=1.0)
 
@@ -38,6 +38,50 @@ def test_ospa_matches_brute_force_assignment():
         cost = np.minimum(np.hypot(diff[..., 0], diff[..., 1]), P51.cutoff)
         want = brute_force_assignment_cost(cost) / n
         assert got == pytest.approx(want, abs=1e-12)
+
+
+def random_sets(rng, m, n, saturated):
+    """``m`` estimates near ``n`` truth points; ``saturated`` of the estimates
+    lie beyond the cutoff of every truth point."""
+    truth = rng.uniform(-10, 10, (n, 2))
+    est = truth[rng.integers(0, n, m)] + rng.normal(0.0, 2.0, (m, 2))
+    est[:saturated] = rng.uniform(-10, 10, (saturated, 2)) + [100.0, 0.0]
+    return est, truth
+
+
+def test_ospa_equals_scipy_assignment_bit_for_bit():
+    rng = np.random.default_rng(20)
+    shapes = [(1, 1), (1, 50), (15, 15), (15, 50), (50, 15), (9, 1)]
+    shapes += [(int(rng.integers(1, 16)), int(rng.integers(1, 51))) for _ in range(1500)]
+    searched = 0
+    for trial, (m, n) in enumerate(shapes):          # m > n goes through ospa's swap
+        saturated = int(rng.integers(0, m + 1)) if trial % 3 == 0 else 0
+        est, truth = random_sets(rng, m, n, saturated)
+        params = P51 if trial % 4 else OspaParams(cutoff=3.0, order=2.0)
+        got = ospa(est, truth, params)
+        assert got == scipy_ospa(est, truth, params.cutoff, params.order), (trial, m, n)
+        small, large = (est, truth) if m <= n else (truth, est)
+        nearest = np.hypot(*(small[:, None] - large[None]).transpose(2, 0, 1)).argmin(axis=1)
+        searched += len(set(nearest.tolist())) < len(small)
+    assert searched > 300          # these need a search, not only the row minima
+
+
+def test_ospa_matches_scipy_assignment_on_exact_ties():
+    # integer-grid points tie exactly, and an equally cheap assignment may
+    # sum its entries in another order
+    rng = np.random.default_rng(21)
+    for trial in range(1500):
+        m, n = int(rng.integers(1, 16)), int(rng.integers(1, 51))
+        est = rng.integers(-4, 5, (m, 2)).astype(float)
+        truth = rng.integers(-4, 5, (n, 2)).astype(float)
+        params = P51 if trial % 2 else OspaParams(cutoff=3.0, order=2.0)
+        want = scipy_ospa(est, truth, params.cutoff, params.order)
+        assert ospa(est, truth, params) == pytest.approx(want, rel=1e-12, abs=0.0), trial
+
+
+def test_ospa_rejects_nan_points():
+    with pytest.raises(ValueError):
+        ospa([[np.nan, 0.0]], [[0.0, 0.0]], P51)
 
 
 def test_ospa_metric_properties_equal_cardinality():
