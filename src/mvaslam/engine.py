@@ -38,8 +38,6 @@ _PRIOR_POS_HALFWIDTH = 0.5  # m, half-width of the uniform prior box around the 
 _PRIOR_VEL_HALFWIDTH = 0.1  # m/s, half-width of the uniform prior velocity box
 # pair rows outnumber the others about S-fold; their likelihood is float32
 _LIK_DTYPE = {"los": np.float64, "single": np.float64, "double": np.float32}
-_EXP_CLAMP = -700.0        # float64 exp stays normal, and vectorized, above this
-_EXP_ZERO_BELOW = -745.2   # float64 exp is exactly 0.0 below this
 # Distance gate half-widths in sigma_d: beyond them the exponent is below
 # -G^2 / 2 (-760.5 and -112.5), where exp is exactly 0.0 in the dtype
 # (below -745.2 and about -103.97), whatever the angle
@@ -86,10 +84,12 @@ class HyperParams:
                     "wherever the path is available")
         if self.p_prune >= self.p_confirm:
             raise ValueError("pruning threshold must lie below the confirmation threshold")
-        if min(self.sigma_regularization, self.sigma_accel, self.dt) <= 0:
-            raise ValueError("noise scales and dt must be positive")
-        if self.mu_new < 0:
-            raise ValueError("mu_new must be non-negative")
+        for name in ("sigma_regularization", "sigma_accel", "dt"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name}={value} must be positive and finite")
+        if not 0.0 <= self.mu_new < math.inf:
+            raise ValueError(f"mu_new={self.mu_new} must be non-negative and finite")
         if self.n_particles < 1 or self.max_features < 1:
             raise ValueError("n_particles and max_features must be positive")
         if self.assoc_max_iters < 1:
@@ -102,8 +102,8 @@ class HyperParams:
         if not 0.0 <= self.pair_existence_floor <= 1.0:
             raise ValueError(f"pair_existence_floor={self.pair_existence_floor} outside [0, 1]")
         (xlo, xhi), (ylo, yhi) = self.birth_region
-        if not (xhi > xlo and yhi > ylo):
-            raise ValueError("birth region must have positive area")
+        if not (xhi > xlo and yhi > ylo and self.birth_area < math.inf):
+            raise ValueError(f"birth_region={self.birth_region} must have positive, finite area")
 
     def p_detect(self, kind: str) -> float:
         """Base detection probability of a path kind: "los", "single" or "double"."""
@@ -259,28 +259,6 @@ def _log_sum_exp(values: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(top[..., 0]), lse, -np.inf)
 
 
-def _exp_in_place(x):
-    """``np.exp(x, out=x)``, bit for bit, kept off float64 exp's underflow path.
-
-    float64 ``np.exp`` leaves its vector loop wherever a lane underflows,
-    and most likelihood arguments lie far below the float64 range.  So the
-    arguments are clamped at ``_EXP_CLAMP``, exponentiated and zeroed below
-    it; the few in ``[_EXP_ZERO_BELOW, _EXP_CLAMP)``, whose exp is
-    subnormal, are recomputed by ``np.exp``.  Below ``_EXP_ZERO_BELOW`` exp
-    is exactly 0.0.  Other dtypes take plain ``np.exp``.
-    """
-    if x.dtype != np.float64:
-        return np.exp(x, out=x)
-    low = x < _EXP_CLAMP
-    subnormal = np.nonzero(low & (x >= _EXP_ZERO_BELOW))
-    tail = np.exp(x[subnormal])
-    np.maximum(x, _EXP_CLAMP, out=x)
-    np.exp(x, out=x)
-    x *= np.logical_not(low, out=low)
-    x[subnormal] = tail
-    return x
-
-
 def _block_likelihood(agent, headings, va, avail, z, sigma_d, sigma_phi,
                       out_dtype=np.float64):
     """Likelihood of a block of rows where it does not underflow.
@@ -341,7 +319,7 @@ def _block_likelihood(agent, headings, va, avail, z, sigma_d, sigma_phi,
     lik += np.square(dphi, out=dphi)
     del dphi
     lik *= out_dtype(-0.5)
-    _exp_in_place(lik)
+    np.exp(lik, out=lik)
     lik /= (TWO_PI * sigma_d * sigma_phi)
     starts = (np.cumsum(counts) - counts).tolist()
     lik = [lik[a:a + c] for a, c in zip(starts, counts.tolist())]

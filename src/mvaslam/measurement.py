@@ -29,8 +29,8 @@ class PathNoise:
     sigma_phi: float
 
     def __post_init__(self):
-        if not (self.sigma_d > 0 and self.sigma_phi > 0):
-            raise ValueError("noise standard deviations must be strictly positive")
+        if not (0.0 < self.sigma_d < math.inf and self.sigma_phi > 0):
+            raise ValueError("noise standard deviations must be positive and finite")
         if self.sigma_phi >= math.pi / 4:
             raise ValueError("sigma_phi must stay below pi/4 for the wrapped-Gaussian model")
 
@@ -52,10 +52,10 @@ class ClutterModel:
     d_max: float
 
     def __post_init__(self):
-        if self.mu_fp < 0:
-            raise ValueError("mu_fp must be non-negative")
-        if self.d_max <= 0:
-            raise ValueError("d_max must be positive")
+        if not 0.0 <= self.mu_fp < math.inf:
+            raise ValueError(f"mu_fp={self.mu_fp} must be non-negative and finite")
+        if not 0.0 < self.d_max < math.inf:
+            raise ValueError(f"d_max={self.d_max} must be positive and finite")
 
     @property
     def density(self) -> float:

@@ -23,10 +23,10 @@ class OspaParams:
     order: float = 1.0
 
     def __post_init__(self):
-        if self.cutoff <= 0:
-            raise ValueError("cutoff must be positive")
-        if self.order < 1:
-            raise ValueError("order must be at least 1")
+        if not 0.0 < self.cutoff < math.inf:
+            raise ValueError(f"cutoff={self.cutoff} must be positive and finite")
+        if not 1.0 <= self.order < math.inf:
+            raise ValueError(f"order={self.order} must be at least 1 and finite")
 
 
 def _as_set(points) -> np.ndarray:

@@ -29,12 +29,14 @@ def traced(agent, pa, env):
 
 
 def test_noise_profile_validation():
-    with pytest.raises(ValueError):
-        PathNoise(sigma_d=0.0, sigma_phi=0.1)
-    with pytest.raises(ValueError):
-        PathNoise(sigma_d=0.1, sigma_phi=np.pi / 3)
-    with pytest.raises(ValueError):
-        ClutterModel(mu_fp=-1.0, d_max=30.0)
+    for sigma_d, sigma_phi in [(0.0, 0.1), (np.inf, 0.1), (np.nan, 0.1), (0.1, np.pi / 3),
+                               (0.1, np.nan)]:
+        with pytest.raises(ValueError):
+            PathNoise(sigma_d=sigma_d, sigma_phi=sigma_phi)
+    for field, bad in [("mu_fp", -1.0), ("mu_fp", np.nan), ("mu_fp", np.inf),
+                       ("d_max", 0.0), ("d_max", np.nan), ("d_max", np.inf)]:
+        with pytest.raises(ValueError, match=field):
+            ClutterModel(**{"mu_fp": 1.0, "d_max": 30.0, field: bad})
     assert ClutterModel(mu_fp=1.0, d_max=30.0).density == pytest.approx(1.0 / (60.0 * np.pi))
     assert ClutterModel(1.0, 1.0).density == pytest.approx(1.0 / (2 * np.pi))
 

@@ -232,7 +232,8 @@ def test_truth_va_sets_match_va_set_of_seen_paths(name):
 
 
 def test_ospa_params_validation():
-    with pytest.raises(ValueError):
-        OspaParams(cutoff=0.0)
-    with pytest.raises(ValueError):
-        OspaParams(order=0.5)
+    for field, bad in [("cutoff", 0.0), ("cutoff", np.nan), ("cutoff", np.inf),
+                       ("order", 0.5), ("order", np.nan), ("order", np.inf)]:
+        with pytest.raises(ValueError, match=field):
+            OspaParams(**{field: bad})
+    assert OspaParams(cutoff=1e300, order=1.0).cutoff == 1e300
