@@ -168,18 +168,18 @@ def ncv_matrices(dt: float) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def systematic_resample(weights: np.ndarray, offsets) -> np.ndarray:
     """Low-variance resampling of weights (n,), or of each row of (k, n).
 
-    One uniform offset per row strides its CDF.  The k offsets are one
-    ``rng.random(k)`` draw, the same numbers as k draws of one.
+    Each row strides its CDF from its uniform offset in [0, 1): ``offsets``
+    holds one per row, (k,) for (k, n) weights and one number for (n,).
     """
     weights = np.asarray(weights, dtype=float)
     n = weights.shape[-1]
     rows = weights.reshape(-1, n)
     idx = np.empty(rows.shape, dtype=np.intp)
     # one search per row: shifting the rows apart to search them at once would round the CDFs
-    for row, (w, offset) in enumerate(zip(rows, rng.random(len(rows)))):
+    for row, (w, offset) in enumerate(zip(rows, np.reshape(offsets, -1), strict=True)):
         cdf = np.cumsum(w)
         cdf[-1] = 1.0
         idx[row] = np.searchsorted(cdf, (offset + np.arange(n)) / n)
@@ -259,13 +259,16 @@ def _log_sum_exp(values: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(top[..., 0]), lse, -np.inf)
 
 
-def _block_likelihood(agent, headings, va, avail, z, sigma_d, sigma_phi,
+def _block_likelihood(agent, headings, flat, va, z, sigma_d, sigma_phi,
                       out_dtype=np.float64):
     """Likelihood of a block of rows where it does not underflow.
 
-    ``agent`` (I,) and ``va`` (R, I) are ``(x, y)`` coordinate planes.
-    Returns ``(rows, parts, gates, lik)``.  ``rows`` and ``parts`` index the
-    (row, particle) entries where the path is available, sorted by the
+    ``flat`` (n,) holds the row-major indices of the block's available
+    (row, particle) entries, in increasing order, as
+    :meth:`~mvaslam.raytrace.SurfaceTraces.available_entries` returns them,
+    and ``va`` (n,) and ``agent`` (I,) are ``(x, y)`` coordinate planes of
+    the VAs there and of the particles.  Returns ``(rows, parts, gates,
+    lik)``.  ``rows`` and ``parts`` index the entries, sorted by the
     distance from the particle to its VA, so the entries within ``EPS_GEO``
     of their VA, which score nothing, come first.  Measurement m is scored
     on the entry slice ``gates[m]``, the entries off their VA whose
@@ -275,22 +278,24 @@ def _block_likelihood(agent, headings, va, avail, z, sigma_d, sigma_phi,
     the noise levels of the block's path kind.  The double-bounce block
     requests float32 output; the distance and angle are cast up front.
     """
-    n_part = avail.shape[1]
-    flat = np.flatnonzero(avail)
+    n_part = len(headings)
     parts = flat % n_part
-    dx = agent[0][parts] - va[0].ravel()[flat]
-    dy = agent[1][parts] - va[1].ravel()[flat]
+    dx = agent[0][parts] - va[0]
+    dy = agent[1][parts] - va[1]
     dist = np.hypot(dx, dy)
-    phi = np.arctan2(dy, dx) - headings[parts]
+    phi = np.arctan2(dy, dx)
+    del dx, dy    # each entry-sized array goes once it is used: they set the block's peak
+    phi -= headings[parts]
+    del parts
     order = np.argsort(dist)
     d = dist[order]
     if np.any(d[1:] == d[:-1]):
         # entries at equal distance keep their row-major order on every platform
         order = np.argsort(dist, kind="stable")
-    flat = flat[order]
-    rows = flat // n_part
-    parts = flat - rows * n_part
+    del dist
+    rows, parts = np.divmod(flat[order], n_part)
     phi = phi[order]
+    del order
     scoring = np.searchsorted(d, EPS_GEO, side="right")
     d = d.astype(out_dtype, copy=False)
     phi = phi.astype(out_dtype, copy=False)
@@ -445,15 +450,13 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray, features: FeatureMap
             members, exist = members[keep], exist[keep]
             if not len(members):
                 continue
-        va, avail = traces.trace(agent_xy, members)
         noise = getattr(profile, kind)
         rows, parts, gates, lik = _block_likelihood(
-            agent_planes, agent.headings, va, avail, batch, noise.sigma_d, noise.sigma_phi,
-            _LIK_DTYPE[kind])
+            agent_planes, agent.headings, *traces.available_entries(agent_xy, members), batch,
+            noise.sigma_d, noise.sigma_phi, _LIK_DTYPE[kind])
         blocks.append(_RowBlock(kind, members, slice(n_rows, n_rows + len(members)),
                                 exist, (rows, parts), gates, lik))
         n_rows += len(members)
-    del va, avail    # from here the blocks alone hold what the updates need
 
     # birth-density values of the proposal clouds, (M, I)
     (xlo, xhi), (ylo, yhi) = params.birth_region
@@ -518,20 +521,33 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray, features: FeatureMap
     num = sigma_msg[:, 0] * params.mu_new * birth_mean / denom
     existence[s_count:] = np.where(born, num / (1.0 + num), 0.0)
 
-    # one resampling pass, legacy rows first; the other rows keep their particles
-    weights = np.concatenate([np.exp(log_g1[live] - lse[live, None]), f_birth[born]])
-    weights /= weights.sum(axis=1, keepdims=True)
-    resampled = np.concatenate([live, born])
-    idx = np.tile(np.arange(n_part), (s_count + n_meas, 1))
-    idx[resampled] = systematic_resample(weights, rng)
-
     # pruning, then the cap: the most likely features, ties to the older (earlier)
     # one, kept in birth order
     ranked = np.argsort(-existence, kind="stable")
     keep = np.sort(ranked[existence[ranked] >= params.p_prune][:params.max_features])
-    old, new = keep[keep < s_count], keep[keep >= s_count]
-    particles = np.concatenate([features.particles[old[:, None], idx[old]],
-                                props[new[:, None] - s_count, idx[new]]])
+
+    # one resampling pass over the kept rows whose weights do not vanish, legacy rows
+    # first; every row whose weights do not vanish draws its offset, kept or not, and
+    # the other kept rows keep their particles
+    resampled = np.concatenate([live, born])
+    offsets = np.empty(s_count + n_meas)
+    offsets[resampled] = rng.random(np.count_nonzero(resampled))
+    drawn = keep[resampled[keep]]
+    old, new = drawn[drawn < s_count], drawn[drawn >= s_count] - s_count
+    weights = np.concatenate([np.exp(log_g1[old] - lse[old, None]), f_birth[new]])
+    weights /= weights.sum(axis=1, keepdims=True)
+    idx = np.tile(np.arange(n_part), (len(keep), 1))
+    idx[resampled[keep]] = systematic_resample(weights, offsets[drawn])
+
+    # the kept clouds, legacy then new, each gathered from the flat (rows * I, 2) view
+    # of its clouds; mode "clip" (the cells are in range): else np.take buffers ``out``
+    n_old = np.count_nonzero(keep < s_count)
+    idx[:n_old] += n_part * keep[:n_old, None]
+    idx[n_old:] += n_part * (keep[n_old:, None] - s_count)
+    particles = np.empty((len(keep), n_part, 2))
+    np.take(features.particles.reshape(-1, 2), idx[:n_old], axis=0, out=particles[:n_old],
+            mode="clip")
+    np.take(props.reshape(-1, 2), idx[n_old:], axis=0, out=particles[n_old:], mode="clip")
     return log_weights, FeatureMap(particles=particles, existence=existence[keep])
 
 
@@ -546,7 +562,7 @@ def finalize_step(agent: AgentBelief, log_weights: np.ndarray,
     weights /= weights.sum()
     x_hat = (weights[:, None] * agent.particles).sum(axis=0)
 
-    idx = systematic_resample(weights, rng)
+    idx = systematic_resample(weights, rng.random())
     particles = agent.particles[idx]
     headings = _refresh_headings(particles[:, 2:], agent.headings[idx], params.eps_velocity)
     resampled = AgentBelief(particles=particles, headings=headings)

@@ -17,7 +17,12 @@ caches: the experiment traces the true walls once, at every waypoint
 (:meth:`Environment.trace_paths`), and measurement generation draws from
 that table; the SLAM filter traces per-particle feature clouds
 (:meth:`Environment.feature_traces`).  The reflector extents and the
-obstacle set are the one modelling difference between them.
+obstacle set are the one modelling difference between them.  Each chunk
+has one of two consumers: the truth copies it into dense (rows, points)
+outputs (:meth:`SurfaceTraces.trace`), because it reads VAs of paths that
+are unavailable at some waypoints, and the filter keeps only its available
+entries (:meth:`SurfaceTraces.available_entries`), the only ones that carry
+evidence.
 """
 
 from __future__ import annotations
@@ -376,7 +381,9 @@ class SurfaceTraces:
     so a pair row computes only its outer image.  ``obstacles`` are ``(a,
     b)`` segments.  With ``check=False`` nothing is traced and availability
     only reports non-degenerate surfaces.  ``workspace`` holds the scratch
-    planes of the chunk loop.
+    planes of the chunk loop, which also holds each chunk's VAs and
+    availability: :meth:`trace` copies them into dense outputs, and
+    :meth:`available_entries` keeps only the available entries.
     """
 
     def __init__(self, mvas, frame, pa, extents, obstacles, check: bool, workspace: _Workspace):
@@ -389,34 +396,74 @@ class SurfaceTraces:
         self.check = check
         self.workspace = workspace
 
-    def trace(self, agent, members):
-        """VA planes ``(vx, vy)`` (R, ...) and availability (R, ...) of the rows ``members`` (R, k).
+    def _row_shape(self, agent):
+        """The shape of one row's planes: the ``agent`` planes, the anchor and a surface."""
+        return np.broadcast_shapes(agent[0].shape, self.pa[0].shape, self.mvas[0].shape)[1:]
 
-        ``agent`` holds (..., 2) points.  The image method mirrors the
-        anchor across a row's bounces from the anchor side, and
-        :func:`trace_hops` walks the hops from ``agent``.  A row's VA is
-        zero where a bounce surface is degenerate.  Rows are traced in
-        chunks of about ``_TRACE_CHUNK`` (row, point) elements, each in the
-        workspace's scratch planes, straight into the three outputs.
+    def _chunks(self, agent, members):
+        """Trace the rows ``members`` (R, k) from the ``agent`` planes, a chunk of rows at a time.
+
+        The image method mirrors the anchor across a row's bounces from the
+        anchor side, and :func:`trace_hops` walks the hops from the agent.  A
+        chunk holds about ``_TRACE_CHUNK`` (row, point) elements.  Yields
+        ``(rows, (vx, vy), available)`` per chunk: its slice of the rows, and
+        its VA planes and availability, workspace planes that the next chunk
+        overwrites.
         """
-        agent = _planes(agent)
-        shape = np.broadcast_shapes(agent[0].shape, self.pa[0].shape, self.mvas[0].shape)[1:]
-        vx, vy = (np.empty((len(members),) + shape) for _ in range(2))
-        available = np.empty((len(members),) + shape, dtype=bool)
+        shape = self._row_shape(agent)
         chunk = max(1, _TRACE_CHUNK // max(math.prod(shape), 1))
         empty = self.workspace.empty
+        size = (min(chunk, len(members)),) + shape
+        planes = empty(size, float), empty(size, float), empty(size, bool)
         for r in range(0, len(members), chunk):
-            rows = slice(r, r + chunk)
-            idx = members[rows].T
+            idx = members[r:r + chunk].T
+            n_rows = idx.shape[1]
             images = [self.pa]
             if len(idx):
                 images.insert(0, _gather(self.va1, idx[-1], empty))
             for i in reversed(idx[:-1]):
                 images.insert(0, mva_to_va_planes(*_gather(self.mvas, i, empty), *images[0],
                                                   empty=empty))
+            vx, vy, available = (plane[:n_rows] for plane in planes)
             trace_hops(agent, images, self.frame, self.extents, idx, self.obstacles,
-                       self.check, (vx[rows], vy[rows]), available[rows], empty)
+                       self.check, (vx, vy), available, empty)
+            yield slice(r, r + n_rows), (vx, vy), available
+
+    def trace(self, agent, members):
+        """VA planes ``(vx, vy)`` (R, ...) and availability (R, ...) of the rows ``members`` (R, k).
+
+        ``agent`` holds (..., 2) points.  A row's VA is zero where a bounce
+        surface is degenerate.  Every chunk is copied into the three dense
+        outputs, which the truth table needs: it reads VAs where a path is
+        unavailable.
+        """
+        agent = _planes(agent)
+        shape = (len(members),) + self._row_shape(agent)
+        vx, vy = np.empty(shape), np.empty(shape)
+        available = np.empty(shape, dtype=bool)
+        for rows, va, chunk_available in self._chunks(agent, members):
+            vx[rows], vy[rows] = va
+            available[rows] = chunk_available
         return (vx, vy), available
+
+    def available_entries(self, agent, members):
+        """The available entries of the rows ``members`` (R, k) and their VAs.
+
+        Returns ``(flat, (vx, vy))``: ``flat`` (n,) holds the row-major
+        indices into the rows' (R, ...) availability where a path is
+        available, exactly ``np.flatnonzero`` of :meth:`trace`'s, and ``vx``
+        and ``vy`` (n,) the VA there.  Each chunk's entries are taken while
+        it is in the workspace, so no (R, ...) plane is allocated.
+        """
+        agent = _planes(agent)
+        flat, vx, vy = [], [], []
+        for rows, va, available in self._chunks(agent, members):
+            hit = np.flatnonzero(available)
+            vx.append(va[0].reshape(-1)[hit])
+            vy.append(va[1].reshape(-1)[hit])
+            hit += rows.start * available[0].size
+            flat.append(hit)
+        return np.concatenate(flat), (np.concatenate(vx), np.concatenate(vy))
 
 
 def trace_hops(agent, images, frame, extents, members, obstacles, check: bool, va, available,

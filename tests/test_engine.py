@@ -151,13 +151,13 @@ def test_systematic_resample_rows_match_one_row_at_a_time():
     agent_weights = rng.random(50)
     agent_weights /= agent_weights.sum()
     batched, one_by_one = np.random.default_rng(14), np.random.default_rng(14)
-    got = systematic_resample(weights, batched)
+    got = systematic_resample(weights, batched.random(len(weights)))
     want = np.stack([systematic_resample_reference(w, one_by_one) for w in weights])
     assert got.shape == weights.shape
     np.testing.assert_array_equal(got, want)
     assert batched.bit_generator.state == one_by_one.bit_generator.state
-    assert systematic_resample(np.zeros((0, 50)), batched).shape == (0, 50)   # draws nothing
-    np.testing.assert_array_equal(systematic_resample(agent_weights, batched),
+    assert systematic_resample(np.zeros((0, 50)), batched.random(0)).shape == (0, 50)
+    np.testing.assert_array_equal(systematic_resample(agent_weights, batched.random()),
                                   systematic_resample_reference(agent_weights, one_by_one))
     assert batched.bit_generator.state == one_by_one.bit_generator.state
 
@@ -216,7 +216,7 @@ def test_systematic_resample_preserves_mass():
     rng = np.random.default_rng(0)
     weights = np.zeros(1000)            # one draw per entry: 1000 draws
     weights[:3] = [0.5, 0.25, 0.25]
-    idx = systematic_resample(weights, rng)
+    idx = systematic_resample(weights, rng.random())
     counts = np.bincount(idx, minlength=3) / 1000
     assert np.allclose(counts, weights[:3], atol=1e-3)
 
@@ -231,6 +231,16 @@ def run_block(agent, feats, batch, params, pa=(1.0, 0.5), ctx=None, rng=None, cl
     logw = np.zeros(agent.n_particles)
     return process_pa(agent, logw, feats, batch, np.asarray(pa), params,
                       PROFILE, clutter, rng, ctx)
+
+
+def entries(va, avail):
+    """The available entries of a dense block, as the filter's trace returns them.
+
+    ``va`` (R, I, 2) and ``avail`` (R, I); returns the row-major flat indices
+    of the available entries and the ``(x, y)`` planes of their VAs.
+    """
+    flat = np.flatnonzero(avail)
+    return flat, (va[..., 0].reshape(-1)[flat], va[..., 1].reshape(-1)[flat])
 
 
 def dense_likelihood(rows, parts, gates, lik, shape, dtype):
@@ -291,8 +301,8 @@ def test_block_likelihood_matches_scalar_reference():
     assert ref[0, n_meas - 2, n_meas - 2] > 0.1 and ref[0, n_meas - 1, n_meas - 1] > 0.1
 
     def dense(out_dtype):
-        rows, parts, gates, lik = _block_likelihood(agent_xy.T, headings, np.moveaxis(va, -1, 0),
-                                                    avail, z, sigma_d, sigma_phi, out_dtype)
+        rows, parts, gates, lik = _block_likelihood(agent_xy.T, headings, *entries(va, avail), z,
+                                                    sigma_d, sigma_phi, out_dtype)
         assert_entries_sorted(rows, parts, agent_xy, va, avail)
         assert len(gates) == len(lik) == n_meas
         full, kept = dense_likelihood(rows, parts, gates, lik, avail.shape, out_dtype)
@@ -338,8 +348,8 @@ def test_block_likelihood_matches_reference_kernel(dtype):
     avail[0, :40] = True
     z = np.stack([rng.uniform(0.0, 30.0, n_meas), rng.uniform(-np.pi, np.pi, n_meas)], axis=1)
     z[:2] = [[3.0, -np.pi + 0.02], [3.0, np.pi - 0.02]]   # ... measured just across it
-    rows, parts, gates, lik = _block_likelihood(agent_xy.T, headings, np.moveaxis(va, -1, 0),
-                                                avail, z, 0.1, 0.2, dtype)
+    rows, parts, gates, lik = _block_likelihood(agent_xy.T, headings, *entries(va, avail), z,
+                                                0.1, 0.2, dtype)
     ref_rows, ref_parts, ref = block_likelihood_reference(agent_xy, headings, va, avail, z,
                                                           0.1, 0.2, dtype)
     assert_entries_sorted(rows, parts, agent_xy, va, avail)
@@ -374,8 +384,7 @@ def test_compact_reductions_match_dense_reference(n_meas, dtype):
     for m in range(n_meas):
         diff = agent_xy[m] - va[0, m]
         z[m] = np.hypot(*diff) + 0.2, np.arctan2(diff[1], diff[0]) - headings[m] + 0.1
-    planes = (agent_xy.T, np.moveaxis(va, -1, 0))
-    rows, parts, gates, lik = _block_likelihood(planes[0], headings, planes[1], avail, z,
+    rows, parts, gates, lik = _block_likelihood(agent_xy.T, headings, *entries(va, avail), z,
                                                 0.3, 0.3, dtype)
     ref_rows, ref_parts, ref = block_likelihood_reference(agent_xy, headings, va, avail, z,
                                                           0.3, 0.3, dtype)
@@ -398,7 +407,7 @@ def test_compact_reductions_match_dense_reference(n_meas, dtype):
     assert full[2, 7] == eta[2, 0] * (1.0 - 0.9)
     # a block without an available entry
     none = np.zeros_like(avail)
-    rows, parts, gates, lik = _block_likelihood(planes[0], headings, planes[1], none, z,
+    rows, parts, gates, lik = _block_likelihood(agent_xy.T, headings, *entries(va, none), z,
                                                 0.3, 0.3, dtype)
     assert len(rows) == 0 and len(gates) == n_meas and all(not rows[g].size for g in gates)
     empty = _RowBlock("single", np.arange(n_rows)[:, None], slice(0, n_rows),
@@ -819,12 +828,10 @@ def test_process_pa_matches_dense_reference(case, monkeypatch):
         assert np.isneginf(logw).any()
 
 
-def test_process_pa_peak_memory_is_bounded():
-    # One anchor block at 1000 particles with 30 legacy features, all 870
-    # ordered pairs active, and 15 measurements, in the paper room.  The
-    # likelihood is held at the available entries only: with numpy 2.4 the
-    # traced peak was 58 MiB, against 239 MiB for a dense (rows, particles,
-    # measurements) tensor.
+def pair_heavy_block():
+    """One anchor block at 1000 particles with 30 legacy features, all 870 ordered
+    pairs active, and 15 measurements, in the paper room: ``process_pa``'s
+    arguments before the generator, and the environment."""
     config = bundled_scenario("exp1_rect_room")
     env = config.environment
     n, s_count, n_meas = 1000, 30, 15
@@ -838,11 +845,56 @@ def test_process_pa_peak_memory_is_bounded():
     legacy = feature_map([rng.normal(c, 0.3, (n, 2)) for c in centres], [0.9] * s_count, n)
     batch = batch_of(np.stack([rng.uniform(1.0, 20.0, n_meas),
                                rng.uniform(-np.pi, np.pi, n_meas)], axis=1))
+    args = (agent, np.zeros(n), legacy, batch, config.pas[0], HyperParams(n_particles=n),
+            config.profile, config.clutter)
+    return args, rng, env
+
+
+def test_process_pa_peak_memory_is_bounded():
+    # The likelihood is held at the available entries only: with numpy 2.4
+    # the traced peak was 58 MiB, against 239 MiB for a dense (rows,
+    # particles, measurements) tensor.
+    args, rng, env = pair_heavy_block()
     tracemalloc.start()
     try:
-        process_pa(agent, np.zeros(n), legacy, batch, config.pas[0], HyperParams(n_particles=n),
-                   config.profile, config.clutter, rng, env)
+        process_pa(*args, rng, env)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 120 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_filter_traces_no_dense_block_plane():
+    # The filter traces a block straight to its available entries.  Besides
+    # the entries it returns, tracing the 870 pair rows allocates less than
+    # one dense (rows, particles) float64 plane plus one chunk plane, where
+    # a dense trace allocates two such planes and a boolean one.  With numpy
+    # 2.4 the whole anchor block's traced peak fell from 38.3 MiB with the
+    # dense trace to 22.4 MiB.
+    args, rng, env = pair_heavy_block()
+    agent, features, pa = args[0], args[2], args[4]
+    traces = env.feature_traces(features.particles, pa, True)
+    _, members = candidate_blocks(len(features), True)[-1]
+    agent_xy = agent.particles[:, :2]
+    traces.available_entries(agent_xy, members)          # warms the workspace
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        flat, (vx, vy) = traces.available_entries(agent_xy, members)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    n_part = agent.n_particles
+    dense_plane = len(members) * n_part * vx.itemsize
+    chunk_plane = raytrace._TRACE_CHUNK * vx.itemsize
+    returned = flat.nbytes + vx.nbytes + vy.nbytes
+    assert len(members) == 870 and 0 < len(flat) < len(members) * n_part
+    assert peak - returned < dense_plane + chunk_plane, f"{peak / 2**20:.1f} MiB"
+
+    tracemalloc.start()
+    try:
+        process_pa(*args, rng, env)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 2**20, f"peak {peak / 2**20:.1f} MiB"

@@ -204,7 +204,8 @@ def test_truth_table_matches_backward_trace(name, double):
 
 def test_chunking_and_scratch_reuse_change_no_bit(monkeypatch):
     # Rows traced one per chunk, in chunks whose last one is partial, and in
-    # one chunk give the same bits, and all equal the reference trace.  The
+    # one chunk give the same bits, and all equal the reference trace; the
+    # filter's available entries are the dense trace's, bit for bit.  The
     # calls alternate between more and fewer rows and points on one
     # environment, so a scratch plane left stale by a larger call would show.
     rng = np.random.default_rng(17)
@@ -226,6 +227,12 @@ def test_chunking_and_scratch_reuse_change_no_bit(monkeypatch):
                 traces = env.feature_traces(clouds, pa, check)
                 for _, members in candidate_blocks(len(clouds), True):
                     (vx, vy), available = traces.trace(agent, members)
+                    # the filter's entries: the dense trace's, from the same chunks
+                    flat, (ex, ey) = traces.available_entries(agent, members)
+                    assert np.array_equal(flat, np.flatnonzero(available))
+                    for got, plane in ((ex, vx), (ey, vy)):
+                        assert np.array_equal(got.view(np.uint64),
+                                              plane.reshape(-1)[flat].view(np.uint64))
                     out.append((np.stack((vx, vy), axis=-1).view(np.uint64), available))
         return out
 
