@@ -57,7 +57,7 @@ class TruthTable(NamedTuple):
     """The true geometry traced once: every candidate path, anchor and waypoint."""
 
     blocks: list[tuple[str, np.ndarray]]  # (kind, members) row blocks, K rows, LOS first
-    va: np.ndarray             # (J, N+1, K, 2) true virtual anchors
+    va: np.ndarray             # (J, K, 2) true virtual anchors, the same at every waypoint
     available: np.ndarray      # (J, N+1, K) availability
 
 
@@ -71,7 +71,7 @@ def available_path_keys(config: ScenarioConfig) -> TruthTable:
     blocks = candidate_blocks(len(env.walls), config.double_bounce)
     pas = np.array(config.pas)[:, None]                     # (J, 1, 2)
     va, available = env.trace_paths(config.waypoints, pas, blocks)
-    return TruthTable(blocks, va, available)
+    return TruthTable(blocks, va[:, 0], available)
 
 
 def truth_va_sets(truth: TruthTable) -> list[np.ndarray]:
@@ -81,7 +81,7 @@ def truth_va_sets(truth: TruthTable) -> list[np.ndarray]:
     bounces = [tuple(row) for _, members in truth.blocks for row in members.tolist()]
     order = sorted((k for k, b in enumerate(bounces) if b), key=bounces.__getitem__)
     seen = truth.available.any(axis=1)                      # (J, K)
-    return [dedupe_points(truth.va[j, 0, [k for k in order if seen[j, k]]])
+    return [dedupe_points(truth.va[j, [k for k in order if seen[j, k]]])
             for j in range(len(seen))]
 
 
@@ -125,7 +125,7 @@ def simulate_run(config: ScenarioConfig, run_index: int, base_seed: int,
         pos = config.waypoints[n]
         vel = velocities[n - 1]
         heading = float(np.arctan2(vel[1], vel[0]))
-        batches = [generate_batch(pos, heading, truth.blocks, truth.va[j, n],
+        batches = [generate_batch(pos, heading, truth.blocks, truth.va[j],
                                   truth.available[j, n], params.p_detect,
                                   config.profile, config.clutter, rng)
                    for j in range(n_pa)]

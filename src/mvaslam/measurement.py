@@ -68,10 +68,11 @@ def generate_batch(agent_pos, heading, blocks: Sequence[tuple[str, np.ndarray]],
                    rng: np.random.Generator) -> np.ndarray:
     """Draw one anchor's measurement batch from its traced truth at one agent state.
 
-    ``va`` (K, 2) and ``available`` (K,) are the true virtual anchors and
-    the availability of the candidate paths at ``agent_pos``, one column
-    per row of the ``(kind, members)`` ``blocks``: one row of the truth the
-    experiment traces once.  Nothing is traced here.  Every available path
+    ``va`` (K, 2) holds the true virtual anchors of the candidate paths,
+    one per row of the ``(kind, members)`` ``blocks``, which do not depend
+    on the agent position, and ``available`` (K,) their availability at
+    ``agent_pos``: an anchor's VAs and one waypoint's availability row of
+    the truth the experiment traces once.  Nothing is traced here.  Every available path
     is detected with its kind's probability and measured with Gaussian
     noise; Poisson clutter is appended; the batch order is randomly
     permuted.  ``p_detect(kind)`` gives a path kind's ("los" / "single" /

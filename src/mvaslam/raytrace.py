@@ -5,24 +5,24 @@ traced backward from the agent toward the virtual anchor that represents
 it.  Each bounce must hit its reflective surface inside the reflector
 extent, and every hop segment must be free of obstructions.  Availability
 feeds the per-path detection probabilities: an unavailable path cannot
-produce a measurement.
+produce a measurement.  A path's VA needs no trace: it is the anchor
+mirrored across the surfaces the path bounces off, so it depends on the
+anchor and the surfaces only, and the image chain that the trace walks
+toward already holds it.
 
 Candidate paths come in row blocks (:func:`candidate_blocks`): the row
 ``members`` list the surfaces a path bounces off, the one nearest the
 agent first.  One per-surface trace cache, :class:`SurfaceTraces`, traces
-them for every caller, and its hop loop, :func:`trace_hops`, walks each
-path, a chunk of rows at a time, in scratch planes that are reused from
-chunk to chunk and from call to call.  :class:`Environment` builds both
-caches: the experiment traces the true walls once, at every waypoint
+them for every caller with its one method,
+:meth:`SurfaceTraces.available_entries`: its hop loop, :func:`trace_hops`,
+walks each path, a chunk of rows at a time, in scratch planes that are
+reused from chunk to chunk and from call to call, and each chunk's
+available entries are kept with their VAs.  :class:`Environment` builds
+both caches: the experiment traces the true walls once, at every waypoint
 (:meth:`Environment.trace_paths`), and measurement generation draws from
 that table; the SLAM filter traces per-particle feature clouds
 (:meth:`Environment.feature_traces`).  The reflector extents and the
-obstacle set are the one modelling difference between them.  Each chunk
-has one of two consumers: the truth copies it into dense (rows, points)
-outputs (:meth:`SurfaceTraces.trace`), because it reads VAs of paths that
-are unavailable at some waypoints, and the filter keeps only its available
-entries (:meth:`SurfaceTraces.available_entries`), the only ones that carry
-evidence.
+obstacle set are the one modelling difference between them.
 """
 
 from __future__ import annotations
@@ -148,7 +148,10 @@ class Environment:
         of the bounce it arrives at, which the endpoint margin of
         :func:`segment_blocks` keeps from blocking it.  ``agent`` and
         ``pa`` are (..., 2) and broadcast together.  Returns the VAs
-        (..., K, 2) and the availability (..., K), one column per block row.
+        (..., K, 2) over the axes of ``pa`` alone, as a VA depends on the
+        anchor and the walls only, and the availability (..., K) over both,
+        one column per block row.  A wall through the origin is rejected
+        (:meth:`Surface.from_segment`), so every VA is a true mirror image.
         """
         agent = np.asarray(agent, dtype=float)
         pa = np.asarray(pa, dtype=float)
@@ -158,9 +161,18 @@ class Environment:
         traces = SurfaceTraces(mvas, _surface_frame(*mvas), pa,
                                (np.expand_dims(lo, axes), np.expand_dims(hi, axes)),
                                self.segments, True, self.workspace)
-        va, available = zip(*(traces.trace(agent, members) for _, members in blocks))
-        va = np.stack([np.concatenate(v) for v in zip(*va)], axis=-1)
-        return np.moveaxis(va, 0, -2), np.moveaxis(np.concatenate(available), 0, -1)
+        shape = np.broadcast_shapes(agent.shape[:-1], pa.shape[:-1])
+        va_shape = traces.va1[0].shape[1:] + (2,)
+        available, va = [], []
+        for _, members in blocks:
+            rows = np.zeros((len(members),) + shape, dtype=bool)
+            rows.reshape(-1)[traces.available_entries(agent, members)[0]] = True
+            available.append(rows)
+            va.append(np.broadcast_to(np.stack(traces._images(members.T)[0], axis=-1),
+                                      (len(members),) + va_shape))
+        va = np.moveaxis(np.concatenate(va), 0, -2)
+        return (va.reshape(pa.shape[:-1] + va.shape[-2:]),
+                np.moveaxis(np.concatenate(available), 0, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +307,10 @@ def hop_obstructed(p, q, segments):
 
 
 def _take(planes, live, shape):
-    """``(x, y)`` planes that broadcast to ``shape``, at its flat indices ``live``."""
+    """``(x, y)`` planes that broadcast to ``shape``, at its flat indices ``live``.
+
+    A 0-d plane gives its 0-d value.
+    """
     x = planes[0]
     if x.shape == shape:
         return tuple(v.reshape(-1)[live] for v in planes)
@@ -380,10 +395,10 @@ class SurfaceTraces:
     once here, and both are shared by every row the surface is a member of,
     so a pair row computes only its outer image.  ``obstacles`` are ``(a,
     b)`` segments.  With ``check=False`` nothing is traced and availability
-    only reports non-degenerate surfaces.  ``workspace`` holds the scratch
-    planes of the chunk loop, which also holds each chunk's VAs and
-    availability: :meth:`trace` copies them into dense outputs, and
-    :meth:`available_entries` keeps only the available entries.
+    only reports non-degenerate surfaces.  :meth:`available_entries` traces
+    availability only, in scratch planes of ``workspace``: a path's VA is
+    the first of its images (:meth:`_images`), the anchor mirrored across
+    its bounces, which no trace changes.
     """
 
     def __init__(self, mvas, frame, pa, extents, obstacles, check: bool, workspace: _Workspace):
@@ -396,125 +411,103 @@ class SurfaceTraces:
         self.check = check
         self.workspace = workspace
 
-    def _row_shape(self, agent):
-        """The shape of one row's planes: the ``agent`` planes, the anchor and a surface."""
-        return np.broadcast_shapes(agent[0].shape, self.pa[0].shape, self.mvas[0].shape)[1:]
-
-    def _chunks(self, agent, members):
-        """Trace the rows ``members`` (R, k) from the ``agent`` planes, a chunk of rows at a time.
+    def _images(self, idx, empty=np.empty):
+        """The images of the anchor for the rows whose bounce surfaces are ``idx`` (k, R).
 
         The image method mirrors the anchor across a row's bounces from the
-        anchor side, and :func:`trace_hops` walks the hops from the agent.  A
-        chunk holds about ``_TRACE_CHUNK`` (row, point) elements.  Yields
-        ``(rows, (vx, vy), available)`` per chunk: its slice of the rows, and
-        its VA planes and availability, workspace planes that the next chunk
-        overwrites.
+        anchor side: per bounce, the image across that bounce and every later
+        one, then the anchor itself, each an ``(x, y)`` pair of planes.  So
+        ``images[0]`` is the VA: planes (R, ...), or the anchor's own planes
+        for LOS rows.  Pair images are mirrored into planes from ``empty``.
         """
-        shape = self._row_shape(agent)
-        chunk = max(1, _TRACE_CHUNK // max(math.prod(shape), 1))
-        empty = self.workspace.empty
-        size = (min(chunk, len(members)),) + shape
-        planes = empty(size, float), empty(size, float), empty(size, bool)
-        for r in range(0, len(members), chunk):
-            idx = members[r:r + chunk].T
-            n_rows = idx.shape[1]
-            images = [self.pa]
-            if len(idx):
-                images.insert(0, _gather(self.va1, idx[-1], empty))
-            for i in reversed(idx[:-1]):
-                images.insert(0, mva_to_va_planes(*_gather(self.mvas, i, empty), *images[0],
-                                                  empty=empty))
-            vx, vy, available = (plane[:n_rows] for plane in planes)
-            trace_hops(agent, images, self.frame, self.extents, idx, self.obstacles,
-                       self.check, (vx, vy), available, empty)
-            yield slice(r, r + n_rows), (vx, vy), available
-
-    def trace(self, agent, members):
-        """VA planes ``(vx, vy)`` (R, ...) and availability (R, ...) of the rows ``members`` (R, k).
-
-        ``agent`` holds (..., 2) points.  A row's VA is zero where a bounce
-        surface is degenerate.  Every chunk is copied into the three dense
-        outputs, which the truth table needs: it reads VAs where a path is
-        unavailable.
-        """
-        agent = _planes(agent)
-        shape = (len(members),) + self._row_shape(agent)
-        vx, vy = np.empty(shape), np.empty(shape)
-        available = np.empty(shape, dtype=bool)
-        for rows, va, chunk_available in self._chunks(agent, members):
-            vx[rows], vy[rows] = va
-            available[rows] = chunk_available
-        return (vx, vy), available
+        images = [self.pa]
+        if len(idx):
+            images.insert(0, _gather(self.va1, idx[-1], empty))
+        for i in reversed(idx[:-1]):
+            images.insert(0, mva_to_va_planes(*_gather(self.mvas, i, empty), *images[0],
+                                              empty=empty))
+        return images
 
     def available_entries(self, agent, members):
         """The available entries of the rows ``members`` (R, k) and their VAs.
 
-        Returns ``(flat, (vx, vy))``: ``flat`` (n,) holds the row-major
-        indices into the rows' (R, ...) availability where a path is
-        available, exactly ``np.flatnonzero`` of :meth:`trace`'s, and ``vx``
-        and ``vy`` (n,) the VA there.  Each chunk's entries are taken while
-        it is in the workspace, so no (R, ...) plane is allocated.
+        ``agent`` holds (..., 2) points.  Returns ``(flat, (vx, vy))``:
+        ``flat`` (n,) holds the row-major indices into the rows' (R, ...)
+        availability where a path is available, in increasing order, and
+        ``vx`` and ``vy`` (n,) the VA there, where every bounce surface is
+        valid.  :func:`trace_hops` walks a chunk of about ``_TRACE_CHUNK``
+        (row, point) elements at a time into one workspace plane, and each
+        chunk's entries are taken while it is there, so no (R, ...) plane is
+        allocated.  The outputs are joined one at a time.
         """
         agent = _planes(agent)
+        shape = np.broadcast_shapes(agent[0].shape, self.pa[0].shape, self.mvas[0].shape)[1:]
+        chunk = max(1, _TRACE_CHUNK // max(math.prod(shape), 1))
+        empty = self.workspace.empty
+        plane = empty((min(chunk, len(members)),) + shape, bool)
         flat, vx, vy = [], [], []
-        for rows, va, available in self._chunks(agent, members):
+        for r in range(0, len(members), chunk):
+            idx = members[r:r + chunk].T
+            images = self._images(idx, empty)
+            available = plane[:idx.shape[1]]
+            trace_hops(agent, images, self.frame, self.extents, idx, self.obstacles,
+                       self.check, available, empty)
             hit = np.flatnonzero(available)
-            vx.append(va[0].reshape(-1)[hit])
-            vy.append(va[1].reshape(-1)[hit])
-            hit += rows.start * available[0].size
+            for out, v in zip((vx, vy), _take(images[0], hit, available.shape)):
+                out.append(np.broadcast_to(v, hit.shape))     # the anchor may be 0-d
+            del images            # its planes go back to the workspace before the next chunk
+            hit += r * available[0].size
             flat.append(hit)
-        return np.concatenate(flat), (np.concatenate(vx), np.concatenate(vy))
+        return _join(flat), (_join(vx), _join(vy))
 
 
-def trace_hops(agent, images, frame, extents, members, obstacles, check: bool, va, available,
-               empty):
+def _join(pieces: list) -> np.ndarray:
+    """``np.concatenate(pieces)``, emptying ``pieces`` so they are freed before the next join."""
+    out = np.concatenate(pieces)
+    pieces.clear()
+    return out
+
+
+def trace_hops(agent, images, frame, extents, members, obstacles, check: bool, available, empty):
     """Walk a path's hops from the agent, given its images and surface frames.
 
     Points are ``(x, y)`` planes.  ``images`` holds, per bounce, the image
     of the anchor across that bounce and every later one, then the anchor
-    itself; ``images[0]`` is the VA.  ``members`` (k, ...) holds each
+    itself (:meth:`SurfaceTraces._images`).  ``members`` (k, ...) holds each
     bounce's surface, an index into the surface axis of ``frame``, their
     :func:`_surface_frame`, and of ``extents``, their ``(lo, hi)`` in the
     tangent coordinate of the surface.  Each hop runs from the previous
     bounce point toward the next image; its bounce point must lie on the
     surface inside the extent and the hop must be unobstructed by the ``(a,
-    b)`` segments ``obstacles``.  Everything broadcasts to the output
-    planes.  Writes the VA planes into ``va`` and the availability into
-    ``available``, as :meth:`SurfaceTraces.trace` returns them; every
-    temporary comes from ``empty(shape, dtype)``.
+    b)`` segments ``obstacles``.  Everything broadcasts to ``available``,
+    into which the availability is written; every temporary comes from
+    ``empty(shape, dtype)``.
 
     The obstruction test, the costliest per hop, runs only where the path
     is still available: a bounce hop only where its surface is valid, it
     crosses the surface inside the extent and every earlier hop passed, and
     the final hop only where every bounce passed.
     """
-    valid = empty(available.shape, bool)
-    valid.fill(True)
     available.fill(True)
     p = agent
     for q, i in zip(images, members):
         p = _bounce(p, q, _gather(frame, i, empty), _gather(extents, i, empty), obstacles,
-                    check, valid, available, empty)
-    for plane, image in zip(va, images[0]):
-        plane.fill(0.0)
-        np.copyto(plane, image, where=valid)
+                    check, available, empty)
     if check:
         _clear_obstructed(available, p, images[-1], obstacles)
-    else:
-        np.copyto(available, valid)
 
 
-def _bounce(p, q, frame, extent, obstacles, check: bool, valid, available, empty):
+def _bounce(p, q, frame, extent, obstacles, check: bool, available, empty):
     """One bounce of :func:`trace_hops`: the hop from ``p`` toward the image ``q``.
 
-    Folds the surface's validity into ``valid`` and, with ``check``, clears
-    in ``available`` the paths whose hop misses the surface, falls outside
-    the ``extent`` or is obstructed.  Returns the bounce point (``p`` when
-    not ``check``).  Its temporaries die when it returns, so their planes go
+    Clears in ``available`` the paths whose surface is degenerate and, with
+    ``check``, those whose hop misses the surface, falls outside the
+    ``extent`` or is obstructed.  Returns the bounce point (``p`` when not
+    ``check``).  Its temporaries die when it returns, so their planes go
     back to the workspace before the next bounce draws its own.
     """
     ok, nx, ny, offset = frame
-    valid &= ok
+    available &= ok
     if not check:
         return p
     crossed, hit = line_crossing(p, q, (nx, ny), offset, empty)
@@ -522,7 +515,6 @@ def _bounce(p, q, frame, extent, obstacles, check: bool, valid, available, empty
     lo, hi = extent
     bound = np.subtract(lo, EPS_GEO, out=empty(available.shape, float))
     inside = np.greater_equal(tau, bound, out=empty(available.shape, bool))
-    available &= ok
     available &= crossed
     available &= inside
     np.less_equal(tau, np.add(hi, EPS_GEO, out=bound), out=inside)

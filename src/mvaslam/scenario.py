@@ -143,6 +143,8 @@ def _ncv_waypoints(spec, dt: float) -> np.ndarray:
     if steps < 1:
         _fail("trajectory.ncv.steps", "must be >= 1")
     sigma_w = _number(spec.get("sigma_w", 0.0), "trajectory.ncv.sigma_w")
+    if sigma_w < 0:
+        _fail("trajectory.ncv.sigma_w", "must be >= 0")
     seed = _number(spec.get("seed", 0), "trajectory.ncv.seed", integer=True)
     if seed < 0:
         _fail("trajectory.ncv.seed", "must be >= 0")

@@ -429,6 +429,24 @@ def backward_trace(agent, pa, bounces, extents, obstacles, check: bool, live=Non
     return va, valid & available & ~_hop_obstructed(p, images[-1], obstacles)
 
 
+def trace_entries(rows, n_points):
+    """:func:`backward_trace`'s ``(va, available)`` of each row on ``n_points`` points,
+    as the trace cache's available entries: ``(flat, (vx, vy))`` at the available
+    entries of the stacked (rows, points) availability, in row-major order."""
+    va = np.stack([np.broadcast_to(v, (n_points, 2)) for v, _ in rows]).reshape(-1, 2)
+    flat = np.flatnonzero(np.stack([np.broadcast_to(a, (n_points,)) for _, a in rows]))
+    return flat, (va[flat, 0], va[flat, 1])
+
+
+def assert_same_entries(got, want):
+    """Available entries ``(flat, (vx, vy))`` with the same indices and the same VA bits."""
+    (flat, va), (want_flat, want_va) = got, want
+    assert np.array_equal(flat, want_flat)
+    for g, w in zip(va, want_va, strict=True):
+        assert g.dtype == w.dtype == np.float64
+        assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+
+
 def nearest_extents_reference(env, clouds):
     """Per-particle nearest-wall extents of ``clouds`` (S, I, 2) on (..., 2) points.
 
@@ -614,9 +632,10 @@ def process_pa_reference(agent, log_weights, features, batch, pa, params, profil
 
     ``features`` is the engine's ``FeatureMap``.
 
-    The filter's model with every row block held whole: availability (R, I),
-    a likelihood (R, I, M) at every element without a gate, responses
-    (R, I), and per-feature sums that add one row at a time.  The likelihood
+    The filter's model with every row block held whole: availability and
+    VAs (R, I) scattered from the traced available entries, a likelihood
+    (R, I, M) at every element without a gate, responses (R, I), and
+    per-feature sums that add one row at a time.  The likelihood
     mixture is accumulated in float64.  Where no proposal inversion is
     degenerate, ``rng`` is drawn from as the filter draws from it up to its
     resampling.  Returns ``(log_weights,
@@ -640,10 +659,14 @@ def process_pa_reference(agent, log_weights, features, batch, pa, params, profil
             members, exist = members[keep], exist[keep]
             if not len(members):
                 continue
-        (vx, vy), avail = traces.trace(agent_xy, members)
+        flat, entry_va = traces.available_entries(agent_xy, members)
+        avail = np.zeros((len(members), n_part), dtype=bool)
+        avail.reshape(-1)[flat] = True
+        va = np.zeros((len(members), n_part, 2))
+        va.reshape(-1, 2)[flat] = np.stack(entry_va, axis=-1)
         noise = getattr(profile, kind)
         rows, parts, lik = block_likelihood_reference(
-            agent_xy, agent.headings, np.stack((vx, vy), axis=-1), avail, batch,
+            agent_xy, agent.headings, va, avail, batch,
             noise.sigma_d, noise.sigma_phi, _LIK_DTYPE[kind])
         blocks.append((kind, members, exist, avail,
                        _dense_lik(rows, parts, lik, avail).astype(np.float64)))

@@ -41,9 +41,9 @@ from mvaslam import raytrace
 from mvaslam.raytrace import Environment, candidate_blocks
 from mvaslam.scenario import bundled_scenario
 
-from oracles import (Measurement, backward_trace, block_likelihood_reference, dense_lik_sums,
-                     dense_response, draw_new_pmva_reference, likelihood, process_pa_reference,
-                     systematic_resample_reference)
+from oracles import (Measurement, assert_same_entries, backward_trace, block_likelihood_reference,
+                     dense_lik_sums, dense_response, draw_new_pmva_reference, likelihood,
+                     process_pa_reference, systematic_resample_reference, trace_entries)
 
 PROFILE = NoiseProfile(los=PathNoise(0.05, np.deg2rad(10.0)),
                        single=PathNoise(0.10, np.deg2rad(15.0)),
@@ -495,6 +495,8 @@ def test_draw_proposals_equal_one_draw_per_measurement():
 
 
 def test_feature_trace_cache_matches_backward_trace():
+    # the cache's available entries and their VAs equal a trace of each row
+    # from scratch, entry for entry and bit for bit
     rng = np.random.default_rng(23)
     n_feat, n_part = 4, 60
     pa = np.array([1.0, 0.5])
@@ -509,17 +511,16 @@ def test_feature_trace_cache_matches_backward_trace():
         lo, hi = traces.extents
         assert np.all(np.isinf(lo)) and np.all(np.isinf(hi))
         for _, members in candidate_blocks(n_feat, True):
-            idx = members.T
-            want = backward_trace(agent_xy, pa, [clouds[i] for i in idx],
-                                  [(lo[i], hi[i]) for i in idx], ctx.blocker_segments, check)
-            (vx, vy), available = traces.trace(agent_xy, members)
-            for g, w in zip((np.stack((vx, vy), axis=-1), available), want):
-                assert g.dtype == w.dtype
-                np.testing.assert_array_equal(g, np.broadcast_to(w, g.shape))
+            want = trace_entries([backward_trace(agent_xy, pa, [clouds[i] for i in idx],
+                                                 [(lo[i], hi[i]) for i in idx],
+                                                 ctx.blocker_segments, check)
+                                  for idx in members], n_part)
+            assert_same_entries(traces.available_entries(agent_xy, members), want)
+            rows, parts = np.divmod(want[0], n_part)
             if check and members.shape[1]:
-                assert 0 < want[1].sum() < want[1].size
+                assert 0 < len(rows) < len(members) * n_part
             if members.shape[1]:
-                assert not want[1][members[:, 0] == 1][:, :5].any()
+                assert not np.any((members[rows, 0] == 1) & (parts < 5))
 
 
 def test_feature_trace_cache_tests_only_live_hops(monkeypatch):
@@ -552,15 +553,15 @@ def test_feature_trace_cache_tests_only_live_hops(monkeypatch):
     lo, hi = traces.extents
     live = hops = 0
     for _, members in candidate_blocks(len(clouds), True):
-        (vx, vy), available = traces.trace(agent_xy, members)
-        for r, idx in enumerate(members):
+        rows = []
+        for idx in members:
             masks = []
-            va, want = backward_trace(agent_xy, pa, [clouds[i] for i in idx],
-                                      [(lo[i], hi[i]) for i in idx], segments, True, live=masks)
-            np.testing.assert_array_equal(np.stack((vx[r], vy[r]), axis=-1), va)
-            np.testing.assert_array_equal(available[r], want)
+            rows.append(backward_trace(agent_xy, pa, [clouds[i] for i in idx],
+                                       [(lo[i], hi[i]) for i in idx], segments, True, live=masks))
             live += sum(np.broadcast_to(m, (n_part,)).sum() for m in masks)
             hops += (len(idx) + 1) * n_part
+        assert_same_entries(traces.available_entries(agent_xy, members),
+                            trace_entries(rows, n_part))
     assert seen == [live] * len(segments)
     assert 0 < live < hops / 2
 
@@ -753,7 +754,7 @@ def test_filter_determinism_same_seed():
                           start_pos=[-2.0, 1.0], extent_walls=walls)
         outs = []
         for n in range(5):
-            batch = generate_batch(positions[n], 0.0, blocks, va[n], available[n],
+            batch = generate_batch(positions[n], 0.0, blocks, va, available[n],
                                    params.p_detect, PROFILE, CLUTTER, rng)
             outs.append(filt.step([batch]).x_hat)
         return np.stack(outs)

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from mvaslam.measurement import (
     generate_batch,
 )
 from mvaslam.raytrace import Environment, candidate_blocks
+from mvaslam.scenario import bundled_scenario
 
 from oracles import Measurement, gaussian_pdf, likelihood, predicted_measurement
 
@@ -171,3 +175,18 @@ def test_generation_likelihood_consistency():
     expected = -1.0 - np.log(2 * np.pi * noise.sigma_d * noise.sigma_phi)
     assert np.mean(logs) == pytest.approx(expected, rel=0.02)
 
+
+def test_readme_generate_batch_snippet_runs():
+    # the README's generate_batch example runs as written, with the table shapes it states
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    snippet, = [code for code in re.findall(r"```python\n(.*?)```", readme, re.S)
+                if "generate_batch(" in code]
+    config = bundled_scenario("exp1_rect_room")
+    scope = {"np": np, "config": config}
+    exec(snippet, scope)
+    truth, batch = scope["truth"], scope["batch"]
+    n_paths = sum(len(members) for _, members in truth.blocks)
+    assert "(J, K, 2) / (J, N+1, K) tables" in snippet
+    assert truth.va.shape == (len(config.pas), n_paths, 2)
+    assert truth.available.shape == (len(config.pas), len(config.waypoints), n_paths)
+    assert batch.ndim == 2 and batch.shape[1] == 2 and len(batch) > 0

@@ -11,8 +11,8 @@ from mvaslam.geometry import WallSegment
 from mvaslam.raytrace import Environment, candidate_blocks
 from mvaslam.scenario import bundled_scenario
 
-from oracles import (AMBIGUOUS, KINDS, backward_trace, candidate_bounces,
-                     nearest_extents_reference, oracle_path_available)
+from oracles import (AMBIGUOUS, KINDS, assert_same_entries, backward_trace, candidate_bounces,
+                     nearest_extents_reference, oracle_path_available, trace_entries)
 
 LOS = ()
 
@@ -194,20 +194,22 @@ def test_truth_table_matches_backward_trace(name, double):
     assert [tuple(row) for _, members in truth.blocks for row in members.tolist()] == paths
     lo, hi = env.wall_extents.T
     pas = np.array(config.pas)[:, None]
-    assert truth.va.shape == (len(config.pas), len(config.waypoints), len(paths), 2)
+    assert truth.va.shape == (len(config.pas), len(paths), 2)
     for k, idx in enumerate(paths):
         va, available = backward_trace(config.waypoints, pas, [env.wall_mvas[i] for i in idx],
                                        [(lo[i], hi[i]) for i in idx], env.segments, check=True)
-        assert np.array_equal(truth.va[:, :, k], va), (name, double, idx)
+        # a VA depends on the anchor and the walls only: the same at every waypoint
+        every_waypoint = np.broadcast_to(truth.va[:, None, k], va.shape)
+        assert np.array_equal(every_waypoint, va), (name, double, idx)
         assert np.array_equal(truth.available[:, :, k], available), (name, double, idx)
 
 
 def test_chunking_and_scratch_reuse_change_no_bit(monkeypatch):
     # Rows traced one per chunk, in chunks whose last one is partial, and in
-    # one chunk give the same bits, and all equal the reference trace; the
-    # filter's available entries are the dense trace's, bit for bit.  The
-    # calls alternate between more and fewer rows and points on one
-    # environment, so a scratch plane left stale by a larger call would show.
+    # one chunk give the same available entries and VA bits, and all equal
+    # the reference trace.  The calls alternate between more and fewer rows
+    # and points on one environment, so a scratch plane left stale by a
+    # larger call would show.
     rng = np.random.default_rng(17)
     env = Environment(walls=rect_room().walls,
                       blockers=[WallSegment([2.0, -3.0], [2.0, 1.0]),
@@ -220,49 +222,37 @@ def test_chunking_and_scratch_reuse_change_no_bit(monkeypatch):
         clouds[1, :4] = 0.0                       # degenerate MVA rows
         cases.append((clouds, rng.uniform([-4.8, -3.3], [4.8, 3.3], (n_part, 2))))
 
-    def trace_all(env):
+    def trace_all(against_reference=False):
         out = []
         for clouds, agent in cases + cases:
             for check in (True, False):
                 traces = env.feature_traces(clouds, pa, check)
+                lo, hi = traces.extents
                 for _, members in candidate_blocks(len(clouds), True):
-                    (vx, vy), available = traces.trace(agent, members)
-                    # the filter's entries: the dense trace's, from the same chunks
-                    flat, (ex, ey) = traces.available_entries(agent, members)
-                    assert np.array_equal(flat, np.flatnonzero(available))
-                    for got, plane in ((ex, vx), (ey, vy)):
-                        assert np.array_equal(got.view(np.uint64),
-                                              plane.reshape(-1)[flat].view(np.uint64))
-                    out.append((np.stack((vx, vy), axis=-1).view(np.uint64), available))
+                    out.append(traces.available_entries(agent, members))
+                    if not against_reference:
+                        continue
+                    want = [backward_trace(agent, pa, [clouds[i] for i in idx],
+                                           [(lo[i], hi[i]) for i in idx], env.blocker_segments,
+                                           check) for idx in members]
+                    assert_same_entries(out[-1], trace_entries(want, len(agent)))
         return out
 
     monkeypatch.setattr(raytrace, "_TRACE_CHUNK", 1 << 30)
-    whole = trace_all(Environment(env.walls, env.blockers))
-    k = 0
-    for clouds, agent in cases + cases:
-        for check in (True, False):
-            lo, hi = env.feature_traces(clouds, pa, check).extents
-            for _, members in candidate_blocks(len(clouds), True):
-                va, available = whole[k]
-                k += 1
-                for r, idx in enumerate(members):
-                    want_va, want = backward_trace(agent, pa, [clouds[i] for i in idx],
-                                                   [(lo[i], hi[i]) for i in idx],
-                                                   env.blocker_segments, check)
-                    assert np.array_equal(va[r], want_va.view(np.uint64))
-                    assert np.array_equal(available[r], want)
+    whole = trace_all(against_reference=True)
     # 240 elements: 3 of 80 points, so 20 pairs end in a chunk of 2, and 5
     # of 45 points, so 12 pairs end in a chunk of 2
     for chunk in (1, 240):
         monkeypatch.setattr(raytrace, "_TRACE_CHUNK", chunk)
-        for (va, available), (want_va, want) in zip(trace_all(env), whole, strict=True):
-            assert np.array_equal(va, want_va)
-            assert np.array_equal(available, want)
+        for got, want in zip(trace_all(), whole, strict=True):
+            assert_same_entries(got, want)
 
 
 def test_warm_trace_allocates_no_chunk_temporaries():
-    # Once an environment's workspace is warm, a trace allocates its three
-    # outputs and no chunk-sized temporary.  Without blockers: the
+    # Once an environment's workspace is warm, tracing a block allocates its
+    # entries and no chunk-sized temporary.  Its three outputs are joined one
+    # at a time, so the peak is their pieces plus one output, 4/3 of the
+    # outputs, and at most one chunk plane more.  Without blockers: the
     # obstruction test gathers the live hops into new arrays.
     rng = np.random.default_rng(23)
     env = rect_room()
@@ -274,16 +264,17 @@ def test_warm_trace_allocates_no_chunk_temporaries():
     _, members = candidate_blocks(len(clouds), True)[-1]
     chunk_rows = raytrace._TRACE_CHUNK // n_part
     assert len(members) > 3 * chunk_rows
-    traces.trace(agent, members)
+    traces.available_entries(agent, members)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        (vx, vy), available = traces.trace(agent, members)
+        flat, (vx, vy) = traces.available_entries(agent, members)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     chunk_plane = chunk_rows * n_part * vx.itemsize
-    assert peak - before <= vx.nbytes + vy.nbytes + available.nbytes + chunk_plane
-    assert available.any() and not available.all()
+    returned = flat.nbytes + vx.nbytes + vy.nbytes
+    assert peak - before <= returned * 4 / 3 + chunk_plane
+    assert 0 < len(flat) < len(members) * n_part
     # the scratch planes stay behind when the environment is pickled
     assert len(pickle.dumps(env)) < chunk_plane

@@ -161,6 +161,8 @@ def with_value(key, value):
     ("name", None, r"^name: expected a string, got null"),
     # a waypoint on an anchor has no LOS arrival angle
     ("pas.0", [-1.9, 1.0], r"^trajectory: waypoint 1 coincides with the anchor pas\[0\]"),
+    # the rollout's process noise is a standard deviation
+    ("trajectory.ncv.sigma_w", -0.5, r"^trajectory\.ncv\.sigma_w: must be >= 0"),
 ])
 def test_parse_rejects_malformed_values(key, value, message):
     assert parse_scenario(json.dumps(with_value("name", "valid"))).n_steps == 5
