@@ -31,7 +31,7 @@ from .association import run_association
 from .errors import DegenerateWeights
 from .geometry import EPS_GEO, WallSegment, va_to_mva
 from .measurement import ClutterModel, NoiseProfile, TWO_PI
-from .raytrace import Environment, candidate_blocks
+from .raytrace import Environment, candidate_blocks, row_slices
 
 _DENOM_FLOOR = 1e-12
 _PRIOR_POS_HALFWIDTH = 0.5  # m, half-width of the uniform prior box around the start
@@ -239,7 +239,7 @@ def _draw_proposals(batch: np.ndarray, sigma_d: float, sigma_phi: float, agent: 
     theta = batch[:, 1:] + sigma_phi * noise[:, 1] + agent.headings
     va = agent.particles[:, :2] - zd[..., None] * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     mva = va_to_mva(va, pa)
-    bad = ~np.isfinite(mva).all(axis=-1)
+    bad = ~(np.isfinite(mva[..., 0]) & np.isfinite(mva[..., 1]))
     if bad.any():
         (xlo, xhi), (ylo, yhi) = params.birth_region
         mva[bad] = (xlo, ylo) + (xhi - xlo, yhi - ylo) * rng.random((np.count_nonzero(bad), 2))
@@ -333,12 +333,14 @@ def _block_likelihood(agent, headings, flat, va, z, sigma_d, sigma_phi,
 
 @dataclass
 class _RowBlock:
-    """Evidence-table rows of one path kind.
+    """One slice of the evidence-table rows of one path kind.
 
     ``members`` (R, k) lists the legacy features each row bounces off, the
-    one nearest the agent first: (1, 0) for LOS, (S, 1) for single bounces
-    and (P, 2) for active ordered pairs.  A row exists when all its members
-    do, so ``exist`` is the product of their existences (1 for LOS).
+    one nearest the agent first: (R, 0) for LOS, (R, 1) for single bounces
+    and (R, 2) for active ordered pairs, R consecutive rows of their block
+    (:func:`~mvaslam.raytrace.row_slices`), which ``rows`` places in the
+    evidence table.  A row exists when all its members do, so ``exist`` is
+    the product of their existences (1 for LOS).
     ``entries`` holds the (row, particle) indices where the path is
     available, ``gates`` and ``lik`` the likelihood on them, as
     :func:`_block_likelihood` returns them.  Where a path is unavailable its
@@ -377,16 +379,21 @@ class _RowBlock:
         return eta[rows, 0] * (1.0 - p_d) + p_d * mixture
 
 
-def _row_log_sums(weight, eta0, resp, entries, groups, n_groups, n_part):
-    """Sums over rows of ``log(max(weight resp + eta0 (1 - weight), 0))``, (n_groups, I).
+def _row_log_sums(weight, eta0, resp, entries, groups, out):
+    """Add to ``out`` (G, I) the sums over rows of ``log(max(weight resp + eta0 (1 - weight), 0))``.
 
     ``weight``, ``eta0`` and ``groups`` are per row (R,), ``groups`` naming
-    the sum each row adds to; ``resp`` is the rows' response at their
-    ``entries`` (:meth:`_RowBlock.response`).  Off the entries the response
-    is ``eta0``, so a row adds one constant to every particle of its group,
-    and its entries add their difference from it.  A row whose constant is
-    -inf (``eta0`` 0) makes the sum -inf wherever it has no entry.
+    the row of ``out`` each row adds to; ``resp`` is the rows' response at
+    their ``entries`` (:meth:`_RowBlock.response`).  Off the entries the
+    response is ``eta0``, so a row adds one constant to every particle of
+    its group, and its entries add their difference from it.  A row whose
+    constant is -inf (``eta0`` 0) makes the sum -inf wherever it has no
+    entry.  Only the rows of ``out`` from the least group named to the
+    greatest are summed and touched, so a slice of rows costs its own span.
     """
+    lo, hi = groups.min(), groups.max() + 1
+    groups = groups - lo
+    n_groups, n_part = hi - lo, out.shape[1]
     rows, parts = entries
     const = np.log(np.maximum(weight * eta0 + eta0 * (1.0 - weight), 0.0))
     weight, eta0 = weight[rows], eta0[rows]
@@ -402,7 +409,7 @@ def _row_log_sums(weight, eta0, resp, entries, groups, n_groups, n_part):
         covered = np.bincount(cells[dead[rows]], minlength=n_groups * n_part)
         needed = np.bincount(groups[dead], minlength=n_groups)
         sums[covered.reshape(n_groups, n_part) < needed[:, None]] = -np.inf
-    return sums
+    out[lo:hi] += sums
 
 
 def process_pa(agent: AgentBelief, log_weights: np.ndarray, features: FeatureMap,
@@ -422,6 +429,13 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray, features: FeatureMap
     surviving features in their order, followed by this anchor's surviving
     new features.  ``ctx`` holds the scenario's true walls (reflector
     extents) and blockers (obstructions).
+
+    Each row block is traced and scored a slice of rows at a time
+    (:func:`~mvaslam.raytrace.row_slices`), one :class:`_RowBlock` per
+    slice, so the per-entry temporaries are bounded by a slice, not by the
+    block.  A row lies in one slice and keeps its entries' order, so the
+    evidence table, the association and every row's response are those of
+    the whole block; only the sums over rows add slice by slice.
     """
     pa = np.asarray(pa, dtype=float)
     s_count = len(features)
@@ -438,8 +452,8 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray, features: FeatureMap
     props = _draw_proposals(batch, profile.single.sigma_d, profile.single.sigma_phi,
                             agent, pa, params, rng)
 
-    # availability and likelihood per row block, in evidence-table order:
-    # LOS, singles, and the ordered pairs whose joint existence reaches the floor
+    # availability and likelihood per slice of a row block, in evidence-table
+    # order: LOS, singles, and the ordered pairs whose joint existence reaches the floor
     traces = ctx.feature_traces(features.particles, pa, params.visibility_check)
     blocks: list[_RowBlock] = []
     n_rows = 0
@@ -448,15 +462,15 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray, features: FeatureMap
         if kind == "double":
             keep = exist >= params.pair_existence_floor
             members, exist = members[keep], exist[keep]
-            if not len(members):
-                continue
         noise = getattr(profile, kind)
-        rows, parts, gates, lik = _block_likelihood(
-            agent_planes, agent.headings, *traces.available_entries(agent_xy, members), batch,
-            noise.sigma_d, noise.sigma_phi, _LIK_DTYPE[kind])
-        blocks.append(_RowBlock(kind, members, slice(n_rows, n_rows + len(members)),
-                                exist, (rows, parts), gates, lik))
-        n_rows += len(members)
+        for part in row_slices(len(members), n_part):
+            sliced = members[part]
+            rows, parts, gates, lik = _block_likelihood(
+                agent_planes, agent.headings, *traces.available_entries(agent_xy, sliced), batch,
+                noise.sigma_d, noise.sigma_phi, _LIK_DTYPE[kind])
+            blocks.append(_RowBlock(kind, sliced, slice(n_rows, n_rows + len(sliced)),
+                                    exist[part], (rows, parts), gates, lik))
+            n_rows += len(sliced)
 
     # birth-density values of the proposal clouds, (M, I)
     (xlo, xhi), (ylo, yhi) = params.birth_region
@@ -483,6 +497,7 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray, features: FeatureMap
     # particle weight multiplies the messages of every row it is a member
     # of; the message to a member uses the other members' existence, and
     # the existence ratio uses the same product for the nonexistence mass.
+    log_weights = log_weights.copy()
     log_g1 = np.zeros((s_count, n_part))
     log_g0 = np.zeros(s_count)
     with np.errstate(divide="ignore"):
@@ -491,14 +506,13 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray, features: FeatureMap
             eta0 = eta_b[:, 0]
             resp = b.response(eta_b, denom, params.p_detect(b.kind))
             n_members = b.members.shape[1]
-            log_weights = log_weights + _row_log_sums(
-                b.exist, eta0, resp, b.entries, np.zeros(len(eta0), dtype=np.intp), 1, n_part)[0]
+            _row_log_sums(b.exist, eta0, resp, b.entries, np.zeros(len(eta0), dtype=np.intp),
+                          log_weights[None])
             log_eta0 = np.log(np.maximum(eta0, 1e-300))
             member_pe = pe[b.members]
             for j in range(n_members):
                 others = np.prod(member_pe[:, np.arange(n_members) != j], axis=1)
-                log_g1 += _row_log_sums(others, eta0, resp, b.entries, b.members[:, j],
-                                        s_count, n_part)
+                _row_log_sums(others, eta0, resp, b.entries, b.members[:, j], log_g1)
                 log_g0 += np.bincount(b.members[:, j], weights=log_eta0, minlength=s_count)
     if not np.any(np.isfinite(log_weights)):
         raise DegenerateWeights("agent particle weights underflowed during a PA block")

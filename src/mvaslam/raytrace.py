@@ -39,6 +39,7 @@ from .geometry import EPS_GEO, Surface, WallSegment, mva_to_va_planes
 
 
 _TRACE_CHUNK = 1 << 14  # (row, point) elements traced per chunk of rows
+_ROW_SLICE = 4 * _TRACE_CHUNK  # (row, point) elements per slice of rows, see row_slices
 
 
 def candidate_blocks(n_surfaces: int, double: bool) -> list[tuple[str, np.ndarray]]:
@@ -52,6 +53,25 @@ def candidate_blocks(n_surfaces: int, double: bool) -> list[tuple[str, np.ndarra
     if double:
         blocks.append(("double", np.argwhere(~np.eye(n_surfaces, dtype=bool))))
     return [(kind, members) for kind, members in blocks if len(members)]
+
+
+def _chunk_rows(n_points: int, elements: int) -> int:
+    """Rows of ``n_points`` points that fit in ``elements``, at least one."""
+    return max(1, elements // max(n_points, 1))
+
+
+def row_slices(n_rows: int, n_points: int) -> list[slice]:
+    """Consecutive slices of ``n_rows`` rows of ``n_points`` points each, in order.
+
+    A slice is a whole number of the trace chunks of
+    :meth:`SurfaceTraces.available_entries`, as many as fit in
+    ``_ROW_SLICE`` (row, point) elements and at least one, so a caller that
+    handles a block a slice at a time bounds its per-entry temporaries and
+    traces no partial chunk but the block's last.
+    """
+    chunk = _chunk_rows(n_points, _TRACE_CHUNK)
+    step = max(1, _chunk_rows(n_points, _ROW_SLICE) // chunk) * chunk
+    return [slice(r, r + step) for r in range(0, n_rows, step)]
 
 
 @dataclass(frozen=True)
@@ -108,8 +128,9 @@ class Environment:
     def nearest_extents(self, means, normal):
         """Per-particle extents of estimated surfaces clipped to the nearest wall.
 
-        ``means`` (S, 2) holds the mean MVAs of S estimated surfaces and
-        ``normal`` the unit normal planes, each (S, I), of their particles,
+        ``means`` holds the mean MVA planes ``(mx, my)``, each (S,), of S
+        estimated surfaces and ``normal`` the unit normal planes, each (S,
+        I), of their particles,
         from the surfaces' one :func:`_surface_frame`.  Each surface takes
         the wall whose MVA lies nearest its mean MVA, and the wall's
         endpoints are projected onto every particle's line.  Returns ``(lo,
@@ -117,10 +138,10 @@ class Environment:
         both have shape (S, 1).
         """
         if not self.walls:
-            unbounded = np.full((len(means), 1), np.inf)
+            unbounded = np.full((len(means[0]), 1), np.inf)
             return -unbounded, unbounded
-        d = np.hypot(self.wall_mvas[:, 0] - means[:, None, 0],
-                     self.wall_mvas[:, 1] - means[:, None, 1])
+        d = np.hypot(self.wall_mvas[:, 0] - means[0][:, None],
+                     self.wall_mvas[:, 1] - means[1][:, None])
         ends = self.wall_ends[np.argmin(d, axis=1)]             # (S, 2, 2)
         ta = _along(_planes(ends[:, None, 0]), normal)
         tb = _along(_planes(ends[:, None, 1]), normal)
@@ -136,7 +157,7 @@ class Environment:
         """
         mvas = _planes(clouds)
         frame = _surface_frame(*mvas)
-        extents = self.nearest_extents(clouds.mean(axis=1), frame[1:3])
+        extents = self.nearest_extents(tuple(v.mean(axis=1) for v in mvas), frame[1:3])
         return SurfaceTraces(mvas, frame, pa, extents, self.blocker_segments, check,
                              self.workspace)
 
@@ -442,7 +463,7 @@ class SurfaceTraces:
         """
         agent = _planes(agent)
         shape = np.broadcast_shapes(agent[0].shape, self.pa[0].shape, self.mvas[0].shape)[1:]
-        chunk = max(1, _TRACE_CHUNK // max(math.prod(shape), 1))
+        chunk = _chunk_rows(math.prod(shape), _TRACE_CHUNK)
         empty = self.workspace.empty
         plane = empty((min(chunk, len(members)),) + shape, bool)
         flat, vx, vy = [], [], []

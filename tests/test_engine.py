@@ -442,8 +442,8 @@ def test_row_log_sums_match_dense_rows():
         for r in range(n_rows):
             want[groups[r]] += np.log(np.maximum(weight[r] * dense_resp[r]
                                                  + eta0[r] * (1.0 - weight[r]), 0.0))
-        got = _row_log_sums(weight, eta0, resp[rows, parts], (rows, parts), groups, n_groups,
-                            n_part)
+        got = np.zeros((n_groups, n_part))
+        _row_log_sums(weight, eta0, resp[rows, parts], (rows, parts), groups, got)
     assert np.isneginf(want).any() and np.isfinite(want).any()
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
@@ -871,7 +871,8 @@ def test_filter_traces_no_dense_block_plane():
     # one dense (rows, particles) float64 plane plus one chunk plane, where
     # a dense trace allocates two such planes and a boolean one.  With numpy
     # 2.4 the whole anchor block's traced peak fell from 38.3 MiB with the
-    # dense trace to 22.4 MiB.
+    # dense trace to 22.4 MiB, and scoring the block in row slices
+    # (raytrace.row_slices) took it to 11.8 MiB.
     args, rng, env = pair_heavy_block()
     agent, features, pa = args[0], args[2], args[4]
     traces = env.feature_traces(features.particles, pa, True)
@@ -898,4 +899,48 @@ def test_filter_traces_no_dense_block_plane():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 30 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_row_slices_change_no_association_bit(monkeypatch):
+    # Each slice of a row block is traced and scored on its own.  A row lies
+    # in one slice and its entries keep their order, so the evidence table
+    # and the association keep every bit; only the sums over rows (agent
+    # log-weights, legacy existence) add in another order.
+    (agent, log_weights, legacy, *rest), _, env = pair_heavy_block()
+    particles = legacy.particles.copy()
+    particles[0] = 0.0               # a degenerate surface: the first 29 pair rows have no entry
+    existence = np.linspace(0.5, 0.95, len(legacy))      # every pair row's existence its own
+    args = (agent, log_weights, FeatureMap(particles, existence), *rest)
+    n_part = agent.n_particles
+    # slices of 11 rows: the 870 pair rows make 79 of them and a last one of 1 row
+    monkeypatch.setattr(raytrace, "_TRACE_CHUNK", 11 * n_part)
+
+    def run(row_slice):
+        monkeypatch.setattr(raytrace, "_ROW_SLICE", row_slice)
+        tables, slices = [], []
+
+        def record_association(beta, xi_new, **kw):
+            out = association.run_association(beta, xi_new, **kw)
+            tables.append((beta, out.eta))
+            return out
+
+        def record_slice(*fields):
+            slices.append(_RowBlock(*fields))
+            return slices[-1]
+
+        monkeypatch.setattr(engine, "run_association", record_association)
+        monkeypatch.setattr(engine, "_RowBlock", record_slice)
+        logw, updated = process_pa(*args, np.random.default_rng(3), env)
+        return tables[0], [b for b in slices if b.kind == "double"], logw, updated
+
+    (beta, eta), pairs, logw, updated = run(11 * n_part)
+    (want_beta, want_eta), whole, want_logw, want = run(1 << 62)
+    assert len(whole) == 1 and len(whole[0].members) == 870
+    assert len(pairs) == 80 and len(pairs[-1].members) == 1
+    assert len(pairs[0].entries[0]) == 0 and len(pairs[-1].entries[0]) > 0
+    assert beta.tobytes() == want_beta.tobytes()
+    assert eta.tobytes() == want_eta.tobytes()
+    np.testing.assert_allclose(logw, want_logw, rtol=1e-12)
+    assert len(updated) == len(want)
+    np.testing.assert_allclose(updated.existence, want.existence, rtol=1e-12)

@@ -1,11 +1,14 @@
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mvaslam
 from mvaslam import engine
 from mvaslam.cli import main
 from mvaslam.errors import NonFinite, ScenarioError
@@ -368,8 +371,11 @@ def test_cli_setup_and_ablation_flags(tmp_path):
 
 
 def test_cli_entry_point_installed():
+    # the subprocess finds the package where this process does, installed or not
+    src = str(Path(mvaslam.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "mvaslam.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "--scenario" in proc.stdout
 
