@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from .errors import MvaSlamError
 from .experiment import run_experiment, write_outputs
@@ -66,6 +67,12 @@ def main(argv=None) -> int:
         double = args.setup == 1
         config = replace(config, double_bounce=double,
                          params=replace(config.params, use_double_bounce=double))
+
+    try:
+        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"mvaslam: error: cannot create --out-dir: {exc}", file=sys.stderr)
+        return 1
 
     try:
         result = run_experiment(config, runs=args.runs, base_seed=args.seed,

@@ -36,12 +36,9 @@ from .raytrace import Environment, candidate_blocks, row_slices
 _DENOM_FLOOR = 1e-12
 _PRIOR_POS_HALFWIDTH = 0.5  # m, half-width of the uniform prior box around the start
 _PRIOR_VEL_HALFWIDTH = 0.1  # m/s, half-width of the uniform prior velocity box
-# pair rows outnumber the others about S-fold; their likelihood is float32
-_LIK_DTYPE = {"los": np.float64, "single": np.float64, "double": np.float32}
-# Distance gate half-widths in sigma_d: beyond them the exponent is below
-# -G^2 / 2 (-760.5 and -112.5), where exp is exactly 0.0 in the dtype
-# (below -745.2 and about -103.97), whatever the angle
-_GATE_SIGMAS = {np.float64: 39.0, np.float32: 15.0}
+# Distance gate half-width G in sigma_d: a value it drops is below exp(-G^2 / 2)
+# ~ 1.4e-49 of the peak density 1 / (2 pi sigma_d sigma_phi), whatever the angle
+_GATE_SIGMAS = 15.0
 
 
 @dataclass
@@ -259,9 +256,8 @@ def _log_sum_exp(values: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(top[..., 0]), lse, -np.inf)
 
 
-def _block_likelihood(agent, headings, flat, va, z, sigma_d, sigma_phi,
-                      out_dtype=np.float64):
-    """Likelihood of a block of rows where it does not underflow.
+def _block_likelihood(agent, headings, flat, va, z, sigma_d, sigma_phi):
+    """Likelihood of a block of rows inside the distance gate.
 
     ``flat`` (n,) holds the row-major indices of the block's available
     (row, particle) entries, in increasing order, as
@@ -272,11 +268,11 @@ def _block_likelihood(agent, headings, flat, va, z, sigma_d, sigma_phi,
     distance from the particle to its VA, so the entries within ``EPS_GEO``
     of their VA, which score nothing, come first.  Measurement m is scored
     on the entry slice ``gates[m]``, the entries off their VA whose
-    distance lies within ``_GATE_SIGMAS[out_dtype]`` sigma_d of its own,
-    and ``lik[m]`` holds those values; every other element of the block's
-    (R, I, M) likelihood is exactly zero.  ``sigma_d`` / ``sigma_phi`` are
-    the noise levels of the block's path kind.  The double-bounce block
-    requests float32 output; the distance and angle are cast up front.
+    distance lies within ``G = _GATE_SIGMAS`` sigma_d of its own, and
+    ``lik[m]`` holds those float64 values.  The block's other (R, I, M)
+    elements are taken as zero: one the gate drops is below ``exp(-G^2 /
+    2) / (2 pi sigma_d sigma_phi)``, whatever its angle.  ``sigma_d`` /
+    ``sigma_phi`` are the noise levels of the block's path kind.
     """
     n_part = len(headings)
     parts = flat % n_part
@@ -297,11 +293,7 @@ def _block_likelihood(agent, headings, flat, va, z, sigma_d, sigma_phi,
     phi = phi[order]
     del order
     scoring = np.searchsorted(d, EPS_GEO, side="right")
-    d = d.astype(out_dtype, copy=False)
-    phi = phi.astype(out_dtype, copy=False)
-    z = z.astype(out_dtype, copy=False)
-    sigma_d, sigma_phi = out_dtype(sigma_d), out_dtype(sigma_phi)
-    reach = out_dtype(_GATE_SIGMAS[out_dtype]) * sigma_d
+    reach = _GATE_SIGMAS * sigma_d
     lo = np.maximum(np.searchsorted(d, z[:, 0] - reach, side="left"), scoring)
     hi = np.maximum(np.searchsorted(d, z[:, 0] + reach, side="right"), lo)
     counts = hi - lo
@@ -313,9 +305,8 @@ def _block_likelihood(agent, headings, flat, va, z, sigma_d, sigma_phi,
 
     dphi = np.repeat(z[:, 1], counts) - runs(phi)
     # inputs lie in (-3 pi, 3 pi): two conditional shifts wrap to [-pi, pi]
-    two_pi = out_dtype(2.0 * np.pi)
-    dphi -= two_pi * (dphi > out_dtype(np.pi))
-    dphi += two_pi * (dphi < out_dtype(-np.pi))
+    dphi -= TWO_PI * (dphi > np.pi)
+    dphi += TWO_PI * (dphi < -np.pi)
     dphi /= sigma_phi
     dd = np.repeat(z[:, 0], counts) - runs(d)
     dd /= sigma_d
@@ -323,7 +314,7 @@ def _block_likelihood(agent, headings, flat, va, z, sigma_d, sigma_phi,
     lik = np.square(dd, out=dd)
     lik += np.square(dphi, out=dphi)
     del dphi
-    lik *= out_dtype(-0.5)
+    lik *= -0.5
     np.exp(lik, out=lik)
     lik /= (TWO_PI * sigma_d * sigma_phi)
     starts = (np.cumsum(counts) - counts).tolist()
@@ -467,7 +458,7 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray, features: FeatureMap
             sliced = members[part]
             rows, parts, gates, lik = _block_likelihood(
                 agent_planes, agent.headings, *traces.available_entries(agent_xy, sliced), batch,
-                noise.sigma_d, noise.sigma_phi, _LIK_DTYPE[kind])
+                noise.sigma_d, noise.sigma_phi)
             blocks.append(_RowBlock(kind, sliced, slice(n_rows, n_rows + len(sliced)),
                                     exist[part], (rows, parts), gates, lik))
             n_rows += len(sliced)

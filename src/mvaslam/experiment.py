@@ -208,8 +208,9 @@ def run_experiment(config: ScenarioConfig, runs: int, base_seed: int,
         raise ValueError("runs must be >= 1")
     availability = available_path_keys(config)
     started = time.perf_counter()
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, runs)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(simulate_run, config, i, base_seed, availability)
                        for i in range(runs)]
             records = [f.result() for f in futures]

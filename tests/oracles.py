@@ -36,7 +36,6 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from mvaslam import association
-from mvaslam.engine import _LIK_DTYPE
 from mvaslam.geometry import EPS_GEO, mva_to_va, path_distance_angle, va_to_mva, wrap_angle
 from mvaslam.measurement import TWO_PI
 from mvaslam.raytrace import candidate_blocks
@@ -463,7 +462,7 @@ def nearest_extents_reference(env, clouds):
     return np.minimum(ta, tb), np.maximum(ta, tb), walls
 
 
-def block_likelihood_reference(agent_xy, headings, va, avail, z, sigma_d, sigma_phi, out_dtype):
+def block_likelihood_reference(agent_xy, headings, va, avail, z, sigma_d, sigma_phi):
     """The filter's block likelihood on (..., 2) points, laid out (entries, measurements).
 
     ``agent_xy`` (I, 2), ``va`` (R, I, 2).  Returns ``(rows, parts, lik
@@ -475,17 +474,13 @@ def block_likelihood_reference(agent_xy, headings, va, avail, z, sigma_d, sigma_
     d = np.hypot(diff[:, 0], diff[:, 1])
     keep = d > EPS_GEO
     rows, parts, diff, d = rows[keep], parts[keep], diff[keep], d[keep]
-    phi = (np.arctan2(diff[:, 1], diff[:, 0]) - headings[parts]).astype(out_dtype)
-    d = d.astype(out_dtype)
-    z = z.astype(out_dtype)
-    sigma_d, sigma_phi = out_dtype(sigma_d), out_dtype(sigma_phi)
-    two_pi = out_dtype(2.0 * np.pi)
+    phi = np.arctan2(diff[:, 1], diff[:, 0]) - headings[parts]
     dphi = z[:, 1] - phi[:, None]
-    dphi = dphi - two_pi * (dphi > out_dtype(np.pi))
-    dphi = dphi + two_pi * (dphi < out_dtype(-np.pi))
+    dphi = dphi - TWO_PI * (dphi > np.pi)
+    dphi = dphi + TWO_PI * (dphi < -np.pi)
     dd = (z[:, 0] - d[:, None]) / sigma_d
     dphi = dphi / sigma_phi
-    lik = np.exp(out_dtype(-0.5) * (np.square(dd) + np.square(dphi)))
+    lik = np.exp(-0.5 * (np.square(dd) + np.square(dphi)))
     return rows, parts, lik / (TWO_PI * sigma_d * sigma_phi)
 
 
@@ -581,25 +576,21 @@ def systematic_resample_reference(weights, rng):
 
 
 def _dense_lik(rows, parts, lik, avail):
-    full = np.zeros(avail.shape + lik.shape[1:], dtype=lik.dtype)
+    full = np.zeros(avail.shape + lik.shape[1:])
     full[rows, parts] = lik
     return full
 
 
 def dense_lik_sums(rows, parts, lik, avail):
     """Per-row likelihood sums over the particles from a dense (R, I, M) tensor."""
-    return _dense_lik(rows, parts, lik, avail).sum(axis=1, dtype=np.float64)
+    return _dense_lik(rows, parts, lik, avail).sum(axis=1)
 
 
 def dense_response(rows, parts, lik, avail, eta, denom, p_d):
-    """Per-particle row responses (R, I) from a dense (R, I, M) likelihood tensor.
-
-    The likelihood mixture is accumulated in float64 whatever the dtype of ``lik``.
-    """
+    """Per-particle row responses (R, I) from a dense (R, I, M) likelihood tensor."""
     resp = eta[:, :1] * (1.0 - avail * p_d)
     eta_m = eta[:, 1:] / denom
-    return resp + p_d * np.einsum("rim,rm->ri", _dense_lik(rows, parts, lik, avail)
-                                  .astype(np.float64), eta_m)
+    return resp + p_d * np.einsum("rim,rm->ri", _dense_lik(rows, parts, lik, avail), eta_m)
 
 
 def draw_new_pmva_reference(z_d, z_phi, sigma_d, sigma_phi, agent, pa, params, rng):
@@ -635,12 +626,10 @@ def process_pa_reference(agent, log_weights, features, batch, pa, params, profil
     The filter's model with every row block held whole: availability and
     VAs (R, I) scattered from the traced available entries, a likelihood
     (R, I, M) at every element without a gate, responses (R, I), and
-    per-feature sums that add one row at a time.  The likelihood
-    mixture is accumulated in float64.  Where no proposal inversion is
-    degenerate, ``rng`` is drawn from as the filter draws from it up to its
-    resampling.  Returns ``(log_weights,
-    existences)``: the legacy features' existences, then the new features',
-    before pruning.
+    per-feature sums that add one row at a time.  Where no proposal
+    inversion is degenerate, ``rng`` is drawn from as the filter draws from
+    it up to its resampling.  Returns ``(log_weights, existences)``: the
+    legacy features' existences, then the new features', before pruning.
     """
     pa = np.asarray(pa, dtype=float)
     agent_xy = agent.particles[:, :2]
@@ -667,9 +656,8 @@ def process_pa_reference(agent, log_weights, features, batch, pa, params, profil
         noise = getattr(profile, kind)
         rows, parts, lik = block_likelihood_reference(
             agent_xy, agent.headings, va, avail, batch,
-            noise.sigma_d, noise.sigma_phi, _LIK_DTYPE[kind])
-        blocks.append((kind, members, exist, avail,
-                       _dense_lik(rows, parts, lik, avail).astype(np.float64)))
+            noise.sigma_d, noise.sigma_phi)
+        blocks.append((kind, members, exist, avail, _dense_lik(rows, parts, lik, avail)))
 
     (xlo, xhi), (ylo, yhi) = params.birth_region
     px, py = props[..., 0], props[..., 1]

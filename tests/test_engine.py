@@ -9,7 +9,6 @@ from mvaslam.engine import (
     AgentBelief,
     FeatureMap,
     HyperParams,
-    _GATE_SIGMAS,
     _RowBlock,
     _block_likelihood,
     _draw_proposals,
@@ -243,16 +242,25 @@ def entries(va, avail):
     return flat, (va[..., 0].reshape(-1)[flat], va[..., 1].reshape(-1)[flat])
 
 
-def dense_likelihood(rows, parts, gates, lik, shape, dtype):
+def dense_likelihood(rows, parts, gates, lik, shape):
     """A block's (R, I, M) likelihood from the values it keeps, zero elsewhere, and its mask."""
-    full = np.zeros(shape + (len(lik),), dtype=dtype)
+    full = np.zeros(shape + (len(lik),))
     kept = np.zeros(full.shape, dtype=bool)
     for m, (gate, values) in enumerate(zip(gates, lik)):
-        assert values.dtype == dtype and values.shape == rows[gate].shape
+        assert values.dtype == np.float64 and values.shape == rows[gate].shape
         assert values.flags.c_contiguous
         full[rows[gate], parts[gate], m] = values
         kept[rows[gate], parts[gate], m] = True
     return full, kept
+
+
+def gate_bound(sigma_d, sigma_phi):
+    """The bound on every value the likelihood gate drops: exp(-G^2 / 2) / (2 pi sigma_d sigma_phi).
+
+    A value at the gate's edge may round a few ulps past it.
+    """
+    gate = engine._GATE_SIGMAS
+    return (1.0 + 1e-12) * np.exp(-0.5 * gate * gate) / (2.0 * np.pi * sigma_d * sigma_phi)
 
 
 def assert_entries_sorted(rows, parts, agent_xy, va, avail):
@@ -300,38 +308,51 @@ def test_block_likelihood_matches_scalar_reference():
                                   va[r, i], profile=profile)
     assert ref[0, n_meas - 2, n_meas - 2] > 0.1 and ref[0, n_meas - 1, n_meas - 1] > 0.1
 
-    def dense(out_dtype):
-        rows, parts, gates, lik = _block_likelihood(agent_xy.T, headings, *entries(va, avail), z,
-                                                    sigma_d, sigma_phi, out_dtype)
-        assert_entries_sorted(rows, parts, agent_xy, va, avail)
-        assert len(gates) == len(lik) == n_meas
-        full, kept = dense_likelihood(rows, parts, gates, lik, avail.shape, out_dtype)
-        assert not (kept & ~scoring[..., None]).any() and kept.any() and not kept.all()
-        return full
-
-    lik64 = dense(np.float64)
+    rows, parts, gates, lik = _block_likelihood(agent_xy.T, headings, *entries(va, avail), z,
+                                                sigma_d, sigma_phi)
+    assert_entries_sorted(rows, parts, agent_xy, va, avail)
+    assert len(gates) == len(lik) == n_meas
+    got, kept = dense_likelihood(rows, parts, gates, lik, avail.shape)
+    assert not (kept & ~scoring[..., None]).any() and kept.any() and not kept.all()
     # atol only covers values below the normal range, where the two factorizations round apart
-    np.testing.assert_allclose(lik64, ref, rtol=1e-12, atol=1e-300)
-    lik32 = dense(np.float32)
-    assert np.max(np.abs(lik32 - ref)) <= 1e-5 * ref.max()
+    np.testing.assert_allclose(got[kept], ref[kept], rtol=1e-12, atol=1e-300)
+    dropped = scoring[..., None] & ~kept
+    assert dropped.any() and ref[dropped].max() <= gate_bound(sigma_d, sigma_phi)
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_gate_lies_past_exp_underflow(dtype):
-    # beyond the gate every exponent lies at or below -G^2 / 2, whose exp is exactly zero
-    gate = dtype(_GATE_SIGMAS[dtype])
-    edge = dtype(-0.5) * gate * gate
-    x = np.array([edge, np.nextafter(edge, dtype(-np.inf)), dtype(1.5) * edge], dtype=dtype)
-    np.testing.assert_array_equal(np.exp(x), 0.0)
-    # and the gate is no wider than it must be: one sigma less keeps a nonzero value
-    closer = dtype(-0.5) * (gate - 1) * (gate - 1)
-    assert np.exp(np.array([closer], dtype=dtype))[0] > 0.0
+def test_gate_bounds_the_values_it_drops():
+    # An entry whose distance lies farther than G sigma_d from the measured
+    # one is dropped, whatever its angle; it would score below the bound,
+    # exp(-G^2 / 2) ~ 1.4e-49 of the peak density.  Entries just inside the
+    # gate are kept, and at a matching angle they score above the bound.
+    gate = engine._GATE_SIGMAS
+    sigma_d, sigma_phi = 0.2, 0.3
+    z = np.array([[10.0, 0.4]])
+    offsets = sigma_d * np.array([-gate - 1.0, -gate - 1e-6, -gate + 1e-6, -1.0, 0.0,
+                                  gate - 1e-6, gate + 1e-6, gate + 1.0])
+    angles = np.array([0.4, 0.4, 0.4, 2.0, 0.4, 0.4, 0.4, -2.5])
+    n_part = len(offsets)
+    agent_xy = np.zeros((n_part, 2))           # at the origin, heading 0: phi is the angle
+    headings = np.zeros(n_part)
+    dist = z[0, 0] + offsets
+    va = -(dist[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1))[None]
+    avail = np.ones((1, n_part), dtype=bool)
+    rows, parts, gates, lik = _block_likelihood(agent_xy.T, headings, *entries(va, avail), z,
+                                                sigma_d, sigma_phi)
+    got, kept = dense_likelihood(rows, parts, gates, lik, avail.shape)
+    inside = np.abs(offsets) < gate * sigma_d
+    np.testing.assert_array_equal(kept[0, :, 0], inside)
+    _, ref_parts, ref = block_likelihood_reference(agent_xy, headings, va, avail, z,
+                                                   sigma_d, sigma_phi)
+    bound = gate_bound(sigma_d, sigma_phi)
+    assert np.all(ref[~inside[ref_parts], 0] <= bound)
+    assert np.all(got[0, inside & (angles == 0.4), 0] > bound)
+    assert bound * 2.0 * np.pi * sigma_d * sigma_phi < 1.5e-49
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_block_likelihood_matches_reference_kernel(dtype):
+def test_block_likelihood_matches_reference_kernel():
     # planes in, gated runs out: every kept value equals the (..., 2) kernel's, bit
-    # for bit, and the kernel is exactly zero at every element the gate drops
+    # for bit, and the kernel lies below the gate's bound at every element it drops
     rng = np.random.default_rng(25)
     n_rows, n_part, n_meas = 5, 300, 9
     agent_xy = rng.uniform(-5.0, 5.0, (n_part, 2))
@@ -349,18 +370,18 @@ def test_block_likelihood_matches_reference_kernel(dtype):
     z = np.stack([rng.uniform(0.0, 30.0, n_meas), rng.uniform(-np.pi, np.pi, n_meas)], axis=1)
     z[:2] = [[3.0, -np.pi + 0.02], [3.0, np.pi - 0.02]]   # ... measured just across it
     rows, parts, gates, lik = _block_likelihood(agent_xy.T, headings, *entries(va, avail), z,
-                                                0.1, 0.2, dtype)
+                                                0.1, 0.2)
     ref_rows, ref_parts, ref = block_likelihood_reference(agent_xy, headings, va, avail, z,
-                                                          0.1, 0.2, dtype)
+                                                          0.1, 0.2)
     assert_entries_sorted(rows, parts, agent_xy, va, avail)
     # entries at equal distance keep their row-major order
     assert list(zip(rows[:4], parts[:4])) == [(3, 11), (4, 20), (4, 21), (4, 22)]
     assert avail[3, 11] and not np.any((ref_rows == 3) & (ref_parts == 11))
-    got, kept = dense_likelihood(rows, parts, gates, lik, avail.shape, dtype)
+    got, kept = dense_likelihood(rows, parts, gates, lik, avail.shape)
     want = np.zeros_like(got)
     want[ref_rows, ref_parts] = ref
-    uint = np.uint64 if dtype == np.float64 else np.uint32
-    np.testing.assert_array_equal(got.view(uint), want.view(uint))
+    np.testing.assert_array_equal(got[kept].view(np.uint64), want[kept].view(np.uint64))
+    assert np.all(want[~kept] <= gate_bound(0.1, 0.2)) and np.any(want[~kept] > 0.0)
     assert not kept[3, 11].any() and not kept[4, 20:23].any()
     # the gate drops most elements, and keeps the large values at +-pi
     assert 0 < kept.sum() < avail.sum() * n_meas / 2
@@ -368,8 +389,7 @@ def test_block_likelihood_matches_reference_kernel(dtype):
 
 
 @pytest.mark.parametrize("n_meas", [0, 1, 6])
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_compact_reductions_match_dense_reference(n_meas, dtype):
+def test_compact_reductions_match_dense_reference(n_meas):
     rng = np.random.default_rng(22 + n_meas)
     n_rows, n_part = 4, 50
     agent_xy = rng.uniform(-5.0, 5.0, (n_part, 2))
@@ -385,9 +405,9 @@ def test_compact_reductions_match_dense_reference(n_meas, dtype):
         diff = agent_xy[m] - va[0, m]
         z[m] = np.hypot(*diff) + 0.2, np.arctan2(diff[1], diff[0]) - headings[m] + 0.1
     rows, parts, gates, lik = _block_likelihood(agent_xy.T, headings, *entries(va, avail), z,
-                                                0.3, 0.3, dtype)
+                                                0.3, 0.3)
     ref_rows, ref_parts, ref = block_likelihood_reference(agent_xy, headings, va, avail, z,
-                                                          0.3, 0.3, dtype)
+                                                          0.3, 0.3)
     assert len(lik) == n_meas and not np.any((ref_rows == 2) & (ref_parts == 7))
     block = _RowBlock("single", np.arange(n_rows)[:, None], slice(0, n_rows),
                       np.full(n_rows, 0.5), (rows, parts), gates, lik)
@@ -408,7 +428,7 @@ def test_compact_reductions_match_dense_reference(n_meas, dtype):
     # a block without an available entry
     none = np.zeros_like(avail)
     rows, parts, gates, lik = _block_likelihood(agent_xy.T, headings, *entries(va, none), z,
-                                                0.3, 0.3, dtype)
+                                                0.3, 0.3)
     assert len(rows) == 0 and len(gates) == n_meas and all(not rows[g].size for g in gates)
     empty = _RowBlock("single", np.arange(n_rows)[:, None], slice(0, n_rows),
                       np.full(n_rows, 0.5), (rows, parts), gates, lik)
@@ -944,3 +964,36 @@ def test_row_slices_change_no_association_bit(monkeypatch):
     np.testing.assert_allclose(logw, want_logw, rtol=1e-12)
     assert len(updated) == len(want)
     np.testing.assert_allclose(updated.existence, want.existence, rtol=1e-12)
+
+
+def test_gate_width_changes_no_update_bit(monkeypatch):
+    # The values a 39 sigma gate keeps beyond the 15 sigma one lie below
+    # exp(-112.5) of the peak density: they move a few evidence entries by
+    # less than 1e-30 and no bit of the association or of the updates.
+    args, _, env = pair_heavy_block()
+
+    def run(gate):
+        monkeypatch.setattr(engine, "_GATE_SIGMAS", gate)
+        tables = []
+
+        def record_association(beta, xi_new, **kw):
+            out = association.run_association(beta, xi_new, **kw)
+            tables.append((beta, out))
+            return out
+
+        monkeypatch.setattr(engine, "run_association", record_association)
+        logw, updated = process_pa(*args, np.random.default_rng(3), env)
+        (beta, assoc), = tables
+        return beta, assoc, logw, updated
+
+    wide_beta, wide, wide_logw, wide_map = run(39.0)
+    beta, assoc, logw, updated = run(15.0)
+    assert wide_beta.shape == beta.shape == (1 + 30 + 870, 16)
+    moved = wide_beta != beta
+    assert moved.any() and not moved[:, 0].any()
+    assert np.max(np.abs(wide_beta - beta)) < 1e-30
+    assert assoc.eta.tobytes() == wide.eta.tobytes()
+    assert assoc.sigma_out[:, 0].tobytes() == wide.sigma_out[:, 0].tobytes()
+    assert logw.tobytes() == wide_logw.tobytes()
+    assert updated.particles.tobytes() == wide_map.particles.tobytes()
+    assert updated.existence.tobytes() == wide_map.existence.tobytes()

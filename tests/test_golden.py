@@ -28,12 +28,12 @@ SEED = 7
 
 # (scenario, visibility check, setup, max_features or None for the scenario's)
 GOLDEN = {
-    ("exp1_rect_room", True, 1, None): "c78066381324f4c7cc096428e7859f8e3d9b57def0ede8f09e3affb69e174e9b",
-    ("exp3_olos", True, 1, None): "2875509c13323f59c217c3eab4bd4378b6f388ad41f13384c5de7832e4629549",
-    ("nonrect", True, 1, None): "72447dc96ff6d669b76323c6fe0e3913ab64ecb8dea964759841b58fb5fddc3e",
+    ("exp1_rect_room", True, 1, None): "4d31aae1ab8e5b270f1ffbf41e347c5b8e557a34d5e6d9b9dffd06f1c3704c68",
+    ("exp3_olos", True, 1, None): "7af9b700a3af420edd82cede3a6317df0b9dafcf91addc6b617f4138aa447c79",
+    ("nonrect", True, 1, None): "ceea8065383518459afd056f1caf44ee075d03e24561f70d5a0b60ddef121662",
     ("nonrect", False, 1, None): "1743fc2d3641192e64dfed7a39a46ca1e73d19acc88257353c9069265cdd595a",
     ("exp3_olos", True, 2, None): "c7ab6b8936154325074624a8de6b90e9ac40bed7dac2f379ea0fd23664278d4b",
-    ("exp1_rect_room", True, 1, 8): "a94a4b114e33b7622e9e07059d876e14adf13e7d671e02928c779065b4330c24",
+    ("exp1_rect_room", True, 1, 8): "3193cf9d55a58628c5baf713315bb7263827e72fedf127d9e96609e328d42c0b",
 }
 
 

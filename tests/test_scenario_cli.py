@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,10 +10,10 @@ import numpy as np
 import pytest
 
 import mvaslam
-from mvaslam import engine
+from mvaslam import cli, engine, experiment
 from mvaslam.cli import main
 from mvaslam.errors import NonFinite, ScenarioError
-from mvaslam.experiment import run_experiment, splitmix64
+from mvaslam.experiment import records_csv, run_experiment, splitmix64
 from mvaslam.raytrace import Environment
 from mvaslam.scenario import (
     bundled_scenario,
@@ -245,6 +246,51 @@ def test_run_experiment_determinism_and_threads(tmp_path):
         assert np.array_equal(a.err_pos, b.err_pos)
         assert np.array_equal(a.mospa_mva, b.mospa_mva)
     assert res1.summary == res2.summary
+
+
+@pytest.mark.parametrize("runs,threads,workers", [(2, 16, 2), (3, 2, 2), (1, 4, None)])
+def test_run_experiment_starts_no_idle_worker(tmp_path, monkeypatch, runs, threads, workers):
+    # a pool of ``threads`` workers forks them all up front: at most one per run is
+    # started, and none for a single run
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    config = load_scenario(small_test_scenario(tmp_path, steps=3, particles=60))
+    want = run_experiment(config, runs=runs, base_seed=4, threads=1)
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", InlinePool)
+    got = run_experiment(config, runs=runs, base_seed=4, threads=threads)
+    assert started == ([] if workers is None else [workers])
+    assert records_csv(got.records, 1) == records_csv(want.records, 1)
+    assert got.summary == want.summary
+    assert got.timing["threads"] == threads
+
+
+def test_cli_out_dir_under_a_file_fails_before_any_run(tmp_path, monkeypatch, capsys):
+    blocker = tmp_path / "results"
+    blocker.write_text("not a directory", encoding="utf-8")
+    calls = []
+    monkeypatch.setattr(cli, "run_experiment", lambda *args, **kwargs: calls.append(args))
+    code = main(["--scenario", "nonrect", "--runs", "1",
+                 "--out-dir", str(blocker / "out")])
+    assert code == 1 and calls == []
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("mvaslam: error: ") and str(blocker / "out") in err
+    assert "Traceback" not in err
 
 
 def test_truth_traced_once_per_experiment(tmp_path, monkeypatch):
