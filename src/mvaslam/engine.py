@@ -426,7 +426,9 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray, features: FeatureMap
     slice, so the per-entry temporaries are bounded by a slice, not by the
     block.  A row lies in one slice and keeps its entries' order, so the
     evidence table, the association and every row's response are those of
-    the whole block; only the sums over rows add slice by slice.
+    the whole block; only the sums over rows add slice by slice.  The trace
+    cache is dropped once the last slice is scored, as the association and
+    the updates never read it.
     """
     pa = np.asarray(pa, dtype=float)
     s_count = len(features)
@@ -462,6 +464,7 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray, features: FeatureMap
             blocks.append(_RowBlock(kind, sliced, slice(n_rows, n_rows + len(sliced)),
                                     exist[part], (rows, parts), gates, lik))
             n_rows += len(sliced)
+    del traces, agent_planes      # nothing after the scoring reads them: free them first
 
     # birth-density values of the proposal clouds, (M, I)
     (xlo, xhi), (ylo, yhi) = params.birth_region
@@ -594,17 +597,23 @@ class SlamFilter:
         self.ctx = Environment(walls=extent_walls, blockers=blockers)
 
     def step(self, batches: Sequence[np.ndarray]) -> StepEstimate:
-        """Advance one time step with one (M, 2) measurement batch per anchor."""
+        """Advance one time step with one (M, 2) measurement batch per anchor.
+
+        The agent and the map are replaced stage by stage, so a step that
+        raises leaves the filter between two stages: it is unusable, and a
+        caller that catches the error abandons the filter.
+        """
         if len(batches) != len(self.pas):
             raise ValueError("one measurement batch per anchor is required")
         self.agent = predict_agent(self.agent, self.params, self.rng)
-        features = predict_legacy(self.features, self.params, self.rng)
+        # each stage's map replaces its input at once: the map before prediction is freed
+        # before the anchor blocks, and each block's input map when the block returns
+        self.features = predict_legacy(self.features, self.params, self.rng)
         log_weights = np.zeros(self.agent.n_particles)
         for pa, batch in zip(self.pas, batches):
-            log_weights, features = process_pa(
-                self.agent, log_weights, features, batch, pa,
+            log_weights, self.features = process_pa(
+                self.agent, log_weights, self.features, batch, pa,
                 self.params, self.profile, self.clutter, self.rng, self.ctx)
-        self.features = features
         self.agent, estimate = finalize_step(self.agent, log_weights, self.features,
                                              self.params, self.rng)
         return estimate

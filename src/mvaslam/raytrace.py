@@ -79,8 +79,8 @@ class Environment:
     """Static geometry: reflector walls plus opaque, non-reflecting blockers.
 
     The only geometry container of the package and the owner of the ground
-    truth: reflective wall ``k`` is true surface ``k``.  The wall endpoints,
-    MVAs and extents and both obstacle sets are computed once, on first use:
+    truth: reflective wall ``k`` is true surface ``k``.  The wall endpoints
+    and MVAs and both obstacle sets are computed once, on first use:
     ``segments`` (walls and blockers, as the truth sees them) and
     ``blocker_segments`` (blockers only, as the filter sees them), each a
     tuple of ``(a, b)`` endpoint pairs.  The ``workspace`` holds the scratch
@@ -105,14 +105,6 @@ class Environment:
         return np.array([Surface.from_segment(a, b).mva for a, b in self.wall_ends]).reshape(-1, 2)
 
     @cached_property
-    def wall_extents(self) -> np.ndarray:
-        """Tangential range ``(lo, hi)`` of each wall on its own line, (W, 2)."""
-        normal = _surface_frame(*_planes(self.wall_mvas))[1:3]
-        ta = _along(_planes(self.wall_ends[:, 0]), normal)
-        tb = _along(_planes(self.wall_ends[:, 1]), normal)
-        return np.stack([np.minimum(ta, tb), np.maximum(ta, tb)], axis=-1)
-
-    @cached_property
     def workspace(self) -> _Workspace:
         """Scratch planes shared by every trace cache this environment builds."""
         return _Workspace()
@@ -126,16 +118,16 @@ class Environment:
         return tuple((w.a, w.b) for w in self.walls) + self.blocker_segments
 
     def nearest_extents(self, means, normal):
-        """Per-particle extents of estimated surfaces clipped to the nearest wall.
+        """Per-particle reflector bounds of estimated surfaces, from the nearest wall.
 
         ``means`` holds the mean MVA planes ``(mx, my)``, each (S,), of S
-        estimated surfaces and ``normal`` the unit normal planes, each (S,
-        I), of their particles,
-        from the surfaces' one :func:`_surface_frame`.  Each surface takes
-        the wall whose MVA lies nearest its mean MVA, and the wall's
-        endpoints are projected onto every particle's line.  Returns ``(lo,
-        hi)`` of shape (S, I); without walls the reflectors are unbounded and
-        both have shape (S, 1).
+        estimated surfaces and ``normal`` the normal planes, each (S, I), of
+        their particles' lines, of any scale.  Each surface takes the wall
+        whose MVA lies nearest its mean MVA, and the wall's endpoints are
+        projected onto every particle's line: :func:`_bounds`, so the range
+        is in units of the normal's length and widened by ``EPS_GEO`` of
+        it.  Returns ``(lo, hi)`` of shape (S, I); without walls the
+        reflectors are unbounded and both have shape (S, 1).
         """
         if not self.walls:
             unbounded = np.full((len(means[0]), 1), np.inf)
@@ -143,23 +135,20 @@ class Environment:
         d = np.hypot(self.wall_mvas[:, 0] - means[0][:, None],
                      self.wall_mvas[:, 1] - means[1][:, None])
         ends = self.wall_ends[np.argmin(d, axis=1)]             # (S, 2, 2)
-        ta = _along(_planes(ends[:, None, 0]), normal)
-        tb = _along(_planes(ends[:, None, 1]), normal)
-        return np.minimum(ta, tb), np.maximum(ta, tb)
+        return _bounds(ends[:, None], normal)
 
     def feature_traces(self, clouds, pa, check: bool) -> SurfaceTraces:
         """The filter's trace cache of estimated surfaces ``clouds`` (S, I, 2).
 
-        Each surface's frame is computed once per call, here: the cache
-        traces with it, and :meth:`nearest_extents` projects the wall nearest
-        the cloud's mean onto its normals to clip the reflector.  The map
-        holds surface lines, not wall segments, so only blockers obstruct.
+        Each particle's MVA is the normal of its surface line in the
+        tracer's line coordinates (:class:`SurfaceTraces`), so
+        :meth:`nearest_extents` projects the wall nearest the cloud's mean
+        onto the MVA planes themselves to clip the reflector.  The map holds
+        surface lines, not wall segments, so only blockers obstruct.
         """
         mvas = _planes(clouds)
-        frame = _surface_frame(*mvas)
-        extents = self.nearest_extents(tuple(v.mean(axis=1) for v in mvas), frame[1:3])
-        return SurfaceTraces(mvas, frame, pa, extents, self.blocker_segments, check,
-                             self.workspace)
+        bounds = self.nearest_extents(tuple(v.mean(axis=1) for v in mvas), mvas)
+        return SurfaceTraces(mvas, pa, bounds, self.blocker_segments, check, self.workspace)
 
     def trace_paths(self, agent, pa, blocks):
         """Trace the candidate path ``blocks`` against the true geometry.
@@ -177,9 +166,8 @@ class Environment:
         agent = np.asarray(agent, dtype=float)
         pa = np.asarray(pa, dtype=float)
         axes = tuple(range(1, max(agent.ndim, pa.ndim)))      # broadcast over agent and pa
-        lo, hi = self.wall_extents.T
-        mvas = _planes(np.expand_dims(self.wall_mvas, axes))
-        traces = SurfaceTraces(mvas, _surface_frame(*mvas), pa,
+        lo, hi = _bounds(self.wall_ends, _planes(self.wall_mvas))
+        traces = SurfaceTraces(_planes(np.expand_dims(self.wall_mvas, axes)), pa,
                                (np.expand_dims(lo, axes), np.expand_dims(hi, axes)),
                                self.segments, True, self.workspace)
         shape = np.broadcast_shapes(agent.shape[:-1], pa.shape[:-1])
@@ -199,7 +187,7 @@ class Environment:
 # ---------------------------------------------------------------------------
 # Array primitives.  Inside the tracer a point is a pair of coordinate planes
 # ``(x, y)``, so every elementwise loop runs along the long axis; line
-# normals are planes ``(nx, ny)`` with offsets describing n . x = c.
+# normals, of any scale, are planes ``(nx, ny)`` with offsets describing n . x = c.
 # Everything broadcasts.
 # ---------------------------------------------------------------------------
 
@@ -217,17 +205,21 @@ def _along(x, normal, empty=np.empty):
     return tau
 
 
-def _surface_frame(mx, my):
-    """Validity, unit normal planes and line offset of surface MVA planes ``(mx, my)``.
+def _bounds(ends, normal):
+    """Range ``(lo, hi)`` of segments ``ends`` (..., 2, 2) along the tangent of ``normal``.
 
-    Returns ``(ok, nx, ny, offset)``.  A surface is valid when its MVA is
-    farther than ``EPS_GEO`` from the origin; invalid entries carry finite
-    but meaningless frames.
+    ``normal`` has any scale, and the range is widened by ``EPS_GEO`` times
+    its length: the bounds a bounce point's :func:`_along` coordinate must
+    lie within to hit the reflector ``ends`` up to ``EPS_GEO`` meters.
     """
-    norm = np.hypot(mx, my)
-    ok = norm > EPS_GEO
-    safe = np.where(ok, norm, 1.0)
-    return ok, mx / safe, my / safe, 0.5 * norm
+    ta = _along(_planes(ends[..., 0, :]), normal)
+    tb = _along(_planes(ends[..., 1, :]), normal)
+    margin = EPS_GEO * np.hypot(*normal)
+    lo = np.minimum(ta, tb)
+    lo -= margin
+    hi = np.maximum(ta, tb, out=tb)
+    hi += margin
+    return lo, hi
 
 
 def line_crossing(p, q, normal, offset, empty=np.empty):
@@ -355,7 +347,9 @@ def _clear_obstructed(available, p, q, obstacles):
 
 
 def _gather(planes, rows, empty):
-    """Rows ``rows`` of each plane of ``planes``, into planes from ``empty``."""
+    """Rows ``rows`` of each plane of ``planes``: views for a slice, else copies from ``empty``."""
+    if isinstance(rows, slice):
+        return tuple(v[rows] for v in planes)
     # mode "clip" (the rows are in range): with the default, np.take buffers ``out``
     return tuple(np.take(v, rows, axis=0, mode="clip",
                          out=empty((len(rows),) + v.shape[1:], v.dtype)) for v in planes)
@@ -407,27 +401,37 @@ class _Workspace:
 class SurfaceTraces:
     """Per-surface trace cache: the candidate paths off a set of surfaces.
 
-    ``mvas`` holds the surfaces' MVA planes ``(mx, my)`` (S, ...), ``frame``
-    their :func:`_surface_frame` and ``extents`` ``(lo, hi)`` (S, ...) their
-    reflector extents, the surface axis first; every other axis broadcasts
-    with the anchor ``pa`` (..., 2) and the agent points.  The caller
-    computes each surface's frame once, so that it can derive the extents
-    from the same frame; the single-bounce image of the anchor is computed
-    once here, and both are shared by every row the surface is a member of,
-    so a pair row computes only its outer image.  ``obstacles`` are ``(a,
-    b)`` segments.  With ``check=False`` nothing is traced and availability
-    only reports non-degenerate surfaces.  :meth:`available_entries` traces
-    availability only, in scratch planes of ``workspace``: a path's VA is
-    the first of its images (:meth:`_images`), the anchor mirrored across
-    its bounces, which no trace changes.
+    ``mvas`` holds the surfaces' MVA planes ``(mx, my)`` (S, ...) and
+    ``bounds`` ``(lo, hi)`` (S, ...) their reflector bounds, the surface
+    axis first; every other axis broadcasts with the anchor ``pa`` (..., 2)
+    and the agent points.  The cache traces in line coordinates: surface
+    ``m`` is the line ``x . m = |m|^2 / 2``, so its MVA planes are its
+    unnormalized normal planes, and its ``frame`` ``(ok, mx, my, |m|^2 /
+    2)`` takes no square root, no division and no copy.  A bounce point's
+    tangent coordinate (:func:`_along`) is then in units of ``|m|``, and so
+    are the ``bounds``, widened by the endpoint margin once, by the caller
+    (:func:`_bounds`).  The single-bounce image of the anchor is computed
+    once here, and the frame, the bounds and the image are shared by every
+    row the surface is a member of, so a pair row computes only its outer
+    image.  ``obstacles`` are ``(a, b)`` segments.  With ``check=False``
+    nothing is traced and availability only reports non-degenerate
+    surfaces.  :meth:`available_entries` traces availability only, in
+    scratch planes of ``workspace``: a path's VA is the first of its images
+    (:meth:`_images`), the anchor mirrored across its bounces, which no
+    trace changes.
     """
 
-    def __init__(self, mvas, frame, pa, extents, obstacles, check: bool, workspace: _Workspace):
+    def __init__(self, mvas, pa, bounds, obstacles, check: bool, workspace: _Workspace):
+        mx, my = mvas
+        offset = np.multiply(mx, mx)
+        offset += np.square(my)
+        ok = offset > EPS_GEO * EPS_GEO
+        offset *= 0.5
         self.mvas = mvas
         self.pa = _planes(pa)
-        self.frame = frame
-        self.va1 = mva_to_va_planes(*mvas, *self.pa)
-        self.extents = extents
+        self.frame = (ok, mx, my, offset)
+        self.va1 = mva_to_va_planes(mx, my, *self.pa)
+        self.bounds = bounds
         self.obstacles = obstacles
         self.check = check
         self.workspace = workspace
@@ -439,7 +443,8 @@ class SurfaceTraces:
         anchor side: per bounce, the image across that bounce and every later
         one, then the anchor itself, each an ``(x, y)`` pair of planes.  So
         ``images[0]`` is the VA: planes (R, ...), or the anchor's own planes
-        for LOS rows.  Pair images are mirrored into planes from ``empty``.
+        for LOS rows.  A bounce's surfaces are an index array or a slice
+        (:func:`_gather`); pair images are mirrored into planes from ``empty``.
         """
         images = [self.pa]
         if len(idx):
@@ -460,18 +465,29 @@ class SurfaceTraces:
         (row, point) elements at a time into one workspace plane, and each
         chunk's entries are taken while it is there, so no (R, ...) plane is
         allocated.  The outputs are joined one at a time.
+
+        Single-bounce rows must be consecutive surfaces in increasing order,
+        as :func:`candidate_blocks` and :func:`row_slices` give them: a chunk
+        of them is a slice of the surface axis, so it reads its surfaces'
+        planes as views.
         """
         agent = _planes(agent)
         shape = np.broadcast_shapes(agent[0].shape, self.pa[0].shape, self.mvas[0].shape)[1:]
         chunk = _chunk_rows(math.prod(shape), _TRACE_CHUNK)
+        single = members.shape[1] == 1
+        if single and len(members):
+            first = int(members[0, 0])
+            if not np.array_equal(members[:, 0], np.arange(first, first + len(members))):
+                raise ValueError("single-bounce rows must be consecutive surfaces")
         empty = self.workspace.empty
         plane = empty((min(chunk, len(members)),) + shape, bool)
         flat, vx, vy = [], [], []
         for r in range(0, len(members), chunk):
-            idx = members[r:r + chunk].T
+            n = min(chunk, len(members) - r)
+            idx = [slice(first + r, first + r + n)] if single else members[r:r + n].T
             images = self._images(idx, empty)
-            available = plane[:idx.shape[1]]
-            trace_hops(agent, images, self.frame, self.extents, idx, self.obstacles,
+            available = plane[:n]
+            trace_hops(agent, images, self.frame, self.bounds, idx, self.obstacles,
                        self.check, available, empty)
             hit = np.flatnonzero(available)
             for out, v in zip((vx, vy), _take(images[0], hit, available.shape)):
@@ -489,56 +505,55 @@ def _join(pieces: list) -> np.ndarray:
     return out
 
 
-def trace_hops(agent, images, frame, extents, members, obstacles, check: bool, available, empty):
+def trace_hops(agent, images, frame, bounds, members, obstacles, check: bool, available, empty):
     """Walk a path's hops from the agent, given its images and surface frames.
 
     Points are ``(x, y)`` planes.  ``images`` holds, per bounce, the image
     of the anchor across that bounce and every later one, then the anchor
-    itself (:meth:`SurfaceTraces._images`).  ``members`` (k, ...) holds each
-    bounce's surface, an index into the surface axis of ``frame``, their
-    :func:`_surface_frame`, and of ``extents``, their ``(lo, hi)`` in the
-    tangent coordinate of the surface.  Each hop runs from the previous
-    bounce point toward the next image; its bounce point must lie on the
-    surface inside the extent and the hop must be unobstructed by the ``(a,
-    b)`` segments ``obstacles``.  Everything broadcasts to ``available``,
-    into which the availability is written; every temporary comes from
-    ``empty(shape, dtype)``.
+    itself (:meth:`SurfaceTraces._images`).  ``members`` holds each
+    bounce's surfaces, an index array or a slice into the surface axis of
+    ``frame``, their line-coordinate frame (:class:`SurfaceTraces`), and of
+    ``bounds``, their ``(lo, hi)`` in the same coordinates.  Each hop
+    runs from the previous bounce point toward the next image; its bounce
+    point must lie on the surface within the bounds and the hop must be
+    unobstructed by the ``(a, b)`` segments ``obstacles``.  Everything
+    broadcasts to ``available``, into which the availability is written;
+    every temporary comes from ``empty(shape, dtype)``.
 
     The obstruction test, the costliest per hop, runs only where the path
     is still available: a bounce hop only where its surface is valid, it
-    crosses the surface inside the extent and every earlier hop passed, and
+    crosses the surface within the bounds and every earlier hop passed, and
     the final hop only where every bounce passed.
     """
     available.fill(True)
     p = agent
     for q, i in zip(images, members):
-        p = _bounce(p, q, _gather(frame, i, empty), _gather(extents, i, empty), obstacles,
+        p = _bounce(p, q, _gather(frame, i, empty), _gather(bounds, i, empty), obstacles,
                     check, available, empty)
     if check:
         _clear_obstructed(available, p, images[-1], obstacles)
 
 
-def _bounce(p, q, frame, extent, obstacles, check: bool, available, empty):
+def _bounce(p, q, frame, bounds, obstacles, check: bool, available, empty):
     """One bounce of :func:`trace_hops`: the hop from ``p`` toward the image ``q``.
 
     Clears in ``available`` the paths whose surface is degenerate and, with
     ``check``, those whose hop misses the surface, falls outside the
-    ``extent`` or is obstructed.  Returns the bounce point (``p`` when not
+    ``bounds`` or is obstructed.  Returns the bounce point (``p`` when not
     ``check``).  Its temporaries die when it returns, so their planes go
     back to the workspace before the next bounce draws its own.
     """
-    ok, nx, ny, offset = frame
+    ok, mx, my, offset = frame
     available &= ok
     if not check:
         return p
-    crossed, hit = line_crossing(p, q, (nx, ny), offset, empty)
-    tau = _along(hit, (nx, ny), empty)
-    lo, hi = extent
-    bound = np.subtract(lo, EPS_GEO, out=empty(available.shape, float))
-    inside = np.greater_equal(tau, bound, out=empty(available.shape, bool))
+    crossed, hit = line_crossing(p, q, (mx, my), offset, empty)
+    tau = _along(hit, (mx, my), empty)
+    lo, hi = bounds
     available &= crossed
+    inside = np.greater_equal(tau, lo, out=empty(available.shape, bool))
     available &= inside
-    np.less_equal(tau, np.add(hi, EPS_GEO, out=bound), out=inside)
+    np.less_equal(tau, hi, out=inside)
     available &= inside
     _clear_obstructed(available, p, hit, obstacles)
     return hit

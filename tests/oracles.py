@@ -446,20 +446,37 @@ def assert_same_entries(got, want):
         assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
 
 
-def nearest_extents_reference(env, clouds):
+def wall_extents(env):
+    """Tangential range ``(lo, hi)`` of each wall of ``env`` on its own line, in
+    meters, (W, 2): the extents :func:`backward_trace` takes for the true walls."""
+    normal = _surface_frame(env.wall_mvas)[1]
+    ta = _along(env.wall_ends[:, 0], normal)
+    tb = _along(env.wall_ends[:, 1], normal)
+    return np.stack([np.minimum(ta, tb), np.maximum(ta, tb)], axis=-1)
+
+
+def nearest_extents_reference(env, clouds, unit=False):
     """Per-particle nearest-wall extents of ``clouds`` (S, I, 2) on (..., 2) points.
 
     Returns ``(lo, hi, walls)``: the extents and the index of the wall each
     surface takes, the one whose MVA lies nearest ``clouds.mean(axis=1)``.
+    The extents are in the trace cache's line coordinates: along each
+    particle's MVA, in units of its length, and widened by ``EPS_GEO`` of
+    it.  With ``unit`` they are along the unit normal, in meters and not
+    widened, as :func:`backward_trace` takes them.
     """
     means = clouds.mean(axis=1)
     d = np.hypot(env.wall_mvas[:, 0] - means[:, None, 0], env.wall_mvas[:, 1] - means[:, None, 1])
     walls = np.argmin(d, axis=1)
     ends = env.wall_ends[walls]
-    normal = _surface_frame(clouds)[1]
+    normal = _surface_frame(clouds)[1] if unit else clouds
     ta = _along(ends[:, None, 0], normal)
     tb = _along(ends[:, None, 1], normal)
-    return np.minimum(ta, tb), np.maximum(ta, tb), walls
+    lo, hi = np.minimum(ta, tb), np.maximum(ta, tb)
+    if unit:
+        return lo, hi, walls
+    margin = EPS_GEO * np.hypot(clouds[..., 0], clouds[..., 1])
+    return lo - margin, hi + margin, walls
 
 
 def block_likelihood_reference(agent_xy, headings, va, avail, z, sigma_d, sigma_phi):

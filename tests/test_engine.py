@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -42,7 +43,8 @@ from mvaslam.scenario import bundled_scenario
 
 from oracles import (Measurement, assert_same_entries, backward_trace, block_likelihood_reference,
                      dense_lik_sums, dense_response, draw_new_pmva_reference, likelihood,
-                     process_pa_reference, systematic_resample_reference, trace_entries)
+                     nearest_extents_reference, process_pa_reference,
+                     systematic_resample_reference, trace_entries)
 
 PROFILE = NoiseProfile(los=PathNoise(0.05, np.deg2rad(10.0)),
                        single=PathNoise(0.10, np.deg2rad(15.0)),
@@ -528,7 +530,7 @@ def test_feature_trace_cache_matches_backward_trace():
                                 WallSegment([-4.0, 1.0], [-1.0, 4.0])])
     for check in (True, False):
         traces = ctx.feature_traces(clouds, pa, check)
-        lo, hi = traces.extents
+        lo, hi = traces.bounds
         assert np.all(np.isinf(lo)) and np.all(np.isinf(hi))
         for _, members in candidate_blocks(n_feat, True):
             want = trace_entries([backward_trace(agent_xy, pa, [clouds[i] for i in idx],
@@ -570,7 +572,7 @@ def test_feature_trace_cache_tests_only_live_hops(monkeypatch):
 
     monkeypatch.setattr(raytrace, "segment_blocks", counted)
     traces = ctx.feature_traces(clouds, pa, True)
-    lo, hi = traces.extents
+    lo, hi, _ = nearest_extents_reference(ctx, clouds, unit=True)
     live = hops = 0
     for _, members in candidate_blocks(len(clouds), True):
         rows = []
@@ -997,3 +999,148 @@ def test_gate_width_changes_no_update_bit(monkeypatch):
     assert logw.tobytes() == wide_logw.tobytes()
     assert updated.particles.tobytes() == wide_map.particles.tobytes()
     assert updated.existence.tobytes() == wide_map.existence.tobytes()
+
+
+def olos_block(blockers=None, double=False):
+    """One anchor block like the olos_single benchmark's: exp3_olos's walls and
+    blocker, 2000 particles, 25 legacy features (the 2 walls' MVAs, then random
+    surfaces), single bounces only unless ``double`` and measurements drawn from
+    the truth.  Returns ``process_pa``'s arguments before the generator, and the
+    environment, with ``blockers`` in place of the scenario's when given."""
+    config = bundled_scenario("exp3_olos")
+    # a new environment: its trace workspace starts empty
+    env = Environment(walls=config.environment.walls,
+                      blockers=config.environment.blockers if blockers is None else blockers)
+    n, s_count = 2000, 25
+    rng = np.random.default_rng(9)
+    start = np.asarray(config.waypoints[0], dtype=float)
+    pa = np.asarray(config.pas[0], dtype=float)
+    agent = AgentBelief(particles=np.concatenate([start + rng.uniform(-0.5, 0.5, (n, 2)),
+                                                  rng.uniform(-0.1, 0.1, (n, 2))], axis=1),
+                        headings=rng.normal(0.0, 0.05, n))
+    centres = np.concatenate([env.wall_mvas,
+                              rng.uniform(-15.0, 15.0, (s_count - len(env.wall_mvas), 2))])
+    legacy = feature_map([rng.normal(c, 0.2, (n, 2)) for c in centres],
+                         rng.uniform(0.3, 0.99, s_count), n)
+    blocks = candidate_blocks(len(env.walls), double)
+    batch = generate_batch(start, 0.0, blocks, *env.trace_paths(start, pa, blocks),
+                           HyperParams().p_detect, config.profile, config.clutter, rng)
+    params = HyperParams(n_particles=n, use_double_bounce=double)
+    return (agent, np.zeros(n), legacy, batch, pa, params, config.profile, config.clutter), env
+
+
+def test_anchor_block_frees_its_trace_cache_before_the_association(monkeypatch):
+    # The association and the updates never read the trace cache, so it is
+    # gone before the evidence table is built.  With numpy 2.4 the block's
+    # traced peak read 5.5 MiB while the rows are scored (7.25 MiB with
+    # unit-normal frames and extents) and 3.4 MiB from the association on
+    # (6.2 MiB with the cache kept to the end of the block).
+    args, env = olos_block()
+    caches, alive, peaks = [], [], []
+    feature_traces = Environment.feature_traces
+
+    def record_traces(self, *a):
+        traces = feature_traces(self, *a)
+        caches.append(weakref.ref(traces))
+        return traces
+
+    def check_association(beta, xi_new, **kw):
+        alive.append([ref() is not None for ref in caches])
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        return association.run_association(beta, xi_new, **kw)
+
+    monkeypatch.setattr(Environment, "feature_traces", record_traces)
+    monkeypatch.setattr(engine, "run_association", check_association)
+    tracemalloc.start()
+    try:
+        process_pa(*args, np.random.default_rng(3), env)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert alive == [[False]]
+    scoring, update = (p / 2**20 for p in peaks)
+    assert scoring < 6.5 and update < 4.5, f"peaks {scoring:.1f} and {update:.1f} MiB"
+
+
+def test_filter_step_frees_the_map_before_prediction(monkeypatch):
+    # Each stage's map replaces the filter's at once, so the map from before
+    # prediction is gone while the anchor blocks run.
+    config = bundled_scenario("exp3_olos")
+    env = config.environment
+    params = replace(config.params, n_particles=200)
+    rng = np.random.default_rng(4)
+    filt = SlamFilter(config.pas, params, config.profile, config.clutter, rng,
+                      start_pos=config.waypoints[0], extent_walls=env.walls,
+                      blockers=env.blockers)
+    blocks = candidate_blocks(len(env.walls), True)
+
+    def batches(n):
+        va, available = env.trace_paths(config.waypoints[n], np.array(config.pas), blocks)
+        return [generate_batch(config.waypoints[n], 0.0, blocks, va[j], available[j],
+                               params.p_detect, config.profile, config.clutter, rng)
+                for j in range(len(config.pas))]
+
+    filt.step(batches(1))
+    assert len(filt.features) > 0
+    before = weakref.ref(filt.features)
+    gone = []
+    plain_block = engine.process_pa
+
+    def check_block(*a):
+        gone.append(before() is None)
+        return plain_block(*a)
+
+    monkeypatch.setattr(engine, "process_pa", check_block)
+    filt.step(batches(2))
+    assert gone == [True] * len(config.pas)
+
+
+def test_far_obstacle_changes_no_bit(monkeypatch):
+    # A blocker that no hop comes near obstructs nothing: segment_blocks
+    # returns before its divisions when no hop crosses it and none is
+    # collinear with it.  So adding one changes no bit of one setup-1 anchor
+    # block (its available entries, evidence table, association, agent
+    # log-weights and map) nor of the truth's trace.
+    config = bundled_scenario("exp3_olos")
+    far = WallSegment([40.0, 41.0], [43.0, 40.0])
+    blockers = tuple(config.environment.blockers)
+    entries, tables = [], []
+    available_entries = raytrace.SurfaceTraces.available_entries
+
+    def record_entries(self, agent, members):
+        entries.append(available_entries(self, agent, members))
+        return entries[-1]
+
+    def record_association(beta, xi_new, **kw):
+        out = association.run_association(beta, xi_new, **kw)
+        tables.append((beta, out.eta))
+        return out
+
+    monkeypatch.setattr(raytrace.SurfaceTraces, "available_entries", record_entries)
+    monkeypatch.setattr(engine, "run_association", record_association)
+
+    def run(blockers):
+        args, env = olos_block(blockers, double=True)
+        entries.clear()
+        tables.clear()
+        logw, updated = process_pa(*args, np.random.default_rng(3), env)
+        truth = env.trace_paths(config.waypoints, np.array(config.pas)[:, None],
+                                candidate_blocks(len(env.walls), True))
+        return list(entries), list(tables), logw, updated, truth
+
+    entries, ((beta, eta),), logw, updated, truth = run(blockers)
+    far_entries, ((far_beta, far_eta),), far_logw, far_map, far_truth = run(blockers + (far,))
+    # LOS, single rows, pair rows a row slice at a time, then the truth's three blocks
+    assert len(entries) == len(far_entries) > 6
+    assert all(len(flat) for flat, _ in entries[:2])
+    for (flat, va), (far_flat, far_va) in zip(entries, far_entries, strict=True):
+        assert flat.tobytes() == far_flat.tobytes()
+        assert va[0].tobytes() == far_va[0].tobytes() and va[1].tobytes() == far_va[1].tobytes()
+    assert beta.tobytes() == far_beta.tobytes() and eta.tobytes() == far_eta.tobytes()
+    assert logw.tobytes() == far_logw.tobytes()
+    assert updated.particles.tobytes() == far_map.particles.tobytes()
+    assert updated.existence.tobytes() == far_map.existence.tobytes()
+    for got, want in zip(truth, far_truth, strict=True):
+        assert got.tobytes() == want.tobytes()
+    assert truth[1].any() and not truth[1].all()

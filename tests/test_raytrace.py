@@ -12,7 +12,8 @@ from mvaslam.raytrace import Environment, candidate_blocks
 from mvaslam.scenario import bundled_scenario
 
 from oracles import (AMBIGUOUS, KINDS, assert_same_entries, backward_trace, candidate_bounces,
-                     nearest_extents_reference, oracle_path_available, trace_entries)
+                     nearest_extents_reference, oracle_path_available, trace_entries,
+                     wall_extents)
 
 LOS = ()
 
@@ -126,12 +127,12 @@ def test_oracle_equivalence(room):
 
 def test_wall_extents():
     # each wall's extent is its endpoints' coordinates along its own line
-    lo, hi = rect_room().wall_extents.T
+    lo, hi = wall_extents(rect_room()).T
     assert np.allclose(hi - lo, [7.0, 7.0, 10.0, 10.0])
     tilted = Environment(walls=[WallSegment([0.5, 0.36], [5.5, 1.0])])
-    lo, hi = tilted.wall_extents[0]
+    lo, hi = wall_extents(tilted)[0]
     assert hi - lo == pytest.approx(np.hypot(5.0, 0.64))
-    assert Environment().wall_extents.shape == (0, 2)
+    assert wall_extents(Environment()).shape == (0, 2)
 
 
 def test_nearest_extents_match_cloud_mean_reference():
@@ -150,7 +151,7 @@ def test_nearest_extents_match_cloud_mean_reference():
         np.full((1, n_part, 2), -0.0),
     ])
     for c in (clouds, clouds[:, :1], clouds[:, :2], clouds[:, :17]):
-        lo, hi = env.feature_traces(c, [1.0, 0.5], True).extents
+        lo, hi = env.feature_traces(c, [1.0, 0.5], True).bounds
         want_lo, want_hi, walls = nearest_extents_reference(env, c)
         assert len(set(walls.tolist())) > 1
         assert lo.tobytes() == want_lo.tobytes() and hi.tobytes() == want_hi.tobytes()
@@ -169,7 +170,7 @@ def test_filter_and_generator_agree_on_bundled_scenarios(name):
     # one "particle" per waypoint, every particle at the true MVA
     clouds = np.repeat(env.wall_mvas[:, None], len(points), axis=1)
     for pa in config.pas:
-        lo, hi = env.feature_traces(clouds, pa, True).extents
+        lo, hi, _ = nearest_extents_reference(env, clouds, unit=True)
         generator = env.trace_paths(points, pa, candidate_blocks(len(env.walls), True))[1]
         for k, idx in enumerate(paths):
             _, filt = backward_trace(points, pa, [clouds[i] for i in idx],
@@ -192,7 +193,7 @@ def test_truth_table_matches_backward_trace(name, double):
     kinds = [kind for kind, members in truth.blocks for _ in members]
     assert kinds == [KINDS[len(idx)] for idx in paths]
     assert [tuple(row) for _, members in truth.blocks for row in members.tolist()] == paths
-    lo, hi = env.wall_extents.T
+    lo, hi = wall_extents(env).T
     pas = np.array(config.pas)[:, None]
     assert truth.va.shape == (len(config.pas), len(paths), 2)
     for k, idx in enumerate(paths):
@@ -227,7 +228,7 @@ def test_chunking_and_scratch_reuse_change_no_bit(monkeypatch):
         for clouds, agent in cases + cases:
             for check in (True, False):
                 traces = env.feature_traces(clouds, pa, check)
-                lo, hi = traces.extents
+                lo, hi, _ = nearest_extents_reference(env, clouds, unit=True)
                 for _, members in candidate_blocks(len(clouds), True):
                     out.append(traces.available_entries(agent, members))
                     if not against_reference:
@@ -246,6 +247,30 @@ def test_chunking_and_scratch_reuse_change_no_bit(monkeypatch):
         monkeypatch.setattr(raytrace, "_TRACE_CHUNK", chunk)
         for got, want in zip(trace_all(), whole, strict=True):
             assert_same_entries(got, want)
+
+
+def test_single_rows_are_read_as_a_slice_of_surfaces(monkeypatch):
+    # A chunk of single-bounce rows reads its surfaces' planes as views of a
+    # slice, so a run of rows that starts past the first surface, as a later
+    # row slice of the block does, traces those surfaces; rows that are not
+    # consecutive surfaces are refused
+    rng = np.random.default_rng(29)
+    env = rect_room()
+    n_part = 40
+    clouds = rng.normal(np.concatenate([env.wall_mvas, env.wall_mvas[:1] * 1.5])[:, None], 0.3,
+                        (5, n_part, 2))
+    agent = rng.uniform([-4.8, -3.3], [4.8, 3.3], (n_part, 2))
+    traces = env.feature_traces(clouds, [1.0, 0.5], True)
+    _, singles = candidate_blocks(len(clouds), False)[1]
+    whole_flat, whole_va = traces.available_entries(agent, singles)
+    monkeypatch.setattr(raytrace, "_TRACE_CHUNK", 2 * n_part)   # chunks of 2 rows
+    flat, va = traces.available_entries(agent, singles[2:])
+    keep = whole_flat >= 2 * n_part
+    assert_same_entries((flat, va), (whole_flat[keep] - 2 * n_part,
+                                     tuple(v[keep] for v in whole_va)))
+    assert 0 < len(flat) < len(whole_flat)
+    with pytest.raises(ValueError, match="consecutive"):
+        traces.available_entries(agent, singles[[1, 0]])
 
 
 def test_warm_trace_allocates_no_chunk_temporaries():
