@@ -152,17 +152,17 @@ class StepEstimate:
     mva_positions: np.ndarray    # (S_hat, 2)
 
 
-def ncv_matrices(dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nearly-constant-velocity discretization: x' = A x + B w."""
-    a = np.array([[1.0, 0.0, dt, 0.0],
-                  [0.0, 1.0, 0.0, dt],
-                  [0.0, 0.0, 1.0, 0.0],
-                  [0.0, 0.0, 0.0, 1.0]])
-    b = np.array([[dt * dt / 2.0, 0.0],
-                  [0.0, dt * dt / 2.0],
-                  [dt, 0.0],
-                  [0.0, dt]])
-    return a, b
+def ncv_step(x: np.ndarray, accel, dt: float) -> np.ndarray:
+    """One nearly-constant-velocity step of states ``x`` (..., 4) = [px, py, vx, vy].
+
+    The accelerations ``accel`` (..., 2) act over the step:
+    p' = p + dt v + dt^2 / 2 a and v' = v + dt a.
+    """
+    pos, vel = x[..., :2], x[..., 2:]
+    out = np.empty(x.shape)
+    out[..., :2] = pos + dt * vel + (dt * dt / 2.0) * accel
+    out[..., 2:] = vel + dt * accel
+    return out
 
 
 def systematic_resample(weights: np.ndarray, offsets) -> np.ndarray:
@@ -200,13 +200,9 @@ def initial_agent_belief(start_pos, params: HyperParams, rng: np.random.Generato
 
 
 def predict_agent(belief: AgentBelief, params: HyperParams, rng: np.random.Generator) -> AgentBelief:
-    """Propagate every particle through the NCV model (:func:`ncv_matrices`)."""
-    dt = params.dt
+    """Propagate every particle through the NCV model (:func:`ncv_step`)."""
     noise = params.sigma_accel * rng.standard_normal((belief.n_particles, 2))
-    pos, vel = belief.particles[:, :2], belief.particles[:, 2:]
-    particles = np.empty_like(belief.particles)
-    particles[:, :2] = pos + dt * vel + (dt * dt / 2.0) * noise
-    particles[:, 2:] = vel + dt * noise
+    particles = ncv_step(belief.particles, noise, params.dt)
     headings = _refresh_headings(particles[:, 2:], belief.headings, params.eps_velocity)
     return AgentBelief(particles=particles, headings=headings)
 
@@ -256,42 +252,37 @@ def _log_sum_exp(values: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(top[..., 0]), lse, -np.inf)
 
 
-def _block_likelihood(agent, headings, flat, va, z, sigma_d, sigma_phi):
+def _block_likelihood(headings, flat, arrival, z, sigma_d, sigma_phi):
     """Likelihood of a block of rows inside the distance gate.
 
     ``flat`` (n,) holds the row-major indices of the block's available
-    (row, particle) entries, in increasing order, as
-    :meth:`~mvaslam.raytrace.SurfaceTraces.available_entries` returns them,
-    and ``va`` (n,) and ``agent`` (I,) are ``(x, y)`` coordinate planes of
-    the VAs there and of the particles.  Returns ``(rows, parts, gates,
-    lik)``.  ``rows`` and ``parts`` index the entries, sorted by the
-    distance from the particle to its VA, so the entries within ``EPS_GEO``
-    of their VA, which score nothing, come first.  Measurement m is scored
-    on the entry slice ``gates[m]``, the entries off their VA whose
-    distance lies within ``G = _GATE_SIGMAS`` sigma_d of its own, and
+    (row, particle) entries, in increasing order, and ``arrival`` (n,) the
+    ``(x, y)`` planes of their arrival vectors, the particle minus its VA,
+    as :meth:`~mvaslam.raytrace.SurfaceTraces.available_entries` returns
+    them; ``headings`` (I,) are the particles' headings.  Returns ``(rows,
+    parts, gates, lik)``.  ``rows`` and ``parts`` index the entries, sorted
+    by the distance from the particle to its VA, so the entries within
+    ``EPS_GEO`` of their VA, which score nothing, come first.  Measurement
+    m is scored on the entry slice ``gates[m]``, the entries off their VA
+    whose distance lies within ``G = _GATE_SIGMAS`` sigma_d of its own, and
     ``lik[m]`` holds those float64 values.  The block's other (R, I, M)
     elements are taken as zero: one the gate drops is below ``exp(-G^2 /
     2) / (2 pi sigma_d sigma_phi)``, whatever its angle.  ``sigma_d`` /
     ``sigma_phi`` are the noise levels of the block's path kind.
     """
-    n_part = len(headings)
-    parts = flat % n_part
-    dx = agent[0][parts] - va[0]
-    dy = agent[1][parts] - va[1]
-    dist = np.hypot(dx, dy)
-    phi = np.arctan2(dy, dx)
-    del dx, dy    # each entry-sized array goes once it is used: they set the block's peak
-    phi -= headings[parts]
-    del parts
+    ax, ay = arrival
+    dist = np.hypot(ax, ay)
+    phi = np.arctan2(ay, ax)
     order = np.argsort(dist)
     d = dist[order]
     if np.any(d[1:] == d[:-1]):
         # entries at equal distance keep their row-major order on every platform
         order = np.argsort(dist, kind="stable")
-    del dist
-    rows, parts = np.divmod(flat[order], n_part)
+    del dist      # each entry-sized array goes once it is used: they set the block's peak
+    rows, parts = np.divmod(flat[order], len(headings))
     phi = phi[order]
     del order
+    phi -= headings[parts]
     scoring = np.searchsorted(d, EPS_GEO, side="right")
     reach = _GATE_SIGMAS * sigma_d
     lo = np.maximum(np.searchsorted(d, z[:, 0] - reach, side="left"), scoring)
@@ -434,7 +425,6 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray, features: FeatureMap
     s_count = len(features)
     n_meas = len(batch)
     agent_xy = agent.particles[:, :2]
-    agent_planes = agent_xy.T.copy()
     n_part = agent.n_particles
     pe = features.existence
 
@@ -459,12 +449,12 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray, features: FeatureMap
         for part in row_slices(len(members), n_part):
             sliced = members[part]
             rows, parts, gates, lik = _block_likelihood(
-                agent_planes, agent.headings, *traces.available_entries(agent_xy, sliced), batch,
+                agent.headings, *traces.available_entries(agent_xy, sliced), batch,
                 noise.sigma_d, noise.sigma_phi)
             blocks.append(_RowBlock(kind, sliced, slice(n_rows, n_rows + len(sliced)),
                                     exist[part], (rows, parts), gates, lik))
             n_rows += len(sliced)
-    del traces, agent_planes      # nothing after the scoring reads them: free them first
+    del traces      # nothing after the scoring reads it: free it first
 
     # birth-density values of the proposal clouds, (M, I)
     (xlo, xhi), (ylo, yhi) = params.birth_region

@@ -120,11 +120,15 @@ def simulate_run(config: ScenarioConfig, run_index: int, base_seed: int,
                                  include_double=config.double_bounce)
 
     velocities = config.velocities()
+    # the true heading follows the filter's rule: it keeps its last well-defined
+    # value while the speed is at most eps_velocity, starting from 0
+    heading = 0.0
     started = time.perf_counter()
     for n in range(1, n_steps + 1):
         pos = config.waypoints[n]
         vel = velocities[n - 1]
-        heading = float(np.arctan2(vel[1], vel[0]))
+        if np.hypot(vel[0], vel[1]) > params.eps_velocity:
+            heading = float(np.arctan2(vel[1], vel[0]))
         batches = [generate_batch(pos, heading, truth.blocks, truth.va[j],
                                   truth.available[j, n], params.p_detect,
                                   config.profile, config.clutter, rng)

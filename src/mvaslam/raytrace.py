@@ -14,10 +14,11 @@ Candidate paths come in row blocks (:func:`candidate_blocks`): the row
 ``members`` list the surfaces a path bounces off, the one nearest the
 agent first.  One per-surface trace cache, :class:`SurfaceTraces`, traces
 them for every caller with its one method,
-:meth:`SurfaceTraces.available_entries`: its hop loop, :func:`trace_hops`,
-walks each path, a chunk of rows at a time, in scratch planes that are
-reused from chunk to chunk and from call to call, and each chunk's
-available entries are kept with their VAs.  :class:`Environment` builds
+:meth:`SurfaceTraces.available_entries`: the cache walks each path's hops
+itself, a chunk of rows at a time, in scratch planes that are reused from
+chunk to chunk and from call to call, and each chunk's available entries
+are kept with their arrival vectors, the agent point minus the VA, which
+is all the measurement model reads of a path.  :class:`Environment` builds
 both caches: the experiment traces the true walls once, at every waypoint
 (:meth:`Environment.trace_paths`), and measurement generation draws from
 that table; the SLAM filter traces per-particle feature clouds
@@ -406,19 +407,19 @@ class SurfaceTraces:
     axis first; every other axis broadcasts with the anchor ``pa`` (..., 2)
     and the agent points.  The cache traces in line coordinates: surface
     ``m`` is the line ``x . m = |m|^2 / 2``, so its MVA planes are its
-    unnormalized normal planes, and its ``frame`` ``(ok, mx, my, |m|^2 /
-    2)`` takes no square root, no division and no copy.  A bounce point's
-    tangent coordinate (:func:`_along`) is then in units of ``|m|``, and so
-    are the ``bounds``, widened by the endpoint margin once, by the caller
-    (:func:`_bounds`).  The single-bounce image of the anchor is computed
-    once here, and the frame, the bounds and the image are shared by every
-    row the surface is a member of, so a pair row computes only its outer
-    image.  ``obstacles`` are ``(a, b)`` segments.  With ``check=False``
-    nothing is traced and availability only reports non-degenerate
-    surfaces.  :meth:`available_entries` traces availability only, in
-    scratch planes of ``workspace``: a path's VA is the first of its images
-    (:meth:`_images`), the anchor mirrored across its bounces, which no
-    trace changes.
+    unnormalized normal planes, and each surface is the one tuple
+    ``surfaces`` ``(ok, mx, my, |m|^2 / 2, lo, hi)``, with no square root,
+    no division and no copy.  A bounce point's tangent coordinate
+    (:func:`_along`) is then in units of ``|m|``, and so are the bounds,
+    widened by the endpoint margin once, by the caller (:func:`_bounds`).
+    The single-bounce image of the anchor is computed once here, and the
+    surfaces and the image are shared by every row the surface is a member
+    of, so a pair row computes only its outer image.  ``obstacles`` are
+    ``(a, b)`` segments.  With ``check=False`` nothing is traced and
+    availability only reports non-degenerate surfaces.
+    :meth:`available_entries` traces availability only, in scratch planes of
+    ``workspace``: a path's VA is the first of its images (:meth:`_images`),
+    the anchor mirrored across its bounces, which no trace changes.
     """
 
     def __init__(self, mvas, pa, bounds, obstacles, check: bool, workspace: _Workspace):
@@ -427,11 +428,9 @@ class SurfaceTraces:
         offset += np.square(my)
         ok = offset > EPS_GEO * EPS_GEO
         offset *= 0.5
-        self.mvas = mvas
         self.pa = _planes(pa)
-        self.frame = (ok, mx, my, offset)
+        self.surfaces = (ok, mx, my, offset, *bounds)
         self.va1 = mva_to_va_planes(mx, my, *self.pa)
-        self.bounds = bounds
         self.obstacles = obstacles
         self.check = check
         self.workspace = workspace
@@ -450,21 +449,23 @@ class SurfaceTraces:
         if len(idx):
             images.insert(0, _gather(self.va1, idx[-1], empty))
         for i in reversed(idx[:-1]):
-            images.insert(0, mva_to_va_planes(*_gather(self.mvas, i, empty), *images[0],
+            images.insert(0, mva_to_va_planes(*_gather(self.surfaces[1:3], i, empty), *images[0],
                                               empty=empty))
         return images
 
     def available_entries(self, agent, members):
-        """The available entries of the rows ``members`` (R, k) and their VAs.
+        """The available entries of the rows ``members`` (R, k) and their arrival vectors.
 
-        ``agent`` holds (..., 2) points.  Returns ``(flat, (vx, vy))``:
+        ``agent`` holds (..., 2) points.  Returns ``(flat, (ax, ay))``:
         ``flat`` (n,) holds the row-major indices into the rows' (R, ...)
         availability where a path is available, in increasing order, and
-        ``vx`` and ``vy`` (n,) the VA there, where every bounce surface is
-        valid.  :func:`trace_hops` walks a chunk of about ``_TRACE_CHUNK``
-        (row, point) elements at a time into one workspace plane, and each
-        chunk's entries are taken while it is there, so no (R, ...) plane is
-        allocated.  The outputs are joined one at a time.
+        ``ax`` and ``ay`` (n,) the arrival vector there, the agent point
+        minus the path's VA, where every bounce surface is valid.
+        :meth:`_trace_hops` walks a chunk of about ``_TRACE_CHUNK`` (row,
+        point) elements at a time into one workspace plane, and each chunk's
+        entries are taken while it is there, its arrival vectors from chunk
+        planes of the workspace too, so no (R, ...) plane is allocated.  The
+        outputs are joined one at a time.
 
         Single-bounce rows must be consecutive surfaces in increasing order,
         as :func:`candidate_blocks` and :func:`row_slices` give them: a chunk
@@ -472,7 +473,7 @@ class SurfaceTraces:
         planes as views.
         """
         agent = _planes(agent)
-        shape = np.broadcast_shapes(agent[0].shape, self.pa[0].shape, self.mvas[0].shape)[1:]
+        shape = np.broadcast_shapes(agent[0].shape, self.pa[0].shape, self.surfaces[1].shape)[1:]
         chunk = _chunk_rows(math.prod(shape), _TRACE_CHUNK)
         single = members.shape[1] == 1
         if single and len(members):
@@ -481,21 +482,70 @@ class SurfaceTraces:
                 raise ValueError("single-bounce rows must be consecutive surfaces")
         empty = self.workspace.empty
         plane = empty((min(chunk, len(members)),) + shape, bool)
-        flat, vx, vy = [], [], []
+        flat, ax, ay = [], [], []
         for r in range(0, len(members), chunk):
             n = min(chunk, len(members) - r)
             idx = [slice(first + r, first + r + n)] if single else members[r:r + n].T
             images = self._images(idx, empty)
             available = plane[:n]
-            trace_hops(agent, images, self.frame, self.bounds, idx, self.obstacles,
-                       self.check, available, empty)
+            self._trace_hops(agent, images, idx, available)
             hit = np.flatnonzero(available)
-            for out, v in zip((vx, vy), _take(images[0], hit, available.shape)):
-                out.append(np.broadcast_to(v, hit.shape))     # the anchor may be 0-d
+            for out, a, v in zip((ax, ay), agent, images[0]):
+                out.append(np.subtract(a, v, out=empty(available.shape, float)).reshape(-1)[hit])
             del images            # its planes go back to the workspace before the next chunk
             hit += r * available[0].size
             flat.append(hit)
-        return _join(flat), (_join(vx), _join(vy))
+        return _join(flat), (_join(ax), _join(ay))
+
+    def _trace_hops(self, agent, images, members, available):
+        """Walk a path's hops from the agent, given its images.
+
+        Points are ``(x, y)`` planes.  ``images`` holds, per bounce, the
+        image of the anchor across that bounce and every later one, then the
+        anchor itself (:meth:`_images`), and ``members`` each bounce's
+        surfaces, an index array or a slice into the surface axis.  Each hop
+        runs from the previous bounce point toward the next image; its bounce
+        point must lie on the surface within the bounds and the hop must be
+        unobstructed.  Everything broadcasts to ``available``, into which the
+        availability is written; every temporary comes from the workspace.
+
+        The obstruction test, the costliest per hop, runs only where the path
+        is still available: a bounce hop only where its surface is valid, it
+        crosses the surface within the bounds and every earlier hop passed, and
+        the final hop only where every bounce passed.
+        """
+        available.fill(True)
+        p = agent
+        for q, i in zip(images, members):
+            p = self._bounce(p, q, i, available)
+        if self.check:
+            _clear_obstructed(available, p, images[-1], self.obstacles)
+
+    def _bounce(self, p, q, i, available):
+        """One bounce of :meth:`_trace_hops`: the hop from ``p`` toward the image ``q``
+        off the surfaces ``i``.
+
+        Clears in ``available`` the paths whose surface is degenerate and, with
+        ``check``, those whose hop misses the surface, falls outside its
+        bounds or is obstructed.  Returns the bounce point (``p`` when not
+        ``check``).  Its temporaries, the surfaces' planes among them, die
+        when it returns, so their planes go back to the workspace before the
+        next bounce draws its own.
+        """
+        empty = self.workspace.empty
+        ok, mx, my, offset, lo, hi = _gather(self.surfaces, i, empty)
+        available &= ok
+        if not self.check:
+            return p
+        crossed, hit = line_crossing(p, q, (mx, my), offset, empty)
+        tau = _along(hit, (mx, my), empty)
+        available &= crossed
+        inside = np.greater_equal(tau, lo, out=empty(available.shape, bool))
+        available &= inside
+        np.less_equal(tau, hi, out=inside)
+        available &= inside
+        _clear_obstructed(available, p, hit, self.obstacles)
+        return hit
 
 
 def _join(pieces: list) -> np.ndarray:
@@ -503,57 +553,3 @@ def _join(pieces: list) -> np.ndarray:
     out = np.concatenate(pieces)
     pieces.clear()
     return out
-
-
-def trace_hops(agent, images, frame, bounds, members, obstacles, check: bool, available, empty):
-    """Walk a path's hops from the agent, given its images and surface frames.
-
-    Points are ``(x, y)`` planes.  ``images`` holds, per bounce, the image
-    of the anchor across that bounce and every later one, then the anchor
-    itself (:meth:`SurfaceTraces._images`).  ``members`` holds each
-    bounce's surfaces, an index array or a slice into the surface axis of
-    ``frame``, their line-coordinate frame (:class:`SurfaceTraces`), and of
-    ``bounds``, their ``(lo, hi)`` in the same coordinates.  Each hop
-    runs from the previous bounce point toward the next image; its bounce
-    point must lie on the surface within the bounds and the hop must be
-    unobstructed by the ``(a, b)`` segments ``obstacles``.  Everything
-    broadcasts to ``available``, into which the availability is written;
-    every temporary comes from ``empty(shape, dtype)``.
-
-    The obstruction test, the costliest per hop, runs only where the path
-    is still available: a bounce hop only where its surface is valid, it
-    crosses the surface within the bounds and every earlier hop passed, and
-    the final hop only where every bounce passed.
-    """
-    available.fill(True)
-    p = agent
-    for q, i in zip(images, members):
-        p = _bounce(p, q, _gather(frame, i, empty), _gather(bounds, i, empty), obstacles,
-                    check, available, empty)
-    if check:
-        _clear_obstructed(available, p, images[-1], obstacles)
-
-
-def _bounce(p, q, frame, bounds, obstacles, check: bool, available, empty):
-    """One bounce of :func:`trace_hops`: the hop from ``p`` toward the image ``q``.
-
-    Clears in ``available`` the paths whose surface is degenerate and, with
-    ``check``, those whose hop misses the surface, falls outside the
-    ``bounds`` or is obstructed.  Returns the bounce point (``p`` when not
-    ``check``).  Its temporaries die when it returns, so their planes go
-    back to the workspace before the next bounce draws its own.
-    """
-    ok, mx, my, offset = frame
-    available &= ok
-    if not check:
-        return p
-    crossed, hit = line_crossing(p, q, (mx, my), offset, empty)
-    tau = _along(hit, (mx, my), empty)
-    lo, hi = bounds
-    available &= crossed
-    inside = np.greater_equal(tau, lo, out=empty(available.shape, bool))
-    available &= inside
-    np.less_equal(tau, hi, out=inside)
-    available &= inside
-    _clear_obstructed(available, p, hit, obstacles)
-    return hit

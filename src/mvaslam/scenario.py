@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from .engine import HyperParams, ncv_matrices
+from .engine import HyperParams, ncv_step
 from .errors import ScenarioError
 from .geometry import EPS_GEO, Surface, WallSegment
 from .measurement import ClutterModel, NoiseProfile, PathNoise
@@ -149,11 +149,10 @@ def _ncv_waypoints(spec, dt: float) -> np.ndarray:
     if seed < 0:
         _fail("trajectory.ncv.seed", "must be >= 0")
     rng = np.random.default_rng(seed)
-    a, b = ncv_matrices(dt)
     x = np.concatenate([start, velocity])
     out = [start.copy()]
     for _ in range(steps):
-        x = a @ x + b @ (sigma_w * rng.standard_normal(2))
+        x = ncv_step(x, sigma_w * rng.standard_normal(2), dt)
         out.append(x[:2].copy())
     return np.stack(out)
 

@@ -428,20 +428,23 @@ def backward_trace(agent, pa, bounces, extents, obstacles, check: bool, live=Non
     return va, valid & available & ~_hop_obstructed(p, images[-1], obstacles)
 
 
-def trace_entries(rows, n_points):
-    """:func:`backward_trace`'s ``(va, available)`` of each row on ``n_points`` points,
-    as the trace cache's available entries: ``(flat, (vx, vy))`` at the available
-    entries of the stacked (rows, points) availability, in row-major order."""
-    va = np.stack([np.broadcast_to(v, (n_points, 2)) for v, _ in rows]).reshape(-1, 2)
-    flat = np.flatnonzero(np.stack([np.broadcast_to(a, (n_points,)) for _, a in rows]))
-    return flat, (va[flat, 0], va[flat, 1])
+def trace_entries(rows, agent):
+    """:func:`backward_trace`'s ``(va, available)`` of each row on the points ``agent``
+    (n, 2), as the trace cache's available entries: ``(flat, (ax, ay))`` at the
+    available entries of the stacked (rows, points) availability, in row-major
+    order, with the arrival vectors ``agent - va`` there."""
+    agent = np.asarray(agent, dtype=float)
+    arrival = np.stack([agent - v for v, _ in rows]).reshape(-1, 2)
+    flat = np.flatnonzero(np.stack([np.broadcast_to(a, agent.shape[:1]) for _, a in rows]))
+    return flat, (arrival[flat, 0], arrival[flat, 1])
 
 
 def assert_same_entries(got, want):
-    """Available entries ``(flat, (vx, vy))`` with the same indices and the same VA bits."""
-    (flat, va), (want_flat, want_va) = got, want
+    """Available entries ``(flat, (ax, ay))`` with the same indices and the same
+    arrival-vector bits."""
+    (flat, arrival), (want_flat, want_arrival) = got, want
     assert np.array_equal(flat, want_flat)
-    for g, w in zip(va, want_va, strict=True):
+    for g, w in zip(arrival, want_arrival, strict=True):
         assert g.dtype == w.dtype == np.float64
         assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
 
@@ -479,15 +482,15 @@ def nearest_extents_reference(env, clouds, unit=False):
     return lo - margin, hi + margin, walls
 
 
-def block_likelihood_reference(agent_xy, headings, va, avail, z, sigma_d, sigma_phi):
+def block_likelihood_reference(headings, arrival, avail, z, sigma_d, sigma_phi):
     """The filter's block likelihood on (..., 2) points, laid out (entries, measurements).
 
-    ``agent_xy`` (I, 2), ``va`` (R, I, 2).  Returns ``(rows, parts, lik
-    (n, M))`` at the available entries whose particle lies farther than
-    ``EPS_GEO`` from its VA, in row-major order.
+    ``arrival`` (R, I, 2) holds the arrival vectors, each particle minus its
+    VA.  Returns ``(rows, parts, lik (n, M))`` at the available entries whose
+    particle lies farther than ``EPS_GEO`` from its VA, in row-major order.
     """
     rows, parts = np.nonzero(avail)
-    diff = agent_xy[parts] - va[rows, parts]
+    diff = arrival[rows, parts]
     d = np.hypot(diff[:, 0], diff[:, 1])
     keep = d > EPS_GEO
     rows, parts, diff, d = rows[keep], parts[keep], diff[keep], d[keep]
@@ -641,7 +644,7 @@ def process_pa_reference(agent, log_weights, features, batch, pa, params, profil
     ``features`` is the engine's ``FeatureMap``.
 
     The filter's model with every row block held whole: availability and
-    VAs (R, I) scattered from the traced available entries, a likelihood
+    arrival vectors (R, I) scattered from the traced available entries, a likelihood
     (R, I, M) at every element without a gate, responses (R, I), and
     per-feature sums that add one row at a time.  Where no proposal
     inversion is degenerate, ``rng`` is drawn from as the filter draws from
@@ -665,15 +668,14 @@ def process_pa_reference(agent, log_weights, features, batch, pa, params, profil
             members, exist = members[keep], exist[keep]
             if not len(members):
                 continue
-        flat, entry_va = traces.available_entries(agent_xy, members)
+        flat, entry_arrival = traces.available_entries(agent_xy, members)
         avail = np.zeros((len(members), n_part), dtype=bool)
         avail.reshape(-1)[flat] = True
-        va = np.zeros((len(members), n_part, 2))
-        va.reshape(-1, 2)[flat] = np.stack(entry_va, axis=-1)
+        arrival = np.zeros((len(members), n_part, 2))
+        arrival.reshape(-1, 2)[flat] = np.stack(entry_arrival, axis=-1)
         noise = getattr(profile, kind)
         rows, parts, lik = block_likelihood_reference(
-            agent_xy, agent.headings, va, avail, batch,
-            noise.sigma_d, noise.sigma_phi)
+            agent.headings, arrival, avail, batch, noise.sigma_d, noise.sigma_phi)
         blocks.append((kind, members, exist, avail, _dense_lik(rows, parts, lik, avail)))
 
     (xlo, xhi), (ylo, yhi) = params.birth_region

@@ -16,7 +16,7 @@ from mvaslam.engine import (
     _row_log_sums,
     SlamFilter,
     finalize_step,
-    ncv_matrices,
+    ncv_step,
     predict_agent,
     predict_legacy,
     process_pa,
@@ -74,10 +74,15 @@ def feature_map(clouds, existence, n_particles):
                       existence=np.array(existence, dtype=float))
 
 
-def test_ncv_matrices_shape_and_values():
-    a, b = ncv_matrices(0.5)
-    assert np.allclose(a @ [1.0, 2.0, 3.0, 4.0], [2.5, 4.0, 3.0, 4.0])
-    assert np.allclose(b[:, 0], [0.125, 0.0, 0.5, 0.0])
+def test_ncv_step_values():
+    # p' = p + dt v + dt^2 / 2 a and v' = v + dt a, per state of a batch
+    x = np.array([1.0, 2.0, 3.0, 4.0])
+    np.testing.assert_array_equal(ncv_step(x, np.zeros(2), 0.5), [2.5, 4.0, 3.0, 4.0])
+    np.testing.assert_array_equal(ncv_step(x, np.array([1.0, 0.0]), 0.5), [2.625, 4.0, 3.5, 4.0])
+    states = np.stack([x, -x])
+    np.testing.assert_array_equal(ncv_step(states, np.array([[1.0, -2.0], [0.0, 4.0]]), 0.5),
+                                  [[2.625, 3.75, 3.5, 3.0], [-2.5, -3.5, -3.0, -2.0]])
+    assert x.tolist() == [1.0, 2.0, 3.0, 4.0]              # the input state is left as it was
 
 
 @pytest.mark.parametrize("kind", ["los", "single", "double"])
@@ -234,14 +239,16 @@ def run_block(agent, feats, batch, params, pa=(1.0, 0.5), ctx=None, rng=None, cl
                       PROFILE, clutter, rng, ctx)
 
 
-def entries(va, avail):
+def entries(arrival, avail):
     """The available entries of a dense block, as the filter's trace returns them.
 
-    ``va`` (R, I, 2) and ``avail`` (R, I); returns the row-major flat indices
-    of the available entries and the ``(x, y)`` planes of their VAs.
+    ``arrival`` (R, I, 2) holds the arrival vectors, each particle minus its
+    VA, and ``avail`` (R, I) the availability; returns the row-major flat
+    indices of the available entries and the ``(x, y)`` planes of their
+    arrival vectors.
     """
     flat = np.flatnonzero(avail)
-    return flat, (va[..., 0].reshape(-1)[flat], va[..., 1].reshape(-1)[flat])
+    return flat, (arrival[..., 0].reshape(-1)[flat], arrival[..., 1].reshape(-1)[flat])
 
 
 def dense_likelihood(rows, parts, gates, lik, shape):
@@ -265,11 +272,11 @@ def gate_bound(sigma_d, sigma_phi):
     return (1.0 + 1e-12) * np.exp(-0.5 * gate * gate) / (2.0 * np.pi * sigma_d * sigma_phi)
 
 
-def assert_entries_sorted(rows, parts, agent_xy, va, avail):
+def assert_entries_sorted(rows, parts, arrival, avail):
     # every available entry once, nearest its VA first
     assert len(set(zip(rows.tolist(), parts.tolist()))) == len(rows) == avail.sum()
     assert avail[rows, parts].all()
-    d = np.hypot(*np.moveaxis(agent_xy[parts] - va[rows, parts], -1, 0))
+    d = np.hypot(*np.moveaxis(arrival[rows, parts], -1, 0))
     assert np.all(np.diff(d) >= 0.0)
 
 
@@ -310,9 +317,10 @@ def test_block_likelihood_matches_scalar_reference():
                                   va[r, i], profile=profile)
     assert ref[0, n_meas - 2, n_meas - 2] > 0.1 and ref[0, n_meas - 1, n_meas - 1] > 0.1
 
-    rows, parts, gates, lik = _block_likelihood(agent_xy.T, headings, *entries(va, avail), z,
+    arrival = agent_xy - va
+    rows, parts, gates, lik = _block_likelihood(headings, *entries(arrival, avail), z,
                                                 sigma_d, sigma_phi)
-    assert_entries_sorted(rows, parts, agent_xy, va, avail)
+    assert_entries_sorted(rows, parts, arrival, avail)
     assert len(gates) == len(lik) == n_meas
     got, kept = dense_likelihood(rows, parts, gates, lik, avail.shape)
     assert not (kept & ~scoring[..., None]).any() and kept.any() and not kept.all()
@@ -339,12 +347,13 @@ def test_gate_bounds_the_values_it_drops():
     dist = z[0, 0] + offsets
     va = -(dist[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1))[None]
     avail = np.ones((1, n_part), dtype=bool)
-    rows, parts, gates, lik = _block_likelihood(agent_xy.T, headings, *entries(va, avail), z,
+    arrival = agent_xy - va
+    rows, parts, gates, lik = _block_likelihood(headings, *entries(arrival, avail), z,
                                                 sigma_d, sigma_phi)
     got, kept = dense_likelihood(rows, parts, gates, lik, avail.shape)
     inside = np.abs(offsets) < gate * sigma_d
     np.testing.assert_array_equal(kept[0, :, 0], inside)
-    _, ref_parts, ref = block_likelihood_reference(agent_xy, headings, va, avail, z,
+    _, ref_parts, ref = block_likelihood_reference(headings, arrival, avail, z,
                                                    sigma_d, sigma_phi)
     bound = gate_bound(sigma_d, sigma_phi)
     assert np.all(ref[~inside[ref_parts], 0] <= bound)
@@ -371,11 +380,10 @@ def test_block_likelihood_matches_reference_kernel():
     avail[0, :40] = True
     z = np.stack([rng.uniform(0.0, 30.0, n_meas), rng.uniform(-np.pi, np.pi, n_meas)], axis=1)
     z[:2] = [[3.0, -np.pi + 0.02], [3.0, np.pi - 0.02]]   # ... measured just across it
-    rows, parts, gates, lik = _block_likelihood(agent_xy.T, headings, *entries(va, avail), z,
-                                                0.1, 0.2)
-    ref_rows, ref_parts, ref = block_likelihood_reference(agent_xy, headings, va, avail, z,
-                                                          0.1, 0.2)
-    assert_entries_sorted(rows, parts, agent_xy, va, avail)
+    arrival = agent_xy - va
+    rows, parts, gates, lik = _block_likelihood(headings, *entries(arrival, avail), z, 0.1, 0.2)
+    ref_rows, ref_parts, ref = block_likelihood_reference(headings, arrival, avail, z, 0.1, 0.2)
+    assert_entries_sorted(rows, parts, arrival, avail)
     # entries at equal distance keep their row-major order
     assert list(zip(rows[:4], parts[:4])) == [(3, 11), (4, 20), (4, 21), (4, 22)]
     assert avail[3, 11] and not np.any((ref_rows == 3) & (ref_parts == 11))
@@ -406,10 +414,9 @@ def test_compact_reductions_match_dense_reference(n_meas):
     for m in range(n_meas):
         diff = agent_xy[m] - va[0, m]
         z[m] = np.hypot(*diff) + 0.2, np.arctan2(diff[1], diff[0]) - headings[m] + 0.1
-    rows, parts, gates, lik = _block_likelihood(agent_xy.T, headings, *entries(va, avail), z,
-                                                0.3, 0.3)
-    ref_rows, ref_parts, ref = block_likelihood_reference(agent_xy, headings, va, avail, z,
-                                                          0.3, 0.3)
+    arrival = agent_xy - va
+    rows, parts, gates, lik = _block_likelihood(headings, *entries(arrival, avail), z, 0.3, 0.3)
+    ref_rows, ref_parts, ref = block_likelihood_reference(headings, arrival, avail, z, 0.3, 0.3)
     assert len(lik) == n_meas and not np.any((ref_rows == 2) & (ref_parts == 7))
     block = _RowBlock("single", np.arange(n_rows)[:, None], slice(0, n_rows),
                       np.full(n_rows, 0.5), (rows, parts), gates, lik)
@@ -429,8 +436,7 @@ def test_compact_reductions_match_dense_reference(n_meas):
     assert full[2, 7] == eta[2, 0] * (1.0 - 0.9)
     # a block without an available entry
     none = np.zeros_like(avail)
-    rows, parts, gates, lik = _block_likelihood(agent_xy.T, headings, *entries(va, none), z,
-                                                0.3, 0.3)
+    rows, parts, gates, lik = _block_likelihood(headings, *entries(arrival, none), z, 0.3, 0.3)
     assert len(rows) == 0 and len(gates) == n_meas and all(not rows[g].size for g in gates)
     empty = _RowBlock("single", np.arange(n_rows)[:, None], slice(0, n_rows),
                       np.full(n_rows, 0.5), (rows, parts), gates, lik)
@@ -530,13 +536,13 @@ def test_feature_trace_cache_matches_backward_trace():
                                 WallSegment([-4.0, 1.0], [-1.0, 4.0])])
     for check in (True, False):
         traces = ctx.feature_traces(clouds, pa, check)
-        lo, hi = traces.bounds
+        lo, hi = traces.surfaces[4:]
         assert np.all(np.isinf(lo)) and np.all(np.isinf(hi))
         for _, members in candidate_blocks(n_feat, True):
             want = trace_entries([backward_trace(agent_xy, pa, [clouds[i] for i in idx],
                                                  [(lo[i], hi[i]) for i in idx],
                                                  ctx.blocker_segments, check)
-                                  for idx in members], n_part)
+                                  for idx in members], agent_xy)
             assert_same_entries(traces.available_entries(agent_xy, members), want)
             rows, parts = np.divmod(want[0], n_part)
             if check and members.shape[1]:
@@ -583,7 +589,7 @@ def test_feature_trace_cache_tests_only_live_hops(monkeypatch):
             live += sum(np.broadcast_to(m, (n_part,)).sum() for m in masks)
             hops += (len(idx) + 1) * n_part
         assert_same_entries(traces.available_entries(agent_xy, members),
-                            trace_entries(rows, n_part))
+                            trace_entries(rows, agent_xy))
     assert seen == [live] * len(segments)
     assert 0 < live < hops / 2
 
@@ -904,14 +910,14 @@ def test_filter_traces_no_dense_block_plane():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        flat, (vx, vy) = traces.available_entries(agent_xy, members)
+        flat, (ax, ay) = traces.available_entries(agent_xy, members)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     n_part = agent.n_particles
-    dense_plane = len(members) * n_part * vx.itemsize
-    chunk_plane = raytrace._TRACE_CHUNK * vx.itemsize
-    returned = flat.nbytes + vx.nbytes + vy.nbytes
+    dense_plane = len(members) * n_part * ax.itemsize
+    chunk_plane = raytrace._TRACE_CHUNK * ax.itemsize
+    returned = flat.nbytes + ax.nbytes + ay.nbytes
     assert len(members) == 870 and 0 < len(flat) < len(members) * n_part
     assert peak - returned < dense_plane + chunk_plane, f"{peak / 2**20:.1f} MiB"
 
@@ -1134,9 +1140,10 @@ def test_far_obstacle_changes_no_bit(monkeypatch):
     # LOS, single rows, pair rows a row slice at a time, then the truth's three blocks
     assert len(entries) == len(far_entries) > 6
     assert all(len(flat) for flat, _ in entries[:2])
-    for (flat, va), (far_flat, far_va) in zip(entries, far_entries, strict=True):
+    for (flat, arrival), (far_flat, far_arrival) in zip(entries, far_entries, strict=True):
         assert flat.tobytes() == far_flat.tobytes()
-        assert va[0].tobytes() == far_va[0].tobytes() and va[1].tobytes() == far_va[1].tobytes()
+        assert arrival[0].tobytes() == far_arrival[0].tobytes()
+        assert arrival[1].tobytes() == far_arrival[1].tobytes()
     assert beta.tobytes() == far_beta.tobytes() and eta.tobytes() == far_eta.tobytes()
     assert logw.tobytes() == far_logw.tobytes()
     assert updated.particles.tobytes() == far_map.particles.tobytes()
@@ -1144,3 +1151,81 @@ def test_far_obstacle_changes_no_bit(monkeypatch):
     for got, want in zip(truth, far_truth, strict=True):
         assert got.tobytes() == want.tobytes()
     assert truth[1].any() and not truth[1].all()
+
+
+def recorded_block(monkeypatch, args, env):
+    """Run one anchor block; return its evidence table, association messages,
+    agent log-weights and updated map."""
+    tables = []
+
+    def record_association(beta, xi_new, **kw):
+        out = association.run_association(beta, xi_new, **kw)
+        tables.append((beta, out.eta))
+        return out
+
+    monkeypatch.setattr(engine, "run_association", record_association)
+    logw, updated = process_pa(*args, np.random.default_rng(3), env)
+    (beta, eta), = tables
+    return beta, eta, logw, updated
+
+
+def test_inert_feature_changes_no_other_row(monkeypatch):
+    # A legacy feature with existence 0 adds one single row whose evidence is
+    # [1, 0, ..., 0], and its pair rows fall below the existence floor: it
+    # sends nothing to any measurement.  So every other row's beta and eta,
+    # every other feature's updated existence and the normalized agent weights
+    # keep their values, and the agent log-weights all move by the log of the
+    # inert row's eta[:, 0].  The single rows stay in one row slice, so the
+    # other rows' evidence keeps its bits.  Compared before the resampling:
+    # the inert feature still draws a resampling offset, so the resampled
+    # clouds differ.  The inert cloud sits on a true wall's MVA, where it
+    # would be detected if it existed.
+    (agent, log_weights, legacy, *rest), env = olos_block(double=True)
+    s_count = len(legacy)
+    cloud = np.random.default_rng(4).normal(env.wall_mvas[0], 0.2, (1, agent.n_particles, 2))
+    inert = FeatureMap(np.concatenate([legacy.particles, cloud]),
+                       np.concatenate([legacy.existence, [0.0]]))
+    beta, eta, logw, updated = recorded_block(monkeypatch, (agent, log_weights, legacy, *rest),
+                                              env)
+    got_beta, got_eta, got_logw, got = recorded_block(
+        monkeypatch, (agent, log_weights, inert, *rest), env)
+    row = 1 + s_count                         # after the LOS row and the other single rows
+    assert got_beta[row].tolist() == [1.0] + [0.0] * (beta.shape[1] - 1)
+    others = np.delete(np.arange(len(got_beta)), row)
+    assert len(others) == len(beta) > 1 + s_count
+    assert got_beta[others].tobytes() == beta.tobytes()
+    np.testing.assert_allclose(got_eta[others], eta, rtol=1e-12)
+    np.testing.assert_allclose(got_logw - logw, np.log(got_eta[row, 0]), rtol=1e-12)
+    assert np.log(got_eta[row, 0]) < -1e-3
+    np.testing.assert_allclose(np.exp(got_logw - got_logw.max()), np.exp(logw - logw.max()),
+                               rtol=1e-12)
+    # the inert feature is pruned, and every other feature keeps its existence
+    assert len(got) == len(updated) > s_count // 2
+    np.testing.assert_allclose(got.existence, updated.existence, rtol=1e-12)
+
+
+def test_blocker_that_hides_a_surface_makes_its_row_undetectable(monkeypatch):
+    # A blocker just inside the top wall cuts both hops of every particle's
+    # single bounce off feature 0, the top wall's cloud.  That path is
+    # unavailable everywhere, so its detection probability is 0: the
+    # feature's evidence row is exactly [1, 0, ..., 0], and its updated
+    # existence equals its predicted existence.  Without the blocker the
+    # same row is detected.
+    config = bundled_scenario("exp3_olos")
+    blockers = tuple(config.environment.blockers)
+    hiding = WallSegment([-4.9, 2.5], [4.9, 2.5])
+    top = config.environment.walls[0]
+    assert top.a[1] == top.b[1] == 3.5
+    for blocked in (False, True):
+        args, env = olos_block(blockers + (hiding,) if blocked else blockers)
+        params = replace(args[5], p_prune=0.0, max_features=1000)    # every feature is kept
+        args = args[:5] + (params,) + args[6:]
+        legacy = args[2]
+        beta, _, _, updated = recorded_block(monkeypatch, args, env)
+        row = beta[1]                                               # feature 0's single row
+        if not blocked:
+            assert row[0] < 1.0 and row[1:].max() > 0.0
+            continue
+        assert row.tolist() == [1.0] + [0.0] * (len(row) - 1)
+        assert updated.existence[0] == pytest.approx(legacy.existence[0], rel=1e-12)
+        assert 0.3 < legacy.existence[0] < 0.99

@@ -151,7 +151,7 @@ def test_nearest_extents_match_cloud_mean_reference():
         np.full((1, n_part, 2), -0.0),
     ])
     for c in (clouds, clouds[:, :1], clouds[:, :2], clouds[:, :17]):
-        lo, hi = env.feature_traces(c, [1.0, 0.5], True).bounds
+        lo, hi = env.feature_traces(c, [1.0, 0.5], True).surfaces[4:]
         want_lo, want_hi, walls = nearest_extents_reference(env, c)
         assert len(set(walls.tolist())) > 1
         assert lo.tobytes() == want_lo.tobytes() and hi.tobytes() == want_hi.tobytes()
@@ -236,7 +236,7 @@ def test_chunking_and_scratch_reuse_change_no_bit(monkeypatch):
                     want = [backward_trace(agent, pa, [clouds[i] for i in idx],
                                            [(lo[i], hi[i]) for i in idx], env.blocker_segments,
                                            check) for idx in members]
-                    assert_same_entries(out[-1], trace_entries(want, len(agent)))
+                    assert_same_entries(out[-1], trace_entries(want, agent))
         return out
 
     monkeypatch.setattr(raytrace, "_TRACE_CHUNK", 1 << 30)
@@ -262,12 +262,12 @@ def test_single_rows_are_read_as_a_slice_of_surfaces(monkeypatch):
     agent = rng.uniform([-4.8, -3.3], [4.8, 3.3], (n_part, 2))
     traces = env.feature_traces(clouds, [1.0, 0.5], True)
     _, singles = candidate_blocks(len(clouds), False)[1]
-    whole_flat, whole_va = traces.available_entries(agent, singles)
+    whole_flat, whole_arrival = traces.available_entries(agent, singles)
     monkeypatch.setattr(raytrace, "_TRACE_CHUNK", 2 * n_part)   # chunks of 2 rows
-    flat, va = traces.available_entries(agent, singles[2:])
+    flat, arrival = traces.available_entries(agent, singles[2:])
     keep = whole_flat >= 2 * n_part
-    assert_same_entries((flat, va), (whole_flat[keep] - 2 * n_part,
-                                     tuple(v[keep] for v in whole_va)))
+    assert_same_entries((flat, arrival), (whole_flat[keep] - 2 * n_part,
+                                          tuple(v[keep] for v in whole_arrival)))
     assert 0 < len(flat) < len(whole_flat)
     with pytest.raises(ValueError, match="consecutive"):
         traces.available_entries(agent, singles[[1, 0]])
@@ -293,12 +293,12 @@ def test_warm_trace_allocates_no_chunk_temporaries():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        flat, (vx, vy) = traces.available_entries(agent, members)
+        flat, (ax, ay) = traces.available_entries(agent, members)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    chunk_plane = chunk_rows * n_part * vx.itemsize
-    returned = flat.nbytes + vx.nbytes + vy.nbytes
+    chunk_plane = chunk_rows * n_part * ax.itemsize
+    returned = flat.nbytes + ax.nbytes + ay.nbytes
     assert peak - before <= returned * 4 / 3 + chunk_plane
     assert 0 < len(flat) < len(members) * n_part
     # the scratch planes stay behind when the environment is pickled

@@ -213,6 +213,30 @@ def test_ncv_trajectory_generation():
     assert np.allclose(config.waypoints[-1], [-1.5, 1.0])
 
 
+def test_true_heading_holds_at_a_standstill(monkeypatch):
+    # A repeated waypoint has a zero backward-difference velocity.  The true
+    # heading keeps its last well-defined value there, by the filter's rule
+    # (speed at most eps_velocity), so that step's batch is generated at the
+    # previous heading, not at arctan2(0, 0) = 0.  A standstill before any
+    # motion keeps the starting heading, 0.
+    config = minimal_config(trajectory={"waypoints": [[-1.0, 0.0], [-1.0, 0.0], [-1.1, 0.1],
+                                                      [-1.2, 0.2], [-1.2, 0.2], [-1.3, 0.3]]},
+                            params={"n_particles": 50})
+    headings = []
+    plain = experiment.generate_batch
+
+    def record(pos, heading, *rest):
+        headings.append(heading)
+        return plain(pos, heading, *rest)
+
+    monkeypatch.setattr(experiment, "generate_batch", record)
+    experiment.simulate_run(config, 0, 1)
+    vel = config.velocities()
+    turn = [float(np.arctan2(v[1], v[0])) for v in vel]
+    assert np.hypot(*vel[0]) == np.hypot(*vel[3]) == 0.0 and turn[2] > 2.0
+    assert headings == [0.0, turn[1], turn[2], turn[2], turn[4]]
+
+
 def test_reflectivity_flag_routes_to_blockers():
     doc = json.loads(json.dumps(MINIMAL))
     doc["walls"].append({"a": [0.0, -1.0], "b": [0.0, 1.0], "reflective": False})
