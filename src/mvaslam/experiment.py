@@ -23,7 +23,7 @@ import numpy as np
 from .engine import SlamFilter
 from .errors import DegenerateWeights, NonFinite
 from .measurement import generate_batch
-from .metrics import OspaParams, dedupe_points, ospa, va_ospa
+from .metrics import OspaParams, dedupe_points, ospa, va_candidates, va_ospa
 from .raytrace import candidate_blocks
 from .scenario import ScenarioConfig
 
@@ -57,8 +57,7 @@ class TruthTable(NamedTuple):
     """The true geometry traced once: every candidate path, anchor and waypoint."""
 
     blocks: list[tuple[str, np.ndarray]]  # (kind, members) row blocks, K rows, LOS first
-    va: np.ndarray             # (J, K, 2) true virtual anchors, the same at every waypoint
-    available: np.ndarray      # (J, N+1, K) availability
+    arrival: np.ndarray        # (J, N+1, K, 2) arrival vectors, NaN where unavailable
 
 
 def available_path_keys(config: ScenarioConfig) -> TruthTable:
@@ -70,19 +69,18 @@ def available_path_keys(config: ScenarioConfig) -> TruthTable:
     env = config.environment
     blocks = candidate_blocks(len(env.walls), config.double_bounce)
     pas = np.array(config.pas)[:, None]                     # (J, 1, 2)
-    va, available = env.trace_paths(config.waypoints, pas, blocks)
-    return TruthTable(blocks, va[:, 0], available)
+    return TruthTable(blocks, env.trace_paths(config.waypoints, pas, blocks))
 
 
-def truth_va_sets(truth: TruthTable) -> list[np.ndarray]:
-    """Each anchor's true VA set: the VAs of the bounce paths available somewhere
-    along the trajectory, deduplicated in :func:`mvaslam.metrics.va_set`'s order
-    (single bounce at ``s``, then ``(s, s2)`` for every ``s2``)."""
+def truth_va_sets(config: ScenarioConfig, truth: TruthTable) -> list[np.ndarray]:
+    """Each anchor's true VA set: :func:`mvaslam.metrics.va_set` of the true
+    walls, kept to the bounce paths available somewhere along the trajectory."""
     bounces = [tuple(row) for _, members in truth.blocks for row in members.tolist()]
     order = sorted((k for k, b in enumerate(bounces) if b), key=bounces.__getitem__)
-    seen = truth.available.any(axis=1)                      # (J, K)
-    return [dedupe_points(truth.va[j, [k for k in order if seen[j, k]]])
-            for j in range(len(seen))]
+    seen = ~np.isnan(truth.arrival[..., 0]).all(axis=1)     # (J, K)
+    mvas = config.environment.wall_mvas
+    return [dedupe_points(va_candidates(mvas, pa, config.double_bounce)[seen[j, order]])
+            for j, pa in enumerate(config.pas)]
 
 
 def simulate_run(config: ScenarioConfig, run_index: int, base_seed: int,
@@ -100,7 +98,7 @@ def simulate_run(config: ScenarioConfig, run_index: int, base_seed: int,
     true_mvas = config.environment.wall_mvas
     params = config.params
     truth = available_path_keys(config) if availability is None else availability
-    truth_vas = truth_va_sets(truth)
+    truth_vas = truth_va_sets(config, truth)
 
     filt = SlamFilter(config.pas, params, config.profile, config.clutter,
                       rng=rng, start_pos=config.waypoints[0],
@@ -129,8 +127,7 @@ def simulate_run(config: ScenarioConfig, run_index: int, base_seed: int,
         vel = velocities[n - 1]
         if np.hypot(vel[0], vel[1]) > params.eps_velocity:
             heading = float(np.arctan2(vel[1], vel[0]))
-        batches = [generate_batch(pos, heading, truth.blocks, truth.va[j],
-                                  truth.available[j, n], params.p_detect,
+        batches = [generate_batch(heading, truth.blocks, truth.arrival[j, n], params.p_detect,
                                   config.profile, config.clutter, rng)
                    for j in range(n_pa)]
         try:

@@ -146,17 +146,15 @@ def va_to_mva(va, pa):
     return mva
 
 
-def path_distance_angle(agent_pos, heading, va):
-    """Distance and arrival angle of the path represented by a VA.
+def path_distance_angle(arrival, heading):
+    """Distance and arrival angle of a path, from its arrival vector ``agent - va``.
 
-    Returns ``(d, phi)`` with ``d = |agent - va|`` and
-    ``phi = wrap(atan2(agent - va) - heading)``: the angle of arrival is
+    Returns ``(d, phi)`` with ``d = |arrival|`` and
+    ``phi = wrap(atan2(arrival) - heading)``: the angle of arrival is
     measured from the VA toward the agent, relative to the agent heading.
     Raises :class:`CoincidentPoints` where the agent sits on the VA.
     """
-    diff = np.subtract(agent_pos, va, dtype=float)
-    if diff.shape[-1:] != (2,):
-        raise ValueError(f"expected points with last axis 2, got shape {diff.shape}")
+    diff = _as_points(arrival)
     dx, dy = diff[..., 0], diff[..., 1]
     d = np.hypot(dx, dy)
     if np.count_nonzero(d <= EPS_GEO):

@@ -4,7 +4,7 @@ A measurement is a (distance, angle-of-arrival) pair produced by one
 propagation path plus Gaussian noise, or by clutter.  Each available path
 is detected with its class's detection probability; clutter counts are
 Poisson with uniform density over the measurement space.  Which paths are
-available, and their virtual anchors, come from the true geometry, traced
+available, and their arrival vectors, come from the true geometry, traced
 once per experiment (:func:`mvaslam.experiment.available_path_keys`).
 """
 
@@ -63,26 +63,25 @@ class ClutterModel:
         return 1.0 / (self.d_max * TWO_PI)
 
 
-def generate_batch(agent_pos, heading, blocks: Sequence[tuple[str, np.ndarray]], va, available,
-                   p_detect, profile: NoiseProfile, clutter: ClutterModel,
+def generate_batch(heading, blocks: Sequence[tuple[str, np.ndarray]], arrival, p_detect,
+                   profile: NoiseProfile, clutter: ClutterModel,
                    rng: np.random.Generator) -> np.ndarray:
     """Draw one anchor's measurement batch from its traced truth at one agent state.
 
-    ``va`` (K, 2) holds the true virtual anchors of the candidate paths,
-    one per row of the ``(kind, members)`` ``blocks``, which do not depend
-    on the agent position, and ``available`` (K,) their availability at
-    ``agent_pos``: an anchor's VAs and one waypoint's availability row of
-    the truth the experiment traces once.  Nothing is traced here.  Every available path
-    is detected with its kind's probability and measured with Gaussian
-    noise; Poisson clutter is appended; the batch order is randomly
-    permuted.  ``p_detect(kind)`` gives a path kind's ("los" / "single" /
-    "double") base detection probability, as ``HyperParams.p_detect`` does;
-    noise levels come from the kind's entry in ``profile``.  Returns the
-    batch as an (M, 2) array of (distance, angle) rows.
+    ``arrival`` (K, 2) holds the arrival vectors of the candidate paths, one
+    per row of the ``(kind, members)`` ``blocks``, NaN where a path is
+    unavailable: one waypoint's row of the truth the experiment traces once
+    (:meth:`~mvaslam.raytrace.Environment.trace_paths`).  Nothing is traced
+    here.  Every available path is detected with its kind's probability and
+    measured with Gaussian noise; Poisson clutter is appended; the batch
+    order is randomly permuted.  ``p_detect(kind)`` gives a path kind's
+    ("los" / "single" / "double") base detection probability, as
+    ``HyperParams.p_detect`` does; noise levels come from the kind's entry in
+    ``profile``.  Returns the batch as an (M, 2) array of (distance, angle) rows.
     """
     kinds = [kind for kind, members in blocks for _ in members]
-    found = np.flatnonzero(available)
-    dist, angle = path_distance_angle(agent_pos, heading, va[found])
+    found = np.flatnonzero(~np.isnan(arrival[:, 0]))
+    dist, angle = path_distance_angle(arrival[found], heading)
     z_d, z_phi = [], []
     for k, d, phi in zip(found.tolist(), dist.tolist(), angle.tolist()):
         if rng.random() >= p_detect(kinds[k]):

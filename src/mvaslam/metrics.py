@@ -136,13 +136,11 @@ def dedupe_points(points) -> np.ndarray:
     return points[keep]
 
 
-def va_set(mvas, pa, include_double: bool = True):
-    """VA positions generated by a set of MVAs for one anchor.
+def va_candidates(mvas, pa, include_double: bool) -> np.ndarray:
+    """VAs (P, 2) of every bounce path off the MVAs ``mvas`` (S, 2), for one anchor.
 
-    Surface ``s`` is row ``s`` of ``mvas``.  Returns deduplicated points
-    (perpendicular surface pairs map both bounce orders onto one VA), in the
-    order single bounce at ``s``, then ``(s, s2)`` for every ``s2``.  Points
-    of a degenerate MVA (within ``EPS_GEO`` of the origin) are dropped.
+    In the order single bounce at ``s``, then ``(s, s2)`` for every ``s2``;
+    the points of a degenerate MVA (within ``EPS_GEO`` of the origin) are NaN.
     """
     mvas = _as_set(mvas)
     n = len(mvas)
@@ -152,7 +150,13 @@ def va_set(mvas, pa, include_double: bool = True):
         doubles = mva_to_va(mvas[:, None], singles)            # [s, s2]: bounce at s2, then s
         points = np.concatenate([points, doubles[~np.eye(n, dtype=bool)].reshape(n, n - 1, 2)],
                                 axis=1)
-    points = points.reshape(-1, 2)
+    return points.reshape(-1, 2)
+
+
+def va_set(mvas, pa, include_double: bool = True):
+    """The finite :func:`va_candidates`, deduplicated in order (perpendicular
+    surface pairs map both bounce orders onto one VA)."""
+    points = va_candidates(mvas, pa, include_double)
     return dedupe_points(points[np.isfinite(points).all(axis=1)])
 
 

@@ -5,10 +5,7 @@ traced backward from the agent toward the virtual anchor that represents
 it.  Each bounce must hit its reflective surface inside the reflector
 extent, and every hop segment must be free of obstructions.  Availability
 feeds the per-path detection probabilities: an unavailable path cannot
-produce a measurement.  A path's VA needs no trace: it is the anchor
-mirrored across the surfaces the path bounces off, so it depends on the
-anchor and the surfaces only, and the image chain that the trace walks
-toward already holds it.
+produce a measurement.
 
 Candidate paths come in row blocks (:func:`candidate_blocks`): the row
 ``members`` list the surfaces a path bounces off, the one nearest the
@@ -21,8 +18,8 @@ are kept with their arrival vectors, the agent point minus the VA, which
 is all the measurement model reads of a path.  :class:`Environment` builds
 both caches: the experiment traces the true walls once, at every waypoint
 (:meth:`Environment.trace_paths`), and measurement generation draws from
-that table; the SLAM filter traces per-particle feature clouds
-(:meth:`Environment.feature_traces`).  The reflector extents and the
+that table of arrival vectors; the SLAM filter traces per-particle feature
+clouds (:meth:`Environment.feature_traces`).  The reflector extents and the
 obstacle set are the one modelling difference between them.
 """
 
@@ -158,11 +155,11 @@ class Environment:
         extent, and every wall and blocker obstructs; a hop ends on the wall
         of the bounce it arrives at, which the endpoint margin of
         :func:`segment_blocks` keeps from blocking it.  ``agent`` and
-        ``pa`` are (..., 2) and broadcast together.  Returns the VAs
-        (..., K, 2) over the axes of ``pa`` alone, as a VA depends on the
-        anchor and the walls only, and the availability (..., K) over both,
-        one column per block row.  A wall through the origin is rejected
-        (:meth:`Surface.from_segment`), so every VA is a true mirror image.
+        ``pa`` are (..., 2) and broadcast together.  Returns the arrival
+        vectors (..., K, 2), one row per block row: the agent point minus
+        the path's VA where the path is available, NaN where it is not.  A
+        wall through the origin is rejected (:meth:`Surface.from_segment`),
+        so every available path's arrival vector is finite.
         """
         agent = np.asarray(agent, dtype=float)
         pa = np.asarray(pa, dtype=float)
@@ -172,17 +169,13 @@ class Environment:
                                (np.expand_dims(lo, axes), np.expand_dims(hi, axes)),
                                self.segments, True, self.workspace)
         shape = np.broadcast_shapes(agent.shape[:-1], pa.shape[:-1])
-        va_shape = traces.va1[0].shape[1:] + (2,)
-        available, va = [], []
+        arrival = []
         for _, members in blocks:
-            rows = np.zeros((len(members),) + shape, dtype=bool)
-            rows.reshape(-1)[traces.available_entries(agent, members)[0]] = True
-            available.append(rows)
-            va.append(np.broadcast_to(np.stack(traces._images(members.T)[0], axis=-1),
-                                      (len(members),) + va_shape))
-        va = np.moveaxis(np.concatenate(va), 0, -2)
-        return (va.reshape(pa.shape[:-1] + va.shape[-2:]),
-                np.moveaxis(np.concatenate(available), 0, -1))
+            rows = np.full((len(members),) + shape + (2,), np.nan)
+            flat, vectors = traces.available_entries(agent, members)
+            rows.reshape(-1, 2)[flat] = np.stack(vectors, axis=-1)
+            arrival.append(rows)
+        return np.moveaxis(np.concatenate(arrival), 0, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +409,8 @@ class SurfaceTraces:
     surfaces and the image are shared by every row the surface is a member
     of, so a pair row computes only its outer image.  ``obstacles`` are
     ``(a, b)`` segments.  With ``check=False`` nothing is traced and
-    availability only reports non-degenerate surfaces.
-    :meth:`available_entries` traces availability only, in scratch planes of
-    ``workspace``: a path's VA is the first of its images (:meth:`_images`),
-    the anchor mirrored across its bounces, which no trace changes.
+    availability only reports non-degenerate surfaces.  Every temporary
+    of :meth:`available_entries` is a scratch plane of ``workspace``.
     """
 
     def __init__(self, mvas, pa, bounds, obstacles, check: bool, workspace: _Workspace):

@@ -562,7 +562,7 @@ def predicted_measurement(agent_pos, heading, bounces, pa, mva_s=None, mva_s2=No
         va = mva_to_va(mva_s, pa)
     else:
         va = double_bounce_va(mva_s, mva_s2, pa)
-    return path_distance_angle(agent_pos, heading, va)
+    return path_distance_angle(np.subtract(agent_pos, va), heading)
 
 
 def likelihood(z, agent_pos, heading, bounces, pa, mva_s=None, mva_s2=None, *, profile):

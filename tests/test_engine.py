@@ -295,7 +295,7 @@ def test_block_likelihood_matches_scalar_reference():
     for m in range(n_meas - 2):
         r, i = m % n_rows, m
         avail[r, i] = True
-        d, phi = path_distance_angle(agent_xy[i], headings[i], va[r, i])
+        d, phi = path_distance_angle(agent_xy[i] - va[r, i], headings[i])
         z[m] = d + 0.3 * rng.standard_normal(), wrap_angle(phi + 0.3 * rng.standard_normal())
     # two predictions just inside +-pi, measured just across it
     for m, phi, z_phi in ((n_meas - 2, np.pi - 0.05, -np.pi + 0.1),
@@ -629,7 +629,7 @@ def test_process_pa_weight_ordering_follows_likelihood():
     agent.particles[:, 0] += offsets  # particle 0 is exact, the rest drift off
     pa = np.array([1.0, 0.5])
     blocks = candidate_blocks(len(ctx.walls), True)
-    batch = generate_batch(truth, 0.0, blocks, *ctx.trace_paths(truth, pa, blocks),
+    batch = generate_batch(0.0, blocks, ctx.trace_paths(truth, pa, blocks),
                            {"los": 1.0, "single": 1.0, "double": 1.0}.get,
                            NoiseProfile(los=PathNoise(1e-6, 1e-6),
                                         single=PathNoise(1e-6, 1e-6),
@@ -774,7 +774,7 @@ def test_filter_determinism_same_seed():
     params = HyperParams(n_particles=300)
     positions = np.array([[-2.0 + 0.1 * n, 1.0] for n in range(5)])
     blocks = candidate_blocks(len(walls), True)
-    va, available = env.trace_paths(positions, [1.0, 0.5], blocks)
+    arrival = env.trace_paths(positions, [1.0, 0.5], blocks)
 
     def run_once():
         rng = np.random.default_rng(33)
@@ -782,14 +782,33 @@ def test_filter_determinism_same_seed():
                           start_pos=[-2.0, 1.0], extent_walls=walls)
         outs = []
         for n in range(5):
-            batch = generate_batch(positions[n], 0.0, blocks, va, available[n],
-                                   params.p_detect, PROFILE, CLUTTER, rng)
+            batch = generate_batch(0.0, blocks, arrival[n], params.p_detect, PROFILE, CLUTTER,
+                                   rng)
             outs.append(filt.step([batch]).x_hat)
         return np.stack(outs)
 
     first = run_once()
     second = run_once()
     assert np.array_equal(first, second)
+
+
+@pytest.mark.parametrize("bad", ["nan_row", "inf_distance", "one_dim", "three_columns"])
+def test_filter_step_rejects_a_batch_it_cannot_score(bad):
+    # A batch that is not an (M, 2) array of finite values is refused before
+    # the step changes anything, naming its anchor; a negative distance, which
+    # noise can draw, is scored
+    good = batch_of([[3.0, 0.2], [-0.1, -1.0]])
+    batch = {"nan_row": batch_of([[3.0, 0.2], [np.nan, 0.5]]),
+             "inf_distance": batch_of([[np.inf, 0.2]]),
+             "one_dim": np.array([3.0, 0.2]),
+             "three_columns": np.array([[3.0, 0.2, 1.0]])}[bad]
+    filt = SlamFilter([(1.0, 0.5), (-1.0, 0.5)], HyperParams(n_particles=50), PROFILE, CLUTTER,
+                      rng=np.random.default_rng(1), start_pos=[0.0, 0.0])
+    agent = filt.agent
+    with pytest.raises(ValueError, match="anchor 1"):
+        filt.step([good, batch])
+    assert filt.agent is agent
+    assert np.all(np.isfinite(filt.step([good, good]).x_hat))
 
 
 def paper_room_block(case, monkeypatch):
@@ -810,7 +829,7 @@ def paper_room_block(case, monkeypatch):
     existence = rng.uniform(0.3, 0.99, s_count)
     features = feature_map([rng.normal(c, 0.2, (n, 2)) for c in centres], existence, n)
     blocks = candidate_blocks(len(env.walls), True)
-    batch = generate_batch(start, heading, blocks, *env.trace_paths(start, pa, blocks),
+    batch = generate_batch(heading, blocks, env.trace_paths(start, pa, blocks),
                            HyperParams().p_detect, config.profile,
                            config.clutter, rng)
     params = HyperParams(n_particles=n, p_prune=0.0, max_features=1000, pair_existence_floor=0.0)
@@ -1029,7 +1048,7 @@ def olos_block(blockers=None, double=False):
     legacy = feature_map([rng.normal(c, 0.2, (n, 2)) for c in centres],
                          rng.uniform(0.3, 0.99, s_count), n)
     blocks = candidate_blocks(len(env.walls), double)
-    batch = generate_batch(start, 0.0, blocks, *env.trace_paths(start, pa, blocks),
+    batch = generate_batch(0.0, blocks, env.trace_paths(start, pa, blocks),
                            HyperParams().p_detect, config.profile, config.clutter, rng)
     params = HyperParams(n_particles=n, use_double_bounce=double)
     return (agent, np.zeros(n), legacy, batch, pa, params, config.profile, config.clutter), env
@@ -1082,9 +1101,9 @@ def test_filter_step_frees_the_map_before_prediction(monkeypatch):
     blocks = candidate_blocks(len(env.walls), True)
 
     def batches(n):
-        va, available = env.trace_paths(config.waypoints[n], np.array(config.pas), blocks)
-        return [generate_batch(config.waypoints[n], 0.0, blocks, va[j], available[j],
-                               params.p_detect, config.profile, config.clutter, rng)
+        arrival = env.trace_paths(config.waypoints[n], np.array(config.pas), blocks)
+        return [generate_batch(0.0, blocks, arrival[j], params.p_detect, config.profile,
+                               config.clutter, rng)
                 for j in range(len(config.pas))]
 
     filt.step(batches(1))
@@ -1148,9 +1167,9 @@ def test_far_obstacle_changes_no_bit(monkeypatch):
     assert logw.tobytes() == far_logw.tobytes()
     assert updated.particles.tobytes() == far_map.particles.tobytes()
     assert updated.existence.tobytes() == far_map.existence.tobytes()
-    for got, want in zip(truth, far_truth, strict=True):
-        assert got.tobytes() == want.tobytes()
-    assert truth[1].any() and not truth[1].all()
+    assert truth.tobytes() == far_truth.tobytes()
+    available = ~np.isnan(truth[..., 0])
+    assert available.any() and not available.all()
 
 
 def recorded_block(monkeypatch, args, env):
@@ -1229,3 +1248,107 @@ def test_blocker_that_hides_a_surface_makes_its_row_undetectable(monkeypatch):
         assert row.tolist() == [1.0] + [0.0] * (len(row) - 1)
         assert updated.existence[0] == pytest.approx(legacy.existence[0], rel=1e-12)
         assert 0.3 < legacy.existence[0] < 0.99
+
+
+def test_relabeling_the_legacy_features_permutes_their_rows(monkeypatch):
+    # The features' order is a label, not part of the model.  Permuting the
+    # legacy features permutes their single rows, their pair rows (a pair
+    # (s, s2) becomes the pair of the two features' new labels) and their
+    # updated existences and clouds the same way; the normalized agent weights
+    # keep their values.  A row's evidence reads only its own members, so
+    # beta keeps its bits; the association and the sums over rows add in
+    # another order, so the rest agrees within rtol 1e-12.  Compared before
+    # the resampling: the resampling indices are the identity, and the kept
+    # clouds are the gathered ones, so each names the feature it came from.
+    monkeypatch.setattr(engine, "systematic_resample",
+                        lambda weights, offsets: np.tile(np.arange(weights.shape[1]),
+                                                         (len(weights), 1)))
+    (agent, log_weights, legacy, *rest), env = olos_block(double=True)
+    params = rest[2]
+    s_count = len(legacy)
+    perm = np.random.default_rng(8).permutation(s_count)
+    relabeled = FeatureMap(legacy.particles[perm], legacy.existence[perm])
+    beta, eta, logw, updated = recorded_block(monkeypatch, (agent, log_weights, legacy, *rest),
+                                              env)
+    got_beta, got_eta, got_logw, got = recorded_block(
+        monkeypatch, (agent, log_weights, relabeled, *rest), env)
+
+    def pair_rows(existence):
+        pairs = np.argwhere(~np.eye(s_count, dtype=bool))
+        return pairs[np.prod(existence[pairs], axis=1) >= params.pair_existence_floor]
+
+    row_of = {tuple(p): 1 + s_count + r
+              for r, p in enumerate(pair_rows(legacy.existence).tolist())}
+    pairs = perm[pair_rows(relabeled.existence)]          # each pair row's features, old labels
+    rows = np.concatenate([[0], 1 + perm, [row_of[tuple(p)] for p in pairs.tolist()]])
+    assert len(rows) == len(beta) > 1 + s_count
+    assert got_beta.tobytes() == beta[rows].tobytes()
+    np.testing.assert_allclose(got_eta, eta[rows], rtol=1e-12)
+    np.testing.assert_allclose(np.exp(got_logw - got_logw.max()), np.exp(logw - logw.max()),
+                               rtol=1e-12)
+
+    def sources(features, clouds):
+        """The index in ``clouds`` of each kept cloud of ``features``, -1 for a new one."""
+        return np.array([next((k for k, c in enumerate(clouds) if np.array_equal(c, cloud)), -1)
+                         for cloud in features.particles])
+
+    kept, got_kept = sources(updated, legacy.particles), sources(got, relabeled.particles)
+    n_old = np.count_nonzero(kept >= 0)
+    assert s_count // 2 < n_old < s_count and len(got) == len(updated)
+    kept, got_kept = kept[:n_old], got_kept[:n_old]
+    # the survivors are the same features, each kept in its own label order
+    assert np.all(np.diff(kept) > 0) and np.all(np.diff(got_kept) > 0)
+    assert sorted(perm[got_kept].tolist()) == kept.tolist()
+    order = np.searchsorted(kept, perm[got_kept])
+    np.testing.assert_allclose(got.existence[:n_old], updated.existence[order], rtol=1e-12)
+    # the new features follow, the same in both
+    assert got.particles[n_old:].tobytes() == updated.particles[n_old:].tobytes()
+    np.testing.assert_allclose(got.existence[n_old:], updated.existence[n_old:], rtol=1e-12)
+
+
+@pytest.mark.parametrize("transform", ["turn", "mirror"])
+def test_quarter_turn_and_mirror_keep_the_block(transform, monkeypatch):
+    # A quarter turn about the origin, (x, y) -> (-y, x), or a mirror,
+    # (x, y) -> (-x, y), of the whole scene: agent, headings, legacy clouds,
+    # anchor, walls and blocker.  Both are exact in floating point and map
+    # the default birth box onto itself.  Distances stay; an angle relative
+    # to the heading stays under the turn and negates under the mirror, so
+    # the measured angles do too.  The new-feature proposals are the same
+    # draw, mapped.  Then the evidence table, the association, the updated
+    # existences and the normalized agent weights keep their values, within
+    # rtol 1e-12: arctan2 and the headings round differently.
+    (agent, log_weights, legacy, batch, pa, params, profile, clutter), env = olos_block(double=True)
+    assert params.birth_region == ((-15.0, 15.0), (-15.0, 15.0))
+    if transform == "turn":
+        def point(p):
+            return np.stack([-p[..., 1], p[..., 0]], axis=-1)
+        headings, z_phi = agent.headings + np.pi / 2, batch[:, 1]
+    else:
+        def point(p):
+            return np.stack([-p[..., 0], p[..., 1]], axis=-1)
+        headings, z_phi = np.pi - agent.headings, -batch[:, 1]
+
+    def segments(walls):
+        return [WallSegment(point(w.a), point(w.b)) for w in walls]
+
+    props = _draw_proposals(batch, profile.single.sigma_d, profile.single.sigma_phi, agent, pa,
+                            params, np.random.default_rng(2))
+    monkeypatch.setattr(engine, "_draw_proposals", lambda *args: props)
+    beta, eta, logw, updated = recorded_block(
+        monkeypatch, (agent, log_weights, legacy, batch, pa, params, profile, clutter), env)
+    assert len(batch) > 2 and len(updated) > 1
+
+    moved_agent = AgentBelief(np.concatenate([point(agent.particles[:, :2]),
+                                              point(agent.particles[:, 2:])], axis=1), headings)
+    moved_legacy = FeatureMap(point(legacy.particles), legacy.existence)
+    moved_env = Environment(segments(env.walls), segments(env.blockers))
+    monkeypatch.setattr(engine, "_draw_proposals", lambda *args: point(props))
+    moved_batch = np.stack([batch[:, 0], z_phi], axis=1)
+    got_beta, got_eta, got_logw, got = recorded_block(
+        monkeypatch, (moved_agent, log_weights, moved_legacy, moved_batch, point(pa), params,
+                      profile, clutter), moved_env)
+    np.testing.assert_allclose(got_beta, beta, rtol=1e-12)
+    np.testing.assert_allclose(got_eta, eta, rtol=1e-12)
+    np.testing.assert_allclose(np.exp(got_logw - got_logw.max()), np.exp(logw - logw.max()),
+                               rtol=1e-12)
+    np.testing.assert_allclose(got.existence, updated.existence, rtol=1e-12)

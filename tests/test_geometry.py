@@ -140,13 +140,13 @@ def test_reflected_path_length_property():
 
 
 def test_path_distance_angle_collinear():
-    d, phi = path_distance_angle([0.0, 0.0], 0.0, [3.0, 0.0])
+    d, phi = path_distance_angle([-3.0, 0.0], 0.0)
     assert d == pytest.approx(3.0)
     assert angles_close(phi, np.pi)
 
 
 def test_path_distance_angle_heading_subtraction():
-    d, phi = path_distance_angle([0.0, 0.0], np.pi / 2, [0.0, -5.0])
+    d, phi = path_distance_angle([0.0, 5.0], np.pi / 2)
     assert d == pytest.approx(5.0)
     assert phi == pytest.approx(0.0)
 
@@ -161,7 +161,7 @@ def test_wrap_angle_convention():
 
 def test_path_distance_angle_coincident_raises():
     with pytest.raises(CoincidentPoints):
-        path_distance_angle([1.0, 1.0], 0.0, [1.0, 1.0])
+        path_distance_angle([0.0, 0.0], 0.0)
 
 
 def test_wall_segment_validation():

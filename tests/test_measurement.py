@@ -26,10 +26,9 @@ WALL_MVA = ONE_WALL.wall_mvas[0]
 
 
 def traced(agent, pa, env):
-    """Candidate path blocks, true VAs and availability at one agent position, traced once."""
+    """Candidate path blocks and their arrival vectors at one agent position, traced once."""
     blocks = candidate_blocks(len(env.walls), True)
-    va, available = env.trace_paths(agent, pa, blocks)
-    return blocks, va, available
+    return blocks, env.trace_paths(agent, pa, blocks)
 
 
 def test_noise_profile_validation():
@@ -51,13 +50,13 @@ def test_noiseless_limit_exact_values():
     pa = np.array([1.0, -1.0])
     tiny = NoiseProfile(los=TINY, single=TINY, double=TINY)
     rng = np.random.default_rng(0)
-    batch = generate_batch(agent, heading, *traced(agent, pa, ONE_WALL),
+    batch = generate_batch(heading, *traced(agent, pa, ONE_WALL),
                            {"los": 1.0, "single": 1.0, "double": 1.0}.get,
                            tiny, ClutterModel(mu_fp=0.0, d_max=30.0), rng)
     assert len(batch) == 2
-    d_los, phi_los = path_distance_angle(agent, heading, pa)
+    d_los, phi_los = path_distance_angle(agent - pa, heading)
     va = mva_to_va(WALL_MVA, pa)
-    d_s, phi_s = path_distance_angle(agent, heading, va)
+    d_s, phi_s = path_distance_angle(agent - va, heading)
     got = sorted(map(tuple, batch))
     want = sorted([(d_los, phi_los), (d_s, phi_s)])
     for (gd, gp), (wd, wp) in zip(got, want):
@@ -73,7 +72,7 @@ def test_clutter_count_mean():
     total = 0
     n_draws = 100_000
     for _ in range(n_draws):
-        batch = generate_batch([0.0, 0.0], 0.0, *truth,
+        batch = generate_batch(0.0, *truth,
                                {"los": 0.0, "single": 0.0, "double": 0.0}.get,
                                PROFILE, clutter, rng)
         total += len(batch)
@@ -87,7 +86,7 @@ def test_expected_total_count():
     rng = np.random.default_rng(7)
     truth = traced(agent, pa, ONE_WALL)
     n_draws = 100_000
-    total = sum(len(generate_batch(agent, 0.0, *truth, P_DETECT,
+    total = sum(len(generate_batch(0.0, *truth, P_DETECT,
                                    PROFILE, clutter, rng))
                 for _ in range(n_draws))
     expected = 0.95 + 0.95 + 1.0  # LOS + one available single bounce + clutter
@@ -97,7 +96,7 @@ def test_expected_total_count():
 def test_clutter_support():
     rng = np.random.default_rng(3)
     clutter = ClutterModel(mu_fp=5.0, d_max=30.0)
-    batch = generate_batch([0.0, 0.0], 0.0, *traced([0.0, 0.0], [3.0, 0.0], Environment()),
+    batch = generate_batch(0.0, *traced([0.0, 0.0], [3.0, 0.0], Environment()),
                            {"los": 0.0, "single": 0.0, "double": 0.0}.get,
                            PROFILE, clutter, rng)
     assert np.all(batch[:, 0] >= 0.0) and np.all(batch[:, 0] <= 30.0)
@@ -167,7 +166,7 @@ def test_generation_likelihood_consistency():
     truth = traced(agent, pa, Environment())
     logs = []
     for _ in range(10_000):
-        batch = generate_batch(agent, heading, *truth,
+        batch = generate_batch(heading, *truth,
                                {"los": 1.0, "single": 0.0, "double": 0.0}.get,
                                PROFILE, ClutterModel(mu_fp=0.0, d_max=30.0), rng)
         z = Measurement(float(batch[0, 0]), float(batch[0, 1]))
@@ -186,7 +185,6 @@ def test_readme_generate_batch_snippet_runs():
     exec(snippet, scope)
     truth, batch = scope["truth"], scope["batch"]
     n_paths = sum(len(members) for _, members in truth.blocks)
-    assert "(J, K, 2) / (J, N+1, K) tables" in snippet
-    assert truth.va.shape == (len(config.pas), n_paths, 2)
-    assert truth.available.shape == (len(config.pas), len(config.waypoints), n_paths)
+    assert "(J, N+1, K, 2) table" in snippet
+    assert truth.arrival.shape == (len(config.pas), len(config.waypoints), n_paths, 2)
     assert batch.ndim == 2 and batch.shape[1] == 2 and len(batch) > 0

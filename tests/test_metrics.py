@@ -223,9 +223,9 @@ def test_truth_va_sets_match_va_set_of_seen_paths(name):
         config = replace(config, double_bounce=double,
                          params=replace(config.params, use_double_bounce=double))
         truth = available_path_keys(config)
-        seen = truth.available.any(axis=1)
+        seen = ~np.isnan(truth.arrival[..., 0]).all(axis=1)
         bounces = [tuple(row) for _, members in truth.blocks for row in members.tolist()]
-        for j, got in enumerate(truth_va_sets(truth)):
+        for j, got in enumerate(truth_va_sets(config, truth)):
             paths = {path for path, s in zip(bounces, seen[j]) if s}
             want = reference_truth_vas(config.environment.wall_mvas, config.pas[j], paths)
             assert len(want) and np.array_equal(got, want), (name, double, j)

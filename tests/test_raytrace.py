@@ -39,7 +39,8 @@ def nonrect_room():
 def available(agent, pa, bounces, env):
     """Availability of one path at one agent position, traced as the generator does."""
     kind = KINDS[len(bounces)]
-    return bool(env.trace_paths(agent, pa, [(kind, np.array([bounces]).reshape(1, -1))])[1][0])
+    arrival = env.trace_paths(agent, pa, [(kind, np.array([bounces]).reshape(1, -1))])
+    return not np.isnan(arrival[0, 0])
 
 
 def test_los_open_room():
@@ -74,8 +75,8 @@ def test_blocker_removal_monotonicity():
     for _ in range(200):
         agent = rng.uniform([-4.5, -3.0], [4.5, 3.0])
         pa = rng.uniform([-4.5, -3.0], [4.5, 3.0])
-        with_blocker = env_b.trace_paths(agent, pa, blocks)[1]
-        without = env.trace_paths(agent, pa, blocks)[1]
+        with_blocker = ~np.isnan(env_b.trace_paths(agent, pa, blocks)[:, 0])
+        without = ~np.isnan(env.trace_paths(agent, pa, blocks)[:, 0])
         assert np.all(without[with_blocker])
 
 
@@ -112,7 +113,7 @@ def test_oracle_equivalence(room):
         agents.append(rng.uniform(lo + 0.2, hi - 0.2))
         anchors.append(pas[int(rng.integers(2))])
     blocks = candidate_blocks(len(env.walls), True)
-    got = env.trace_paths(np.array(agents), np.array(anchors), blocks)[1]
+    got = ~np.isnan(env.trace_paths(np.array(agents), np.array(anchors), blocks)[..., 0])
     checked = skipped = 0
     for agent, pa, row in zip(agents, anchors, got):
         for path, avail in zip(paths, row):
@@ -171,7 +172,8 @@ def test_filter_and_generator_agree_on_bundled_scenarios(name):
     clouds = np.repeat(env.wall_mvas[:, None], len(points), axis=1)
     for pa in config.pas:
         lo, hi, _ = nearest_extents_reference(env, clouds, unit=True)
-        generator = env.trace_paths(points, pa, candidate_blocks(len(env.walls), True))[1]
+        generator = ~np.isnan(env.trace_paths(points, pa,
+                                              candidate_blocks(len(env.walls), True))[..., 0])
         for k, idx in enumerate(paths):
             _, filt = backward_trace(points, pa, [clouds[i] for i in idx],
                                      [(lo[i], hi[i]) for i in idx], env.blocker_segments,
@@ -195,14 +197,13 @@ def test_truth_table_matches_backward_trace(name, double):
     assert [tuple(row) for _, members in truth.blocks for row in members.tolist()] == paths
     lo, hi = wall_extents(env).T
     pas = np.array(config.pas)[:, None]
-    assert truth.va.shape == (len(config.pas), len(paths), 2)
+    assert truth.arrival.shape == (len(config.pas), len(config.waypoints), len(paths), 2)
     for k, idx in enumerate(paths):
         va, available = backward_trace(config.waypoints, pas, [env.wall_mvas[i] for i in idx],
                                        [(lo[i], hi[i]) for i in idx], env.segments, check=True)
-        # a VA depends on the anchor and the walls only: the same at every waypoint
-        every_waypoint = np.broadcast_to(truth.va[:, None, k], va.shape)
-        assert np.array_equal(every_waypoint, va), (name, double, idx)
-        assert np.array_equal(truth.available[:, :, k], available), (name, double, idx)
+        # the waypoint minus the path's VA where the path is available, NaN elsewhere
+        want = np.where(available[..., None], config.waypoints - va, np.nan)
+        assert np.array_equal(truth.arrival[:, :, k], want, equal_nan=True), (name, double, idx)
 
 
 def test_chunking_and_scratch_reuse_change_no_bit(monkeypatch):

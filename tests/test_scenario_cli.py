@@ -225,9 +225,9 @@ def test_true_heading_holds_at_a_standstill(monkeypatch):
     headings = []
     plain = experiment.generate_batch
 
-    def record(pos, heading, *rest):
+    def record(heading, *rest):
         headings.append(heading)
-        return plain(pos, heading, *rest)
+        return plain(heading, *rest)
 
     monkeypatch.setattr(experiment, "generate_batch", record)
     experiment.simulate_run(config, 0, 1)
