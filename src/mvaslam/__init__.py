@@ -18,7 +18,6 @@ from .errors import (
 )
 from .geometry import (
     EPS_GEO,
-    Surface,
     WallSegment,
     mva_to_va,
     path_distance_angle,
@@ -34,7 +33,6 @@ __all__ = [
     "NonFinite",
     "ScenarioError",
     "EPS_GEO",
-    "Surface",
     "WallSegment",
     "mva_to_va",
     "path_distance_angle",

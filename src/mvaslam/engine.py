@@ -589,8 +589,9 @@ class SlamFilter:
     def step(self, batches: Sequence[np.ndarray]) -> StepEstimate:
         """Advance one time step with one (M, 2) measurement batch per anchor.
 
-        A batch that is not an (M, 2) array of finite values is refused
-        before anything changes: the filter has no model for it.
+        Each batch is read as a float array, so nested lists do too; one
+        that is not (M, 2) finite values is refused before anything
+        changes: the filter has no model for it.
 
         The agent and the map are replaced stage by stage, so a step that
         raises leaves the filter between two stages: it is unusable, and a
@@ -598,8 +599,9 @@ class SlamFilter:
         """
         if len(batches) != len(self.pas):
             raise ValueError("one measurement batch per anchor is required")
+        batches = [np.asarray(batch, dtype=float) for batch in batches]
         for j, batch in enumerate(batches):
-            if np.ndim(batch) != 2 or np.shape(batch)[1] != 2 or not np.isfinite(batch).all():
+            if batch.ndim != 2 or batch.shape[1] != 2 or not np.isfinite(batch).all():
                 raise ValueError(f"anchor {j}: a batch must be an (M, 2) array of finite values")
         self.agent = predict_agent(self.agent, self.params, self.rng)
         # each stage's map replaces its input at once: the map before prediction is freed

@@ -36,39 +36,6 @@ def _as_points(p):
 
 
 @dataclass(frozen=True)
-class Surface:
-    """A reflective surface line, stored as its MVA point.
-
-    The MVA is the mirror image of the origin across the surface line, so the
-    line itself is the perpendicular bisector of the segment origin-MVA.  A
-    line through the origin has no valid MVA and is rejected.
-    """
-
-    mva: np.ndarray
-
-    def __post_init__(self):
-        mva = _as_points(self.mva).reshape(2)
-        if not np.all(np.isfinite(mva)):
-            raise DegenerateSurface("MVA has non-finite components")
-        if np.hypot(mva[0], mva[1]) <= EPS_GEO:
-            raise DegenerateSurface("surface line passes through the origin")
-        object.__setattr__(self, "mva", mva)
-
-    @classmethod
-    def from_segment(cls, a, b) -> "Surface":
-        """Surface whose line passes through segment endpoints ``a`` and ``b``."""
-        a = _as_points(a).reshape(2)
-        b = _as_points(b).reshape(2)
-        d = b - a
-        length = np.hypot(d[0], d[1])
-        if length <= EPS_GEO:
-            raise CoincidentPoints("segment endpoints coincide")
-        n = np.array([-d[1], d[0]]) / length
-        # mva = twice the projection of the origin onto the line
-        return cls(mva=2.0 * (n[0] * a[0] + n[1] * a[1]) * n)
-
-
-@dataclass(frozen=True)
 class WallSegment:
     """Finite wall segment between endpoints ``a`` and ``b``."""
 
@@ -82,6 +49,21 @@ class WallSegment:
             raise CoincidentPoints("wall segment endpoints coincide")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+
+    @property
+    def mva(self) -> np.ndarray:
+        """MVA of the wall's line: twice the projection of the origin onto it.
+
+        A line through the origin has no valid MVA: raises
+        :class:`DegenerateSurface` where the MVA lies within ``EPS_GEO`` of
+        the origin or is not finite.
+        """
+        d = self.b - self.a
+        n = np.array([-d[1], d[0]]) / np.hypot(d[0], d[1])
+        mva = 2.0 * (n[0] * self.a[0] + n[1] * self.a[1]) * n
+        if not np.hypot(mva[0], mva[1]) > EPS_GEO:
+            raise DegenerateSurface("surface line passes through the origin")
+        return mva
 
 
 def mva_to_va(mva, pa):

@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import EPS_GEO, Surface, WallSegment, mva_to_va_planes
+from .geometry import EPS_GEO, WallSegment, mva_to_va_planes
 
 
 _TRACE_CHUNK = 1 << 14  # (row, point) elements traced per chunk of rows
@@ -100,7 +100,7 @@ class Environment:
     @cached_property
     def wall_mvas(self) -> np.ndarray:
         """MVAs of the wall lines, (W, 2)."""
-        return np.array([Surface.from_segment(a, b).mva for a, b in self.wall_ends]).reshape(-1, 2)
+        return np.array([w.mva for w in self.walls]).reshape(-1, 2)
 
     @cached_property
     def workspace(self) -> _Workspace:
@@ -152,14 +152,16 @@ class Environment:
         """Trace the candidate path ``blocks`` against the true geometry.
 
         Wall ``k`` is surface ``k``.  Each bounce is clipped to its wall's
-        extent, and every wall and blocker obstructs; a hop ends on the wall
-        of the bounce it arrives at, which the endpoint margin of
-        :func:`segment_blocks` keeps from blocking it.  ``agent`` and
-        ``pa`` are (..., 2) and broadcast together.  Returns the arrival
-        vectors (..., K, 2), one row per block row: the agent point minus
-        the path's VA where the path is available, NaN where it is not.  A
-        wall through the origin is rejected (:meth:`Surface.from_segment`),
-        so every available path's arrival vector is finite.
+        extent, and every wall and blocker obstructs (:func:`hop_obstructed`,
+        the one obstruction test); a hop ends on the wall of the bounce it
+        arrives at, which the test's endpoint margin keeps from blocking
+        it, and a hop along a segment's line is blocked only where it
+        overlaps the segment.  ``agent`` and ``pa`` are (..., 2) and
+        broadcast together.  Returns the arrival vectors (..., K, 2), one
+        row per block row: the agent point minus the path's VA where the
+        path is available, NaN where it is not.  A wall through the origin
+        is rejected (:attr:`WallSegment.mva`), so every available path's
+        arrival vector is finite.
         """
         agent = np.asarray(agent, dtype=float)
         pa = np.asarray(pa, dtype=float)
@@ -248,68 +250,51 @@ def line_crossing(p, q, normal, offset, empty=np.empty):
     return ok, (hx, hy)
 
 
-def segment_blocks(p, q, a, b):
-    """True where segment [a, b] obstructs the open interior of hop [p, q].
-
-    ``p`` and ``q`` are ``(x, y)`` planes, ``a`` and ``b`` the segment's
-    endpoints.  Crossings within ``EPS_GEO`` of the hop endpoints do not
-    count: hop endpoints lie on reflectors by construction, so a reflector
-    never blocks the hops that meet at it.  Grazing the blocking segment's
-    own endpoints does count (deterministic tie-break).
-    """
-    (px, py), (qx, qy), (ax, ay), (bx, by) = p, q, a, b
-    abx, aby = bx - ax, by - ay
-    pqx, pqy = qx - px, qy - py
-    # side of p/q relative to line ab, and of a/b relative to line pq
-    cross_ap = abx * (py - ay) - aby * (px - ax)
-    cross_aq = abx * (qy - ay) - aby * (qx - ax)
-    cross_pa = pqx * (ay - py) - pqy * (ax - px)
-    cross_pb = pqx * (by - py) - pqy * (bx - px)
-    crossing = (cross_ap * cross_aq <= 0.0) & (cross_pa * cross_pb <= 0.0)
-    hop_len = np.hypot(pqx, pqy)
-    seg_len = np.hypot(abx, aby)
-    scale = np.maximum(seg_len * hop_len, 1e-300)
-    collinear = (np.abs(cross_ap) <= EPS_GEO * scale) & (np.abs(cross_aq) <= EPS_GEO * scale)
-    if not (crossing.any() or collinear.any()):
-        return crossing                       # apart everywhere: nothing blocks
-
-    denom_t = cross_ap - cross_aq
-    safe_t = np.abs(denom_t) > 1e-300
-    t = np.divide(cross_ap, denom_t, out=np.full(denom_t.shape, -1.0), where=safe_t)
-    margin = np.where(hop_len > 0, EPS_GEO / np.maximum(hop_len, 1e-300), 0.0)
-    interior = (t > margin) & (t < 1.0 - margin)
-
-    denom_u = cross_pa - cross_pb
-    safe_u = np.abs(denom_u) > 1e-300
-    u = np.divide(cross_pa, denom_u, out=np.full(denom_u.shape, -1.0), where=safe_u)
-    margin_u = EPS_GEO / np.maximum(seg_len, 1e-300)
-    within = (u >= -margin_u) & (u <= 1.0 + margin_u)
-
-    blocked = crossing & safe_t & safe_u & interior & within
-
-    # collinear overlap: hop slides along the segment
-    if collinear.any():
-        rr = np.maximum(pqx * pqx + pqy * pqy, 1e-300)
-        t0 = ((ax - px) * pqx + (ay - py) * pqy) / rr
-        t1 = ((bx - px) * pqx + (by - py) * pqy) / rr
-        lo = np.minimum(t0, t1)
-        hi = np.maximum(t0, t1)
-        overlap = (hi > margin) & (lo < 1.0 - margin)
-        blocked = blocked | (collinear & overlap)
-    return blocked
-
-
 def hop_obstructed(p, q, segments):
-    """True where any wall/blocker segment obstructs hop [p, q].
+    """True where any wall/blocker segment obstructs the open interior of hop [p, q].
 
     ``p`` and ``q`` are ``(x, y)`` planes; ``segments`` is a sequence of
-    ``(a, b)`` endpoint pairs.  The tracer hands it only the hops whose path
-    is still available (:func:`_clear_obstructed`).  Without segments the result
-    is a scalar False.
+    ``(a, b)`` endpoint pairs.  A segment blocks where p and q lie on both
+    sides of its line and a and b on both sides of the hop's line, touching
+    included, so grazing a segment's own endpoint blocks (deterministic
+    tie-break), and where the crossing lies more than ``EPS_GEO`` from both
+    hop endpoints: hop endpoints lie on reflectors by construction, so a
+    reflector never blocks the hops that meet at it.  A hop with both ends
+    within ``EPS_GEO`` per meter of hop of a segment's line is collinear
+    with it, and blocked only where it overlaps the segment beyond that
+    margin.  The tracer hands it only the hops whose path is still available
+    (:func:`_clear_obstructed`).  Without segments the result is a scalar
+    False.
     """
+    (px, py), (qx, qy) = p, q
+    pqx, pqy = qx - px, qy - py
+    hop_len = np.hypot(pqx, pqy)
+    eps_len = EPS_GEO * hop_len
+    margin = np.divide(EPS_GEO, hop_len, out=np.zeros(np.shape(hop_len)), where=hop_len > 0)
+    far = 1.0 - margin
     blocked = np.False_
-    for a, b in segments:
-        blocked = blocked | segment_blocks(p, q, a, b)
+    for (ax, ay), (bx, by) in segments:
+        abx, aby = bx - ax, by - ay
+        # sides of p and q relative to line ab, and of a and b relative to line pq
+        dpx, dpy = px - ax, py - ay
+        cross_ap = abx * dpy - aby * dpx
+        cross_aq = abx * (qy - ay) - aby * (qx - ax)
+        cross_pa = pqy * dpx - pqx * dpy
+        cross_pb = pqx * (by - py) - pqy * (bx - px)
+        crossing = (cross_ap * cross_aq <= 0.0) & (cross_pa * cross_pb <= 0.0)
+        collinear = np.maximum(np.abs(cross_ap), np.abs(cross_aq)) <= eps_len * math.hypot(abx, aby)
+        if not (crossing.any() or collinear.any()):
+            continue                          # apart everywhere: nothing blocks
+        crossing &= ~collinear                # off the line, a crossing divides by no zero
+        t = np.divide(cross_ap, cross_ap - cross_aq, out=np.zeros(np.shape(crossing)),
+                      where=crossing)
+        hit = (t > margin) & (t < far)
+        if collinear.any():                   # the hop slides along the segment
+            rr = np.maximum(pqx * pqx + pqy * pqy, 1e-300)
+            t0 = -(dpx * pqx + dpy * pqy) / rr
+            t1 = ((bx - px) * pqx + (by - py) * pqy) / rr
+            hit |= collinear & (np.maximum(t0, t1) > margin) & (np.minimum(t0, t1) < far)
+        blocked = blocked | hit
     return blocked
 
 
@@ -409,8 +394,10 @@ class SurfaceTraces:
     surfaces and the image are shared by every row the surface is a member
     of, so a pair row computes only its outer image.  ``obstacles`` are
     ``(a, b)`` segments.  With ``check=False`` nothing is traced and
-    availability only reports non-degenerate surfaces.  Every temporary
-    of :meth:`available_entries` is a scratch plane of ``workspace``.
+    availability only reports non-degenerate surfaces.  Every chunk-sized
+    temporary of :meth:`available_entries` is a scratch plane of
+    ``workspace``; the obstruction test's are not: it gathers the live hops
+    into new arrays (:func:`_clear_obstructed`).
     """
 
     def __init__(self, mvas, pa, bounds, obstacles, check: bool, workspace: _Workspace):
@@ -498,7 +485,8 @@ class SurfaceTraces:
         runs from the previous bounce point toward the next image; its bounce
         point must lie on the surface within the bounds and the hop must be
         unobstructed.  Everything broadcasts to ``available``, into which the
-        availability is written; every temporary comes from the workspace.
+        availability is written; every chunk-sized temporary comes from the
+        workspace.
 
         The obstruction test, the costliest per hop, runs only where the path
         is still available: a bounce hop only where its surface is valid, it

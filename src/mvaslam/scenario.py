@@ -17,7 +17,7 @@ import numpy as np
 
 from .engine import HyperParams, ncv_step
 from .errors import ScenarioError
-from .geometry import EPS_GEO, Surface, WallSegment
+from .geometry import EPS_GEO, WallSegment
 from .measurement import ClutterModel, NoiseProfile, PathNoise
 from .raytrace import Environment
 
@@ -103,7 +103,7 @@ def _parse_segment(obj, path: str, reflective: bool = False) -> WallSegment:
         wall = WallSegment(a=_get_pair(obj["a"], f"{path}.a"),
                            b=_get_pair(obj["b"], f"{path}.b"))
         if reflective:
-            Surface.from_segment(wall.a, wall.b)   # a reflector's line must miss the origin
+            wall.mva  # a reflector's line must miss the origin: raises DegenerateSurface
         return wall
     except ScenarioError:
         raise

@@ -512,14 +512,14 @@ def candidate_bounces(n_surfaces, double):
     return paths
 
 
-def unit_normal(surface):
-    """Unit normal of a surface line (pointing away from the origin)."""
-    return surface.mva / np.linalg.norm(surface.mva)
+def unit_normal(mva):
+    """Unit normal of the surface line of ``mva`` (pointing away from the origin)."""
+    return mva / np.linalg.norm(mva)
 
 
-def line_point(surface):
-    """A point on a surface line (the foot of the origin's mirror)."""
-    return surface.mva / 2.0
+def line_point(mva):
+    """A point on the surface line of ``mva`` (the foot of the origin's mirror)."""
+    return mva / 2.0
 
 
 def double_bounce_va(mva_s, mva_s2, pa):
@@ -532,11 +532,11 @@ def double_bounce_va(mva_s, mva_s2, pa):
     return mva_to_va(mva_s, mva_to_va(mva_s2, pa))
 
 
-def mirror_point(p, surface):
-    """Mirror point(s) ``p`` across a surface: ``p + 2 (u.e - u.p) u``."""
+def mirror_point(p, mva):
+    """Mirror point(s) ``p`` across the surface of ``mva``: ``p + 2 (u.e - u.p) u``."""
     p = np.asarray(p, dtype=float)
-    u = unit_normal(surface)
-    e = line_point(surface)
+    u = unit_normal(mva)
+    e = line_point(mva)
     return p + 2.0 * (np.dot(e, u) - p @ u)[..., None] * u
 
 

@@ -569,14 +569,15 @@ def test_feature_trace_cache_tests_only_live_hops(monkeypatch):
     clouds[1, :4] = 0.0                       # degenerate MVA rows
     segments = ctx.blocker_segments
     seen = [0] * len(segments)
-    segment_blocks = raytrace.segment_blocks
+    hop_obstructed = raytrace.hop_obstructed
 
-    def counted(p, q, a, b):
-        j = next(j for j, (sa, _) in enumerate(segments) if sa is a)
-        seen[j] += int(np.prod(np.broadcast_shapes(np.shape(p[0]), np.shape(q[0]))))
-        return segment_blocks(p, q, a, b)
+    def counted(p, q, obstacles):
+        assert obstacles is segments          # the filter's map: only blockers obstruct
+        hops = int(np.prod(np.broadcast_shapes(np.shape(p[0]), np.shape(q[0]))))
+        seen[:] = [n + hops for n in seen]
+        return hop_obstructed(p, q, obstacles)
 
-    monkeypatch.setattr(raytrace, "segment_blocks", counted)
+    monkeypatch.setattr(raytrace, "hop_obstructed", counted)
     traces = ctx.feature_traces(clouds, pa, True)
     lo, hi, _ = nearest_extents_reference(ctx, clouds, unit=True)
     live = hops = 0
@@ -809,6 +810,23 @@ def test_filter_step_rejects_a_batch_it_cannot_score(bad):
         filt.step([good, batch])
     assert filt.agent is agent
     assert np.all(np.isfinite(filt.step([good, good]).x_hat))
+
+
+def test_filter_step_takes_nested_list_batches():
+    # A batch given as nested lists is the array of its values: the same
+    # estimate, bit for bit, over two steps
+    config = bundled_scenario("exp3_olos")
+    params = replace(config.params, n_particles=50)
+    batches = [[[3.0, 0.1]], [[4.0, -0.2]]]                 # one per anchor
+    estimates = []
+    for convert in (lambda b: b, batch_of):
+        filt = SlamFilter(config.pas, params, config.profile, config.clutter,
+                          np.random.default_rng(8), start_pos=config.waypoints[0],
+                          extent_walls=config.walls, blockers=config.blockers)
+        estimates.append([filt.step([convert(b) for b in batches]) for _ in range(2)])
+    for got, want in zip(*estimates):
+        assert np.array_equal(got.x_hat, want.x_hat)
+        assert np.array_equal(got.mva_positions, want.mva_positions)
 
 
 def paper_room_block(case, monkeypatch):
@@ -1122,8 +1140,8 @@ def test_filter_step_frees_the_map_before_prediction(monkeypatch):
 
 
 def test_far_obstacle_changes_no_bit(monkeypatch):
-    # A blocker that no hop comes near obstructs nothing: segment_blocks
-    # returns before its divisions when no hop crosses it and none is
+    # A blocker that no hop comes near obstructs nothing: hop_obstructed
+    # skips a segment before its division when no hop crosses it and none is
     # collinear with it.  So adding one changes no bit of one setup-1 anchor
     # block (its available entries, evidence table, association, agent
     # log-weights and map) nor of the truth's trace.

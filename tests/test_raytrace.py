@@ -7,13 +7,13 @@ import pytest
 
 from mvaslam import raytrace
 from mvaslam.experiment import available_path_keys
-from mvaslam.geometry import WallSegment
+from mvaslam.geometry import EPS_GEO, WallSegment
 from mvaslam.raytrace import Environment, candidate_blocks
 from mvaslam.scenario import bundled_scenario
 
-from oracles import (AMBIGUOUS, KINDS, assert_same_entries, backward_trace, candidate_bounces,
-                     nearest_extents_reference, oracle_path_available, trace_entries,
-                     wall_extents)
+from oracles import (AMBIGUOUS, KINDS, _hop_obstructed, assert_same_entries, backward_trace,
+                     candidate_bounces, nearest_extents_reference, oracle_path_available,
+                     trace_entries, wall_extents)
 
 LOS = ()
 
@@ -124,6 +124,70 @@ def test_oracle_equivalence(room):
             assert avail == expected, f"disagreement at agent={agent}, pa={pa}, path={path}"
             checked += 1
     assert checked > 10 * skipped
+
+
+def _hops_at_segments(rng, segments, n):
+    """``n`` hops of each of four families against ``segments``, as (4n, 2) endpoints ``p``, ``q``.
+
+    Random hops; hops ending on a segment, at a dyadic fraction of it (exactly
+    on it) or a random one; hops through a segment's end, exactly, with
+    dyadic endpoints; and hops through the point 1e-7 of a segment's length
+    before or past an end.
+    """
+    ends = np.array(segments)                                   # (G, 2, 2)
+    seg = ends[rng.integers(len(ends), size=(3, n))]            # (3, n, 2, 2)
+    a, b = seg[..., 0, :], seg[..., 1, :]
+    grid = rng.integers(-128, 192, (3, n, 2)) / 64.0            # dyadic points in [-2, 3)
+    s = np.where(rng.random((n, 1)) < 0.5, rng.integers(0, 17, (n, 1)) / 16.0, rng.random((n, 1)))
+    on_segment = a[0] + s * (b[0] - a[0])
+    end = np.where(rng.random((n, 1)) < 0.5, a[1], b[1])
+    past = rng.choice([-1e-7, 1.0 + 1e-7], size=(n, 1))
+    beyond = a[2] + past * (b[2] - a[2])
+    p = np.concatenate([rng.uniform(-2.0, 3.0, (n, 2)), grid[0], grid[1], grid[2]])
+    q = np.concatenate([rng.uniform(-2.0, 3.0, (n, 2)), on_segment, 2.0 * end - grid[1],
+                        grid[2] + rng.uniform(0.5, 3.0, (n, 1)) * (beyond - grid[2])])
+    return p, q
+
+
+def test_hop_obstructed_matches_reference_off_collinear_hops():
+    # The one obstruction test decides every hop that is not collinear with a
+    # segment as the reference's crossing test, which also divides out the
+    # segment's parameter: the sign tests imply its range.  Exact touches of a
+    # segment's end and of its line are included.
+    segments = [(np.array([0.125, 0.25]), np.array([0.75, 1.5])),
+                (np.array([-1.0, 0.5]), np.array([1.0, 0.5])),
+                (np.array([0.5, -1.0]), np.array([0.5, 2.0]))]
+    rng = np.random.default_rng(29)
+    checked = blocked = touching = 0
+    for _ in range(4):
+        p, q = _hops_at_segments(rng, segments, 1 << 16)
+        keep = np.ones(len(p), dtype=bool)
+        hop_len = np.hypot(*(q - p).T)
+        for a, b in segments:
+            ab = b - a
+            cross_p = ab[0] * (p[:, 1] - a[1]) - ab[1] * (p[:, 0] - a[0])
+            cross_q = ab[0] * (q[:, 1] - a[1]) - ab[1] * (q[:, 0] - a[0])
+            keep &= np.maximum(abs(cross_p), abs(cross_q)) > 1e3 * EPS_GEO * np.hypot(*ab) * hop_len
+            touching += np.count_nonzero((cross_p == 0.0) | (cross_q == 0.0))
+        p, q = p[keep], q[keep]
+        got = raytrace.hop_obstructed(tuple(p.T), tuple(q.T), segments)
+        assert np.array_equal(got, _hop_obstructed(p, q, segments))
+        checked += len(p)
+        blocked += np.count_nonzero(got)
+    assert checked > 1_000_000 and 0.1 < blocked / checked < 0.9 and touching > 10_000
+
+
+def test_collinear_hop_blocks_only_where_it_overlaps_the_segment():
+    # A LOS hop along a blocker's line: blocked only where it overlaps the
+    # blocker, as the dense-sampling oracle judges the one that does not
+    a, b = np.array([0.1, 0.3]), np.array([0.7, 0.9])
+    env = Environment(blockers=[WallSegment(a, b)])
+    los = [("los", np.zeros((1, 0), dtype=int))]
+    pa, agent = a + 1.34 * (b - a), a + 3.3 * (b - a)           # both past b
+    assert oracle_path_available(agent, pa, LOS, env) is True
+    assert not np.isnan(env.trace_paths(agent, pa, los)[0, 0])
+    for s_pa, s_agent in ((-0.5, 2.0), (0.5, 3.0)):             # over the whole blocker, half of it
+        assert np.isnan(env.trace_paths(a + s_agent * (b - a), a + s_pa * (b - a), los)[0, 0])
 
 
 def test_wall_extents():
