@@ -53,6 +53,11 @@ def main(argv=None) -> int:
     except FileNotFoundError:
         print(f"mvaslam: error: scenario file not found: {args.scenario}", file=sys.stderr)
         return 1
+    except (OSError, UnicodeDecodeError) as exc:            # a directory, unreadable, not UTF-8
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        print(f"mvaslam: error: cannot read scenario file {args.scenario}: {reason}",
+              file=sys.stderr)
+        return 1
     except MvaSlamError as exc:
         print(f"mvaslam: error: {exc}", file=sys.stderr)
         return 1

@@ -183,7 +183,9 @@ def systematic_resample(weights: np.ndarray, offsets) -> np.ndarray:
     return idx.reshape(weights.shape)
 
 
-def _refresh_headings(velocities: np.ndarray, previous: np.ndarray, eps: float) -> np.ndarray:
+def refresh_headings(velocities: np.ndarray, previous: np.ndarray, eps: float) -> np.ndarray:
+    """The heading of each ``(vx, vy)`` row: its direction where the speed
+    exceeds ``eps``, else the ``previous`` heading."""
     speed = np.hypot(velocities[:, 0], velocities[:, 1])
     return np.where(speed > eps, np.arctan2(velocities[:, 1], velocities[:, 0]), previous)
 
@@ -195,7 +197,7 @@ def initial_agent_belief(start_pos, params: HyperParams, rng: np.random.Generato
     particles = np.empty((n, 4))
     particles[:, :2] = start + _PRIOR_POS_HALFWIDTH * (2.0 * rng.random((n, 2)) - 1.0)
     particles[:, 2:] = _PRIOR_VEL_HALFWIDTH * (2.0 * rng.random((n, 2)) - 1.0)
-    headings = _refresh_headings(particles[:, 2:], np.zeros(n), params.eps_velocity)
+    headings = refresh_headings(particles[:, 2:], np.zeros(n), params.eps_velocity)
     return AgentBelief(particles=particles, headings=headings)
 
 
@@ -203,7 +205,7 @@ def predict_agent(belief: AgentBelief, params: HyperParams, rng: np.random.Gener
     """Propagate every particle through the NCV model (:func:`ncv_step`)."""
     noise = params.sigma_accel * rng.standard_normal((belief.n_particles, 2))
     particles = ncv_step(belief.particles, noise, params.dt)
-    headings = _refresh_headings(particles[:, 2:], belief.headings, params.eps_velocity)
+    headings = refresh_headings(particles[:, 2:], belief.headings, params.eps_velocity)
     return AgentBelief(particles=particles, headings=headings)
 
 
@@ -561,9 +563,8 @@ def finalize_step(agent: AgentBelief, log_weights: np.ndarray,
     x_hat = (weights[:, None] * agent.particles).sum(axis=0)
 
     idx = systematic_resample(weights, rng.random())
-    particles = agent.particles[idx]
-    headings = _refresh_headings(particles[:, 2:], agent.headings[idx], params.eps_velocity)
-    resampled = AgentBelief(particles=particles, headings=headings)
+    # a resampled particle keeps its heading: predict_agent refreshed it from this velocity
+    resampled = AgentBelief(particles=agent.particles[idx], headings=agent.headings[idx])
 
     positions = features.particles[features.existence > params.p_confirm].mean(axis=1)
     estimate = StepEstimate(x_hat=x_hat, mva_positions=positions)

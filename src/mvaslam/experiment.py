@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .engine import SlamFilter
+from .engine import SlamFilter, refresh_headings
 from .errors import DegenerateWeights, NonFinite
 from .measurement import generate_batch
 from .metrics import OspaParams, dedupe_points, ospa, va_candidates, va_ospa
@@ -110,36 +110,29 @@ def simulate_run(config: ScenarioConfig, run_index: int, base_seed: int,
     mospa_va = np.full((n_pa, n_steps + 1), np.nan)
     s_hat = np.zeros(n_steps + 1, dtype=int)
 
-    prior_mean = filt.agent.mean()
-    err[0] = float(np.hypot(*(prior_mean[:2] - config.waypoints[0])))
-    mospa_mva[0] = ospa(np.zeros((0, 2)), true_mvas, OSPA_PARAMS)
-    for j, pa in enumerate(config.pas):
-        mospa_va[j, 0] = va_ospa(np.zeros((0, 2)), truth_vas[j], pa, OSPA_PARAMS,
-                                 include_double=config.double_bounce)
+    def record(n: int, x_hat: np.ndarray, mvas: np.ndarray) -> None:
+        err[n] = float(np.hypot(*(x_hat[:2] - config.waypoints[n])))
+        mospa_mva[n] = ospa(mvas, true_mvas, OSPA_PARAMS)
+        for j, pa in enumerate(config.pas):
+            mospa_va[j, n] = va_ospa(mvas, truth_vas[j], pa, OSPA_PARAMS,
+                                     include_double=config.double_bounce)
+        s_hat[n] = len(mvas)
 
-    velocities = config.velocities()
-    # the true heading follows the filter's rule: it keeps its last well-defined
-    # value while the speed is at most eps_velocity, starting from 0
-    heading = 0.0
+    record(0, filt.agent.mean(), np.zeros((0, 2)))
+    # the true heading follows the filter's rule, from 0 at the start
+    velocities = np.diff(config.waypoints, axis=0) / params.dt
+    heading = np.zeros(1)
     started = time.perf_counter()
     for n in range(1, n_steps + 1):
-        pos = config.waypoints[n]
-        vel = velocities[n - 1]
-        if np.hypot(vel[0], vel[1]) > params.eps_velocity:
-            heading = float(np.arctan2(vel[1], vel[0]))
-        batches = [generate_batch(heading, truth.blocks, truth.arrival[j, n], params.p_detect,
+        heading = refresh_headings(velocities[n - 1:n], heading, params.eps_velocity)
+        batches = [generate_batch(heading[0], truth.blocks, truth.arrival[j, n], params.p_detect,
                                   config.profile, config.clutter, rng)
                    for j in range(n_pa)]
         try:
             estimate = filt.step(batches)
         except (DegenerateWeights, NonFinite):
             break
-        err[n] = float(np.hypot(*(estimate.x_hat[:2] - pos)))
-        mospa_mva[n] = ospa(estimate.mva_positions, true_mvas, OSPA_PARAMS)
-        for j, pa in enumerate(config.pas):
-            mospa_va[j, n] = va_ospa(estimate.mva_positions, truth_vas[j], pa, OSPA_PARAMS,
-                                     include_double=config.double_bounce)
-        s_hat[n] = len(estimate.mva_positions)
+        record(n, estimate.x_hat, estimate.mva_positions)
     wall_time = time.perf_counter() - started
 
     converged = bool(np.all(err < CONVERGENCE_RADIUS))     # False on a NaN step

@@ -141,6 +141,4 @@ def path_distance_angle(arrival, heading):
     d = np.hypot(dx, dy)
     if np.count_nonzero(d <= EPS_GEO):
         raise CoincidentPoints("agent position coincides with the VA")
-    # wrap_angle inlined: this runs once per measurement batch, on a few paths
-    phi = np.mod(np.arctan2(dy, dx) - heading + np.pi, 2.0 * np.pi) - np.pi
-    return d, phi
+    return d, wrap_angle(np.arctan2(dy, dx) - heading)

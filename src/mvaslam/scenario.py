@@ -58,11 +58,6 @@ class ScenarioConfig:
     def n_steps(self) -> int:
         return self.waypoints.shape[0] - 1
 
-    def velocities(self) -> np.ndarray:
-        """Backward-difference velocities, one per measured step."""
-        dt = self.params.dt
-        return np.diff(self.waypoints, axis=0) / dt
-
 
 def _fail(path: str, message: str):
     raise ScenarioError(f"{path}: {message}")

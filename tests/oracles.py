@@ -100,12 +100,26 @@ def _dense_blocked(p, q, seg_a, seg_b, n_samples, endpoint_margin):
 
     Crossings at the hop endpoints do not block (hop endpoints sit on
     reflectors by construction); crossings in the gray zone around either
-    segment's endpoints return AMBIGUOUS.
+    segment's endpoints return AMBIGUOUS.  A hop along the segment's line,
+    both ends within EPS_TIE per meter of hop of it, has no crossing to
+    sample: it is blocked where the segment overlaps the hop's interior,
+    and AMBIGUOUS within the margin of an overlap edge.
     """
     seg = seg_b - seg_a
     seg_len = np.hypot(*seg)
     normal = np.array([-seg[1], seg[0]]) / seg_len
     offset = float(normal @ seg_a)
+    hop_len = np.hypot(*(q - p))
+    tie = EPS_TIE / hop_len
+    gray = endpoint_margin / hop_len
+    if max(abs(p @ normal - offset), abs(q @ normal - offset)) <= EPS_TIE * hop_len:
+        ta, tb = (np.array([seg_a, seg_b]) - p) @ (q - p) / hop_len ** 2
+        lo, hi = min(ta, tb), max(ta, tb)
+        if hi <= tie or lo >= 1.0 - tie:
+            return False  # touching the hop at an endpoint or apart from it
+        if hi < gray or lo > 1.0 - gray:
+            return AMBIGUOUS
+        return True
     hit = _dense_crossing(p, q, normal, offset, n_samples)
     if hit is None:
         return False
@@ -113,10 +127,7 @@ def _dense_blocked(p, q, seg_a, seg_b, n_samples, endpoint_margin):
     u_zone = _zone(u, 0.0, 1.0, seg_len, endpoint_margin)
     if u_zone == "out":
         return False
-    hop_len = np.hypot(*(q - p))
     t = float((hit - p) @ (q - p)) / hop_len ** 2
-    tie = EPS_TIE / hop_len
-    gray = endpoint_margin / hop_len
     if t <= tie or t >= 1.0 - tie:
         return False  # endpoint contact never blocks
     if t < gray or t > 1.0 - gray:

@@ -704,6 +704,28 @@ def test_finalize_uniform_weights_mean():
     assert np.allclose(resampled.mean(), resampled.particles.mean(axis=0))
 
 
+def test_finalize_resampling_carries_each_heading():
+    # a resampled particle keeps its own heading: at a standstill the earlier,
+    # non-zero one, and moving the one predict_agent took from its velocity
+    n = 8
+    params = HyperParams(n_particles=n, sigma_accel=1e-300)
+    rng = np.random.default_rng(30)
+    particles = np.zeros((n, 4))
+    particles[:, 0] = np.arange(n)                          # a particle's position names it
+    particles[1::2, 2:] = rng.normal(0.0, 1.0, (n // 2, 2))  # odd particles move
+    earlier = 0.5 + 0.3 * np.arange(n)
+    agent = predict_agent(AgentBelief(particles=particles, headings=earlier), params, rng)
+    vel = agent.particles[1::2, 2:]
+    assert np.array_equal(agent.headings[0::2], earlier[0::2])
+    assert np.array_equal(agent.headings[1::2], np.arctan2(vel[:, 1], vel[:, 0]))
+    log_weights = np.log([4.0, 4.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+    resampled, _ = finalize_step(agent, log_weights, feature_map([], [], n), params, rng)
+    src = np.argmax((resampled.particles[:, None] == agent.particles[None]).all(axis=2), axis=1)
+    assert np.array_equal(resampled.particles, agent.particles[src])
+    assert np.count_nonzero(src == 0) >= 2 and np.count_nonzero(src == 1) >= 2
+    assert np.array_equal(resampled.headings, agent.headings[src])
+
+
 def test_finalize_confirmation_threshold():
     params = HyperParams(n_particles=10)
     rng = np.random.default_rng(9)

@@ -179,7 +179,7 @@ def test_hop_obstructed_matches_reference_off_collinear_hops():
 
 def test_collinear_hop_blocks_only_where_it_overlaps_the_segment():
     # A LOS hop along a blocker's line: blocked only where it overlaps the
-    # blocker, as the dense-sampling oracle judges the one that does not
+    # blocker, as the dense-sampling oracle judges it
     a, b = np.array([0.1, 0.3]), np.array([0.7, 0.9])
     env = Environment(blockers=[WallSegment(a, b)])
     los = [("los", np.zeros((1, 0), dtype=int))]
@@ -187,7 +187,9 @@ def test_collinear_hop_blocks_only_where_it_overlaps_the_segment():
     assert oracle_path_available(agent, pa, LOS, env) is True
     assert not np.isnan(env.trace_paths(agent, pa, los)[0, 0])
     for s_pa, s_agent in ((-0.5, 2.0), (0.5, 3.0)):             # over the whole blocker, half of it
-        assert np.isnan(env.trace_paths(a + s_agent * (b - a), a + s_pa * (b - a), los)[0, 0])
+        agent, pa = a + s_agent * (b - a), a + s_pa * (b - a)
+        assert oracle_path_available(agent, pa, LOS, env) is False
+        assert np.isnan(env.trace_paths(agent, pa, los)[0, 0])
 
 
 def test_wall_extents():

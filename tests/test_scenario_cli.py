@@ -231,7 +231,7 @@ def test_true_heading_holds_at_a_standstill(monkeypatch):
 
     monkeypatch.setattr(experiment, "generate_batch", record)
     experiment.simulate_run(config, 0, 1)
-    vel = config.velocities()
+    vel = np.diff(config.waypoints, axis=0) / config.params.dt
     turn = [float(np.arctan2(v[1], v[0])) for v in vel]
     assert np.hypot(*vel[0]) == np.hypot(*vel[3]) == 0.0 and turn[2] > 2.0
     assert headings == [0.0, turn[1], turn[2], turn[2], turn[4]]
@@ -350,6 +350,21 @@ def test_cli_missing_scenario_file(tmp_path, capsys):
                  "--out-dir", str(tmp_path)])
     assert code == 1
     assert "not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+def test_cli_unreadable_scenario_file(tmp_path, capsys, kind):
+    path = tmp_path / "scenario"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe")
+    code = main(["--scenario", str(path), "--runs", "1", "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"mvaslam: error: cannot read scenario file {path}: ")
+    assert "Traceback" not in err
 
 
 def test_cli_certain_detection_is_a_scenario_error(tmp_path, capsys):
