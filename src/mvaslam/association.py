@@ -72,19 +72,28 @@ def run_association(beta, xi_new, max_iters: int = 20, tol: float = 1e-6) -> Ass
     row_sum = beta_miss + beta_hit.sum(axis=1, keepdims=True)
     z = beta_hit / np.maximum(row_sum - beta_hit, _TINY)
 
-    v = np.zeros_like(z)
+    # A row without evidence for any measurement keeps its zero z, so the
+    # sweeps update only the live rows; t_m still sums the whole table, in
+    # the order the full sweep sums it, so every message keeps its bits.
+    live = np.flatnonzero(beta_hit.any(axis=1))
+    miss, hit, z_live = beta_miss[live], beta_hit[live], z[live]
     iterations = 0
     for iterations in range(1, max_iters + 1):
         t_m = xi_new + z.sum(axis=0, keepdims=True)                     # (1, M)
-        v = 1.0 / np.maximum(t_m - z, _TINY)
-        u_k = beta_miss + (beta_hit * v).sum(axis=1, keepdims=True)     # (K, 1)
-        z_next = beta_hit / np.maximum(u_k - beta_hit * v, _TINY)
-        delta = np.max(np.abs(z_next - z) / np.maximum(np.abs(z), 1e-12))
-        z = z_next
+        v = 1.0 / np.maximum(t_m - z_live, _TINY)
+        u_k = miss + (hit * v).sum(axis=1, keepdims=True)               # (K', 1)
+        z_next = hit / np.maximum(u_k - hit * v, _TINY)
+        delta = np.max(np.abs(z_next - z_live) / np.maximum(np.abs(z_live), 1e-12), initial=0.0)
+        z_live = z[live] = z_next
         if delta < tol:
             break
+    eta = np.ones((n_paths, n_meas + 1))
+    if iterations:
+        eta[:, 1:] = 1.0 / np.maximum(t_m - z, _TINY)    # the rows without evidence
+        eta[live, 1:] = v
+    else:
+        eta[:, 1:] = 0.0
 
-    eta = np.concatenate([np.ones((n_paths, 1)), v], axis=1)
     sigma_out = np.concatenate([np.ones((n_meas, 1)), z.T], axis=1)
     if not (np.all(np.isfinite(eta)) and np.all(np.isfinite(sigma_out))):
         raise NonFinite("association messages overflowed")

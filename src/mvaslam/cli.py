@@ -85,7 +85,12 @@ def main(argv=None) -> int:
     except MvaSlamError as exc:
         print(f"mvaslam: error: {exc}", file=sys.stderr)
         return 1
-    paths = write_outputs(args.out_dir, config, result)
+    try:
+        paths = write_outputs(args.out_dir, config, result)
+    except OSError as exc:                                  # e.g. results.csv is a directory
+        print(f"mvaslam: error: cannot write outputs to {args.out_dir}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 1
 
     summary = result.summary
     print(f"scenario {summary['scenario']}: {summary['runs']} runs, "

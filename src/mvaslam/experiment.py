@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
@@ -204,6 +203,8 @@ def run_experiment(config: ScenarioConfig, runs: int, base_seed: int,
     started = time.perf_counter()
     workers = min(threads, runs)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor    # loaded only for a pool
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(simulate_run, config, i, base_seed, availability)
                        for i in range(runs)]

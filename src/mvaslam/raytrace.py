@@ -115,38 +115,22 @@ class Environment:
     def segments(self) -> tuple:
         return tuple((w.a, w.b) for w in self.walls) + self.blocker_segments
 
-    def nearest_extents(self, means, normal):
-        """Per-particle reflector bounds of estimated surfaces, from the nearest wall.
-
-        ``means`` holds the mean MVA planes ``(mx, my)``, each (S,), of S
-        estimated surfaces and ``normal`` the normal planes, each (S, I), of
-        their particles' lines, of any scale.  Each surface takes the wall
-        whose MVA lies nearest its mean MVA, and the wall's endpoints are
-        projected onto every particle's line: :func:`_bounds`, so the range
-        is in units of the normal's length and widened by ``EPS_GEO`` of
-        it.  Returns ``(lo, hi)`` of shape (S, I); without walls the
-        reflectors are unbounded and both have shape (S, 1).
-        """
-        if not self.walls:
-            unbounded = np.full((len(means[0]), 1), np.inf)
-            return -unbounded, unbounded
-        d = np.hypot(self.wall_mvas[:, 0] - means[0][:, None],
-                     self.wall_mvas[:, 1] - means[1][:, None])
-        ends = self.wall_ends[np.argmin(d, axis=1)]             # (S, 2, 2)
-        return _bounds(ends[:, None], normal)
-
     def feature_traces(self, clouds, pa, check: bool) -> SurfaceTraces:
         """The filter's trace cache of estimated surfaces ``clouds`` (S, I, 2).
 
-        Each particle's MVA is the normal of its surface line in the
-        tracer's line coordinates (:class:`SurfaceTraces`), so
-        :meth:`nearest_extents` projects the wall nearest the cloud's mean
-        onto the MVA planes themselves to clip the reflector.  The map holds
-        surface lines, not wall segments, so only blockers obstruct.
+        Each surface is clipped to the wall whose MVA lies nearest the
+        cloud's mean MVA: the cache projects that wall's endpoints onto every
+        particle's line (:func:`_frame`).  Without walls the reflectors are
+        unbounded.  The map holds surface lines, not wall segments, so only
+        blockers obstruct.
         """
         mvas = _planes(clouds)
-        bounds = self.nearest_extents(tuple(v.mean(axis=1) for v in mvas), mvas)
-        return SurfaceTraces(mvas, pa, bounds, self.blocker_segments, check, self.workspace)
+        ends = None
+        if self.walls:
+            d = np.hypot(self.wall_mvas[:, 0] - mvas[0].mean(axis=1)[:, None],
+                         self.wall_mvas[:, 1] - mvas[1].mean(axis=1)[:, None])
+            ends = _end_planes(self.wall_ends[np.argmin(d, axis=1), None])    # (S, 1) each
+        return SurfaceTraces(mvas, pa, ends, self.blocker_segments, check, self.workspace)
 
     def trace_paths(self, agent, pa, blocks):
         """Trace the candidate path ``blocks`` against the true geometry.
@@ -166,9 +150,8 @@ class Environment:
         agent = np.asarray(agent, dtype=float)
         pa = np.asarray(pa, dtype=float)
         axes = tuple(range(1, max(agent.ndim, pa.ndim)))      # broadcast over agent and pa
-        lo, hi = _bounds(self.wall_ends, _planes(self.wall_mvas))
         traces = SurfaceTraces(_planes(np.expand_dims(self.wall_mvas, axes)), pa,
-                               (np.expand_dims(lo, axes), np.expand_dims(hi, axes)),
+                               _end_planes(np.expand_dims(self.wall_ends, axes)),
                                self.segments, True, self.workspace)
         shape = np.broadcast_shapes(agent.shape[:-1], pa.shape[:-1])
         arrival = []
@@ -201,21 +184,43 @@ def _along(x, normal, empty=np.empty):
     return tau
 
 
-def _bounds(ends, normal):
-    """Range ``(lo, hi)`` of segments ``ends`` (..., 2, 2) along the tangent of ``normal``.
+def _end_planes(ends):
+    """Endpoint planes ``(ax, ay, bx, by)`` of segments ``ends`` (..., 2, 2), each contiguous."""
+    ends = np.asarray(ends, dtype=float)
+    return _planes(ends.reshape(ends.shape[:-2] + (4,)))
 
-    ``normal`` has any scale, and the range is widened by ``EPS_GEO`` times
-    its length: the bounds a bounce point's :func:`_along` coordinate must
-    lie within to hit the reflector ``ends`` up to ``EPS_GEO`` meters.
+
+def _frame(mvas, ends, empty=np.empty):
+    """The frame of surfaces ``mvas`` ``(mx, my)``: ``(ok, mx, my, |m|^2 / 2, lo, hi)``.
+
+    Surface ``m`` is the line ``x . m = |m|^2 / 2`` and is valid (``ok``)
+    where ``|m|^2 > EPS_GEO^2``.  ``lo`` and ``hi`` bound a bounce point's
+    :func:`_along` coordinate, in units of ``|m|``: the range of the
+    reflector endpoints ``ends`` ``(ax, ay, bx, by)`` along the line, widened
+    by ``EPS_GEO`` times ``|m|``, so a bounce hits the reflector up to
+    ``EPS_GEO`` meters.  With ``ends`` None the reflectors are unbounded and
+    the bounds are infinite, of shape (S, 1, ...).  The surface axis is
+    first and everything broadcasts; every plane comes from ``empty(shape,
+    dtype)``, as in :func:`~mvaslam.geometry.mva_to_va_planes`.
     """
-    ta = _along(_planes(ends[..., 0, :]), normal)
-    tb = _along(_planes(ends[..., 1, :]), normal)
-    margin = EPS_GEO * np.hypot(*normal)
-    lo = np.minimum(ta, tb)
+    mx, my = mvas
+    shape = np.broadcast(mx, my).shape
+    offset = np.multiply(mx, mx, out=empty(shape, float))
+    offset += np.multiply(my, my, out=empty(shape, float))
+    ok = np.greater(offset, EPS_GEO * EPS_GEO, out=empty(shape, bool))
+    offset *= 0.5
+    if ends is None:
+        unbounded = np.full(shape[:1] + (1,) * (len(shape) - 1), np.inf)
+        return ok, mx, my, offset, -unbounded, unbounded
+    ta = _along(ends[:2], mvas, empty)
+    tb = _along(ends[2:], mvas, empty)
+    margin = np.hypot(mx, my, out=empty(shape, float))
+    margin *= EPS_GEO
+    lo = np.minimum(ta, tb, out=empty(ta.shape, float))
     lo -= margin
     hi = np.maximum(ta, tb, out=tb)
     hi += margin
-    return lo, hi
+    return ok, mx, my, offset, lo, hi
 
 
 def line_crossing(p, q, normal, offset, empty=np.empty):
@@ -326,9 +331,7 @@ def _clear_obstructed(available, p, q, obstacles):
 
 
 def _gather(planes, rows, empty):
-    """Rows ``rows`` of each plane of ``planes``: views for a slice, else copies from ``empty``."""
-    if isinstance(rows, slice):
-        return tuple(v[rows] for v in planes)
+    """Rows ``rows`` (an index array) of each plane of ``planes``, copied into planes from ``empty``."""
     # mode "clip" (the rows are in range): with the default, np.take buffers ``out``
     return tuple(np.take(v, rows, axis=0, mode="clip",
                          out=empty((len(rows),) + v.shape[1:], v.dtype)) for v in planes)
@@ -381,18 +384,18 @@ class SurfaceTraces:
     """Per-surface trace cache: the candidate paths off a set of surfaces.
 
     ``mvas`` holds the surfaces' MVA planes ``(mx, my)`` (S, ...) and
-    ``bounds`` ``(lo, hi)`` (S, ...) their reflector bounds, the surface
-    axis first; every other axis broadcasts with the anchor ``pa`` (..., 2)
-    and the agent points.  The cache traces in line coordinates: surface
-    ``m`` is the line ``x . m = |m|^2 / 2``, so its MVA planes are its
-    unnormalized normal planes, and each surface is the one tuple
-    ``surfaces`` ``(ok, mx, my, |m|^2 / 2, lo, hi)``, with no square root,
-    no division and no copy.  A bounce point's tangent coordinate
-    (:func:`_along`) is then in units of ``|m|``, and so are the bounds,
-    widened by the endpoint margin once, by the caller (:func:`_bounds`).
-    The single-bounce image of the anchor is computed once here, and the
-    surfaces and the image are shared by every row the surface is a member
-    of, so a pair row computes only its outer image.  ``obstacles`` are
+    ``ends`` their reflector endpoint planes ``(ax, ay, bx, by)`` (S, ...),
+    or None for unbounded reflectors, the surface axis first; every other
+    axis broadcasts with the anchor ``pa`` (..., 2) and the agent points.
+    The cache traces in line coordinates: surface ``m`` is the line ``x . m
+    = |m|^2 / 2``, so its MVA planes are its unnormalized normal planes, and
+    each surface's frame (:func:`_frame`) takes no square root, no division
+    and no copy.  A chunk of single-bounce rows is a slice of the surface
+    axis: it reads each of its surfaces once, so it computes their frame
+    and anchor image from views of the MVA planes, in workspace planes.
+    Pair rows read each surface 2(S-1) times, so their chunks gather from
+    the whole frame, :attr:`surfaces`, and the single-bounce images,
+    :attr:`va1`, both built on the first pair-row chunk.  ``obstacles`` are
     ``(a, b)`` segments.  With ``check=False`` nothing is traced and
     availability only reports non-degenerate surfaces.  Every chunk-sized
     temporary of :meth:`available_entries` is a scratch plane of
@@ -400,18 +403,31 @@ class SurfaceTraces:
     into new arrays (:func:`_clear_obstructed`).
     """
 
-    def __init__(self, mvas, pa, bounds, obstacles, check: bool, workspace: _Workspace):
-        mx, my = mvas
-        offset = np.multiply(mx, mx)
-        offset += np.square(my)
-        ok = offset > EPS_GEO * EPS_GEO
-        offset *= 0.5
+    def __init__(self, mvas, pa, ends, obstacles, check: bool, workspace: _Workspace):
+        self.mvas = mvas
+        self.ends = ends
         self.pa = _planes(pa)
-        self.surfaces = (ok, mx, my, offset, *bounds)
-        self.va1 = mva_to_va_planes(mx, my, *self.pa)
         self.obstacles = obstacles
         self.check = check
         self.workspace = workspace
+
+    @cached_property
+    def surfaces(self):
+        """The frame of every surface (:func:`_frame`), (S, ...) planes."""
+        return _frame(self.mvas, self.ends)
+
+    @cached_property
+    def va1(self):
+        """The single-bounce image of the anchor across every surface, (S, ...) planes."""
+        return mva_to_va_planes(*self.mvas, *self.pa)
+
+    def _frame_of(self, i, empty):
+        """The frame of the surfaces ``i``: a slice computes it from views of
+        the MVA planes into planes from ``empty``, an index array gathers it."""
+        if isinstance(i, slice):
+            ends = None if self.ends is None else tuple(v[i] for v in self.ends)
+            return _frame(tuple(v[i] for v in self.mvas), ends, empty)
+        return _gather(self.surfaces, i, empty)
 
     def _images(self, idx, empty=np.empty):
         """The images of the anchor for the rows whose bounce surfaces are ``idx`` (k, R).
@@ -420,14 +436,20 @@ class SurfaceTraces:
         anchor side: per bounce, the image across that bounce and every later
         one, then the anchor itself, each an ``(x, y)`` pair of planes.  So
         ``images[0]`` is the VA: planes (R, ...), or the anchor's own planes
-        for LOS rows.  A bounce's surfaces are an index array or a slice
-        (:func:`_gather`); pair images are mirrored into planes from ``empty``.
+        for LOS rows.  A bounce's surfaces are a slice, whose single-bounce
+        image is mirrored from views, or an index array, which gathers it
+        (:func:`_gather`); every image is a set of planes from ``empty``.
         """
         images = [self.pa]
         if len(idx):
-            images.insert(0, _gather(self.va1, idx[-1], empty))
+            i = idx[-1]
+            if isinstance(i, slice):
+                images.insert(0, mva_to_va_planes(*(v[i] for v in self.mvas), *self.pa,
+                                                  empty=empty))
+            else:
+                images.insert(0, _gather(self.va1, i, empty))
         for i in reversed(idx[:-1]):
-            images.insert(0, mva_to_va_planes(*_gather(self.surfaces[1:3], i, empty), *images[0],
+            images.insert(0, mva_to_va_planes(*_gather(self.mvas, i, empty), *images[0],
                                               empty=empty))
         return images
 
@@ -447,11 +469,11 @@ class SurfaceTraces:
 
         Single-bounce rows must be consecutive surfaces in increasing order,
         as :func:`candidate_blocks` and :func:`row_slices` give them: a chunk
-        of them is a slice of the surface axis, so it reads its surfaces'
-        planes as views.
+        of them is a slice of the surface axis, so it computes its surfaces'
+        frame and images from views of the MVA planes.
         """
         agent = _planes(agent)
-        shape = np.broadcast_shapes(agent[0].shape, self.pa[0].shape, self.surfaces[1].shape)[1:]
+        shape = np.broadcast_shapes(agent[0].shape, self.pa[0].shape, self.mvas[0].shape)[1:]
         chunk = _chunk_rows(math.prod(shape), _TRACE_CHUNK)
         single = members.shape[1] == 1
         if single and len(members):
@@ -507,13 +529,14 @@ class SurfaceTraces:
         Clears in ``available`` the paths whose surface is degenerate and, with
         ``check``, those whose hop misses the surface, falls outside its
         bounds or is obstructed.  Returns the bounce point (``p`` when not
-        ``check``).  Its temporaries, the surfaces' planes among them, die
+        ``check``).  Its temporaries, the surfaces' frame among them, die
         when it returns, so their planes go back to the workspace before the
         next bounce draws its own.
         """
         empty = self.workspace.empty
-        ok, mx, my, offset, lo, hi = _gather(self.surfaces, i, empty)
+        ok, mx, my, offset, lo, hi = self._frame_of(i, empty)
         available &= ok
+        del ok                # its plane goes back before the crossing draws its own
         if not self.check:
             return p
         crossed, hit = line_crossing(p, q, (mx, my), offset, empty)

@@ -136,6 +136,28 @@ def test_matches_full_table_iteration_bit_for_bit():
         assert out.sigma_out.tobytes() == sigma_out.tobytes(), (n_paths, n_meas)
 
 
+@pytest.mark.parametrize("empty_frac", [0.0, 0.7, 1.0])
+def test_rows_without_evidence_change_no_bit(empty_frac):
+    # rows whose measurement columns are all zero keep z = 0, so the sweeps skip
+    # them; every message and the iteration count equal the full-table sweep's
+    rng = np.random.default_rng(41)
+    sizes = [(1, 1), (1, 12), (170, 12), (136, 12), (40, 3)]
+    sizes += [(int(rng.integers(1, 200)), int(rng.integers(1, 16))) for _ in range(40)]
+    for n_paths, n_meas in sizes:
+        beta = rng.random((n_paths, n_meas + 1)) * 10.0 ** rng.uniform(-8, 4, (n_paths, n_meas + 1))
+        beta[:, 1:] *= rng.random((n_paths, n_meas)) < 0.5
+        beta[rng.random(n_paths) < empty_frac, 1:] = 0.0
+        beta[:, 0] += 1e-3
+        xi_new = 1.0 + 10.0 ** rng.uniform(-3, 3, n_meas)
+        max_iters = int(rng.integers(1, 21))
+        out = run_association(beta, xi_new, max_iters=max_iters, tol=1e-6)
+        eta, sigma_out, iterations = general_association(beta, xi_table(xi_new, n_paths),
+                                                         max_iters, 1e-6)
+        assert out.iterations_used == iterations
+        assert out.eta.tobytes() == eta.tobytes(), (n_paths, n_meas)
+        assert out.sigma_out.tobytes() == sigma_out.tobytes(), (n_paths, n_meas)
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         run_association(np.ones((2, 3)), np.ones(3))

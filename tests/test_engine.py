@@ -16,6 +16,7 @@ from mvaslam.engine import (
     _row_log_sums,
     SlamFilter,
     finalize_step,
+    initial_agent_belief,
     ncv_step,
     predict_agent,
     predict_legacy,
@@ -137,6 +138,19 @@ def test_predict_agent_noise_moments():
     assert np.allclose(disp.std(axis=0), sigma / 2, rtol=0.02)
     vel_noise = out.particles[:, 2:] - [1.0, 0.5]
     assert np.allclose(vel_noise.std(axis=0), sigma, rtol=0.02)
+
+
+def test_initial_agent_belief_is_the_uniform_prior_box():
+    # positions uniform within 0.5 m of the start, velocities within 0.1 m/s of 0
+    n = 100_000
+    start = np.array([-2.0, 1.0])
+    belief = initial_agent_belief(start, HyperParams(n_particles=n), np.random.default_rng(2))
+    pos, vel = belief.particles[:, :2], belief.particles[:, 2:]
+    assert np.all(np.abs(pos - start) <= 0.5) and np.all(np.abs(vel) <= 0.1)
+    # a uniform box of half-width h has standard deviation h / sqrt(3) per axis
+    assert np.allclose(pos.mean(axis=0), start, atol=4 * 0.5 / np.sqrt(3 * n))
+    assert np.allclose(vel.mean(axis=0), 0.0, atol=4 * 0.1 / np.sqrt(3 * n))
+    assert np.allclose(pos.std(axis=0), 0.5 / np.sqrt(3), rtol=0.01)
 
 
 def test_predict_agent_heading_fallback():
@@ -606,6 +620,27 @@ def test_process_pa_no_measurements_no_info():
     logw, out = run_block(agent, feats, empty_batch(), params)
     assert np.allclose(logw, logw[0])
     assert out.existence[0] == pytest.approx(0.7)
+
+
+def test_birth_density_integrates_to_one_over_the_birth_region(monkeypatch):
+    # The birth density is uniform on the birth region: at proposals inside it,
+    # it is the inverse of the region's area, computed here from the box.  It
+    # reaches the filter through each measurement's "new or clutter" evidence,
+    # xi_new = 1 + mu_new * density / (mu_fp * clutter density).
+    (xlo, xhi), (ylo, yhi) = region = ((-40.0, 60.0), (-30.0, 20.0))
+    params = HyperParams(n_particles=50, birth_region=region)
+    agent = point_belief(np.array([-2.0, 1.0]), np.array([0.2, 0.0]), 50)
+    seen = []
+
+    def record_association(beta, xi_new, **kw):
+        seen.append(xi_new)
+        return association.run_association(beta, xi_new, **kw)
+
+    monkeypatch.setattr(engine, "run_association", record_association)
+    run_block(agent, feature_map([], [], 50), batch_of([[4.0, 0.3], [6.0, -1.0]]), params)
+    (xi_new,) = seen
+    density = (xi_new - 1.0) * CLUTTER.mu_fp * CLUTTER.density / params.mu_new
+    np.testing.assert_allclose(density * (xhi - xlo) * (yhi - ylo), 1.0, rtol=1e-12)
 
 
 def test_process_pa_missed_detection_decays_existence():

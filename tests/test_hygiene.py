@@ -312,6 +312,19 @@ assert not loaded, loaded
 """
 
 
+def test_cli_import_loads_no_process_pool():
+    # a run with one worker process starts no pool, so importing the entry point
+    # leaves multiprocessing and concurrent.futures unloaded
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    probe = ("import sys, mvaslam.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_runtime_needs_no_scipy():
     # scipy is the tests' oracle only: the package imports, filters and scores without it
     env = dict(os.environ)

@@ -177,6 +177,32 @@ def test_hop_obstructed_matches_reference_off_collinear_hops():
     assert checked > 1_000_000 and 0.1 < blocked / checked < 0.9 and touching > 10_000
 
 
+def test_hop_through_a_segment_endpoint_is_blocked():
+    # A hop that grazes a blocker's endpoint, on exact dyadic coordinates, is
+    # blocked: touching counts as crossing, the deterministic tie-break
+    a, b = np.array([0.0, 0.0]), np.array([1.0, 1.0])
+    env = Environment(blockers=[WallSegment(a, b)])
+    los = [("los", np.zeros((1, 0), dtype=int))]
+    # through b, through a, and each nudged a dyadic step past that endpoint
+    for agent, pa, away in (([2.0, 0.0], [0.0, 2.0], 1.0), ([1.0, -1.0], [-1.0, 1.0], -1.0)):
+        for p, q in ((agent, pa), (pa, agent)):
+            assert np.isnan(env.trace_paths(p, q, los)[0, 0])
+        nudge = away * 2.0 ** -10
+        assert not np.isnan(env.trace_paths(np.add(agent, nudge), np.add(pa, nudge), los)[0, 0])
+
+
+def test_surface_at_the_validity_tie_is_degenerate():
+    # A surface is valid where |m|^2 > EPS_GEO^2: a particle whose MVA has
+    # |m| = EPS_GEO exactly has no path, one at twice that has one
+    clouds = np.array([[[EPS_GEO, 0.0], [0.0, -EPS_GEO], [2 * EPS_GEO, 0.0], [0.0, 3.0]]])
+    agent = np.array([[2.0, 1.0]] * 4)
+    _, singles = candidate_blocks(1, False)[1]
+    for check in (False, True):
+        flat, _ = Environment().feature_traces(clouds, [1.0, 0.5], check).available_entries(
+            agent, singles)
+        assert flat.tolist() == [2, 3]
+
+
 def test_collinear_hop_blocks_only_where_it_overlaps_the_segment():
     # A LOS hop along a blocker's line: blocked only where it overlaps the
     # blocker, as the dense-sampling oracle judges it
@@ -344,29 +370,35 @@ def test_warm_trace_allocates_no_chunk_temporaries():
     # Once an environment's workspace is warm, tracing a block allocates its
     # entries and no chunk-sized temporary.  Its three outputs are joined one
     # at a time, so the peak is their pieces plus one output, 4/3 of the
-    # outputs, and at most one chunk plane more.  Without blockers: the
-    # obstruction test gathers the live hops into new arrays.
+    # outputs, and at most one chunk plane more.  Single-bounce rows build
+    # their surfaces' frames and images in workspace planes, so a fresh cache
+    # that traces only them allocates no (S, I) plane but its MVA planes.
+    # Without blockers: the obstruction test gathers the live hops into new arrays.
     rng = np.random.default_rng(23)
     env = rect_room()
     n_part = 1000
+    pa = [1.0, 0.5]
     clouds = np.concatenate([rng.normal(env.wall_mvas[:, None], 0.3, (4, n_part, 2)),
                              rng.normal(1.5 * env.wall_mvas[:, None], 0.3, (4, n_part, 2))])
     agent = rng.uniform([-4.8, -3.3], [4.8, 3.3], (n_part, 2))
-    traces = env.feature_traces(clouds, [1.0, 0.5], True)
-    _, members = candidate_blocks(len(clouds), True)[-1]
     chunk_rows = raytrace._TRACE_CHUNK // n_part
-    assert len(members) > 3 * chunk_rows
-    traces.available_entries(agent, members)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        flat, (ax, ay) = traces.available_entries(agent, members)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    chunk_plane = chunk_rows * n_part * ax.itemsize
-    returned = flat.nbytes + ax.nbytes + ay.nbytes
-    assert peak - before <= returned * 4 / 3 + chunk_plane
-    assert 0 < len(flat) < len(members) * n_part
+    chunk_plane = chunk_rows * n_part * 8
+    for kind, members in candidate_blocks(len(clouds), True)[1:]:
+        assert len(members) > 3 * chunk_rows or kind == "single"
+        traces = env.feature_traces(clouds, pa, True)
+        traces.available_entries(agent, members)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            if kind == "single":
+                traces = env.feature_traces(clouds, pa, True)
+            flat, (ax, ay) = traces.available_entries(agent, members)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cache = clouds.nbytes if kind == "single" else 0        # the MVA planes
+        returned = flat.nbytes + ax.nbytes + ay.nbytes
+        assert peak - before <= cache + returned * 4 / 3 + chunk_plane, kind
+        assert 0 < len(flat) < len(members) * n_part
     # the scratch planes stay behind when the environment is pickled
     assert len(pickle.dumps(env)) < chunk_plane

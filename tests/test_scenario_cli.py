@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -295,7 +296,7 @@ def test_run_experiment_starts_no_idle_worker(tmp_path, monkeypatch, runs, threa
 
     config = load_scenario(small_test_scenario(tmp_path, steps=3, particles=60))
     want = run_experiment(config, runs=runs, base_seed=4, threads=1)
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     got = run_experiment(config, runs=runs, base_seed=4, threads=threads)
     assert started == ([] if workers is None else [workers])
     assert records_csv(got.records, 1) == records_csv(want.records, 1)
@@ -315,6 +316,19 @@ def test_cli_out_dir_under_a_file_fails_before_any_run(tmp_path, monkeypatch, ca
     assert len(err.splitlines()) == 1
     assert err.startswith("mvaslam: error: ") and str(blocker / "out") in err
     assert "Traceback" not in err
+
+
+def test_cli_unwritable_outputs_fail_with_one_error_line(tmp_path, capsys):
+    # the experiment runs, then results.csv cannot be written: one error line, exit 1
+    path = small_test_scenario(tmp_path, steps=3, particles=60)
+    out = tmp_path / "out"
+    (out / "results.csv").mkdir(parents=True)
+    code = main(["--scenario", str(path), "--runs", "1", "--out-dir", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"mvaslam: error: cannot write outputs to {out}: Is a directory"]
+    assert "Traceback" not in captured.err and "wrote" not in captured.out
 
 
 def test_truth_traced_once_per_experiment(tmp_path, monkeypatch):
