@@ -23,7 +23,7 @@ from .engine import SlamFilter, refresh_headings
 from .errors import DegenerateWeights, NonFinite
 from .measurement import generate_batch
 from .metrics import OspaParams, dedupe_points, ospa, va_candidates, va_ospa
-from .raytrace import candidate_blocks
+from .raytrace import Environment, candidate_blocks
 from .scenario import ScenarioConfig
 
 OSPA_PARAMS = OspaParams()
@@ -57,18 +57,19 @@ class TruthTable(NamedTuple):
 
     blocks: list[tuple[str, np.ndarray]]  # (kind, members) row blocks, K rows, LOS first
     arrival: np.ndarray        # (J, N+1, K, 2) arrival vectors, NaN where unavailable
+    mvas: np.ndarray           # (W, 2) true wall MVAs: wall k is surface k
 
 
 def available_path_keys(config: ScenarioConfig) -> TruthTable:
     """Trace the true paths of every anchor at every waypoint, in one call.
 
     The truth is static and draws no random numbers, so an experiment
-    traces it once; each run's measurement generation only reads it.
+    traces it once; each run's measurement generation and metrics only read it.
     """
-    env = config.environment
+    env = Environment(config.walls, config.blockers)
     blocks = candidate_blocks(len(env.walls), config.double_bounce)
     pas = np.array(config.pas)[:, None]                     # (J, 1, 2)
-    return TruthTable(blocks, env.trace_paths(config.waypoints, pas, blocks))
+    return TruthTable(blocks, env.trace_paths(config.waypoints, pas, blocks), env.wall_mvas)
 
 
 def truth_va_sets(config: ScenarioConfig, truth: TruthTable) -> list[np.ndarray]:
@@ -77,8 +78,7 @@ def truth_va_sets(config: ScenarioConfig, truth: TruthTable) -> list[np.ndarray]
     bounces = [tuple(row) for _, members in truth.blocks for row in members.tolist()]
     order = sorted((k for k, b in enumerate(bounces) if b), key=bounces.__getitem__)
     seen = ~np.isnan(truth.arrival[..., 0]).all(axis=1)     # (J, K)
-    mvas = config.environment.wall_mvas
-    return [dedupe_points(va_candidates(mvas, pa, config.double_bounce)[seen[j, order]])
+    return [dedupe_points(va_candidates(truth.mvas, pa, config.double_bounce)[seen[j, order]])
             for j, pa in enumerate(config.pas)]
 
 
@@ -94,7 +94,6 @@ def simulate_run(config: ScenarioConfig, run_index: int, base_seed: int,
     """
     seed = splitmix64(base_seed, run_index)
     rng = np.random.default_rng(seed)
-    true_mvas = config.environment.wall_mvas
     params = config.params
     truth = available_path_keys(config) if availability is None else availability
     truth_vas = truth_va_sets(config, truth)
@@ -111,7 +110,7 @@ def simulate_run(config: ScenarioConfig, run_index: int, base_seed: int,
 
     def record(n: int, x_hat: np.ndarray, mvas: np.ndarray) -> None:
         err[n] = float(np.hypot(*(x_hat[:2] - config.waypoints[n])))
-        mospa_mva[n] = ospa(mvas, true_mvas, OSPA_PARAMS)
+        mospa_mva[n] = ospa(mvas, truth.mvas, OSPA_PARAMS)
         for j, pa in enumerate(config.pas):
             mospa_va[j, n] = va_ospa(mvas, truth_vas[j], pa, OSPA_PARAMS,
                                      include_double=config.double_bounce)

@@ -20,7 +20,8 @@ both caches: the experiment traces the true walls once, at every waypoint
 (:meth:`Environment.trace_paths`), and measurement generation draws from
 that table of arrival vectors; the SLAM filter traces per-particle feature
 clouds (:meth:`Environment.feature_traces`).  The reflector extents and the
-obstacle set are the one modelling difference between them.
+obstacle set, two slices of one endpoint table, are the one modelling
+difference between them.
 """
 
 from __future__ import annotations
@@ -77,12 +78,12 @@ class Environment:
     """Static geometry: reflector walls plus opaque, non-reflecting blockers.
 
     The only geometry container of the package and the owner of the ground
-    truth: reflective wall ``k`` is true surface ``k``.  The wall endpoints
-    and MVAs and both obstacle sets are computed once, on first use:
-    ``segments`` (walls and blockers, as the truth sees them) and
-    ``blocker_segments`` (blockers only, as the filter sees them), each a
-    tuple of ``(a, b)`` endpoint pairs.  The ``workspace`` holds the scratch
-    planes of every trace it makes, so a filter reuses them from step to step.
+    truth: reflective wall ``k`` is true surface ``k``.  The endpoint table
+    ``ends`` and the wall MVAs are computed once, on first use.  The table
+    holds the walls' rows, then the blockers': the truth's obstacles are
+    the whole table, the filter's its blocker rows.  The ``workspace`` holds
+    the scratch planes of every trace it makes, so a filter reuses them from
+    step to step.
     """
 
     walls: tuple[WallSegment, ...] = ()
@@ -93,9 +94,10 @@ class Environment:
         object.__setattr__(self, "blockers", tuple(blockers))
 
     @cached_property
-    def wall_ends(self) -> np.ndarray:
-        """Wall endpoints, (W, 2, 2)."""
-        return np.array([[w.a, w.b] for w in self.walls], dtype=float).reshape(-1, 2, 2)
+    def ends(self) -> np.ndarray:
+        """Endpoints of the walls, then of the blockers, (W+B, 2, 2)."""
+        return np.array([[w.a, w.b] for w in self.walls + self.blockers],
+                        dtype=float).reshape(-1, 2, 2)
 
     @cached_property
     def wall_mvas(self) -> np.ndarray:
@@ -106,14 +108,6 @@ class Environment:
     def workspace(self) -> _Workspace:
         """Scratch planes shared by every trace cache this environment builds."""
         return _Workspace()
-
-    @cached_property
-    def blocker_segments(self) -> tuple:
-        return tuple((w.a, w.b) for w in self.blockers)
-
-    @cached_property
-    def segments(self) -> tuple:
-        return tuple((w.a, w.b) for w in self.walls) + self.blocker_segments
 
     def feature_traces(self, clouds, pa, check: bool) -> SurfaceTraces:
         """The filter's trace cache of estimated surfaces ``clouds`` (S, I, 2).
@@ -129,8 +123,8 @@ class Environment:
         if self.walls:
             d = np.hypot(self.wall_mvas[:, 0] - mvas[0].mean(axis=1)[:, None],
                          self.wall_mvas[:, 1] - mvas[1].mean(axis=1)[:, None])
-            ends = _end_planes(self.wall_ends[np.argmin(d, axis=1), None])    # (S, 1) each
-        return SurfaceTraces(mvas, pa, ends, self.blocker_segments, check, self.workspace)
+            ends = _end_planes(self.ends[np.argmin(d, axis=1), None])    # (S, 1) each
+        return SurfaceTraces(mvas, pa, ends, self.ends[len(self.walls):], check, self.workspace)
 
     def trace_paths(self, agent, pa, blocks):
         """Trace the candidate path ``blocks`` against the true geometry.
@@ -151,8 +145,8 @@ class Environment:
         pa = np.asarray(pa, dtype=float)
         axes = tuple(range(1, max(agent.ndim, pa.ndim)))      # broadcast over agent and pa
         traces = SurfaceTraces(_planes(np.expand_dims(self.wall_mvas, axes)), pa,
-                               _end_planes(np.expand_dims(self.wall_ends, axes)),
-                               self.segments, True, self.workspace)
+                               _end_planes(np.expand_dims(self.ends[:len(self.walls)], axes)),
+                               self.ends, True, self.workspace)
         shape = np.broadcast_shapes(agent.shape[:-1], pa.shape[:-1])
         arrival = []
         for _, members in blocks:
@@ -323,7 +317,7 @@ def _clear_obstructed(available, p, q, obstacles):
     elementwise, so the others would only be discarded.  ``p`` and ``q``
     broadcast to ``available``'s shape.
     """
-    if obstacles:
+    if len(obstacles):
         live = np.flatnonzero(available)
         blocked = hop_obstructed(_take(p, live, available.shape), _take(q, live, available.shape),
                                  obstacles)

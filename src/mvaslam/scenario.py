@@ -19,7 +19,6 @@ from .engine import HyperParams, ncv_step
 from .errors import ScenarioError
 from .geometry import EPS_GEO, WallSegment
 from .measurement import ClutterModel, NoiseProfile, PathNoise
-from .raytrace import Environment
 
 DEFAULT_NOISE = {
     "los": {"sigma_d": 0.05, "sigma_phi_deg": 10.0},
@@ -51,10 +50,6 @@ class ScenarioConfig:
                              f"params.use_double_bounce={self.params.use_double_bounce}")
 
     @property
-    def environment(self) -> Environment:
-        return Environment(walls=self.walls, blockers=self.blockers)
-
-    @property
     def n_steps(self) -> int:
         return self.waypoints.shape[0] - 1
 
@@ -82,15 +77,25 @@ def _number(value, path: str, integer: bool = False):
     return int(value) if integer else float(value)
 
 
+def _known_keys(obj: dict, allowed, path: str) -> dict:
+    """``obj``, with every key in ``allowed``; ``path`` is the object's own, "" at the top."""
+    for key in obj:
+        if key not in allowed:
+            _fail(f"{path}.{key}" if path else key, f"unknown key (use {'/'.join(allowed)})")
+    return obj
+
+
 def _get_pair(value, path: str) -> np.ndarray:
     if (not isinstance(value, (list, tuple))) or len(value) != 2:
         _fail(path, "expected [x, y]")
     return np.array([_number(v, f"{path}[{i}]") for i, v in enumerate(value)])
 
 
-def _parse_segment(obj, path: str, reflective: bool = False) -> WallSegment:
+def _parse_segment(obj, path: str, reflective: bool | None = None) -> WallSegment:
+    """An entry of ``walls``, ``reflective`` or not, or of ``blockers`` (None)."""
     if not isinstance(obj, dict):
         _fail(path, "expected an object with 'a' and 'b'")
+    _known_keys(obj, ("a", "b") if reflective is None else ("a", "b", "reflective"), path)
     for key in ("a", "b"):
         if key not in obj:
             _fail(f"{path}.{key}", "missing endpoint")
@@ -111,10 +116,8 @@ def _parse_noise(obj) -> NoiseProfile:
     for kind, entry in _expect(obj, "an object", "noise").items():
         if kind not in merged:
             _fail(f"noise.{kind}", "unknown path class (use los/single/double)")
-        for key in _expect(entry, "an object", f"noise.{kind}"):
-            if key not in merged[kind]:
-                _fail(f"noise.{kind}.{key}", "unknown key (use sigma_d/sigma_phi_deg)")
-        merged[kind].update(entry)
+        merged[kind].update(_known_keys(_expect(entry, "an object", f"noise.{kind}"),
+                                        merged[kind], f"noise.{kind}"))
 
     def build(kind):
         e = merged[kind]
@@ -128,7 +131,8 @@ def _parse_noise(obj) -> NoiseProfile:
 
 
 def _ncv_waypoints(spec, dt: float) -> np.ndarray:
-    _expect(spec, "an object", "trajectory.ncv")
+    _known_keys(_expect(spec, "an object", "trajectory.ncv"),
+                ("start", "velocity", "steps", "sigma_w", "seed"), "trajectory.ncv")
     for key in ("start", "velocity", "steps"):
         if key not in spec:
             _fail(f"trajectory.ncv.{key}", "missing")
@@ -160,6 +164,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
         raise ScenarioError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError("top level: expected an object")
+    _known_keys(doc, ("name", "walls", "blockers", "pas", "trajectory", "noise", "clutter",
+                      "double_bounce", "params"), "")
 
     name = _expect(doc.get("name", "scenario"), "a string", "name")
 
@@ -182,7 +188,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
     pas = [_get_pair(p, f"pas[{i}]") for i, p in enumerate(_expect(doc["pas"], "a list", "pas"))]
 
     profile = _parse_noise(doc.get("noise", {}))
-    clutter_doc = {**DEFAULT_CLUTTER, **_expect(doc.get("clutter", {}), "an object", "clutter")}
+    clutter_doc = {**DEFAULT_CLUTTER, **_known_keys(
+        _expect(doc.get("clutter", {}), "an object", "clutter"), DEFAULT_CLUTTER, "clutter")}
     try:
         clutter = ClutterModel(mu_fp=_number(clutter_doc["mu_fp"], "clutter.mu_fp"),
                                d_max=_number(clutter_doc["d_max"], "clutter.d_max"))
@@ -219,18 +226,17 @@ def parse_scenario(text: str) -> ScenarioConfig:
     params = replace(params, use_double_bounce=double_bounce)
 
     traj = doc.get("trajectory")
-    if not isinstance(traj, dict):
-        _fail("trajectory", "expected an object with 'waypoints' or 'ncv'")
+    if not isinstance(traj, dict) or len(_known_keys(traj, ("waypoints", "ncv"),
+                                                     "trajectory")) != 1:
+        _fail("trajectory", "expected an object with exactly one of 'waypoints' and 'ncv'")
     if "waypoints" in traj:
         pts = traj["waypoints"]
         if not isinstance(pts, list) or len(pts) < 2:
             _fail("trajectory.waypoints", "need at least 2 waypoints")
         waypoints = np.stack([_get_pair(p, f"trajectory.waypoints[{i}]")
                               for i, p in enumerate(pts)])
-    elif "ncv" in traj:
-        waypoints = _ncv_waypoints(traj["ncv"], params.dt)
     else:
-        _fail("trajectory", "expected 'waypoints' or 'ncv'")
+        waypoints = _ncv_waypoints(traj["ncv"], params.dt)
     # an agent on an anchor has no arrival angle for that anchor's LOS path
     on_anchor = np.argwhere(np.linalg.norm(waypoints[:, None] - np.array(pas), axis=-1) <= EPS_GEO)
     if len(on_anchor):

@@ -460,12 +460,19 @@ def assert_same_entries(got, want):
         assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
 
 
+def endpoint_pairs(segments):
+    """The ``(a, b)`` endpoints of wall segments: obstacles for :func:`backward_trace`,
+    read from the segments themselves, not from the environment's endpoint table."""
+    return [(w.a, w.b) for w in segments]
+
+
 def wall_extents(env):
     """Tangential range ``(lo, hi)`` of each wall of ``env`` on its own line, in
     meters, (W, 2): the extents :func:`backward_trace` takes for the true walls."""
     normal = _surface_frame(env.wall_mvas)[1]
-    ta = _along(env.wall_ends[:, 0], normal)
-    tb = _along(env.wall_ends[:, 1], normal)
+    ends = np.array(endpoint_pairs(env.walls)).reshape(-1, 2, 2)
+    ta = _along(ends[:, 0], normal)
+    tb = _along(ends[:, 1], normal)
     return np.stack([np.minimum(ta, tb), np.maximum(ta, tb)], axis=-1)
 
 
@@ -482,7 +489,7 @@ def nearest_extents_reference(env, clouds, unit=False):
     means = clouds.mean(axis=1)
     d = np.hypot(env.wall_mvas[:, 0] - means[:, None, 0], env.wall_mvas[:, 1] - means[:, None, 1])
     walls = np.argmin(d, axis=1)
-    ends = env.wall_ends[walls]
+    ends = np.array(endpoint_pairs(env.walls))[walls]
     normal = _surface_frame(clouds)[1] if unit else clouds
     ta = _along(ends[:, None, 0], normal)
     tb = _along(ends[:, None, 1], normal)

@@ -43,8 +43,8 @@ from mvaslam.raytrace import Environment, candidate_blocks
 from mvaslam.scenario import bundled_scenario
 
 from oracles import (Measurement, assert_same_entries, backward_trace, block_likelihood_reference,
-                     dense_lik_sums, dense_response, draw_new_pmva_reference, likelihood,
-                     nearest_extents_reference, process_pa_reference,
+                     dense_lik_sums, dense_response, draw_new_pmva_reference, endpoint_pairs,
+                     likelihood, nearest_extents_reference, process_pa_reference,
                      systematic_resample_reference, trace_entries)
 
 PROFILE = NoiseProfile(los=PathNoise(0.05, np.deg2rad(10.0)),
@@ -555,7 +555,7 @@ def test_feature_trace_cache_matches_backward_trace():
         for _, members in candidate_blocks(n_feat, True):
             want = trace_entries([backward_trace(agent_xy, pa, [clouds[i] for i in idx],
                                                  [(lo[i], hi[i]) for i in idx],
-                                                 ctx.blocker_segments, check)
+                                                 endpoint_pairs(ctx.blockers), check)
                                   for idx in members], agent_xy)
             assert_same_entries(traces.available_entries(agent_xy, members), want)
             rows, parts = np.divmod(want[0], n_part)
@@ -581,12 +581,12 @@ def test_feature_trace_cache_tests_only_live_hops(monkeypatch):
     clouds = np.concatenate([rng.normal(ctx.wall_mvas[:, None], 0.3, (4, n_part, 2)),
                              rng.normal([[[30.0, -40.0]]], 1.0, (1, n_part, 2))])   # far off
     clouds[1, :4] = 0.0                       # degenerate MVA rows
-    segments = ctx.blocker_segments
+    segments = np.array(endpoint_pairs(ctx.blockers))
     seen = [0] * len(segments)
     hop_obstructed = raytrace.hop_obstructed
 
     def counted(p, q, obstacles):
-        assert obstacles is segments          # the filter's map: only blockers obstruct
+        assert np.array_equal(obstacles, segments)    # the filter's map: the blocker rows
         hops = int(np.prod(np.broadcast_shapes(np.shape(p[0]), np.shape(q[0]))))
         seen[:] = [n + hops for n in seen]
         return hop_obstructed(p, q, obstacles)
@@ -889,7 +889,7 @@ def test_filter_step_takes_nested_list_batches():
 def paper_room_block(case, monkeypatch):
     """Inputs of one anchor block at the start of the paper room, shaped by ``case``."""
     config = bundled_scenario("exp1_rect_room")
-    env = config.environment
+    env = Environment(config.walls, config.blockers)
     pa = np.asarray(config.pas[0], dtype=float)
     start = np.asarray(config.waypoints[0], dtype=float)
     step = np.asarray(config.waypoints[1], dtype=float) - start
@@ -956,7 +956,7 @@ def pair_heavy_block():
     pairs active, and 15 measurements, in the paper room: ``process_pa``'s
     arguments before the generator, and the environment."""
     config = bundled_scenario("exp1_rect_room")
-    env = config.environment
+    env = Environment(config.walls, config.blockers)
     n, s_count, n_meas = 1000, 30, 15
     rng = np.random.default_rng(5)
     start = np.asarray(config.waypoints[0], dtype=float)
@@ -1109,8 +1109,8 @@ def olos_block(blockers=None, double=False):
     environment, with ``blockers`` in place of the scenario's when given."""
     config = bundled_scenario("exp3_olos")
     # a new environment: its trace workspace starts empty
-    env = Environment(walls=config.environment.walls,
-                      blockers=config.environment.blockers if blockers is None else blockers)
+    env = Environment(walls=config.walls,
+                      blockers=config.blockers if blockers is None else blockers)
     n, s_count = 2000, 25
     rng = np.random.default_rng(9)
     start = np.asarray(config.waypoints[0], dtype=float)
@@ -1167,7 +1167,7 @@ def test_filter_step_frees_the_map_before_prediction(monkeypatch):
     # Each stage's map replaces the filter's at once, so the map from before
     # prediction is gone while the anchor blocks run.
     config = bundled_scenario("exp3_olos")
-    env = config.environment
+    env = Environment(config.walls, config.blockers)
     params = replace(config.params, n_particles=200)
     rng = np.random.default_rng(4)
     filt = SlamFilter(config.pas, params, config.profile, config.clutter, rng,
@@ -1204,7 +1204,7 @@ def test_far_obstacle_changes_no_bit(monkeypatch):
     # log-weights and map) nor of the truth's trace.
     config = bundled_scenario("exp3_olos")
     far = WallSegment([40.0, 41.0], [43.0, 40.0])
-    blockers = tuple(config.environment.blockers)
+    blockers = tuple(config.blockers)
     entries, tables = [], []
     available_entries = raytrace.SurfaceTraces.available_entries
 
@@ -1306,9 +1306,9 @@ def test_blocker_that_hides_a_surface_makes_its_row_undetectable(monkeypatch):
     # existence equals its predicted existence.  Without the blocker the
     # same row is detected.
     config = bundled_scenario("exp3_olos")
-    blockers = tuple(config.environment.blockers)
+    blockers = tuple(config.blockers)
     hiding = WallSegment([-4.9, 2.5], [4.9, 2.5])
-    top = config.environment.walls[0]
+    top = config.walls[0]
     assert top.a[1] == top.b[1] == 3.5
     for blocked in (False, True):
         args, env = olos_block(blockers + (hiding,) if blocked else blockers)

@@ -227,7 +227,8 @@ def test_truth_va_sets_match_va_set_of_seen_paths(name):
         bounces = [tuple(row) for _, members in truth.blocks for row in members.tolist()]
         for j, got in enumerate(truth_va_sets(config, truth)):
             paths = {path for path, s in zip(bounces, seen[j]) if s}
-            want = reference_truth_vas(config.environment.wall_mvas, config.pas[j], paths)
+            mvas = np.array([w.mva for w in config.walls])
+            want = reference_truth_vas(mvas, config.pas[j], paths)
             assert len(want) and np.array_equal(got, want), (name, double, j)
 
 

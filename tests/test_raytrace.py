@@ -12,8 +12,9 @@ from mvaslam.raytrace import Environment, candidate_blocks
 from mvaslam.scenario import bundled_scenario
 
 from oracles import (AMBIGUOUS, KINDS, _hop_obstructed, assert_same_entries, backward_trace,
-                     candidate_bounces, nearest_extents_reference, oracle_path_available,
-                     trace_entries, wall_extents)
+                     candidate_bounces, endpoint_pairs, nearest_extents_reference,
+                     oracle_path_available, trace_entries, wall_extents)
+from rooms import random_room
 
 LOS = ()
 
@@ -100,18 +101,11 @@ def test_perpendicular_double_bounce_exactly_one_order():
     assert checked > 900
 
 
-@pytest.mark.parametrize("room", [rect_room, nonrect_room])
-def test_oracle_equivalence(room):
-    env = room()
-    lo = np.min([[w.a, w.b] for w in env.walls], axis=(0, 1))
-    hi = np.max([[w.a, w.b] for w in env.walls], axis=(0, 1))
-    rng = np.random.default_rng(1234)
-    pas = [rng.uniform(lo + 0.5, hi - 0.5) for _ in range(2)]
+def assert_trace_matches_oracle(env, agents, anchors):
+    """Every LOS, single and double path at each agent point and its anchor is
+    traced available exactly where the oracle decides it is, skipping the
+    oracle's ambiguous paths, which are few."""
     paths = candidate_bounces(len(env.walls), True)
-    agents, anchors = [], []
-    for _ in range(1000):
-        agents.append(rng.uniform(lo + 0.2, hi - 0.2))
-        anchors.append(pas[int(rng.integers(2))])
     blocks = candidate_blocks(len(env.walls), True)
     got = ~np.isnan(env.trace_paths(np.array(agents), np.array(anchors), blocks)[..., 0])
     checked = skipped = 0
@@ -124,6 +118,31 @@ def test_oracle_equivalence(room):
             assert avail == expected, f"disagreement at agent={agent}, pa={pa}, path={path}"
             checked += 1
     assert checked > 10 * skipped
+    return checked
+
+
+@pytest.mark.parametrize("room", [rect_room, nonrect_room])
+def test_oracle_equivalence(room):
+    env = room()
+    lo = np.min([[w.a, w.b] for w in env.walls], axis=(0, 1))
+    hi = np.max([[w.a, w.b] for w in env.walls], axis=(0, 1))
+    rng = np.random.default_rng(1234)
+    pas = [rng.uniform(lo + 0.5, hi - 0.5) for _ in range(2)]
+    agents, anchors = [], []
+    for _ in range(1000):
+        agents.append(rng.uniform(lo + 0.2, hi - 0.2))
+        anchors.append(pas[int(rng.integers(2))])
+    assert_trace_matches_oracle(env, agents, anchors)
+
+
+@pytest.mark.parametrize("seed", [0, 9, 25])
+def test_oracle_equivalence_on_random_rooms(seed):
+    # rooms of 4-7 walls at random angles and radii, the anchors and agents
+    # inside, and 1-2 random blockers (6, 5 and 4 walls): the bundled rooms
+    # of the check above have none
+    room = random_room(seed, 80)
+    anchors = room.pas[np.arange(len(room.agents)) % 2]
+    assert assert_trace_matches_oracle(room.env, room.agents, anchors) > 1000
 
 
 def _hops_at_segments(rng, segments, n):
@@ -191,6 +210,21 @@ def test_hop_through_a_segment_endpoint_is_blocked():
         assert not np.isnan(env.trace_paths(np.add(agent, nudge), np.add(pa, nudge), los)[0, 0])
 
 
+def test_collinear_overlap_at_the_endpoint_margin_does_not_block():
+    # A segment along the hop (0, 0) -> (1, 0) blocks only where it overlaps
+    # the hop by more than the endpoint margin, EPS_GEO of a unit hop: a
+    # segment that reaches exactly the margin from either hop end does not
+    # block, one that reaches twice as far does
+    assert EPS_GEO == 1e-6
+    hop = (np.array([0.0]), np.array([0.0])), (np.array([1.0]), np.array([0.0]))
+    for a, b, blocks in (((-1.0, 0.0), (1e-6, 0.0), False),
+                         ((-1.0, 0.0), (2e-6, 0.0), True),
+                         ((1.0 - 1e-6, 0.0), (2.0, 0.0), False),
+                         ((1.0 - 2e-6, 0.0), (2.0, 0.0), True)):
+        got = raytrace.hop_obstructed(*hop, [(np.array(a), np.array(b))])
+        assert got.tolist() == [blocks], (a, b)
+
+
 def test_surface_at_the_validity_tie_is_degenerate():
     # A surface is valid where |m|^2 > EPS_GEO^2: a particle whose MVA has
     # |m| = EPS_GEO exactly has no path, one at twice that has one
@@ -250,27 +284,37 @@ def test_nearest_extents_match_cloud_mean_reference():
         assert lo.tobytes() == want_lo.tobytes() and hi.tobytes() == want_hi.tobytes()
 
 
-@pytest.mark.parametrize("name", ["exp1_rect_room", "exp3_olos", "nonrect"])
-def test_filter_and_generator_agree_on_bundled_scenarios(name):
-    # The filter traces feature clouds clipped to the nearest wall with only
-    # the blockers obstructing; the generator traces the true walls with
-    # their own extents and every wall and blocker obstructing.  At
-    # true-MVA clouds along the bundled trajectories both must agree.
-    config = bundled_scenario(name)
-    env = config.environment
-    points = config.waypoints
+def assert_filter_agrees_with_generator(env, points, pas):
+    """The filter traces feature clouds clipped to the nearest wall with only
+    the blockers obstructing; the generator traces the true walls with their
+    own extents and every wall and blocker obstructing.  At true-MVA clouds,
+    one "particle" per agent point, both agree in a convex room."""
     paths = candidate_bounces(len(env.walls), True)
-    # one "particle" per waypoint, every particle at the true MVA
     clouds = np.repeat(env.wall_mvas[:, None], len(points), axis=1)
-    for pa in config.pas:
-        lo, hi, _ = nearest_extents_reference(env, clouds, unit=True)
+    lo, hi, _ = nearest_extents_reference(env, clouds, unit=True)
+    for pa in pas:
         generator = ~np.isnan(env.trace_paths(points, pa,
                                               candidate_blocks(len(env.walls), True))[..., 0])
         for k, idx in enumerate(paths):
             _, filt = backward_trace(points, pa, [clouds[i] for i in idx],
-                                     [(lo[i], hi[i]) for i in idx], env.blocker_segments,
+                                     [(lo[i], hi[i]) for i in idx], endpoint_pairs(env.blockers),
                                      check=True)
-            assert np.array_equal(filt, generator[:, k]), f"{name}: {idx} at pa={pa}"
+            assert np.array_equal(filt, generator[:, k]), f"{idx} at pa={pa}"
+
+
+@pytest.mark.parametrize("name", ["exp1_rect_room", "exp3_olos", "nonrect"])
+def test_filter_and_generator_agree_on_bundled_scenarios(name):
+    # along the bundled trajectories
+    config = bundled_scenario(name)
+    assert_filter_agrees_with_generator(Environment(config.walls, config.blockers),
+                                        config.waypoints, config.pas)
+
+
+def test_filter_and_generator_agree_on_a_random_convex_room():
+    # 6 walls on a circle and 2 blockers, the anchors and agents inside
+    room = random_room(4, 200, convex=True)
+    assert len(room.env.blockers) == 2
+    assert_filter_agrees_with_generator(room.env, room.agents, room.pas)
 
 
 @pytest.mark.parametrize("name", ["exp1_rect_room", "exp3_olos", "nonrect"])
@@ -281,7 +325,7 @@ def test_truth_table_matches_backward_trace(name, double):
     config = bundled_scenario(name)
     config = replace(config, double_bounce=double,
                      params=replace(config.params, use_double_bounce=double))
-    env = config.environment
+    env = Environment(config.walls, config.blockers)
     truth = available_path_keys(config)
     paths = candidate_bounces(len(env.walls), double)
     kinds = [kind for kind, members in truth.blocks for _ in members]
@@ -292,7 +336,8 @@ def test_truth_table_matches_backward_trace(name, double):
     assert truth.arrival.shape == (len(config.pas), len(config.waypoints), len(paths), 2)
     for k, idx in enumerate(paths):
         va, available = backward_trace(config.waypoints, pas, [env.wall_mvas[i] for i in idx],
-                                       [(lo[i], hi[i]) for i in idx], env.segments, check=True)
+                                       [(lo[i], hi[i]) for i in idx],
+                                       endpoint_pairs(env.walls + env.blockers), check=True)
         # the waypoint minus the path's VA where the path is available, NaN elsewhere
         want = np.where(available[..., None], config.waypoints - va, np.nan)
         assert np.array_equal(truth.arrival[:, :, k], want, equal_nan=True), (name, double, idx)
@@ -327,7 +372,7 @@ def test_chunking_and_scratch_reuse_change_no_bit(monkeypatch):
                     if not against_reference:
                         continue
                     want = [backward_trace(agent, pa, [clouds[i] for i in idx],
-                                           [(lo[i], hi[i]) for i in idx], env.blocker_segments,
+                                           [(lo[i], hi[i]) for i in idx], endpoint_pairs(env.blockers),
                                            check) for idx in members]
                     assert_same_entries(out[-1], trace_entries(want, agent))
         return out

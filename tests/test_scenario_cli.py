@@ -123,10 +123,11 @@ def test_reflective_wall_through_origin_names_the_wall(tmp_path, capsys):
 
 
 def with_value(key, value):
-    """MINIMAL on an NCV trajectory, with the dotted ``key`` set to ``value``
-    (a number in the key indexes a list)."""
+    """MINIMAL on an NCV trajectory, or on its waypoints when ``key`` sets them,
+    with the dotted ``key`` set to ``value`` (a number in the key indexes a list)."""
     doc = json.loads(json.dumps(MINIMAL))
-    doc["trajectory"] = {"ncv": {"start": [-2.0, 1.0], "velocity": [0.1, 0.0], "steps": 5}}
+    if not key.startswith("trajectory.waypoints"):
+        doc["trajectory"] = {"ncv": {"start": [-2.0, 1.0], "velocity": [0.1, 0.0], "steps": 5}}
     *parents, leaf = [int(k) if k.isdigit() else k for k in key.split(".")]
     node = doc
     for k in parents:
@@ -168,6 +169,18 @@ def with_value(key, value):
     ("pas.0", [-1.9, 1.0], r"^trajectory: waypoint 1 coincides with the anchor pas\[0\]"),
     # the rollout's process noise is a standard deviation
     ("trajectory.ncv.sigma_w", -0.5, r"^trajectory\.ncv\.sigma_w: must be >= 0"),
+    # a misspelled or unknown key names its path, not a silent default
+    ("walls.0.reflectve", False, r"^walls\[0\]\.reflectve: unknown key \(use a/b/reflective\)"),
+    ("blockers", [{"a": [0.0, -1.0], "b": [0.0, 1.0], "reflective": False}],
+     r"^blockers\[0\]\.reflective: unknown key \(use a/b\)"),
+    ("double_bounces", False, r"^double_bounces: unknown key \(use name/walls/"),
+    ("clutter.dmax", 3.0, r"^clutter\.dmax: unknown key \(use mu_fp/d_max\)"),
+    ("trajectory.ncv.sigma", 0.1, r"^trajectory\.ncv\.sigma: unknown key"),
+    ("trajectory.waypoint", [[-2.0, 1.0], [-1.9, 1.0]], r"^trajectory\.waypoint: unknown key"),
+    ("trajectory", {"waypoints": MINIMAL["trajectory"]["waypoints"],
+                    "ncv": {"start": [-2.0, 1.0], "velocity": [0.1, 0.0], "steps": 5}},
+     r"^trajectory: expected an object with exactly one of 'waypoints' and 'ncv'"),
+    ("trajectory", {}, r"^trajectory: expected an object with exactly one of"),
 ])
 def test_parse_rejects_malformed_values(key, value, message):
     assert parse_scenario(json.dumps(with_value("name", "valid"))).n_steps == 5
@@ -251,6 +264,8 @@ def test_bundled_scenarios_parse():
         config = bundled_scenario(name)
         assert config.n_steps == 100
         assert len(config.pas) == 2
+        text = serialize_scenario(config)          # every key written is one read
+        assert serialize_scenario(parse_scenario(text)) == text
     with pytest.raises(ScenarioError):
         bundled_scenario("missing")
 
