@@ -262,15 +262,16 @@ def _block_likelihood(headings, flat, arrival, z, sigma_d, sigma_phi):
     ``(x, y)`` planes of their arrival vectors, the particle minus its VA,
     as :meth:`~mvaslam.raytrace.SurfaceTraces.available_entries` returns
     them; ``headings`` (I,) are the particles' headings.  Returns ``(rows,
-    parts, gates, lik)``.  ``rows`` and ``parts`` index the entries, sorted
-    by the distance from the particle to its VA, so the entries within
-    ``EPS_GEO`` of their VA, which score nothing, come first.  Measurement
-    m is scored on the entry slice ``gates[m]``, the entries off their VA
-    whose distance lies within ``G = _GATE_SIGMAS`` sigma_d of its own, and
-    ``lik[m]`` holds those float64 values.  The block's other (R, I, M)
-    elements are taken as zero: one the gate drops is below ``exp(-G^2 /
-    2) / (2 pi sigma_d sigma_phi)``, whatever its angle.  ``sigma_d`` /
-    ``sigma_phi`` are the noise levels of the block's path kind.
+    parts, gates, lik)``.  ``rows`` and ``parts`` (n,) int32 index the
+    entries, sorted by the distance from the particle to its VA, so the
+    entries within ``EPS_GEO`` of their VA, which score nothing, come first.
+    Measurement m is scored on the entry slice ``gates[m]``, the entries off
+    their VA whose distance lies within ``G = _GATE_SIGMAS`` sigma_d of its
+    own, and ``lik[m]`` holds those float64 values, views of one array.  The
+    block's other (R, I, M) elements are taken as zero: one the gate drops
+    is below ``exp(-G^2 / 2) / (2 pi sigma_d sigma_phi)``, whatever its
+    angle.  ``sigma_d`` / ``sigma_phi`` are the noise levels of the block's
+    path kind.
     """
     ax, ay = arrival
     dist = np.hypot(ax, ay)
@@ -281,7 +282,9 @@ def _block_likelihood(headings, flat, arrival, z, sigma_d, sigma_phi):
         # entries at equal distance keep their row-major order on every platform
         order = np.argsort(dist, kind="stable")
     del dist      # each entry-sized array goes once it is used: they set the block's peak
-    rows, parts = np.divmod(flat[order], len(headings))
+    # held until the update ends, so 4 bytes each: a slice's rows and particles fit
+    rows, parts = np.divmod(flat[order], len(headings), casting="same_kind",
+                            out=(np.empty(len(flat), np.int32), np.empty(len(flat), np.int32)))
     phi = phi[order]
     del order
     phi -= headings[parts]
@@ -291,17 +294,18 @@ def _block_likelihood(headings, flat, arrival, z, sigma_d, sigma_phi):
     hi = np.maximum(np.searchsorted(d, z[:, 0] + reach, side="right"), lo)
     counts = hi - lo
     gates = [slice(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
-
-    # every measurement's run of entries, one after the other
-    def runs(x):
-        return np.concatenate([x[:0]] + [x[gate] for gate in gates])
-
-    dphi = np.repeat(z[:, 1], counts) - runs(phi)
+    # every measurement's run of entries, one after the other, subtracted in place
+    starts = (np.cumsum(counts) - counts).tolist()
+    runs = [slice(a, a + c) for a, c in zip(starts, counts.tolist())]
+    dd, dphi = np.empty(counts.sum()), np.empty(counts.sum())
+    for (zd, zphi), gate, run in zip(z.tolist(), gates, runs):
+        np.subtract(zphi, phi[gate], out=dphi[run])
+        np.subtract(zd, d[gate], out=dd[run])
+    del phi, d
     # inputs lie in (-3 pi, 3 pi): two conditional shifts wrap to [-pi, pi]
-    dphi -= TWO_PI * (dphi > np.pi)
-    dphi += TWO_PI * (dphi < -np.pi)
+    np.subtract(dphi, TWO_PI, out=dphi, where=dphi > np.pi)
+    np.add(dphi, TWO_PI, out=dphi, where=dphi < -np.pi)
     dphi /= sigma_phi
-    dd = np.repeat(z[:, 0], counts) - runs(d)
     dd /= sigma_d
     # single fused exponential, in place; the bivariate normalizer is factored out front
     lik = np.square(dd, out=dd)
@@ -310,9 +314,7 @@ def _block_likelihood(headings, flat, arrival, z, sigma_d, sigma_phi):
     lik *= -0.5
     np.exp(lik, out=lik)
     lik /= (TWO_PI * sigma_d * sigma_phi)
-    starts = (np.cumsum(counts) - counts).tolist()
-    lik = [lik[a:a + c] for a, c in zip(starts, counts.tolist())]
-    return rows, parts, gates, lik
+    return rows, parts, gates, [lik[run] for run in runs]
 
 
 @dataclass
@@ -335,7 +337,7 @@ class _RowBlock:
     members: np.ndarray
     rows: slice          # position in the evidence table
     exist: np.ndarray    # (R,)
-    entries: tuple[np.ndarray, np.ndarray]  # (n,) row and (n,) particle indices
+    entries: tuple[np.ndarray, np.ndarray]  # (n,) row and (n,) particle indices, int32
     gates: list[slice]   # M entry slices, one per measurement
     lik: list[np.ndarray]  # M arrays, one value per entry of the measurement's slice
 
@@ -348,15 +350,15 @@ class _RowBlock:
             sums[:, m] = np.bincount(rows[gate], weights=lik, minlength=n_rows)
         return sums
 
-    def response(self, eta: np.ndarray, denom: float, p_d: float) -> np.ndarray:
+    def response(self, eta: np.ndarray, denom: float, p_d: float, rows: np.ndarray) -> np.ndarray:
         """Response (n,) of the rows to their messages ``eta`` (R, M+1) at the entries.
 
         The missed-detection term ``eta[:, 0] (1 - p_d)`` plus the
         likelihood mixture ``p_d sum_m lik eta[:, m] / denom``, accumulated
         in float64 in measurement order, where ``denom`` is the clutter
         denominator.  Off the entries the response is ``eta[:, 0]``.
+        ``rows`` are the entries' row indices, widened to intp for the gathers.
         """
-        rows = self.entries[0]
         mixture = np.zeros(len(rows))
         for gate, lik, eta_m in zip(self.gates, self.lik, (eta[:, 1:] / denom).T):
             mixture[gate] += lik * eta_m[rows[gate]]
@@ -488,18 +490,22 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray, features: FeatureMap
     log_g0 = np.zeros(s_count)
     with np.errstate(divide="ignore"):
         for b in blocks:
+            # numpy gathers with int32 indices at about half the intp speed: the slice's
+            # indices are widened once here, and the copies go before the next slice's
+            entries = tuple(e.astype(np.intp) for e in b.entries)
             eta_b = eta[b.rows]
             eta0 = eta_b[:, 0]
-            resp = b.response(eta_b, denom, params.p_detect(b.kind))
+            resp = b.response(eta_b, denom, params.p_detect(b.kind), entries[0])
             n_members = b.members.shape[1]
-            _row_log_sums(b.exist, eta0, resp, b.entries, np.zeros(len(eta0), dtype=np.intp),
+            _row_log_sums(b.exist, eta0, resp, entries, np.zeros(len(eta0), dtype=np.intp),
                           log_weights[None])
             log_eta0 = np.log(np.maximum(eta0, 1e-300))
             member_pe = pe[b.members]
             for j in range(n_members):
                 others = np.prod(member_pe[:, np.arange(n_members) != j], axis=1)
-                _row_log_sums(others, eta0, resp, b.entries, b.members[:, j], log_g1)
+                _row_log_sums(others, eta0, resp, entries, b.members[:, j], log_g1)
                 log_g0 += np.bincount(b.members[:, j], weights=log_eta0, minlength=s_count)
+            del entries, resp
     if not np.any(np.isfinite(log_weights)):
         raise DegenerateWeights("agent particle weights underflowed during a PA block")
 

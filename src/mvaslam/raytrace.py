@@ -114,7 +114,7 @@ class Environment:
 
         Each surface is clipped to the wall whose MVA lies nearest the
         cloud's mean MVA: the cache projects that wall's endpoints onto every
-        particle's line (:func:`_frame`).  Without walls the reflectors are
+        particle's line (:func:`_bounds`).  Without walls the reflectors are
         unbounded.  The map holds surface lines, not wall segments, so only
         blockers obstruct.
         """
@@ -184,18 +184,13 @@ def _end_planes(ends):
     return _planes(ends.reshape(ends.shape[:-2] + (4,)))
 
 
-def _frame(mvas, ends, empty=np.empty):
-    """The frame of surfaces ``mvas`` ``(mx, my)``: ``(ok, mx, my, |m|^2 / 2, lo, hi)``.
+def _frame(mvas, empty=np.empty):
+    """The frame of surfaces ``mvas`` ``(mx, my)``: ``(ok, mx, my, |m|^2 / 2)``.
 
     Surface ``m`` is the line ``x . m = |m|^2 / 2`` and is valid (``ok``)
-    where ``|m|^2 > EPS_GEO^2``.  ``lo`` and ``hi`` bound a bounce point's
-    :func:`_along` coordinate, in units of ``|m|``: the range of the
-    reflector endpoints ``ends`` ``(ax, ay, bx, by)`` along the line, widened
-    by ``EPS_GEO`` times ``|m|``, so a bounce hits the reflector up to
-    ``EPS_GEO`` meters.  With ``ends`` None the reflectors are unbounded and
-    the bounds are infinite, of shape (S, 1, ...).  The surface axis is
-    first and everything broadcasts; every plane comes from ``empty(shape,
-    dtype)``, as in :func:`~mvaslam.geometry.mva_to_va_planes`.
+    where ``|m|^2 > EPS_GEO^2``.  The surface axis is first and everything
+    broadcasts; every plane comes from ``empty(shape, dtype)``, as in
+    :func:`~mvaslam.geometry.mva_to_va_planes`.
     """
     mx, my = mvas
     shape = np.broadcast(mx, my).shape
@@ -203,9 +198,24 @@ def _frame(mvas, ends, empty=np.empty):
     offset += np.multiply(my, my, out=empty(shape, float))
     ok = np.greater(offset, EPS_GEO * EPS_GEO, out=empty(shape, bool))
     offset *= 0.5
+    return ok, mx, my, offset
+
+
+def _bounds(mvas, ends, empty=np.empty):
+    """The reflector bounds ``(lo, hi)`` of surfaces ``mvas`` ``(mx, my)``.
+
+    They bound a bounce point's :func:`_along` coordinate, in units of
+    ``|m|``: the range of the reflector endpoints ``ends`` ``(ax, ay, bx,
+    by)`` along the line, widened by ``EPS_GEO`` times ``|m|``, so a bounce
+    hits the reflector up to ``EPS_GEO`` meters.  With ``ends`` None the
+    reflectors are unbounded and the bounds are infinite, of shape (S, 1,
+    ...).  Shapes and planes as in :func:`_frame`.
+    """
+    mx, my = mvas
+    shape = np.broadcast(mx, my).shape
     if ends is None:
         unbounded = np.full(shape[:1] + (1,) * (len(shape) - 1), np.inf)
-        return ok, mx, my, offset, -unbounded, unbounded
+        return -unbounded, unbounded
     ta = _along(ends[:2], mvas, empty)
     tb = _along(ends[2:], mvas, empty)
     margin = np.hypot(mx, my, out=empty(shape, float))
@@ -214,7 +224,7 @@ def _frame(mvas, ends, empty=np.empty):
     lo -= margin
     hi = np.maximum(ta, tb, out=tb)
     hi += margin
-    return ok, mx, my, offset, lo, hi
+    return lo, hi
 
 
 def line_crossing(p, q, normal, offset, empty=np.empty):
@@ -407,8 +417,9 @@ class SurfaceTraces:
 
     @cached_property
     def surfaces(self):
-        """The frame of every surface (:func:`_frame`), (S, ...) planes."""
-        return _frame(self.mvas, self.ends)
+        """The frame and bounds of every surface (:func:`_frame`, :func:`_bounds`),
+        ``(ok, mx, my, |m|^2 / 2, lo, hi)``, (S, ...) planes."""
+        return _frame(self.mvas) + _bounds(self.mvas, self.ends)
 
     @cached_property
     def va1(self):
@@ -419,9 +430,15 @@ class SurfaceTraces:
         """The frame of the surfaces ``i``: a slice computes it from views of
         the MVA planes into planes from ``empty``, an index array gathers it."""
         if isinstance(i, slice):
+            return _frame(tuple(v[i] for v in self.mvas), empty)
+        return _gather(self.surfaces[:4], i, empty)
+
+    def _bounds_of(self, i, empty):
+        """The reflector bounds of the surfaces ``i``, as :meth:`_frame_of` gives their frame."""
+        if isinstance(i, slice):
             ends = None if self.ends is None else tuple(v[i] for v in self.ends)
-            return _frame(tuple(v[i] for v in self.mvas), ends, empty)
-        return _gather(self.surfaces, i, empty)
+            return _bounds(tuple(v[i] for v in self.mvas), ends, empty)
+        return _gather(self.surfaces[4:], i, empty)
 
     def _images(self, idx, empty=np.empty):
         """The images of the anchor for the rows whose bounce surfaces are ``idx`` (k, R).
@@ -525,17 +542,20 @@ class SurfaceTraces:
         bounds or is obstructed.  Returns the bounce point (``p`` when not
         ``check``).  Its temporaries, the surfaces' frame among them, die
         when it returns, so their planes go back to the workspace before the
-        next bounce draws its own.
+        next bounce draws its own.  The bounds are drawn after the crossing,
+        whose planes are then gone.
         """
         empty = self.workspace.empty
-        ok, mx, my, offset, lo, hi = self._frame_of(i, empty)
+        ok, mx, my, offset = self._frame_of(i, empty)
         available &= ok
         del ok                # its plane goes back before the crossing draws its own
         if not self.check:
             return p
         crossed, hit = line_crossing(p, q, (mx, my), offset, empty)
-        tau = _along(hit, (mx, my), empty)
         available &= crossed
+        del offset, crossed   # their planes go back before the bounds draw their own
+        tau = _along(hit, (mx, my), empty)
+        lo, hi = self._bounds_of(i, empty)
         inside = np.greater_equal(tau, lo, out=empty(available.shape, bool))
         available &= inside
         np.less_equal(tau, hi, out=inside)

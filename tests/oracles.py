@@ -19,6 +19,7 @@ the package's trace cache: it traces one path from scratch with its own
 copy of the ray tracer on (..., 2) points,
 :func:`block_likelihood_reference` is the bit-for-bit reference of the
 filter's likelihood kernel, laid out (entries, measurements),
+:func:`gated_likelihood_reference` that of the kernel's gated layout,
 :func:`draw_new_pmva_reference` that of its new-feature proposals wherever no
 inversion is degenerate, drawn one measurement at a time, and
 :func:`general_association`, the message iteration over a full (M, K+1)
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from mvaslam import association
+from mvaslam import association, engine
 from mvaslam.geometry import EPS_GEO, mva_to_va, path_distance_angle, va_to_mva, wrap_angle
 from mvaslam.measurement import TWO_PI
 from mvaslam.raytrace import candidate_blocks
@@ -520,6 +521,49 @@ def block_likelihood_reference(headings, arrival, avail, z, sigma_d, sigma_phi):
     dphi = dphi / sigma_phi
     lik = np.exp(-0.5 * (np.square(dd) + np.square(dphi)))
     return rows, parts, lik / (TWO_PI * sigma_d * sigma_phi)
+
+
+def gated_likelihood_reference(headings, flat, arrival, z, sigma_d, sigma_phi):
+    """The filter's gated block likelihood with intp entry indices and per-measurement copies.
+
+    Takes and returns what the filter's kernel takes and returns: ``rows``
+    and ``parts`` index the entries sorted by distance, ``gates[m]`` is
+    measurement m's entry slice and ``lik[m]`` its values.  Each
+    measurement's run of entries is copied out and differenced against a
+    repeated measurement, and the angles wrap by multiplying a mask, so it
+    is the bit-for-bit reference of a kernel that writes the runs in place
+    and narrows its indices.
+    """
+    ax, ay = arrival
+    dist = np.hypot(ax, ay)
+    phi = np.arctan2(ay, ax)
+    order = np.argsort(dist)
+    d = dist[order]
+    if np.any(d[1:] == d[:-1]):
+        order = np.argsort(dist, kind="stable")
+    rows, parts = np.divmod(flat[order], len(headings))
+    phi = phi[order] - headings[parts]
+    scoring = np.searchsorted(d, EPS_GEO, side="right")
+    reach = engine._GATE_SIGMAS * sigma_d
+    lo = np.maximum(np.searchsorted(d, z[:, 0] - reach, side="left"), scoring)
+    hi = np.maximum(np.searchsorted(d, z[:, 0] + reach, side="right"), lo)
+    counts = hi - lo
+    gates = [slice(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+
+    def runs(x):
+        return np.concatenate([x[:0]] + [x[gate] for gate in gates])
+
+    dphi = np.repeat(z[:, 1], counts) - runs(phi)
+    dphi -= TWO_PI * (dphi > np.pi)
+    dphi += TWO_PI * (dphi < -np.pi)
+    dphi /= sigma_phi
+    dd = np.repeat(z[:, 0], counts) - runs(d)
+    dd /= sigma_d
+    lik = np.square(dd) + np.square(dphi)
+    lik *= -0.5
+    lik = np.exp(lik) / (TWO_PI * sigma_d * sigma_phi)
+    starts = (np.cumsum(counts) - counts).tolist()
+    return rows, parts, gates, [lik[a:a + c] for a, c in zip(starts, counts.tolist())]
 
 
 def candidate_bounces(n_surfaces, double):

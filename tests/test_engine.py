@@ -44,8 +44,8 @@ from mvaslam.scenario import bundled_scenario
 
 from oracles import (Measurement, assert_same_entries, backward_trace, block_likelihood_reference,
                      dense_lik_sums, dense_response, draw_new_pmva_reference, endpoint_pairs,
-                     likelihood, nearest_extents_reference, process_pa_reference,
-                     systematic_resample_reference, trace_entries)
+                     gated_likelihood_reference, likelihood, nearest_extents_reference,
+                     process_pa_reference, systematic_resample_reference, trace_entries)
 
 PROFILE = NoiseProfile(los=PathNoise(0.05, np.deg2rad(10.0)),
                        single=PathNoise(0.10, np.deg2rad(15.0)),
@@ -412,6 +412,55 @@ def test_block_likelihood_matches_reference_kernel():
     assert got[0, :40, :2][avail[0, :40]].min() > 0.1
 
 
+def test_block_likelihood_keeps_the_bits_of_the_copying_kernel():
+    # The kernel narrows its entry indices to 4 bytes and writes each
+    # measurement's run in place; every output keeps the bits of the kernel
+    # that copies the runs out and indexes with intp.
+    rng = np.random.default_rng(31)
+    n_rows, n_part = 4, 50
+    headings = rng.uniform(-np.pi, np.pi, n_part)
+    arrival = rng.uniform(-6.0, 6.0, (n_rows, n_part, 2))
+    avail = rng.random((n_rows, n_part)) < 0.6
+    # angle differences at exactly +-pi and one ulp beyond: particles 0-3 at heading 0
+    # look along +x (angle 0) and along -x (angle pi).  A wrap at exactly +-pi keeps
+    # |dphi| (pi - 2 pi is -pi in float64), so the ulp beyond is the case that decides
+    headings[:4] = 0.0
+    arrival[0, :4] = [[2.0, 0.0], [2.0, 0.0], [-2.0, 0.0], [-2.0, 0.0]]
+    avail[0, :4] = True
+    # three entries at equal distance: the stable sort
+    arrival[1, 10:13] = [[3.0, 4.0], [-4.0, 3.0], [0.0, -5.0]]
+    avail[1, 10:13] = True
+    ulp = np.spacing(np.pi)
+    wrap = np.array([[2.0, np.pi], [2.0, np.pi + ulp], [2.0, 0.0], [2.0, -ulp], [2.0, -0.0],
+                     [5.0, 0.3]])
+    far = np.array([[40.0, 0.1], [-30.0, 2.0]])           # gates with no entry
+    covering = np.array([[6.0, -1.0]])                    # within 15 sigma_d of every entry
+    cases = [(avail, np.concatenate([wrap, far, covering]), 0.4, 0.3),
+             (avail, covering, 0.5, 0.2),
+             (avail, far, 0.4, 0.3),
+             (avail, np.zeros((0, 2)), 0.4, 0.3),            # M = 0
+             (np.zeros_like(avail), np.concatenate([wrap, covering]), 0.4, 0.3)]  # no entries
+    for mask, z, sigma_d, sigma_phi in cases:
+        flat, planes = entries(arrival, mask)
+        got = _block_likelihood(headings, flat, planes, z, sigma_d, sigma_phi)
+        want = gated_likelihood_reference(headings, flat, planes, z, sigma_d, sigma_phi)
+        rows, parts, gates, lik = got
+        assert rows.dtype == parts.dtype == np.int32
+        assert np.array_equal(rows, want[0]) and np.array_equal(parts, want[1])
+        assert gates == want[2] and len(lik) == len(want[3]) == len(z)
+        for values, ref in zip(lik, want[3]):
+            assert values.dtype == np.float64 and np.array_equal(values, ref)
+        if len(z) == len(covering) and mask.any():
+            assert gates[0] == slice(0, len(flat))        # the gate covers every entry
+    # the ties and the wrap were reached
+    flat, planes = entries(arrival, avail)
+    rows, parts, gates, lik = _block_likelihood(headings, flat, planes, cases[0][1], 0.4, 0.3)
+    tied = np.flatnonzero(rows == 1)[np.isin(parts[rows == 1], [10, 11, 12])]
+    assert parts[tied].tolist() == [10, 11, 12] and np.all(np.diff(tied) == 1)
+    assert all(gates[m].stop > gates[m].start for m in range(5))
+    assert not any(gates[m].stop > gates[m].start for m in (6, 7))
+
+
 @pytest.mark.parametrize("n_meas", [0, 1, 6])
 def test_compact_reductions_match_dense_reference(n_meas):
     rng = np.random.default_rng(22 + n_meas)
@@ -440,7 +489,7 @@ def test_compact_reductions_match_dense_reference(n_meas):
     assert sums.dtype == np.float64 and sums.shape == (n_rows, n_meas)
     np.testing.assert_allclose(sums, dense_lik_sums(ref_rows, ref_parts, ref, avail), rtol=1e-13)
     assert np.all(sums[1] == 0.0)
-    resp = block.response(eta, denom, 0.9)
+    resp = block.response(eta, denom, 0.9, rows)
     assert resp.dtype == np.float64 and resp.shape == rows.shape
     # off the entries the response is eta[:, 0]
     full = np.repeat(eta[:, :1], n_part, axis=1)
@@ -456,7 +505,7 @@ def test_compact_reductions_match_dense_reference(n_meas):
                       np.full(n_rows, 0.5), (rows, parts), gates, lik)
     sums = empty.lik_sums()
     assert sums.dtype == np.float64 and sums.shape == (n_rows, n_meas) and not sums.any()
-    assert empty.response(eta, denom, 0.9).shape == (0,)
+    assert empty.response(eta, denom, 0.9, rows).shape == (0,)
 
 
 def test_row_log_sums_match_dense_rows():
@@ -1161,6 +1210,30 @@ def test_anchor_block_frees_its_trace_cache_before_the_association(monkeypatch):
     assert alive == [[False]]
     scoring, update = (p / 2**20 for p in peaks)
     assert scoring < 6.5 and update < 4.5, f"peaks {scoring:.1f} and {update:.1f} MiB"
+
+
+def test_pair_block_scoring_peak_is_bounded(monkeypatch):
+    # While a block is scored, every slice's entry indices, gates and values
+    # are held.  The indices are 4 bytes each, each measurement's run is
+    # written in place, and a bounce draws its reflector bounds after the
+    # crossing: with numpy 2.4 the traced peak of this pair-row block up to
+    # the association read 7.6 MiB, against 8.7 MiB with int64 indices,
+    # per-measurement run copies and the bounds drawn beside the crossing.
+    args, env = olos_block(double=True)
+    peaks = []
+
+    def check_association(beta, xi_new, **kw):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return association.run_association(beta, xi_new, **kw)
+
+    monkeypatch.setattr(engine, "run_association", check_association)
+    tracemalloc.start()
+    try:
+        process_pa(*args, np.random.default_rng(3), env)
+    finally:
+        tracemalloc.stop()
+    scoring = peaks[0] / 2**20
+    assert scoring < 8.1, f"peak {scoring:.2f} MiB"
 
 
 def test_filter_step_frees_the_map_before_prediction(monkeypatch):

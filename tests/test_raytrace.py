@@ -419,6 +419,10 @@ def test_warm_trace_allocates_no_chunk_temporaries():
     # their surfaces' frames and images in workspace planes, so a fresh cache
     # that traces only them allocates no (S, I) plane but its MVA planes.
     # Without blockers: the obstruction test gathers the live hops into new arrays.
+    # The workspace holds as many buffers as planes are alive at once: a bounce
+    # draws its reflector bounds after the crossing's planes are gone, so a
+    # single-bounce chunk holds at most 10 and a pair chunk 17 (12 and 19 with
+    # the bounds drawn beside the crossing).
     rng = np.random.default_rng(23)
     env = rect_room()
     n_part = 1000
@@ -428,10 +432,11 @@ def test_warm_trace_allocates_no_chunk_temporaries():
     agent = rng.uniform([-4.8, -3.3], [4.8, 3.3], (n_part, 2))
     chunk_rows = raytrace._TRACE_CHUNK // n_part
     chunk_plane = chunk_rows * n_part * 8
-    for kind, members in candidate_blocks(len(clouds), True)[1:]:
+    for (kind, members), planes in zip(candidate_blocks(len(clouds), True)[1:], (10, 17)):
         assert len(members) > 3 * chunk_rows or kind == "single"
         traces = env.feature_traces(clouds, pa, True)
         traces.available_entries(agent, members)
+        assert len(env.workspace._buffers) <= planes, kind
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
