@@ -33,7 +33,7 @@ class AssociationOutput:
 
 
 def run_association(beta, xi_new, max_iters: int = 20, tol: float = 1e-6) -> AssociationOutput:
-    """Iterate the two message families to a fixed point (or ``max_iters``).
+    """Iterate the two message families to a fixed point, or for ``max_iters`` (>= 1) sweeps.
 
     ``beta``: (K, M+1), row per candidate path, column 0 for "no
     measurement", column m for measurement m.  ``xi_new``: (M,), each
@@ -53,6 +53,9 @@ def run_association(beta, xi_new, max_iters: int = 20, tol: float = 1e-6) -> Ass
     n_meas = m1 - 1
     if xi_new.shape != (n_meas,):
         raise ValueError(f"inconsistent shapes beta {beta.shape}, xi_new {xi_new.shape}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters={max_iters} must be at least 1: "
+                         "association without an iteration leaves no marginals")
     if not (np.all(np.isfinite(beta)) and np.all(np.isfinite(xi_new))):
         raise NonFinite("association inputs must be finite")
     if np.any(beta < 0) or np.any(xi_new < 0):
@@ -77,7 +80,6 @@ def run_association(beta, xi_new, max_iters: int = 20, tol: float = 1e-6) -> Ass
     # the order the full sweep sums it, so every message keeps its bits.
     live = np.flatnonzero(beta_hit.any(axis=1))
     miss, hit, z_live = beta_miss[live], beta_hit[live], z[live]
-    iterations = 0
     for iterations in range(1, max_iters + 1):
         t_m = xi_new + z.sum(axis=0, keepdims=True)                     # (1, M)
         v = 1.0 / np.maximum(t_m - z_live, _TINY)
@@ -88,11 +90,8 @@ def run_association(beta, xi_new, max_iters: int = 20, tol: float = 1e-6) -> Ass
         if delta < tol:
             break
     eta = np.ones((n_paths, n_meas + 1))
-    if iterations:
-        eta[:, 1:] = 1.0 / np.maximum(t_m - z, _TINY)    # the rows without evidence
-        eta[live, 1:] = v
-    else:
-        eta[:, 1:] = 0.0
+    eta[:, 1:] = 1.0 / np.maximum(t_m - z, _TINY)        # the rows without evidence
+    eta[live, 1:] = v
 
     sigma_out = np.concatenate([np.ones((n_meas, 1)), z.T], axis=1)
     if not (np.all(np.isfinite(eta)) and np.all(np.isfinite(sigma_out))):

@@ -86,7 +86,7 @@ def main(argv=None) -> int:
         print(f"mvaslam: error: {exc}", file=sys.stderr)
         return 1
     try:
-        paths = write_outputs(args.out_dir, config, result)
+        paths = write_outputs(args.out_dir, result)
     except OSError as exc:                                  # e.g. results.csv is a directory
         print(f"mvaslam: error: cannot write outputs to {args.out_dir}: {exc.strerror or exc}",
               file=sys.stderr)

@@ -57,7 +57,8 @@ class TruthTable(NamedTuple):
 
     blocks: list[tuple[str, np.ndarray]]  # (kind, members) row blocks, K rows, LOS first
     arrival: np.ndarray        # (J, N+1, K, 2) arrival vectors, NaN where unavailable
-    mvas: np.ndarray           # (W, 2) true wall MVAs: wall k is surface k
+    mvas: np.ndarray           # (W', 2) MVAs of the walls some path reaches, in wall order
+    vas: list[np.ndarray]      # per anchor, (P_j, 2) VAs of the bounce paths it sees
 
 
 def available_path_keys(config: ScenarioConfig) -> TruthTable:
@@ -65,21 +66,20 @@ def available_path_keys(config: ScenarioConfig) -> TruthTable:
 
     The truth is static and draws no random numbers, so an experiment
     traces it once; each run's measurement generation and metrics only read it.
+    The truth keeps the bounce paths seen somewhere along the trajectory: per
+    anchor their VAs, and the walls that some anchor's paths reach.
     """
     env = Environment(config.walls, config.blockers)
     blocks = candidate_blocks(len(env.walls), config.double_bounce)
     pas = np.array(config.pas)[:, None]                     # (J, 1, 2)
-    return TruthTable(blocks, env.trace_paths(config.waypoints, pas, blocks), env.wall_mvas)
-
-
-def truth_va_sets(config: ScenarioConfig, truth: TruthTable) -> list[np.ndarray]:
-    """Each anchor's true VA set: :func:`mvaslam.metrics.va_set` of the true
-    walls, kept to the bounce paths available somewhere along the trajectory."""
-    bounces = [tuple(row) for _, members in truth.blocks for row in members.tolist()]
+    arrival = env.trace_paths(config.waypoints, pas, blocks)
+    bounces = [tuple(row) for _, members in blocks for row in members.tolist()]
     order = sorted((k for k, b in enumerate(bounces) if b), key=bounces.__getitem__)
-    seen = ~np.isnan(truth.arrival[..., 0]).all(axis=1)     # (J, K)
-    return [dedupe_points(va_candidates(truth.mvas, pa, config.double_bounce)[seen[j, order]])
-            for j, pa in enumerate(config.pas)]
+    seen = ~np.isnan(arrival[..., 0]).all(axis=1)           # (J, K)
+    vas = [dedupe_points(va_candidates(env.wall_mvas, pa, config.double_bounce)[seen[j, order]])
+           for j, pa in enumerate(config.pas)]
+    reached = sorted({s for k in np.flatnonzero(seen.any(axis=0)) for s in bounces[k]})
+    return TruthTable(blocks, arrival, env.wall_mvas[reached], vas)
 
 
 def simulate_run(config: ScenarioConfig, run_index: int, base_seed: int,
@@ -96,7 +96,6 @@ def simulate_run(config: ScenarioConfig, run_index: int, base_seed: int,
     rng = np.random.default_rng(seed)
     params = config.params
     truth = available_path_keys(config) if availability is None else availability
-    truth_vas = truth_va_sets(config, truth)
 
     filt = SlamFilter(config.pas, params, config.profile, config.clutter,
                       rng=rng, start_pos=config.waypoints[0],
@@ -112,7 +111,7 @@ def simulate_run(config: ScenarioConfig, run_index: int, base_seed: int,
         err[n] = float(np.hypot(*(x_hat[:2] - config.waypoints[n])))
         mospa_mva[n] = ospa(mvas, truth.mvas, OSPA_PARAMS)
         for j, pa in enumerate(config.pas):
-            mospa_va[j, n] = va_ospa(mvas, truth_vas[j], pa, OSPA_PARAMS,
+            mospa_va[j, n] = va_ospa(mvas, truth.vas[j], pa, OSPA_PARAMS,
                                      include_double=config.double_bounce)
         s_hat[n] = len(mvas)
 
@@ -222,8 +221,9 @@ def run_experiment(config: ScenarioConfig, runs: int, base_seed: int,
     return ExperimentResult(records=records, summary=summary, timing=timing)
 
 
-def records_csv(records: Sequence[RunRecord], n_pa: int) -> str:
-    """CSV text: one row per time step per run."""
+def records_csv(records: Sequence[RunRecord]) -> str:
+    """CSV text: one row per time step per run, one VA MOSPA column per anchor."""
+    n_pa = len(records[0].mospa_va)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     header = ["n", "run", "err_pos", "mospa_mva"]
@@ -243,7 +243,7 @@ def _fmt(value: float) -> str:
     return "" if np.isnan(value) else f"{value:.6f}"
 
 
-def write_outputs(out_dir, config: ScenarioConfig, result: ExperimentResult) -> dict[str, Path]:
+def write_outputs(out_dir, result: ExperimentResult) -> dict[str, Path]:
     """Write results.csv and summary.json (deterministic) plus timing.json.
 
     Wall-clock timing is kept out of summary.json so that repeated
@@ -256,7 +256,7 @@ def write_outputs(out_dir, config: ScenarioConfig, result: ExperimentResult) -> 
         "summary": out / "summary.json",
         "timing": out / "timing.json",
     }
-    paths["csv"].write_text(records_csv(result.records, len(config.pas)), encoding="utf-8")
+    paths["csv"].write_text(records_csv(result.records), encoding="utf-8")
     paths["summary"].write_text(json.dumps(result.summary, indent=2, sort_keys=True) + "\n",
                                 encoding="utf-8")
     paths["timing"].write_text(json.dumps(result.timing, indent=2, sort_keys=True) + "\n",

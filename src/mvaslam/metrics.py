@@ -1,8 +1,8 @@
 """Multi-object map metrics: OSPA distances over MVA and VA point sets.
 
-OSPA combines localization and cardinality errors: with point sets of sizes
-m <= n, distances are cut off at c, optimally assigned, and the n - m
-unmatched points each pay the full cutoff.
+OSPA (of order 1) combines localization and cardinality errors: with point
+sets of sizes m <= n, distances are cut off at c, optimally assigned, and the
+n - m unmatched points each pay the full cutoff; the total is divided by n.
 """
 
 from __future__ import annotations
@@ -17,16 +17,13 @@ from .geometry import EPS_GEO, mva_to_va
 
 @dataclass(frozen=True)
 class OspaParams:
-    """Cutoff (meters) and order of the OSPA metric."""
+    """Cutoff (meters) of the order-1 OSPA metric."""
 
     cutoff: float = 5.0
-    order: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.cutoff < math.inf:
             raise ValueError(f"cutoff={self.cutoff} must be positive and finite")
-        if not 1.0 <= self.order < math.inf:
-            raise ValueError(f"order={self.order} must be at least 1 and finite")
 
 
 def _as_set(points) -> np.ndarray:
@@ -101,7 +98,7 @@ def _assignment(cost: np.ndarray) -> list[int]:
 
 
 def ospa(est, truth, params: OspaParams) -> float:
-    """OSPA distance between two planar point sets (empty sets allowed)."""
+    """Order-1 OSPA distance between two planar point sets (empty sets allowed)."""
     est = _as_set(est)
     truth = _as_set(truth)
     m, n = len(est), len(truth)
@@ -109,15 +106,15 @@ def ospa(est, truth, params: OspaParams) -> float:
         est, truth, m, n = truth, est, n, m
     if n == 0:
         return 0.0
-    c, p = params.cutoff, params.order
+    c = params.cutoff
     if m == 0:
         return c
     diff = est[:, None, :] - truth[None, :, :]
-    cost = np.minimum(np.hypot(diff[..., 0], diff[..., 1]), c) ** p
+    cost = np.minimum(np.hypot(diff[..., 0], diff[..., 1]), c)
     if np.isnan(cost).any():
         raise ValueError("OSPA point sets must not hold NaN")
-    total = float(cost[np.arange(m), _assignment(cost)].sum()) + (n - m) * c ** p
-    return float((total / n) ** (1.0 / p))
+    total = float(cost[np.arange(m), _assignment(cost)].sum()) + (n - m) * c
+    return total / n
 
 
 def dedupe_points(points) -> np.ndarray:

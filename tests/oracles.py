@@ -300,8 +300,8 @@ def brute_force_assignment_cost(cost: np.ndarray) -> float:
     return float(best)
 
 
-def scipy_ospa(est, truth, cutoff: float, order: float) -> float:
-    """OSPA distance with scipy's assignment, summed over the rows in order."""
+def scipy_ospa(est, truth, cutoff: float) -> float:
+    """Order-1 OSPA distance with scipy's assignment, summed over the rows in order."""
     est = np.asarray(est, dtype=float).reshape(-1, 2)
     truth = np.asarray(truth, dtype=float).reshape(-1, 2)
     if len(est) > len(truth):
@@ -310,10 +310,10 @@ def scipy_ospa(est, truth, cutoff: float, order: float) -> float:
     if m == 0:
         return cutoff if n else 0.0
     diff = est[:, None, :] - truth[None, :, :]
-    cost = np.minimum(np.hypot(diff[..., 0], diff[..., 1]), cutoff) ** order
+    cost = np.minimum(np.hypot(diff[..., 0], diff[..., 1]), cutoff)
     rows, cols = linear_sum_assignment(cost)
-    total = float(cost[rows, cols].sum()) + (n - m) * cutoff ** order
-    return float((total / n) ** (1.0 / order))
+    total = float(cost[rows, cols].sum()) + (n - m) * cutoff
+    return total / n
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,16 @@ def test_input_validation():
         run_association(bad, np.ones(2))
 
 
+@pytest.mark.parametrize("max_iters", [0, -3])
+def test_association_needs_a_sweep(max_iters):
+    # without a sweep there are no marginals to return
+    beta, xi_new = random_instance(np.random.default_rng(5), 3, 2)
+    with pytest.raises(ValueError, match="max_iters"):
+        run_association(beta, xi_new, max_iters=max_iters)
+    with pytest.raises(ValueError, match="max_iters"):
+        run_association(np.ones((2, 1)), np.zeros(0), max_iters=max_iters)
+
+
 def test_outputs_are_normalized():
     rng = np.random.default_rng(77)
     out = run_association(*random_instance(rng, 4, 3))

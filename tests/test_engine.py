@@ -1181,9 +1181,9 @@ def olos_block(blockers=None, double=False):
 def test_anchor_block_frees_its_trace_cache_before_the_association(monkeypatch):
     # The association and the updates never read the trace cache, so it is
     # gone before the evidence table is built.  With numpy 2.4 the block's
-    # traced peak read 5.5 MiB while the rows are scored (7.25 MiB with
-    # unit-normal frames and extents) and 3.4 MiB from the association on
-    # (6.2 MiB with the cache kept to the end of the block).
+    # traced peak reads 3.98 MiB while the rows are scored and 3.84 MiB from
+    # the association on.  The second figure includes the tracer's workspace
+    # (1.34 MiB), which the Environment keeps by design from block to block.
     args, env = olos_block()
     caches, alive, peaks = [], [], []
     feature_traces = Environment.feature_traces

@@ -52,7 +52,7 @@ def golden_run(name, visibility, setup, max_features=None):
     """The run record of one case and the digest of its ``records_csv`` text."""
     config = golden_config(name, visibility, setup, max_features)
     record = simulate_run(config, 0, SEED)
-    text = records_csv([record], len(config.pas))
+    text = records_csv([record])
     return record, hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

@@ -3,14 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mvaslam.experiment import available_path_keys, truth_va_sets
-from mvaslam.geometry import EPS_GEO, mva_to_va
+from mvaslam.experiment import available_path_keys
+from mvaslam.geometry import EPS_GEO, WallSegment, mva_to_va
 from mvaslam.metrics import OspaParams, dedupe_points, ospa, va_ospa, va_set
 from mvaslam.scenario import bundled_scenario
 
 from oracles import brute_force_assignment_cost, dedupe_points_loop, double_bounce_va, scipy_ospa
 
-P51 = OspaParams(cutoff=5.0, order=1.0)
+P51 = OspaParams(cutoff=5.0)
+P31 = OspaParams(cutoff=3.0)
 
 
 def test_ospa_empty_sets():
@@ -57,9 +58,9 @@ def test_ospa_equals_scipy_assignment_bit_for_bit():
     for trial, (m, n) in enumerate(shapes):          # m > n goes through ospa's swap
         saturated = int(rng.integers(0, m + 1)) if trial % 3 == 0 else 0
         est, truth = random_sets(rng, m, n, saturated)
-        params = P51 if trial % 4 else OspaParams(cutoff=3.0, order=2.0)
+        params = P51 if trial % 4 else P31
         got = ospa(est, truth, params)
-        assert got == scipy_ospa(est, truth, params.cutoff, params.order), (trial, m, n)
+        assert got == scipy_ospa(est, truth, params.cutoff), (trial, m, n)
         small, large = (est, truth) if m <= n else (truth, est)
         nearest = np.hypot(*(small[:, None] - large[None]).transpose(2, 0, 1)).argmin(axis=1)
         searched += len(set(nearest.tolist())) < len(small)
@@ -74,8 +75,8 @@ def test_ospa_matches_scipy_assignment_on_exact_ties():
         m, n = int(rng.integers(1, 16)), int(rng.integers(1, 51))
         est = rng.integers(-4, 5, (m, 2)).astype(float)
         truth = rng.integers(-4, 5, (n, 2)).astype(float)
-        params = P51 if trial % 2 else OspaParams(cutoff=3.0, order=2.0)
-        want = scipy_ospa(est, truth, params.cutoff, params.order)
+        params = P51 if trial % 2 else P31
+        want = scipy_ospa(est, truth, params.cutoff)
         assert ospa(est, truth, params) == pytest.approx(want, rel=1e-12, abs=0.0), trial
 
 
@@ -105,12 +106,6 @@ def test_ospa_bounded_and_monotone_in_cardinality_gap():
         assert val <= P51.cutoff + 1e-12
         assert val >= prev - 1e-12
         prev = val
-
-
-def test_ospa_order_two():
-    params = OspaParams(cutoff=2.0, order=2.0)
-    val = ospa([[0.0, 0.0]], [[1.0, 0.0], [10.0, 0.0]], params)
-    assert val == pytest.approx(np.sqrt((1.0 + 4.0) / 2.0))
 
 
 def test_dedupe_points():
@@ -225,16 +220,31 @@ def test_truth_va_sets_match_va_set_of_seen_paths(name):
         truth = available_path_keys(config)
         seen = ~np.isnan(truth.arrival[..., 0]).all(axis=1)
         bounces = [tuple(row) for _, members in truth.blocks for row in members.tolist()]
-        for j, got in enumerate(truth_va_sets(config, truth)):
+        assert len(truth.vas) == len(config.pas)
+        for j, got in enumerate(truth.vas):
             paths = {path for path, s in zip(bounces, seen[j]) if s}
             mvas = np.array([w.mva for w in config.walls])
             want = reference_truth_vas(mvas, config.pas[j], paths)
             assert len(want) and np.array_equal(got, want), (name, double, j)
 
 
+def test_truth_mvas_are_the_walls_some_path_reaches():
+    # a wall behind a long blocker is reached by no path, so no map can find it:
+    # it is neither a true MVA nor the source of a true VA
+    base = bundled_scenario("exp3_olos")
+    config = replace(base, walls=[*base.walls, WallSegment([-4.0, -9.0], [4.0, -9.0])],
+                     blockers=[*base.blockers, WallSegment([-40.0, -8.0], [40.0, -8.0])])
+    truth = available_path_keys(config)
+    assert np.array_equal(config.walls[2].mva, [0.0, -18.0])
+    reached = np.array([w.mva for w in base.walls])
+    assert np.array_equal(truth.mvas, reached)
+    assert ospa(reached, truth.mvas, P51) == 0.0
+    for got, want in zip(truth.vas, available_path_keys(base).vas, strict=True):
+        assert np.array_equal(got, want)
+
+
 def test_ospa_params_validation():
-    for field, bad in [("cutoff", 0.0), ("cutoff", np.nan), ("cutoff", np.inf),
-                       ("order", 0.5), ("order", np.nan), ("order", np.inf)]:
-        with pytest.raises(ValueError, match=field):
-            OspaParams(**{field: bad})
-    assert OspaParams(cutoff=1e300, order=1.0).cutoff == 1e300
+    for bad in (0.0, -3.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="cutoff"):
+            OspaParams(cutoff=bad)
+    assert OspaParams(cutoff=1e300).cutoff == 1e300
