@@ -366,35 +366,29 @@ class _RowBlock:
 
 
 def _row_log_sums(weight, eta0, resp, entries, groups, out):
-    """Add to ``out`` (G, I) the sums over rows of ``log(max(weight resp + eta0 (1 - weight), 0))``.
+    """Add to ``out`` (G, I) the sums over rows of ``log(weight resp + eta0 (1 - weight))``.
 
     ``weight``, ``eta0`` and ``groups`` are per row (R,), ``groups`` naming
     the row of ``out`` each row adds to; ``resp`` is the rows' response at
     their ``entries`` (:meth:`_RowBlock.response`).  Off the entries the
     response is ``eta0``, so a row adds one constant to every particle of
-    its group, and its entries add their difference from it.  A row whose
-    constant is -inf (``eta0`` 0) makes the sum -inf wherever it has no
-    entry.  Only the rows of ``out`` from the least group named to the
-    greatest are summed and touched, so a slice of rows costs its own span.
+    its group, and its entries add their difference from it.  The weights
+    lie in [0, 1], ``eta0 > 0`` and the responses ``eta0 (1 - p_d) + p_d
+    mixture`` are > 0, so every log's argument mixes two positive numbers.
+    Only the rows of ``out`` from the least group named to the greatest are
+    summed and touched, so a slice of rows costs its own span.
     """
     lo, hi = groups.min(), groups.max() + 1
     groups = groups - lo
     n_groups, n_part = hi - lo, out.shape[1]
     rows, parts = entries
-    const = np.log(np.maximum(weight * eta0 + eta0 * (1.0 - weight), 0.0))
+    const = np.log(weight * eta0 + eta0 * (1.0 - weight))
     weight, eta0 = weight[rows], eta0[rows]
-    at_entries = np.log(np.maximum(weight * resp + eta0 * (1.0 - weight), 0.0))
-    finite = np.isfinite(const)
-    const = np.where(finite, const, 0.0)
+    at_entries = np.log(weight * resp + eta0 * (1.0 - weight))
     cells = groups[rows] * n_part + parts
     sums = np.bincount(cells, weights=at_entries - const[rows], minlength=n_groups * n_part)
     sums = sums.reshape(n_groups, n_part) + np.bincount(groups, weights=const,
                                                         minlength=n_groups)[:, None]
-    if not finite.all():
-        dead = ~finite
-        covered = np.bincount(cells[dead[rows]], minlength=n_groups * n_part)
-        needed = np.bincount(groups[dead], minlength=n_groups)
-        sums[covered.reshape(n_groups, n_part) < needed[:, None]] = -np.inf
     out[lo:hi] += sums
 
 
@@ -488,32 +482,30 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray, features: FeatureMap
     log_weights = log_weights.copy()
     log_g1 = np.zeros((s_count, n_part))
     log_g0 = np.zeros(s_count)
-    with np.errstate(divide="ignore"):
-        for b in blocks:
-            # numpy gathers with int32 indices at about half the intp speed: the slice's
-            # indices are widened once here, and the copies go before the next slice's
-            entries = tuple(e.astype(np.intp) for e in b.entries)
-            eta_b = eta[b.rows]
-            eta0 = eta_b[:, 0]
-            resp = b.response(eta_b, denom, params.p_detect(b.kind), entries[0])
-            n_members = b.members.shape[1]
-            _row_log_sums(b.exist, eta0, resp, entries, np.zeros(len(eta0), dtype=np.intp),
-                          log_weights[None])
-            log_eta0 = np.log(np.maximum(eta0, 1e-300))
-            member_pe = pe[b.members]
-            for j in range(n_members):
-                others = np.prod(member_pe[:, np.arange(n_members) != j], axis=1)
-                _row_log_sums(others, eta0, resp, entries, b.members[:, j], log_g1)
-                log_g0 += np.bincount(b.members[:, j], weights=log_eta0, minlength=s_count)
-            del entries, resp
+    for b in blocks:
+        # numpy gathers with int32 indices at about half the intp speed: the slice's
+        # indices are widened once here, and the copies go before the next slice's
+        entries = tuple(e.astype(np.intp) for e in b.entries)
+        eta_b = eta[b.rows]
+        eta0 = eta_b[:, 0]
+        resp = b.response(eta_b, denom, params.p_detect(b.kind), entries[0])
+        n_members = b.members.shape[1]
+        _row_log_sums(b.exist, eta0, resp, entries, np.zeros(len(eta0), dtype=np.intp),
+                      log_weights[None])
+        log_eta0 = np.log(np.maximum(eta0, 1e-300))
+        member_pe = pe[b.members]
+        for j in range(n_members):
+            others = np.prod(member_pe[:, np.arange(n_members) != j], axis=1)
+            _row_log_sums(others, eta0, resp, entries, b.members[:, j], log_g1)
+            log_g0 += np.bincount(b.members[:, j], weights=log_eta0, minlength=s_count)
+        del entries, resp
     if not np.any(np.isfinite(log_weights)):
         raise DegenerateWeights("agent particle weights underflowed during a PA block")
 
-    # legacy update: existence, and a resampling row per feature whose weights do not vanish
+    # legacy update: existence, and a resampling row per feature
     lse = _log_sum_exp(log_g1)
-    live = np.isfinite(lse)
     existence = np.zeros(s_count + n_meas)
-    for s in np.flatnonzero(live).tolist():
+    for s in range(s_count):
         e = float(pe[s])
         log_mass1 = (math.log(e) if e > 0 else -np.inf) + float(lse[s]) - math.log(n_part)
         log_mass0 = (math.log1p(-e) if e < 1 else -np.inf) + log_g0[s]
@@ -534,8 +526,8 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray, features: FeatureMap
 
     # one resampling pass over the kept rows whose weights do not vanish, legacy rows
     # first; every row whose weights do not vanish draws its offset, kept or not, and
-    # the other kept rows keep their particles
-    resampled = np.concatenate([live, born])
+    # the other kept rows (proposals outside the birth region) keep their particles
+    resampled = np.concatenate([np.ones(s_count, dtype=bool), born])
     offsets = np.empty(s_count + n_meas)
     offsets[resampled] = rng.random(np.count_nonzero(resampled))
     drawn = keep[resampled[keep]]
@@ -598,7 +590,8 @@ class SlamFilter:
 
         Each batch is read as a float array, so nested lists do too; one
         that is not (M, 2) finite values is refused before anything
-        changes: the filter has no model for it.
+        changes: the filter has no model for it.  Angles lie in [-pi, pi],
+        as generated: the likelihood wraps a difference by one turn at most.
 
         The agent and the map are replaced stage by stage, so a step that
         raises leaves the filter between two stages: it is unusable, and a
@@ -610,6 +603,8 @@ class SlamFilter:
         for j, batch in enumerate(batches):
             if batch.ndim != 2 or batch.shape[1] != 2 or not np.isfinite(batch).all():
                 raise ValueError(f"anchor {j}: a batch must be an (M, 2) array of finite values")
+            if np.any(np.abs(batch[:, 1]) > np.pi):
+                raise ValueError(f"anchor {j}: measurement angles must lie in [-pi, pi]")
         self.agent = predict_agent(self.agent, self.params, self.rng)
         # each stage's map replaces its input at once: the map before prediction is freed
         # before the anchor blocks, and each block's input map when the block returns

@@ -193,3 +193,21 @@ def test_outputs_are_normalized():
     assert np.allclose(out.eta.sum(axis=1), 1.0)
     assert np.allclose(out.sigma_out.sum(axis=1), 1.0)
     assert out.iterations_used >= 1
+
+
+def test_missed_detection_message_has_a_floor():
+    # every measurement's new-or-clutter evidence is at least 1 in the filter, so a
+    # measurement's message to a path is at most its message to "no measurement":
+    # eta[:, 0] >= 1 / (M + 1), and the filter's update takes a finite log of it
+    rng = np.random.default_rng(37)
+    for _ in range(300):
+        n_paths, n_meas = int(rng.integers(1, 201)), int(rng.integers(1, 41))
+        beta = np.empty((n_paths, n_meas + 1))
+        beta[:, 0] = rng.uniform(0.05, 1.0, n_paths)
+        beta[:, 1:] = 10.0 ** rng.uniform(-12, 6, (n_paths, n_meas))
+        beta[:, 1:] *= rng.random((n_paths, n_meas)) < 0.5
+        beta[rng.random(n_paths) < 0.3, 1:] = 0.0          # rows without evidence
+        xi_new = rng.uniform(1.0, 10.0, n_meas)
+        xi_new[rng.random(n_meas) < 0.3] = 1.0
+        out = run_association(beta, xi_new, max_iters=int(rng.integers(1, 21)), tol=1e-6)
+        assert np.all(out.eta[:, 0] * (n_meas + 1) >= 1.0 - 1e-12), (n_paths, n_meas)

@@ -509,19 +509,17 @@ def test_compact_reductions_match_dense_reference(n_meas):
 
 
 def test_row_log_sums_match_dense_rows():
-    # per (group, particle) sums over rows of log(max(w resp + eta0 (1 - w), 0)), the
-    # response eta0 off the entries; rows with eta0 = 0 are -inf wherever they have no entry
+    # per (group, particle) sums over rows of log(w resp + eta0 (1 - w)), the
+    # response eta0 off the entries
     rng = np.random.default_rng(26)
     n_rows, n_part, n_groups = 12, 30, 4
     avail = rng.random((n_rows, n_part)) < 0.5
-    avail[3] = True                            # an eta0 = 0 row available everywhere
+    avail[3] = True                            # a row available everywhere
     avail[5] = False
     weight = rng.uniform(0.0, 1.0, n_rows)
     weight[0] = 1.0
     eta0 = rng.uniform(0.05, 1.0, n_rows)
-    eta0[[2, 3, 7]] = 0.0
     groups = rng.integers(0, n_groups, n_rows)
-    groups[[2, 3]] = 1
     resp = rng.uniform(0.0, 2.0, (n_rows, n_part))
     resp[4, :5] = 0.0
     rows, parts = np.nonzero(avail)
@@ -529,13 +527,10 @@ def test_row_log_sums_match_dense_rows():
     rows, parts = rows[order], parts[order]
     dense_resp = np.where(avail, resp, eta0[:, None])
     want = np.zeros((n_groups, n_part))
-    with np.errstate(divide="ignore"):
-        for r in range(n_rows):
-            want[groups[r]] += np.log(np.maximum(weight[r] * dense_resp[r]
-                                                 + eta0[r] * (1.0 - weight[r]), 0.0))
-        got = np.zeros((n_groups, n_part))
-        _row_log_sums(weight, eta0, resp[rows, parts], (rows, parts), groups, got)
-    assert np.isneginf(want).any() and np.isfinite(want).any()
+    for r in range(n_rows):
+        want[groups[r]] += np.log(weight[r] * dense_resp[r] + eta0[r] * (1.0 - weight[r]))
+    got = np.zeros((n_groups, n_part))
+    _row_log_sums(weight, eta0, resp[rows, parts], (rows, parts), groups, got)
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
@@ -899,16 +894,20 @@ def test_filter_determinism_same_seed():
     assert np.array_equal(first, second)
 
 
-@pytest.mark.parametrize("bad", ["nan_row", "inf_distance", "one_dim", "three_columns"])
+@pytest.mark.parametrize("bad", ["nan_row", "inf_distance", "one_dim", "three_columns",
+                                 "angle_above_pi", "angle_below_minus_pi"])
 def test_filter_step_rejects_a_batch_it_cannot_score(bad):
-    # A batch that is not an (M, 2) array of finite values is refused before
-    # the step changes anything, naming its anchor; a negative distance, which
-    # noise can draw, is scored
-    good = batch_of([[3.0, 0.2], [-0.1, -1.0]])
+    # A batch that is not an (M, 2) array of finite values, or that has an
+    # angle outside [-pi, pi], is refused before the step changes anything,
+    # naming its anchor; a negative distance, which noise can draw, and the
+    # angles -pi and pi are scored
+    good = batch_of([[3.0, 0.2], [-0.1, -1.0], [2.0, -np.pi], [4.0, np.pi]])
     batch = {"nan_row": batch_of([[3.0, 0.2], [np.nan, 0.5]]),
              "inf_distance": batch_of([[np.inf, 0.2]]),
              "one_dim": np.array([3.0, 0.2]),
-             "three_columns": np.array([[3.0, 0.2, 1.0]])}[bad]
+             "three_columns": np.array([[3.0, 0.2, 1.0]]),
+             "angle_above_pi": batch_of([[3.0, 0.2], [5.0, 0.283 + 2.0 * np.pi]]),
+             "angle_below_minus_pi": batch_of([[3.0, np.nextafter(-np.pi, -4.0)]])}[bad]
     filt = SlamFilter([(1.0, 0.5), (-1.0, 0.5)], HyperParams(n_particles=50), PROFILE, CLUTTER,
                       rng=np.random.default_rng(1), start_pos=[0.0, 0.0])
     agent = filt.agent
@@ -935,7 +934,7 @@ def test_filter_step_takes_nested_list_batches():
         assert np.array_equal(got.mva_positions, want.mva_positions)
 
 
-def paper_room_block(case, monkeypatch):
+def paper_room_block(case):
     """Inputs of one anchor block at the start of the paper room, shaped by ``case``."""
     config = bundled_scenario("exp1_rect_room")
     env = Environment(config.walls, config.blockers)
@@ -957,27 +956,16 @@ def paper_room_block(case, monkeypatch):
                            HyperParams().p_detect, config.profile,
                            config.clutter, rng)
     params = HyperParams(n_particles=n, p_prune=0.0, max_features=1000, pair_existence_floor=0.0)
-    # a blocker across the anchor's line of sight, long enough to hide it from every
-    # particle, or only from the particles on one side
-    normal = np.array([-(pa - start)[1], (pa - start)[0]]) / np.hypot(*(pa - start))
-    mid = (start + pa) / 2.0
     ctx = env
-    if case == "eta0_zero":
-        ctx = Environment(walls=env.walls, blockers=[WallSegment(mid, mid + 2.0 * normal)])
-
-        def zero_eta0(beta, xi_new, **kw):
-            out = plain_association(beta, xi_new, **kw)
-            out.eta[:2, 0] = 0.0                      # the LOS row and the first single row
-            return out
-
-        plain_association = association.run_association
-        monkeypatch.setattr(engine, "run_association", zero_eta0)
-        monkeypatch.setattr(association, "run_association", zero_eta0)
-    elif case == "on_va":
+    if case == "on_va":
         params = replace(params, visibility_check=False)
         agent.particles[:3, :2] = pa                  # on the LOS VA
         agent.particles[3:6, :2] = mva_to_va(features.particles[0, 3:6], pa)
     elif case == "no_entries":
+        # a blocker across the anchor's line of sight, long enough to hide it from
+        # every particle
+        normal = np.array([-(pa - start)[1], (pa - start)[0]]) / np.hypot(*(pa - start))
+        mid = (start + pa) / 2.0
         ctx = Environment(walls=env.walls, blockers=[WallSegment(mid - 3.0 * normal,
                                                                  mid + 3.0 * normal)])
         features.particles[1] = 0.0                  # a degenerate surface: no available row
@@ -986,18 +974,15 @@ def paper_room_block(case, monkeypatch):
     return (agent, np.zeros(n), features, batch, pa, params, config.profile, config.clutter), ctx
 
 
-@pytest.mark.parametrize("case", ["pairs_s30", "eta0_zero", "on_va", "no_entries",
-                                  "no_measurements"])
-def test_process_pa_matches_dense_reference(case, monkeypatch):
-    args, ctx = paper_room_block(case, monkeypatch)
+@pytest.mark.parametrize("case", ["pairs_s30", "on_va", "no_entries", "no_measurements"])
+def test_process_pa_matches_dense_reference(case):
+    args, ctx = paper_room_block(case)
     logw, updated = process_pa(*args, np.random.default_rng(3), ctx)
     want_logw, want_existence = process_pa_reference(*args, np.random.default_rng(3), ctx)
     assert len(updated) == len(want_existence)
     np.testing.assert_allclose(logw, want_logw, rtol=1e-12)
     np.testing.assert_allclose(updated.existence, want_existence, rtol=1e-12)
-    assert np.isfinite(logw).any()
-    if case == "eta0_zero":
-        assert np.isneginf(logw).any()
+    assert np.isfinite(logw).all()
 
 
 def pair_heavy_block():
