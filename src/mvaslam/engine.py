@@ -11,9 +11,7 @@ are proposed from each measurement by inverting the measurement map through
 every agent particle; they become legacy features for the next anchor.
 The map is one :class:`FeatureMap` of arrays in birth order: each anchor
 block appends its new features after the survivors, so a feature's row is
-its age.  Only a legacy feature's updated existence is computed one feature
-at a time, in ``math`` scalars, because numpy's ``log`` / ``log1p`` / ``exp``
-round differently on some arguments and the outputs are pinned bit for bit.
+its age.
 
 Per-particle weights and existence ratios are accumulated in the log domain
 throughout; products over feature rows would underflow otherwise.
@@ -247,7 +245,8 @@ def _draw_proposals(batch: np.ndarray, sigma_d: float, sigma_phi: float, agent: 
 
 
 def _log_sum_exp(values: np.ndarray) -> np.ndarray:
-    """``log(sum(exp(values)))`` over the last axis; -inf where its maximum is not finite."""
+    """``log(sum(exp(values)))`` over the last axis; -inf, not NaN, where its maximum is
+    not finite: :func:`finalize_step` raises that as :class:`DegenerateWeights`."""
     top = np.max(values, axis=-1, keepdims=True)
     with np.errstate(invalid="ignore"):
         lse = top[..., 0] + np.log(np.sum(np.exp(values - top), axis=-1))
@@ -492,7 +491,7 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray, features: FeatureMap
         n_members = b.members.shape[1]
         _row_log_sums(b.exist, eta0, resp, entries, np.zeros(len(eta0), dtype=np.intp),
                       log_weights[None])
-        log_eta0 = np.log(np.maximum(eta0, 1e-300))
+        log_eta0 = np.log(eta0)
         member_pe = pe[b.members]
         for j in range(n_members):
             others = np.prod(member_pe[:, np.arange(n_members) != j], axis=1)
@@ -505,13 +504,10 @@ def process_pa(agent: AgentBelief, log_weights: np.ndarray, features: FeatureMap
     # legacy update: existence, and a resampling row per feature
     lse = _log_sum_exp(log_g1)
     existence = np.zeros(s_count + n_meas)
-    for s in range(s_count):
-        e = float(pe[s])
-        log_mass1 = (math.log(e) if e > 0 else -np.inf) + float(lse[s]) - math.log(n_part)
-        log_mass0 = (math.log1p(-e) if e < 1 else -np.inf) + log_g0[s]
-        top = max(log_mass1, log_mass0)
-        existence[s] = (math.exp(log_mass1 - top)
-                        / (math.exp(log_mass1 - top) + math.exp(log_mass0 - top)))
+    with np.errstate(divide="ignore"):     # an existence of 0 or 1 leaves one mass at zero
+        log_mass1 = np.log(pe) + lse - math.log(n_part)
+        log_mass0 = np.log1p(-pe) + log_g0
+    existence[:s_count] = np.exp(log_mass1 - np.logaddexp(log_mass1, log_mass0))
 
     # new-feature update: existence from the unclaimed-measurement message, and a
     # resampling row per proposal that reaches the birth region

@@ -697,6 +697,19 @@ def test_process_pa_missed_detection_decays_existence():
     assert out.existence[0] == pytest.approx(expected, rel=1e-6)
 
 
+def test_process_pa_keeps_certain_existences_exact():
+    # an existence of exactly 0 or 1 leaves one of the update's two masses at zero:
+    # the update keeps both edges, and its log of a zero mass raises no RuntimeWarning
+    params = HyperParams(n_particles=50, p_prune=0.0)
+    agent = point_belief(np.array([-2.0, 1.0]), np.array([0.2, 0.0]), 50)
+    feats = feature_map([np.full((50, 2), xy) for xy in ([10.0, 0.0], [0.0, 8.0], [-9.0, -1.0])],
+                        [0.0, 1.0, 0.5], 50)
+    _, out = run_block(agent, feats, batch_of([[4.0, 0.3], [6.0, -1.0]]), params)
+    assert out.existence[0] == 0.0
+    assert out.existence[1] == 1.0
+    assert 0.0 < out.existence[2] < 1.0
+
+
 def test_process_pa_weight_ordering_follows_likelihood():
     # noiseless detections, no clutter: particles nearest the truth win
     ctx = one_wall_ctx()

@@ -181,6 +181,14 @@ def with_value(key, value):
                     "ncv": {"start": [-2.0, 1.0], "velocity": [0.1, 0.0], "steps": 5}},
      r"^trajectory: expected an object with exactly one of 'waypoints' and 'ncv'"),
     ("trajectory", {}, r"^trajectory: expected an object with exactly one of"),
+    # the rollout's own bounds, appended last so that the other cases keep their ids
+    ("trajectory.ncv", {"start": [-2.0, 1.0], "velocity": [0.1, 0.0]},
+     r"^trajectory\.ncv\.steps: missing$"),
+    ("trajectory.ncv.steps", 0, r"^trajectory\.ncv\.steps: must be >= 1$"),
+    ("trajectory.ncv.steps", 2.5, r"^trajectory\.ncv\.steps: expected an integer, got 2\.5$"),
+    ("trajectory.ncv.seed", -1, r"^trajectory\.ncv\.seed: must be >= 0$"),
+    ("trajectory.ncv.start", [1.0, 0.5],
+     r"^trajectory: waypoint 0 coincides with the anchor pas\[0\]$"),
 ])
 def test_parse_rejects_malformed_values(key, value, message):
     assert parse_scenario(json.dumps(with_value("name", "valid"))).n_steps == 5
@@ -225,6 +233,27 @@ def test_ncv_trajectory_generation():
                                                 "steps": 5}})
     assert config.n_steps == 5
     assert np.allclose(config.waypoints[-1], [-1.5, 1.0])
+
+
+def test_ncv_scenario_is_the_seeded_rollout():
+    # the waypoints are the NCV rollout from the start state, its accelerations
+    # sigma_w-scaled standard normals of a generator seeded with "seed"
+    doc = json.loads(serialize_scenario(bundled_scenario("exp3_olos")))
+    doc["trajectory"] = {"ncv": {"start": [-1.0, -1.0], "velocity": [0.1, 0.05], "steps": 10,
+                                 "sigma_w": 0.01, "seed": 3}}
+    config = parse_scenario(json.dumps(doc))
+    rng = np.random.default_rng(3)
+    x = np.array([-1.0, -1.0, 0.1, 0.05])
+    want = [x[:2]]
+    for _ in range(10):
+        x = engine.ncv_step(x, 0.01 * rng.standard_normal(2), config.params.dt)
+        want.append(x[:2])
+    np.testing.assert_array_equal(config.waypoints, want)
+    # serialized, the rollout becomes its waypoints, and parses back unchanged
+    text = serialize_scenario(config)
+    again = parse_scenario(text)
+    np.testing.assert_array_equal(again.waypoints, config.waypoints)
+    assert serialize_scenario(again) == text
 
 
 def test_true_heading_holds_at_a_standstill(monkeypatch):
